@@ -2,12 +2,11 @@
 //!
 //! Generates seeded random scenarios (`lognic_workloads::corpus::gen`)
 //! and drives each through the full correctness pipeline — static
-//! analyzer, both scheduler engines, and the analytical model against
-//! a replicated simulation:
+//! analyzer, simulator, and the analytical model against a replicated
+//! simulation:
 //!
 //! * analyzer-clean scenarios must simulate **without watchdog
-//!   aborts** on both the calendar and reference-heap engines;
-//! * the two engines must produce **byte-identical** reports;
+//!   aborts** and deliver packets;
 //! * the model's delivered throughput must land inside the
 //!   simulation's replicated 95 % confidence interval (±3 % slack).
 //!
@@ -16,12 +15,12 @@
 //! counterexample is written as a JSON artifact (replayable by hand
 //! from its spec) and the process exits 1.
 //!
-//! With `--sanitize` the oracle swaps to the sanitized differential
-//! check: all four {calendar, heap} × {batched, scalar} combinations
-//! run under the runtime sanitizer and must agree byte-for-byte on
-//! the report and the audited RNG draw count, with zero invariant
-//! violations. (The model-vs-replication CI stage is skipped in this
-//! mode — it gates engine mechanics, not model fidelity.)
+//! With `--sanitize` the oracle swaps to the sanitized check: each
+//! scenario runs under the runtime sanitizer with zero invariant
+//! violations, its report byte-identical to a plain run, and its
+//! audited event and RNG draw counts reproducible. (The
+//! model-vs-replication CI stage is skipped in this mode — it gates
+//! engine mechanics, not model fidelity.)
 //!
 //! ```text
 //! fuzz_smoke [--cases N] [--seed S] [--artifact FILE] [--sanitize]
@@ -112,9 +111,9 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
             let verdict = if opts.sanitize {
-                "all engine×dispatch combos sanitizer-clean and byte-identical"
+                "sanitizer-clean, passive and reproducible"
             } else {
-                "engines byte-identical, model inside replicated 95% CIs"
+                "no watchdog aborts, model inside replicated 95% CIs"
             };
             println!(
                 "fuzz_smoke: {} scenarios checked ({} skipped as analyzer-flagged, \

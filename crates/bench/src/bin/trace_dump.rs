@@ -162,9 +162,11 @@ fn main() {
             (report, trace.into_json())
         }
         "csv" | "json" => {
-            let (report, timeline) = builder(&scenario, &plan, &opts)
-                .timeline(Seconds::micros(opts.dt_us))
+            let mut sampler = TimeSeriesSampler::new(Seconds::micros(opts.dt_us));
+            let report = builder(&scenario, &plan, &opts)
+                .run_with(&mut sampler)
                 .expect("trace workloads are valid");
+            let timeline = sampler.into_timeline();
             let text = if opts.format == "csv" {
                 timeline.to_csv()
             } else {

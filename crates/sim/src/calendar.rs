@@ -6,10 +6,8 @@
 //! structure of simulation time instead: events hash into an array of
 //! *day* buckets by `time >> shift` (a power-of-two bucket width), and
 //! the scheduler walks the calendar day by day, draining one day at a
-//! time. Insert is an append plus a min-update; pop is a linear
-//! min-scan over the current day's handful of events — with the bucket
-//! width tuned to a few events per day, the scan touches one or two
-//! cache lines and never pays a heap sift.
+//! time. Insert into a future day is an append plus a min-update; the
+//! day being drained is kept sorted, so pop takes its last entry.
 //!
 //! ## Storage
 //!
@@ -18,40 +16,39 @@
 //! freed slot returns to a free list and is reused by the next push,
 //! so once the slab has grown to the peak pending-event count the
 //! queue performs **zero heap allocations** regardless of how events
-//! distribute over buckets. (The previous `Vec<Vec<_>>` layout kept
-//! re-growing individual bucket vectors whenever a bucket saw a new
-//! occupancy maximum — a steady trickle of reallocations on workloads
-//! with millions of resident events.)
+//! distribute over buckets.
+//!
+//! ## The active day
+//!
+//! When a day opens, its events move out of their bucket chain into
+//! the *active list*, which is sorted once in descending `(time, seq)`
+//! order. Pop takes the last entry — the minimum — in O(1). A push
+//! into the active day binary-searches its slot by the full
+//! `(time, seq)` key and inserts there, so k events sharing one
+//! timestamp cost k binary searches, not k scans of the whole day.
+//! Zero-gap bursts, which tie on time by the hundreds, stay cheap.
 //!
 //! ## Determinism
 //!
 //! Pops are globally ordered by the full `(time, seq)` key — exactly
 //! the order a `BinaryHeap<Reverse<(time, seq)>>` produces — because:
 //!
-//! 1. every event of the active day is either moved into the active
-//!    list when the day opens or pushed into it directly (new events
-//!    are never scheduled in the past, so a same-day insert always
-//!    lands in the active day *while it is active*), and
+//! 1. every event due no later than the active day is in the active
+//!    list: it was moved there when the day opened or pushed into it
+//!    directly (a push at or before the active day always takes the
+//!    active-list path);
 //! 2. every event still in the wheel belongs to a strictly later day,
-//!    whose times are all strictly greater than any active-day time.
+//!    whose times are all strictly greater than any active-list time;
+//! 3. the active list is sorted by the full key, and insertion keeps
+//!    it sorted.
 //!
-//! The active list is popped by an explicit `(time, seq)` min-scan, so
-//! ties at equal times break by insertion sequence — the property the
-//! simulator's replay guarantees rely on. The differential property
-//! test in `tests/engine_differential.rs` checks byte-identical
-//! reports against the retained reference heap engine across
-//! randomized scenarios.
-//!
-//! ## Event trains
-//!
-//! [`CalendarQueue::pop_train`] drains *every* event sharing the
-//! earliest timestamp in one scoop: one min-scan over the active list
-//! finds the time, one sweep extracts the ties, and one sort restores
-//! seq order. Popping k same-time events one at a time costs k full
-//! min-scans (O(k·m) over an active list of m); the train scoop costs
-//! one scan plus O(k log k) — the difference is what makes bursty
-//! workloads (doorbell-coalesced DMA batches, synchronized tenant
-//! traffic) cheap to schedule.
+//! Point 3 uses the whole key, not only the sequence number, so the
+//! order holds even when an event is pushed with an *older* sequence
+//! number than events already queued at its time. A paused fleet run
+//! does exactly that: it pops an event past its window limit and
+//! pushes it back with its original sequence number. The unit tests
+//! below check the pop order against a `BinaryHeap` on randomized
+//! push/pop streams shaped like the simulator's.
 //!
 //! ## Overflow laps
 //!
@@ -61,6 +58,8 @@
 //! via the per-bucket `next_day` cache) until its day comes around.
 //! When a whole lap holds nothing, the scheduler jumps straight to the
 //! earliest cached day instead of spinning through empty buckets.
+
+use std::cmp::Reverse;
 
 /// One scheduled entry: the picosecond key, the tie-breaking sequence
 /// number, and a caller payload.
@@ -126,7 +125,8 @@ pub struct CalendarQueue<P> {
     shift: u32,
     /// The day currently being drained.
     day: u64,
-    /// The active day's events, popped by `(time, seq)` min-scan.
+    /// Every event due no later than the active day, sorted in
+    /// descending `(time, seq)` order: the last entry pops next.
     active: Vec<Entry<P>>,
     /// Entries resident in the wheel (excluding `active`).
     wheel_len: usize,
@@ -185,11 +185,10 @@ impl<P: Copy + Eq> CalendarQueue<P> {
         let day = time >> self.shift;
         let entry = Entry { time, seq, payload };
         if day <= self.day {
-            // Never scheduled in the past: a `day < self.day` event
-            // would already have been due, and the simulator only
-            // schedules at `now + delta`. Same-day events join the
-            // active list directly.
-            self.active.push(entry);
+            // Due no later than the active day: insert in key order.
+            let key = entry.key();
+            let at = self.active.partition_point(|e| e.key() > key);
+            self.active.insert(at, entry);
             return;
         }
         let b = (day & self.mask) as usize;
@@ -216,69 +215,19 @@ impl<P: Copy + Eq> CalendarQueue<P> {
 
     /// Pops the earliest event by `(time, seq)`.
     pub fn pop(&mut self) -> Option<(u64, u64, P)> {
-        loop {
-            if !self.active.is_empty() {
-                let mut best = 0;
-                let mut best_key = self.active[0].key();
-                for (i, e) in self.active.iter().enumerate().skip(1) {
-                    let k = e.key();
-                    if k < best_key {
-                        best = i;
-                        best_key = k;
-                    }
-                }
-                let e = self.active.swap_remove(best);
-                self.len -= 1;
-                return Some((e.time, e.seq, e.payload));
-            }
+        if self.active.is_empty() {
             if self.wheel_len == 0 {
                 return None;
             }
             self.advance();
         }
-    }
-
-    /// Drains *every* event scheduled at the earliest pending
-    /// timestamp into `out` as `(seq, payload)` pairs in ascending
-    /// `seq` order, returning that timestamp (`None` when the queue is
-    /// empty). Popping the same events one by one yields the identical
-    /// global `(time, seq)` order; the train scoop replaces k full
-    /// min-scans of the active list with one scan plus a sort of the
-    /// k ties. Events pushed while a train is being processed carry
-    /// later sequence numbers than every scooped event, so re-scooping
-    /// at the same timestamp preserves the total order.
-    pub fn pop_train(&mut self, out: &mut Vec<(u64, P)>) -> Option<u64> {
-        loop {
-            if !self.active.is_empty() {
-                let mut min_t = self.active[0].time;
-                for e in self.active.iter().skip(1) {
-                    if e.time < min_t {
-                        min_t = e.time;
-                    }
-                }
-                let start = out.len();
-                let mut i = 0;
-                while i < self.active.len() {
-                    if self.active[i].time == min_t {
-                        let e = self.active.swap_remove(i);
-                        out.push((e.seq, e.payload));
-                    } else {
-                        i += 1;
-                    }
-                }
-                self.len -= out.len() - start;
-                out[start..].sort_unstable_by_key(|&(seq, _)| seq);
-                return Some(min_t);
-            }
-            if self.wheel_len == 0 {
-                return None;
-            }
-            self.advance();
-        }
+        let e = self.active.pop()?;
+        self.len -= 1;
+        Some((e.time, e.seq, e.payload))
     }
 
     /// Moves `day` forward to the next day holding events and opens it
-    /// (moves its events into the active heap). Walks day by day while
+    /// (moves its events into the active list). Walks day by day while
     /// events are near (the dense, common case); after one fruitless
     /// lap, jumps directly to the earliest cached day.
     fn advance(&mut self) {
@@ -307,9 +256,10 @@ impl<P: Copy + Eq> CalendarQueue<P> {
     }
 
     /// Moves the entries of day `d` from its bucket chain into the
-    /// active list (their slots return to the free list) and
-    /// recomputes the bucket's cached minimum day.
+    /// (empty) active list, sorts it, returns their slots to the free
+    /// list and recomputes the bucket's cached minimum day.
     fn open_day(&mut self, d: u64) {
+        debug_assert!(self.active.is_empty());
         self.day = d;
         let b = (d & self.mask) as usize;
         let mut cur = self.heads[b];
@@ -333,6 +283,7 @@ impl<P: Copy + Eq> CalendarQueue<P> {
         }
         self.heads[b] = keep;
         self.next_day[b] = remaining_min;
+        self.active.sort_unstable_by_key(|e| Reverse(e.key()));
     }
 
     /// Doubles the bucket count, re-linking every resident slot into
@@ -363,7 +314,6 @@ impl<P: Copy + Eq> CalendarQueue<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
     #[test]
@@ -425,44 +375,135 @@ mod tests {
         assert_eq!(count, n);
     }
 
+    /// A seeded xorshift64 stream.
+    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+        let mut x = seed | 1;
+        move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        }
+    }
+
+    /// The queue-level oracle: on randomized push/pop streams shaped
+    /// like the simulator's, the calendar pops exactly what a
+    /// `BinaryHeap<Reverse<(time, seq)>>` pops. The streams mix
+    ///
+    /// * pushes a short random delay ahead of `now`;
+    /// * zero-delta pushes at `now`, building deep same-time ties;
+    /// * bursts of hundreds of events at one timestamp;
+    /// * paced windows: an event popped at or past a moving `limit` is
+    ///   pushed back with its original `seq`, then boundary events land
+    ///   in `[limit, limit + lookahead)` with fresh seqs — what a fleet
+    ///   run does at every window edge;
+    /// * far-future pushes that lap the wheel many times;
+    /// * a flood of future events that forces `grow()` while the
+    ///   active day holds events;
+    ///
+    /// over gap estimates from `new(0)` up to microsecond days.
     #[test]
     fn matches_binary_heap_reference() {
-        // Randomized differential check against the reference ordering.
-        let mut seed = 0x9E3779B97F4A7C15u64;
-        let mut rng = move || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            seed
-        };
-        for trial in 0..20 {
-            let mut q = CalendarQueue::new(1 + (trial * 37) as u64);
+        let mut grew_mid_day = 0;
+        for trial in 0..256u64 {
+            let mut rng =
+                xorshift(0x9E37_79B9_7F4A_7C15 ^ trial.wrapping_mul(0xD1B5_4A32_D192_ED03));
+            let gap = match trial % 4 {
+                0 => 0,
+                1 => 1 + rng() % 100,
+                2 => 1 + rng() % 10_000,
+                _ => 1 + rng() % 1_000_000,
+            };
+            let lookahead = 1 + rng() % 50_000;
+            let mut q = CalendarQueue::new(gap);
             let mut reference = BinaryHeap::new();
             let mut seq = 0u64;
             let mut now = 0u64;
-            let mut popped = Vec::new();
-            let mut expected = Vec::new();
-            for _ in 0..500 {
-                if rng() % 3 == 0 {
-                    let a = q.pop();
-                    let b = reference.pop().map(|Reverse((t, s))| (t, s, ()));
-                    now = a.map(|(t, _, _)| t).unwrap_or(now);
-                    popped.push(a);
-                    expected.push(b);
-                } else {
-                    let t = now + rng() % 10_000;
-                    seq += 1;
-                    q.push(t, seq, ());
-                    reference.push(Reverse((t, seq)));
+            let mut limit = lookahead;
+            let mut push = |q: &mut CalendarQueue<u64>,
+                            reference: &mut BinaryHeap<Reverse<(u64, u64)>>,
+                            t: u64| {
+                seq += 1;
+                q.push(t, seq, seq);
+                reference.push(Reverse((t, seq)));
+            };
+            let flood_at = if trial % 2 == 0 {
+                rng() % 1_500
+            } else {
+                u64::MAX
+            };
+            for step in 0..1_500u64 {
+                if step == flood_at {
+                    // Same-day events first, so the flood grows the
+                    // wheel while the active day is open.
+                    for _ in 0..3 {
+                        push(&mut q, &mut reference, now);
+                    }
+                    let buckets = q.heads.len();
+                    for _ in 0..2 * buckets + 64 {
+                        let t = now + 1 + rng() % 10_000_000;
+                        push(&mut q, &mut reference, t);
+                    }
+                    if q.heads.len() > buckets && !q.active.is_empty() {
+                        grew_mid_day += 1;
+                    }
+                    continue;
                 }
+                match rng() % 32 {
+                    0..=11 => {
+                        // Advance a window: pop a few events, stopping
+                        // at the first one at or past `limit`.
+                        for _ in 0..1 + rng() % 64 {
+                            let got = q.pop();
+                            let want = reference.pop().map(|Reverse((t, s))| (t, s, s));
+                            assert_eq!(got, want, "trial {trial}, step {step}");
+                            let Some((t, s, _)) = got else { break };
+                            if t < limit {
+                                now = t;
+                                continue;
+                            }
+                            // Past the window: defer with the original
+                            // seq, then deliver boundary events.
+                            q.push(t, s, s);
+                            reference.push(Reverse((t, s)));
+                            for _ in 0..rng() % 4 {
+                                let t = limit + rng() % lookahead;
+                                push(&mut q, &mut reference, t);
+                            }
+                            limit += lookahead;
+                            break;
+                        }
+                    }
+                    12..=19 => {
+                        let t = now + rng() % 10_000;
+                        push(&mut q, &mut reference, t);
+                    }
+                    20..=23 => push(&mut q, &mut reference, now),
+                    24 => {
+                        let t = now + rng() % 3 * (rng() % 5_000);
+                        for _ in 0..100 + rng() % 300 {
+                            push(&mut q, &mut reference, t);
+                        }
+                    }
+                    25 | 26 => {
+                        let t = now + (1 << 40) + rng() % (1 << 44);
+                        push(&mut q, &mut reference, t);
+                    }
+                    _ => {
+                        let t = now + rng() % 1_000_000;
+                        push(&mut q, &mut reference, t);
+                    }
+                }
+                assert_eq!(q.len(), reference.len(), "trial {trial}, step {step}");
             }
-            while let Some((t, s, p)) = q.pop() {
-                popped.push(Some((t, s, p)));
-                expected.push(reference.pop().map(|Reverse((t, s))| (t, s, ())));
+            while let Some(want) = reference.pop() {
+                let Reverse((t, s)) = want;
+                assert_eq!(q.pop(), Some((t, s, s)), "trial {trial}, drain");
             }
-            assert_eq!(popped, expected, "trial {trial}");
-            assert!(reference.is_empty());
+            assert_eq!(q.pop(), None);
+            assert!(q.is_empty());
         }
+        assert!(grew_mid_day > 0, "no trial grew the wheel mid-day");
     }
 
     #[test]
@@ -472,79 +513,6 @@ mod tests {
         q.push(u64::MAX >> 1, 1, ());
         assert_eq!(q.pop(), Some((0, 0, ())));
         assert_eq!(q.pop(), Some((u64::MAX >> 1, 1, ())));
-    }
-
-    #[test]
-    fn pop_train_scoops_all_ties_in_seq_order() {
-        let mut q = CalendarQueue::new(10);
-        q.push(30, 0, 'd');
-        q.push(10, 3, 'c');
-        q.push(10, 1, 'a');
-        q.push(10, 2, 'b');
-        let mut train = Vec::new();
-        assert_eq!(q.pop_train(&mut train), Some(10));
-        assert_eq!(train, vec![(1, 'a'), (2, 'b'), (3, 'c')]);
-        train.clear();
-        assert_eq!(q.pop_train(&mut train), Some(30));
-        assert_eq!(train, vec![(0, 'd')]);
-        train.clear();
-        assert_eq!(q.pop_train(&mut train), None);
-        assert!(train.is_empty());
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn pop_train_matches_pop_sequence() {
-        // Train scoops must replay the exact (time, seq) pop order.
-        let mut seed = 0xD1B54A32D192ED03u64;
-        let mut rng = move || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            seed
-        };
-        let mut a = CalendarQueue::new(50);
-        let mut b = CalendarQueue::new(50);
-        for s in 0..2_000u64 {
-            // Coarse times force heavy timestamp sharing.
-            let t = (rng() % 64) * 100;
-            a.push(t, s, s);
-            b.push(t, s, s);
-        }
-        let mut from_pop = Vec::new();
-        while let Some((t, s, p)) = a.pop() {
-            from_pop.push((t, s, p));
-        }
-        let mut from_trains = Vec::new();
-        let mut train = Vec::new();
-        while let Some(t) = b.pop_train(&mut train) {
-            for &(s, p) in &train {
-                from_trains.push((t, s, p));
-            }
-            train.clear();
-        }
-        assert_eq!(from_pop, from_trains);
-        assert!(b.is_empty());
-    }
-
-    #[test]
-    fn pop_train_interleaved_with_pushes() {
-        let mut q = CalendarQueue::new(100);
-        q.push(100, 1, 'a');
-        q.push(100, 2, 'b');
-        let mut train = Vec::new();
-        assert_eq!(q.pop_train(&mut train), Some(100));
-        assert_eq!(train, vec![(1, 'a'), (2, 'b')]);
-        // Same-timestamp events pushed during train processing carry
-        // later seqs and form the next train at the same time.
-        q.push(100, 3, 'c');
-        q.push(150, 4, 'd');
-        train.clear();
-        assert_eq!(q.pop_train(&mut train), Some(100));
-        assert_eq!(train, vec![(3, 'c')]);
-        train.clear();
-        assert_eq!(q.pop_train(&mut train), Some(150));
-        assert_eq!(train, vec![(4, 'd')]);
     }
 
     #[test]

@@ -38,7 +38,7 @@ use lognic_model::units::{Bandwidth, Bytes, Seconds};
 
 use crate::metrics::SimReport;
 use crate::rng::SimRng;
-use crate::sim::{BoundaryPacket, Engine, PacedRun, SimConfig, Simulation, Uplink};
+use crate::sim::{BoundaryPacket, PacedRun, SimConfig, Simulation, Uplink};
 use crate::time::SimTime;
 use crate::trace::NoopObserver;
 
@@ -136,20 +136,6 @@ impl FleetBuilder {
     /// Sets the measurement warmup cutoff of every NIC.
     pub fn warmup(mut self, warmup: Seconds) -> Self {
         self.config.warmup = warmup;
-        self
-    }
-
-    /// Selects the event-scheduler implementation. Fleet reports are
-    /// bit-identical across engines.
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.config.engine = engine;
-        self
-    }
-
-    /// Enables or disables the batched train fast path. Fleet reports
-    /// are bit-identical either way.
-    pub fn batch(mut self, batch: bool) -> Self {
-        self.config.batch = batch;
         self
     }
 
@@ -435,7 +421,7 @@ impl FleetSim {
                                 let uplinks = run.uplinks().to_vec();
                                 let received = run.received();
                                 let emitted = run.emitted();
-                                let (report, _stats) = run.finish(&mut obs);
+                                let report = run.finish(&mut obs);
                                 Ok((report, uplinks, received, emitted))
                             }
                         });

@@ -54,7 +54,6 @@
 #![deny(clippy::perf)]
 
 pub mod arena;
-pub mod batch;
 pub mod calendar;
 pub mod faults;
 pub mod fleet;
@@ -80,7 +79,6 @@ pub mod prelude {
     pub use lognic_model::prelude::*;
 
     pub use crate::arena::{PacketArena, PacketHandle, NO_PACKET};
-    pub use crate::batch::{BatchScratch, TrainStats};
     pub use crate::calendar::CalendarQueue;
     pub use crate::faults::{CompiledFaultPlan, FaultKind, FaultPlan, FaultWindow, RetryPolicy};
     pub use crate::fleet::{nic_seed, FleetBuilder, FleetReport, FleetSim, LinkReport, NicReport};
@@ -91,7 +89,7 @@ pub mod prelude {
     pub use crate::rng::SimRng;
     pub use crate::sanitize::{Invariant, Sanitizer, SanitizerReport, Violation};
     pub use crate::service::{FixedService, RateService, ServiceDist, ServiceModel};
-    pub use crate::sim::{Engine, SimConfig, Simulation, SimulationBuilder};
+    pub use crate::sim::{SimConfig, Simulation, SimulationBuilder};
     pub use crate::stats::{MetricSummary, Welford};
     pub use crate::time::SimTime;
     pub use crate::trace::{

@@ -148,7 +148,6 @@ pub struct SimReport {
     pub packet_rate: f64,
     /// Discrete events the engine processed over the whole run —
     /// the denominator of the perf baseline's events/sec metric.
-    /// Identical across scheduler engines for the same scenario/seed.
     pub events: u64,
     /// Latency statistics of completed packets.
     pub latency: LatencySummary,

@@ -15,24 +15,22 @@
 //! * **Arena discipline** — packet slab handles are never freed twice
 //!   or reallocated while live, and no slab outlives the run.
 //! * **Timestamp monotonicity** — dispatched events carry
-//!   non-decreasing timestamps and consecutive sequence numbers, on
-//!   both schedulers and both dispatch modes.
+//!   non-decreasing timestamps and consecutive sequence numbers.
 //! * **Occupancy/busy-time accounts** — the busy-time sum recomputed
 //!   from service-start occupancies matches the engine's integer
-//!   accumulator *exactly* (including the batch path's coalesced
-//!   partial sums), and the reconstructed ∫(busy + queued) dt integral
-//!   matches the engine's within floating-point rounding.
+//!   accumulator *exactly*, and the reconstructed ∫(busy + queued) dt
+//!   integral matches the engine's within floating-point rounding.
 //! * **RNG draw audit** — the run's total uniform draw count is
 //!   surfaced in the [`SanitizerReport`] so differential harnesses can
-//!   assert scalar and batched dispatch drew identically.
+//!   assert that reruns of one scenario draw identically.
 //!
 //! ## Passivity
 //!
 //! The sanitizer only *reads* hook arguments: it never touches the
 //! RNG, the event queue or any packet, so a sanitized run's
 //! [`SimReport`](crate::metrics::SimReport) is byte-identical to the
-//! unsanitized run (the sanitized differential suite pins this across
-//! {calendar, heap} × {batched, scalar}). Violations are *recorded*,
+//! unsanitized run (the sanitizer suite pins this over randomized
+//! scenarios). Violations are *recorded*,
 //! never acted on mid-run — detection cannot perturb the stream it is
 //! checking. A violation always indicates an engine (or sanitizer)
 //! bug: mis-specified scenarios are rejected by the static analyzer
@@ -139,7 +137,7 @@ pub struct SanitizerReport {
     /// run; capped at [`MAX_VIOLATIONS`]).
     pub violations: Vec<Violation>,
     /// Uniform RNG draws the run performed (from the engine audit).
-    /// Scalar and batched dispatch of one scenario must agree.
+    /// Reruns of one scenario must agree.
     pub rng_draws: u64,
     /// Events dispatched.
     pub events: u64,

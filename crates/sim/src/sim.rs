@@ -15,19 +15,16 @@
 //! [`Ev`] records scheduled on a calendar queue ([`CalendarQueue`]),
 //! packets live in a slab arena ([`PacketArena`]) addressed by dense
 //! `u32` handles, and latency statistics stream through a
-//! [`LatencyRecorder`] instead of a per-packet sample vector. The
-//! original binary-heap scheduler is retained as
-//! [`Engine::ReferenceHeap`] — both engines pop events in exactly
-//! (time, seq) order, so every [`SimReport`] is bit-identical across
-//! them (the differential suite asserts this).
+//! [`LatencyRecorder`] instead of a per-packet sample vector. Events
+//! pop in exactly `(time, seq)` order, the order the calendar queue's
+//! own tests check against a binary heap.
 //!
 //! [`Ev`]: self::Simulation
 //! [`CalendarQueue`]: crate::calendar::CalendarQueue
 //! [`PacketArena`]: crate::arena::PacketArena
 //! [`LatencyRecorder`]: crate::histogram::LatencyRecorder
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use lognic_model::analyze::{AnalysisConfig, Analyzer, Diagnostic};
@@ -39,7 +36,6 @@ use lognic_model::params::{HardwareModel, TrafficProfile};
 use lognic_model::units::{Bandwidth, Seconds};
 
 use crate::arena::{PacketArena, PacketHandle, NO_PACKET};
-use crate::batch::{BatchScratch, TrainStats};
 use crate::calendar::CalendarQueue;
 use crate::faults::{CompiledFaultPlan, CompiledKind, NodeFaults};
 use crate::histogram::LatencyRecorder;
@@ -52,29 +48,9 @@ use crate::service::{RateService, ServiceDist, ServiceModel};
 use crate::time::SimTime;
 use crate::trace::{
     DropReason, FaultWindowKind, NodeAudit, NodeMeta, NoopObserver, RunAudit, RunMeta, SimObserver,
-    TimeSeriesSampler, Timeline,
 };
 use crate::traffic::{ArrivalProcess, Trace, TraceCursor, TrafficSource};
 use crate::wrr::{QueuePlan, WrrQueues};
-
-/// Which event-scheduler implementation a run uses.
-///
-/// Both engines pop events in exactly `(time, seq)` order, so for a
-/// given scenario and seed every field of the resulting [`SimReport`]
-/// is bit-identical. The calendar queue is O(1) amortized per
-/// operation where the heap pays O(log n); it is the default and the
-/// heap survives purely as a differential-testing reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// Calendar-queue scheduler (Brown, CACM '88): O(1) amortized
-    /// push/pop on a power-of-two bucket wheel.
-    #[default]
-    Calendar,
-    /// The original `BinaryHeap`-based scheduler, kept as the
-    /// reference implementation for differential tests and the perf
-    /// baseline's speedup denominator.
-    ReferenceHeap,
-}
 
 /// Run-control parameters of a simulation.
 #[derive(Debug, Clone, Copy)]
@@ -102,16 +78,6 @@ pub struct SimConfig {
     /// `max_packets`, the graph size and the retry budget — large
     /// enough that only a non-terminating run can hit it.
     pub max_events: u64,
-    /// The event-scheduler implementation. Reports are bit-identical
-    /// across engines; this knob exists for differential testing and
-    /// perf baselines.
-    pub engine: Engine,
-    /// Drains same-timestamp event trains from the scheduler in one
-    /// scoop and services same-node arrival runs through the
-    /// structure-of-arrays batch fast path (`true`, the default).
-    /// Reports are bit-identical with batching disabled; the knob
-    /// exists for differential testing and perf baselines.
-    pub batch: bool,
 }
 
 impl Default for SimConfig {
@@ -125,8 +91,6 @@ impl Default for SimConfig {
             max_packets: 20_000_000,
             medium_backlog: Seconds::micros(50.0),
             max_events: 0,
-            engine: Engine::Calendar,
-            batch: true,
         }
     }
 }
@@ -184,55 +148,6 @@ impl Ev {
     #[inline]
     fn node(self) -> usize {
         (self.kind_node & NODE_MASK) as usize
-    }
-}
-
-/// The pending-event set, behind one of the two scheduler engines.
-/// Both pop in exactly `(time, seq)` order.
-enum EventQueue {
-    Wheel(CalendarQueue<Ev>),
-    Heap(BinaryHeap<Reverse<(u64, u64, Ev)>>),
-}
-
-impl EventQueue {
-    #[inline]
-    fn push(&mut self, time_ps: u64, seq: u64, ev: Ev) {
-        match self {
-            EventQueue::Wheel(w) => w.push(time_ps, seq, ev),
-            EventQueue::Heap(h) => h.push(Reverse((time_ps, seq, ev))),
-        }
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<(u64, u64, Ev)> {
-        match self {
-            EventQueue::Wheel(w) => w.pop(),
-            EventQueue::Heap(h) => h.pop().map(|Reverse(t)| t),
-        }
-    }
-
-    /// Drains every event at the earliest pending timestamp into `out`
-    /// in ascending `seq` order, returning that timestamp. Both
-    /// engines produce the identical train — the calendar queue via
-    /// one min-scan plus a seq sort, the heap by popping while the
-    /// peeked time matches (heap pops already arrive seq-sorted).
-    #[inline]
-    fn pop_train(&mut self, out: &mut Vec<(u64, Ev)>) -> Option<u64> {
-        match self {
-            EventQueue::Wheel(w) => w.pop_train(out),
-            EventQueue::Heap(h) => {
-                let Reverse((time, seq, ev)) = h.pop()?;
-                out.push((seq, ev));
-                while let Some(&Reverse((t2, _, _))) = h.peek() {
-                    if t2 != time {
-                        break;
-                    }
-                    let Reverse((_, s2, e2)) = h.pop().expect("peeked entry exists");
-                    out.push((s2, e2));
-                }
-                Some(time)
-            }
-        }
     }
 }
 
@@ -310,12 +225,6 @@ struct NodeRuntime {
     busy: u32,
     queue: QueueState,
     service: Box<dyn ServiceModel>,
-    /// Copy of `service` when it is the standard rate kernel (no
-    /// user override). The batch fast path needs the concrete
-    /// `RateService` to lift mean-service-time math into flat f64
-    /// lanes; nodes with custom service models fall back to scalar
-    /// dispatch.
-    kernel: Option<RateService>,
     overhead: SimTime,
     work_factor: f64,
     busy_time: SimTime,
@@ -404,21 +313,6 @@ impl<'a> SimulationBuilder<'a> {
     /// Sets the service-time distribution of rate-based nodes.
     pub fn service_dist(mut self, dist: ServiceDist) -> Self {
         self.config.service_dist = dist;
-        self
-    }
-
-    /// Selects the event-scheduler implementation (the calendar queue
-    /// by default). Reports are bit-identical across engines.
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.config.engine = engine;
-        self
-    }
-
-    /// Enables or disables the batched train fast path (enabled by
-    /// default). Reports are bit-identical either way; the knob exists
-    /// for differential testing and perf baselines.
-    pub fn batch(mut self, batch: bool) -> Self {
-        self.config.batch = batch;
         self
     }
 
@@ -620,17 +514,12 @@ impl<'a> SimulationBuilder<'a> {
             .zip(&per_node)
             .map(|(((gn, svc), qplan), faults)| {
                 let runtime = gn.params().map(|p| {
-                    let (service, kernel): (Box<dyn ServiceModel>, Option<RateService>) = match svc
-                    {
-                        Some(model) => (model, None),
-                        None => {
-                            let rate = RateService::new(
-                                p.effective_peak() / p.parallelism() as f64,
-                                cfg.service_dist,
-                            );
-                            (Box::new(rate), Some(rate))
-                        }
-                    };
+                    let service = svc.unwrap_or_else(|| {
+                        Box::new(RateService::new(
+                            p.effective_peak() / p.parallelism() as f64,
+                            cfg.service_dist,
+                        ))
+                    });
                     let queue = match qplan {
                         Some(plan) => QueueState::Wrr(WrrQueues::new(&plan)),
                         None => QueueState::Shared {
@@ -643,7 +532,6 @@ impl<'a> SimulationBuilder<'a> {
                         busy: 0,
                         queue,
                         service,
-                        kernel,
                         overhead: SimTime::from_secs(p.overhead().as_secs()),
                         work_factor: p.work_factor(),
                         busy_time: SimTime::ZERO,
@@ -771,18 +659,6 @@ impl<'a> SimulationBuilder<'a> {
     /// the watchdog abort of [`Simulation::run_with`].
     pub fn run_with<O: SimObserver>(self, obs: &mut O) -> LogNicResult<SimReport> {
         self.build()?.run_with(obs)
-    }
-
-    /// Builds and runs the simulation with a [`TimeSeriesSampler`] at
-    /// interval `dt` attached, returning the report alongside the
-    /// collected [`Timeline`] (see [`Simulation::timeline`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SimulationBuilder::build`] validation errors and
-    /// the watchdog abort of [`Simulation::run_with`].
-    pub fn timeline(self, dt: Seconds) -> LogNicResult<(SimReport, Timeline)> {
-        self.build()?.timeline(dt)
     }
 }
 
@@ -924,7 +800,7 @@ pub(crate) struct Uplink {
 }
 
 struct RunState {
-    queue: EventQueue,
+    queue: CalendarQueue<Ev>,
     seq: u64,
     /// All in-flight packets; events reference slots by handle.
     arena: PacketArena,
@@ -1030,30 +906,21 @@ impl Simulation {
         self.run_with(&mut NoopObserver)
     }
 
-    /// Runs the simulation with a [`TimeSeriesSampler`] at interval
-    /// `dt` attached, returning the report alongside the collected
-    /// per-node [`Timeline`] (queue depth, busy engines, ρ(t),
-    /// drop/retry counters on the Δt grid).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the watchdog abort of [`Simulation::run_with`].
-    pub fn timeline(self, dt: Seconds) -> LogNicResult<(SimReport, Timeline)> {
-        let mut sampler = TimeSeriesSampler::new(dt);
-        let report = self.run_with(&mut sampler)?;
-        Ok((report, sampler.into_timeline()))
-    }
-
     /// Runs the simulation to completion under a trace observer,
     /// reporting every engine state transition to `obs`.
     ///
     /// Observers are passive — they never touch the RNG or the event
     /// queue — so for a given scenario and seed the returned
     /// [`SimReport`] is bit-identical whichever observer is attached
-    /// (the differential suite asserts this against [`Simulation::run`]
-    /// on both engines). Every hook site is guarded by
-    /// [`SimObserver::ENABLED`], which monomorphization resolves at
-    /// compile time: disabled observers leave the hot loop untouched.
+    /// (the differential suite asserts this against [`Simulation::run`]).
+    /// Every hook site is guarded by [`SimObserver::ENABLED`], which
+    /// monomorphization resolves at compile time: disabled observers
+    /// leave the hot loop untouched.
+    ///
+    /// This is the one run core behind every entry point: start a
+    /// paced run, advance it with no window limit, fold the audit and
+    /// the report. Fleet runs drive the same three stages with finite
+    /// lookahead windows.
     ///
     /// # Errors
     ///
@@ -1061,7 +928,9 @@ impl Simulation {
     /// progress report when the run exceeds its event budget
     /// ([`SimConfig::max_events`]) instead of hanging.
     pub fn run_with<O: SimObserver>(self, obs: &mut O) -> LogNicResult<SimReport> {
-        self.run_core(obs).map(|(report, _)| report)
+        let mut run = PacedRun::start(self, obs);
+        run.advance(u64::MAX, obs)?;
+        Ok(run.finish(obs))
     }
 
     /// Runs the simulation under the full runtime [`Sanitizer`],
@@ -1070,8 +939,8 @@ impl Simulation {
     ///
     /// The sanitizer is a passive observer, so the [`SimReport`] is
     /// byte-identical to an unsanitized run of the same scenario and
-    /// seed — the sanitized differential suite asserts this across
-    /// both engines and both dispatch modes. A clean run returns
+    /// seed — the sanitizer suite asserts this over randomized
+    /// scenarios. A clean run returns
     /// `Ok`; any invariant violation surfaces as
     /// [`LogNicError::SanitizerViolation`] describing the first
     /// violation (the report carries up to
@@ -1090,33 +959,9 @@ impl Simulation {
         audit.check()?;
         Ok((report, audit))
     }
-
-    /// Runs the simulation to completion and reports the measurements
-    /// together with the run's batch telemetry: how long the
-    /// same-timestamp event trains were and how many events travelled
-    /// the batched arrival fast path. With [`SimConfig::batch`]
-    /// disabled the returned [`TrainStats`] stays empty.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LogNicError::WatchdogAbort`] exactly as
-    /// [`Simulation::run`] does.
-    pub fn run_instrumented(self) -> LogNicResult<(SimReport, TrainStats)> {
-        self.run_core(&mut NoopObserver)
-    }
-
-    /// The single generic run core behind every public run entry
-    /// point: start a [`PacedRun`], advance it to exhaustion, fold the
-    /// audit and the report. Fleet runs drive the same three stages
-    /// with finite lookahead windows instead of one unbounded one.
-    fn run_core<O: SimObserver>(self, obs: &mut O) -> LogNicResult<(SimReport, TrainStats)> {
-        let mut run = PacedRun::start(self, obs);
-        run.advance(u64::MAX, obs)?;
-        Ok(run.finish(obs))
-    }
 }
 
-/// A resumable simulation run: `run_core`'s stack state lifted into a
+/// A resumable simulation run: the run loop's state lifted into a
 /// struct so a run can be advanced in bounded time windows.
 ///
 /// Single-NIC runs call `start` → `advance(u64::MAX)` → `finish`; the
@@ -1128,9 +973,6 @@ impl Simulation {
 pub(crate) struct PacedRun {
     sim: Simulation,
     st: RunState,
-    stats: TrainStats,
-    train: Vec<(u64, Ev)>,
-    scratch: BatchScratch,
     processed: u64,
     last: SimTime,
     end: SimTime,
@@ -1146,10 +988,7 @@ impl PacedRun {
         let end = SimTime::from_secs(sim.config.duration.as_secs());
         let warmup = SimTime::from_secs(sim.config.warmup.as_secs());
         let mut st = RunState {
-            queue: match sim.config.engine {
-                Engine::Calendar => EventQueue::Wheel(CalendarQueue::new(sim.wheel_gap_ps)),
-                Engine::ReferenceHeap => EventQueue::Heap(BinaryHeap::new()),
-            },
+            queue: CalendarQueue::new(sim.wheel_gap_ps),
             seq: 0,
             arena: PacketArena::new(),
             scratch_expired: Vec::new(),
@@ -1230,9 +1069,6 @@ impl PacedRun {
         PacedRun {
             sim,
             st,
-            stats: TrainStats::new(),
-            train: Vec::new(),
-            scratch: BatchScratch::new(),
             processed: 0,
             last: end,
             end,
@@ -1248,9 +1084,7 @@ impl PacedRun {
     /// **original** sequence number (straight onto the queue, without
     /// minting a new one), so the `(time, seq)` total order — and with
     /// it the RNG stream, every counter and the final report — is
-    /// exactly what an unpaced run would produce. `pop_train` scoops
-    /// all events of one timestamp, so a train never straddles the
-    /// limit.
+    /// exactly what an unpaced run would produce.
     ///
     /// # Errors
     ///
@@ -1261,107 +1095,27 @@ impl PacedRun {
         limit_ps: u64,
         obs: &mut O,
     ) -> LogNicResult<bool> {
-        if self.sim.config.batch {
-            // Train loop: scoop every event sharing the earliest
-            // timestamp in one call, then walk the train recognizing
-            // runs of consecutive arrivals at one compute node. A run
-            // is serviced through the structure-of-arrays fast path;
-            // everything else dispatches scalar, in the identical
-            // `(time_ps, seq)` order the scalar loop would use.
-            loop {
-                self.train.clear();
-                let Some(time_ps) = self.st.queue.pop_train(&mut self.train) else {
-                    return Ok(false);
-                };
-                if time_ps >= limit_ps {
-                    // Defer the whole train to the next window; the
-                    // original seqs keep the total order intact.
-                    for &(seq, ev) in &self.train {
-                        self.st.queue.push(time_ps, seq, ev);
-                    }
-                    return Ok(true);
-                }
-                let now = SimTime::from_picos(time_ps);
-                if O::ENABLED && now > self.last {
-                    self.last = now;
-                }
-                self.stats.record_train(self.train.len());
-                let mut i = 0;
-                while i < self.train.len() {
-                    let ev = self.train[i].1;
-                    if ev.kind() == K_ARRIVE {
-                        let node = ev.node();
-                        let mut j = i + 1;
-                        while j < self.train.len() {
-                            let e = self.train[j].1;
-                            if e.kind() == K_ARRIVE && e.node() == node {
-                                j += 1;
-                            } else {
-                                break;
-                            }
-                        }
-                        let k = (j - i) as u64;
-                        // The run only batches while the event budget
-                        // holds; otherwise fall through to scalar
-                        // dispatch so the watchdog aborts at the exact
-                        // per-event boundary.
-                        if j - i >= 2
-                            && self.processed + k <= self.sim.max_events
-                            && self.sim.batchable(node, now)
-                        {
-                            let seq0 = self.processed;
-                            self.processed += k;
-                            self.stats.batched_events += k;
-                            self.sim.arrive_batch(
-                                node,
-                                &self.train[i..j],
-                                now,
-                                self.warmup,
-                                self.end,
-                                seq0,
-                                &mut self.st,
-                                obs,
-                                &mut self.scratch,
-                            );
-                            i = j;
-                            continue;
-                        }
-                    }
-                    self.processed += 1;
-                    if self.processed > self.sim.max_events {
-                        return Err(self.sim.watchdog_error(self.processed, now, &self.st));
-                    }
-                    if O::ENABLED {
-                        obs.on_event(now, self.processed);
-                    }
-                    self.sim
-                        .dispatch(ev, now, self.warmup, self.end, &mut self.st, obs);
-                    i += 1;
-                }
+        loop {
+            let Some((time_ps, seq, ev)) = self.st.queue.pop() else {
+                return Ok(false);
+            };
+            if time_ps >= limit_ps {
+                self.st.queue.push(time_ps, seq, ev);
+                return Ok(true);
             }
-        } else {
-            loop {
-                let Some((time_ps, seq, ev)) = self.st.queue.pop() else {
-                    return Ok(false);
-                };
-                if time_ps >= limit_ps {
-                    self.st.queue.push(time_ps, seq, ev);
-                    return Ok(true);
-                }
-                self.processed += 1;
-                let now = SimTime::from_picos(time_ps);
-                if O::ENABLED && now > self.last {
-                    self.last = now;
-                }
-                if self.processed > self.sim.max_events {
-                    return Err(self.sim.watchdog_error(self.processed, now, &self.st));
-                }
-                if O::ENABLED {
-                    obs.on_event(now, self.processed);
-                }
-                self.sim
-                    .dispatch(ev, now, self.warmup, self.end, &mut self.st, obs);
+            self.processed += 1;
+            let now = SimTime::from_picos(time_ps);
+            if O::ENABLED && now > self.last {
+                self.last = now;
             }
+            if self.processed > self.sim.max_events {
+                return Err(self.sim.watchdog_error(self.processed, now, &self.st));
+            }
+            if O::ENABLED {
+                obs.on_event(now, self.processed);
+            }
+            self.sim
+                .dispatch(ev, now, self.warmup, self.end, &mut self.st, obs);
         }
     }
 
@@ -1409,11 +1163,10 @@ impl PacedRun {
     }
 
     /// Emits the end-of-run audit and folds the final report.
-    pub(crate) fn finish<O: SimObserver>(self, obs: &mut O) -> (SimReport, TrainStats) {
+    pub(crate) fn finish<O: SimObserver>(self, obs: &mut O) -> SimReport {
         let PacedRun {
             sim,
             st,
-            stats,
             processed,
             last,
             end,
@@ -1449,7 +1202,7 @@ impl PacedRun {
             obs.on_run_audit(&audit);
             obs.on_run_end(last);
         }
-        (sim.report(end, warmup, st, processed), stats)
+        sim.report(end, warmup, st, processed)
     }
 }
 
@@ -1471,7 +1224,7 @@ impl Simulation {
         }
     }
 
-    /// Dispatches one event exactly as the scalar hot loop always has.
+    /// Dispatches one popped event to its handler.
     #[inline]
     fn dispatch<O: SimObserver>(
         &mut self,
@@ -1528,11 +1281,18 @@ impl Simulation {
     /// Trace-only burst grouping: after one arrival has been scheduled
     /// at `t`, also schedules every immediately following trace record
     /// with the same arrival timestamp (respecting the `max_packets`
-    /// budget). Zero-gap trace bursts thereby enter the scheduler as
-    /// one same-timestamp arrival train instead of interleaved
-    /// arrive/inject pairs, which is what lets the batch fast path see
-    /// them as runs. Synthetic sources are untouched: their gap draws
-    /// come from the RNG and grouping would perturb the draw order.
+    /// budget), before the next injection event.
+    ///
+    /// This fixes the `(time, seq)` order of zero-gap trace records:
+    /// the whole burst takes consecutive sequence numbers, so every
+    /// record of the burst reaches the ingress before any same-time
+    /// event its predecessors spawn downstream. Without the grouping,
+    /// each record would be scheduled by the previous injection event
+    /// and interleave with that downstream work, which changes queue
+    /// admission order and therefore the report (the doorbell-burst
+    /// golden test pins this). Synthetic sources are untouched: their
+    /// gap draws come from the RNG and grouping would perturb the draw
+    /// order.
     fn drain_burst<O: SimObserver>(&mut self, t: SimTime, st: &mut RunState, obs: &mut O) {
         let Source::Trace(cursor) = &mut self.source else {
             return;
@@ -1547,171 +1307,6 @@ impl Simulation {
             st.push(t, Ev::arrive(self.ingress, h));
             scheduled += 1;
         }
-    }
-
-    /// Whether an arrival run at `node` may take the batch fast path.
-    /// The fast path covers the common case — a fault-quiet compute
-    /// node running the standard rate kernel with no plan deadline —
-    /// and leaves every special case (ingress bookkeeping, movers,
-    /// custom service models, active probabilistic faults) to scalar
-    /// dispatch, which handles them bit-identically.
-    #[inline]
-    fn batchable(&self, node: usize, now: SimTime) -> bool {
-        if node == self.ingress || self.deadline.is_some() {
-            return false;
-        }
-        let Some(rt) = self.nodes[node].runtime.as_ref() else {
-            return false;
-        };
-        if rt.kernel.is_none() {
-            return false;
-        }
-        if rt.faults.is_empty() {
-            return true;
-        }
-        !rt.faults.outage_at(now)
-            && rt.faults.drop_prob_at(now) == 0.0
-            && rt.faults.corrupt_prob_at(now) == 0.0
-    }
-
-    /// Services a run of same-timestamp arrivals at one compute node
-    /// through the structure-of-arrays fast path.
-    ///
-    /// Shared per-(node, timestamp) state — the occupancy integral,
-    /// the fault-window lookups, the credit penalty and the queue-depth
-    /// high-water mark — is touched once instead of once per packet.
-    /// Mean service times for the packets that start now are computed
-    /// in one flat loop over f64 lanes performing the scalar path's
-    /// exact IEEE-754 op sequence (see `batch.rs` for the determinism
-    /// argument); RNG jitter draws then happen in arrival order, so
-    /// the event stream, the RNG stream and every observer record stay
-    /// byte-identical to scalar dispatch.
-    #[allow(clippy::too_many_arguments)]
-    fn arrive_batch<O: SimObserver>(
-        &mut self,
-        node: usize,
-        run: &[(u64, Ev)],
-        now: SimTime,
-        warmup: SimTime,
-        end: SimTime,
-        seq0: u64,
-        st: &mut RunState,
-        obs: &mut O,
-        scratch: &mut BatchScratch,
-    ) {
-        let k = run.len();
-        self.nodes[node].arrivals += k as u64;
-        self.touch_occupancy(node, now, end);
-        let (busy, engines, overhead, work_factor, kernel) = {
-            let rt = self.nodes[node].runtime.as_ref().expect("batchable node");
-            (
-                rt.busy,
-                rt.engines,
-                rt.overhead,
-                rt.work_factor,
-                rt.kernel.expect("batchable kernel"),
-            )
-        };
-        let (rate_factor, credit_penalty) = {
-            let rt = self.nodes[node].runtime.as_ref().expect("batchable node");
-            if rt.faults.is_empty() {
-                (1.0, 0)
-            } else {
-                (rt.faults.rate_factor_at(now), rt.faults.credit_loss_at(now))
-            }
-        };
-        let m = ((engines - busy) as usize).min(k);
-
-        // SoA lane pass for the packets that start service now: gather
-        // sizes, derive work volumes (`Bytes::scaled`'s rounding) and
-        // mean service times (`RateService::mean_time`'s op sequence)
-        // in flat branch-free loops the compiler can vectorize.
-        scratch.clear();
-        for &(_, ev) in &run[..m] {
-            scratch.handles.push(ev.pkt);
-            scratch.size.push(st.arena.get(ev.pkt).size.get() as f64);
-        }
-        for i in 0..m {
-            scratch
-                .work
-                .push((scratch.size[i] * work_factor).round().max(0.0));
-        }
-        if kernel.per_engine_rate().is_zero() {
-            scratch.mean_ps.resize(m, u64::MAX); // SimTime::MAX: starved
-        } else {
-            let bps = kernel.per_engine_rate().as_bps();
-            for i in 0..m {
-                let bits = ((scratch.work[i] as u64) * 8) as f64;
-                scratch.mean_ps.push((bits / bps * 1e12).round() as u64);
-            }
-        }
-
-        // In-order completion pass: one RNG draw per started packet in
-        // arrival order, exactly as scalar `start_service` draws.
-        {
-            let rt = self.nodes[node].runtime.as_mut().expect("batchable node");
-            rt.busy += m as u32;
-        }
-        let dist = kernel.dist();
-        let mut busy_time = SimTime::ZERO;
-        for i in 0..m {
-            let mean = SimTime::from_picos(scratch.mean_ps[i]);
-            let mut service = match dist {
-                ServiceDist::Deterministic => mean,
-                ServiceDist::Exponential => self.rng.exponential(mean),
-            };
-            if rate_factor < 1.0 {
-                service = SimTime::from_secs(service.as_secs() / rate_factor.max(1e-9));
-            }
-            let occupancy = service + overhead;
-            busy_time += occupancy;
-            if O::ENABLED {
-                // Per-member dispatch hook, in arrival order — keeps
-                // the (now, seq) stream identical to scalar dispatch.
-                obs.on_event(now, seq0 + i as u64 + 1);
-                obs.on_service_start(
-                    now,
-                    node as u32,
-                    st.arena.get(scratch.handles[i]).id,
-                    occupancy,
-                );
-            }
-            st.push(now + occupancy, Ev::done(node, scratch.handles[i]));
-        }
-        if m > 0 {
-            let rt = self.nodes[node].runtime.as_mut().expect("batchable node");
-            rt.busy_time += busy_time; // saturating add is associative
-        }
-
-        // Remainder pass: every engine is occupied (`busy == engines`
-        // here by construction), so the rest of the run enqueues. The
-        // queue-depth high-water mark is coalesced to one touch; depth
-        // only grows across admissions, so the final maximum matches
-        // scalar's per-packet updates.
-        let mut max_depth = self.nodes[node].max_queue;
-        for (r, &(_, ev)) in run[m..].iter().enumerate() {
-            let h = ev.pkt;
-            if O::ENABLED {
-                obs.on_event(now, seq0 + (m + r) as u64 + 1);
-            }
-            let class = st.arena.get(h).class;
-            let (admitted, depth) = {
-                let rt = self.nodes[node].runtime.as_mut().expect("batchable node");
-                let admitted = rt.queue.enqueue(h, class, engines, credit_penalty);
-                (admitted, rt.queue.len())
-            };
-            if admitted {
-                if O::ENABLED {
-                    obs.on_enqueue(now, node as u32, st.arena.get(h).id, depth as u32);
-                }
-                if depth > max_depth {
-                    max_depth = depth;
-                }
-            } else {
-                self.fail(node, h, now, warmup, st, obs, DropReason::QueueFull);
-            }
-        }
-        self.nodes[node].max_queue = max_depth;
     }
 
     /// Accumulates `node`'s in-system occupancy integral up to
@@ -2324,91 +1919,6 @@ mod tests {
                 .unwrap();
             assert_eq!(r.injected, n, "max_packets = {n}");
         }
-    }
-
-    #[test]
-    fn batch_and_scalar_reports_are_bit_identical() {
-        // Overloaded fan-in with retries exercised via queue overflow;
-        // both schedulers, batch on vs off, must agree byte-for-byte.
-        let g = chain(5.0, 8);
-        let t = TrafficProfile::fixed(Bandwidth::gbps(20.0), Bytes::new(1024));
-        let mut reports = Vec::new();
-        for engine in [Engine::Calendar, Engine::ReferenceHeap] {
-            for batch in [true, false] {
-                let r = Simulation::builder(&g, &fast_hw(), &t)
-                    .engine(engine)
-                    .batch(batch)
-                    .duration(Seconds::millis(5.0))
-                    .run()
-                    .unwrap();
-                reports.push(r);
-            }
-        }
-        for r in &reports[1..] {
-            assert_eq!(reports[0], *r);
-        }
-    }
-
-    #[test]
-    fn zero_gap_trace_bursts_take_the_batch_fast_path() {
-        // 64-packet doorbell bursts at identical timestamps: the train
-        // loop must see them as same-node arrival runs, service them
-        // through the batch path, and still match scalar exactly. The
-        // edges move no interface/memory bytes so the media do not
-        // serialize (and thereby spread) the same-timestamp cascade.
-        let g = {
-            let mut b = ExecutionGraph::builder("burst");
-            let ing = b.ingress("rx");
-            let ip = b.ip(
-                "ip",
-                IpParams::new(Bandwidth::gbps(40.0)).with_queue_capacity(256),
-            );
-            let eg = b.egress("tx");
-            let wire = EdgeParams::full()
-                .with_interface_fraction(0.0)
-                .with_memory_fraction(0.0);
-            b.edge(ing, ip, wire);
-            b.edge(ip, eg, wire);
-            b.build().unwrap()
-        };
-        let mut events = Vec::new();
-        for burst in 0..20u64 {
-            let t = SimTime::from_micros(burst as f64 * 50.0);
-            for i in 0..64u64 {
-                events.push((t, Bytes::new(512 + (i % 7) * 128), (i % 3) as u32));
-            }
-        }
-        let trace = Trace::from_events(events);
-        let t = TrafficProfile::fixed(Bandwidth::gbps(1.0), Bytes::new(512));
-        let run_one = |batch: bool, engine: Engine| {
-            Simulation::builder(&g, &fast_hw(), &t)
-                .with_trace(trace.clone())
-                .engine(engine)
-                .batch(batch)
-                .duration(Seconds::millis(2.0))
-                .warmup(Seconds::ZERO)
-                .build()
-                .unwrap()
-                .run_instrumented()
-                .unwrap()
-        };
-        let (batched, stats) = run_one(true, Engine::Calendar);
-        let (scalar, empty) = run_one(false, Engine::Calendar);
-        let (heap_batched, _) = run_one(true, Engine::ReferenceHeap);
-        assert_eq!(batched, scalar);
-        assert_eq!(batched, heap_batched);
-        assert_eq!(batched.injected, 20 * 64);
-        assert!(
-            stats.batched_events > 500,
-            "batched_events = {}",
-            stats.batched_events
-        );
-        assert!(
-            stats.percentile(99.0) >= 32,
-            "p99 = {}",
-            stats.percentile(99.0)
-        );
-        assert_eq!(empty.batched_events, 0);
     }
 
     #[test]
@@ -3126,56 +2636,6 @@ mod engine_tests {
 
     fn hw() -> HardwareModel {
         HardwareModel::new(Bandwidth::gbps(100.0), Bandwidth::gbps(80.0))
-    }
-
-    fn run_with(engine: Engine, seed: u64, plan: Option<&FaultPlan>) -> SimReport {
-        let g = pipeline();
-        let hw = hw();
-        let t = TrafficProfile::fixed(Bandwidth::gbps(6.0), Bytes::new(1024));
-        let mut b = Simulation::builder(&g, &hw, &t)
-            .seed(seed)
-            .engine(engine)
-            .duration(Seconds::millis(6.0))
-            .warmup(Seconds::millis(1.0));
-        if let Some(p) = plan {
-            b = b.with_fault_plan(p.clone());
-        }
-        b.run().unwrap()
-    }
-
-    #[test]
-    fn reference_heap_engine_is_bit_identical() {
-        // Both engines pop events in exactly (time, seq) order, so
-        // every field of the report — counters, percentiles, media
-        // utilizations, even the processed-event total — must match
-        // bit for bit across a seed sweep.
-        for seed in [1, 7, 42, 1234, 99_999] {
-            let wheel = run_with(Engine::Calendar, seed, None);
-            let heap = run_with(Engine::ReferenceHeap, seed, None);
-            assert!(wheel.completed > 0, "seed {seed}: silent run");
-            assert_eq!(wheel, heap, "seed {seed}: engines diverged");
-        }
-    }
-
-    #[test]
-    fn engines_agree_under_faults() {
-        // Faults exercise the retry/backoff, deadline-reap and
-        // corruption paths — all RNG-coupled, so any scheduling
-        // divergence would desynchronize the stream and show up here.
-        let plan = FaultPlan::new()
-            .outage("crypto", Seconds::millis(2.0), Seconds::millis(2.6))
-            .drop_packets("parse", 0.05, Seconds::millis(1.5), Seconds::millis(4.0))
-            .with_retry(RetryPolicy::new(2, Seconds::micros(40.0)))
-            .with_deadline(Seconds::millis(2.0));
-        for seed in [3, 17, 4242] {
-            let wheel = run_with(Engine::Calendar, seed, Some(&plan));
-            let heap = run_with(Engine::ReferenceHeap, seed, Some(&plan));
-            assert_eq!(wheel, heap, "seed {seed}: engines diverged under faults");
-            assert!(
-                wheel.retries > 0 || wheel.dropped > 0,
-                "seed {seed}: plan inert"
-            );
-        }
     }
 
     #[test]

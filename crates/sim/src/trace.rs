@@ -165,9 +165,8 @@ pub struct RunAudit {
     pub arena_live: usize,
     /// High-water mark of concurrently live arena slots.
     pub arena_high_water: usize,
-    /// Uniform draws the run's RNG performed, in total. Scalar and
-    /// batched dispatch of the same scenario must report the same
-    /// count — the batch fast path may never skip or reorder draws.
+    /// Uniform draws the run's RNG performed, in total. Reruns of the
+    /// same scenario and seed must report the same count.
     pub rng_draws: u64,
     /// Events dispatched (the watchdog's counter).
     pub events: u64,
@@ -191,9 +190,8 @@ pub struct NodeAudit {
     /// arithmetic — the sanitizer's recomputation must match exactly.
     pub busy_time: SimTime,
     /// The ∫(busy + queued) dt integral behind `mean_occupancy`.
-    /// `f64` accumulation whose partitioning differs between scalar
-    /// and batched runs only in rounding — cross-checks use a relative
-    /// tolerance.
+    /// `f64` accumulation; the sanitizer's reconstruction partitions
+    /// it differently, so cross-checks use a relative tolerance.
     pub occupancy_integral: f64,
     /// Arrival events the node observed.
     pub arrivals: u64,
@@ -296,9 +294,7 @@ pub trait SimObserver {
     /// count (the watchdog's counter, starting at 1) and `now` the
     /// event's timestamp. The scheduler contract makes `seq` increase
     /// by exactly one per call and `now` non-decreasing across calls —
-    /// the sanitizer's monotonicity invariant. Batched arrival runs
-    /// report each member event in arrival order, so the `(now, seq)`
-    /// stream is byte-identical between scalar and batched dispatch.
+    /// the sanitizer's monotonicity invariant.
     fn on_event(&mut self, now: SimTime, seq: u64) {}
 
     /// A packet slab was allocated for `pkt`. `at` is the packet's

@@ -11,9 +11,8 @@
 //!    analyzer flags are **skipped** (out of domain — the harness
 //!    generates replacements), because the pipeline's contract is
 //!    only claimed for analyzer-clean inputs.
-//! 2. Simulate on **both** scheduler engines with the same seed. Both
-//!    must terminate without a watchdog abort and produce
-//!    byte-identical reports (`==` and the rendered `Debug` string).
+//! 2. Simulate once with the spec's seed. The run must terminate
+//!    without a watchdog abort and complete packets.
 //! 3. Replicate the run across 5 seeds and require the analytical
 //!    model's delivered throughput to land inside the replicated 95 %
 //!    confidence interval (±3 % slack for finite-horizon noise) — the
@@ -37,7 +36,7 @@ use lognic_model::params::{EdgeParams, HardwareModel, IpParams, PacketSizeDist, 
 use lognic_model::throughput::estimate_throughput;
 use lognic_model::units::{Bandwidth, Bytes, Seconds};
 use lognic_sim::replicate::Replication;
-use lognic_sim::sim::{Engine, SimConfig, Simulation};
+use lognic_sim::sim::{SimConfig, Simulation};
 use lognic_testkit::fuzz::FuzzOutcome;
 use lognic_testkit::Gen;
 
@@ -297,18 +296,17 @@ impl ScenarioSpec {
 /// The differential fuzz config: short horizons keep a 32-scenario
 /// budget inside a CI smoke job while leaving enough packets per run
 /// for stable replication statistics.
-pub fn fuzz_config(seed: u64, engine: Engine) -> SimConfig {
+pub fn fuzz_config(seed: u64) -> SimConfig {
     SimConfig {
         seed,
         duration: Seconds::millis(3.0),
         warmup: Seconds::millis(1.0),
-        engine,
         ..SimConfig::default()
     }
 }
 
 /// The standing oracle over one generated spec — analyzer gate, then
-/// engine byte-identity, then model-vs-replicated-sim CI agreement.
+/// a watchdog-free run, then model-vs-replicated-sim CI agreement.
 /// Returns [`FuzzOutcome::Skip`] for analyzer-flagged specs and
 /// [`FuzzOutcome::Fail`] with a replay-ready description for every
 /// violated invariant.
@@ -327,46 +325,20 @@ pub fn differential_check(spec: &ScenarioSpec) -> FuzzOutcome {
         return FuzzOutcome::Skip(format!("analyzer flagged: {}", codes.join(",")));
     }
 
-    // Invariant 1+2: both engines terminate (no watchdog abort) and
-    // report byte-identically — and the batched train loop (the
-    // default) matches scalar one-event dispatch bit-for-bit.
-    let run = |engine, batch| {
-        Simulation::builder(&scenario.graph, &scenario.hardware, &scenario.traffic)
-            .config(SimConfig {
-                batch,
-                ..fuzz_config(spec.seed, engine)
-            })
-            .run()
-    };
-    let wheel = match run(Engine::Calendar, true) {
+    // Invariant 1: the run terminates (no watchdog abort) and
+    // delivers packets.
+    let run = Simulation::builder(&scenario.graph, &scenario.hardware, &scenario.traffic)
+        .config(fuzz_config(spec.seed))
+        .run();
+    let report = match run {
         Ok(r) => r,
-        Err(e) => return FuzzOutcome::Fail(format!("calendar engine failed: {e}")),
+        Err(e) => return FuzzOutcome::Fail(format!("simulation failed: {e}")),
     };
-    let heap = match run(Engine::ReferenceHeap, true) {
-        Ok(r) => r,
-        Err(e) => return FuzzOutcome::Fail(format!("reference-heap engine failed: {e}")),
-    };
-    let scalar = match run(Engine::Calendar, false) {
-        Ok(r) => r,
-        Err(e) => return FuzzOutcome::Fail(format!("scalar dispatch failed: {e}")),
-    };
-    if wheel != heap || format!("{wheel:?}") != format!("{heap:?}") {
-        return FuzzOutcome::Fail(format!(
-            "engines diverged: calendar {:?} vs heap {:?}",
-            wheel, heap
-        ));
-    }
-    if wheel != scalar || format!("{wheel:?}") != format!("{scalar:?}") {
-        return FuzzOutcome::Fail(format!(
-            "batch diverged from scalar: batched {:?} vs scalar {:?}",
-            wheel, scalar
-        ));
-    }
-    if wheel.completed == 0 {
+    if report.completed == 0 {
         return FuzzOutcome::Fail("clean scenario completed no packets".into());
     }
 
-    // Invariant 3: the model's delivered throughput lands inside the
+    // Invariant 2: the model's delivered throughput lands inside the
     // replicated 95 % CI (±3 % slack), converted to egress volume.
     let estimate = match scenario.estimate() {
         Ok(e) => e,
@@ -378,7 +350,7 @@ pub fn differential_check(spec: &ScenarioSpec) -> FuzzOutcome {
         &scenario.graph,
         &scenario.hardware,
         &scenario.traffic,
-        fuzz_config(spec.seed, Engine::Calendar),
+        fuzz_config(spec.seed),
     ) {
         Ok(r) => r,
         Err(e) => return FuzzOutcome::Fail(format!("replication failed: {e}")),
@@ -396,14 +368,14 @@ pub fn differential_check(spec: &ScenarioSpec) -> FuzzOutcome {
     FuzzOutcome::Pass
 }
 
-/// The sanitized differential oracle — `differential_check`'s engine
-/// byte-identity invariant, upgraded with the runtime sanitizer: all
-/// four {calendar, reference-heap} × {batched, scalar} combinations
-/// run under [`Simulation::run_sanitized`], must hold every engine
-/// invariant (conservation ledger, credit balance, occupancy
-/// cross-checks, arena leaks, monotonicity), and must agree
-/// byte-for-byte on the measurement report *and* on the audited RNG
-/// draw count. The model-vs-replication CI stage is deliberately
+/// The sanitized oracle — `differential_check`'s run, upgraded with
+/// the runtime sanitizer. The spec runs under
+/// [`Simulation::run_sanitized`] and must hold every engine invariant
+/// (conservation ledger, credit balance, occupancy cross-checks, arena
+/// leaks, monotonicity). The sanitizer must be passive — the report
+/// byte-identical to a plain run — and its audit must agree with the
+/// report's event count and reproduce, RNG draws included, on a second
+/// sanitized run. The model-vs-replication CI stage is deliberately
 /// omitted: this oracle gates engine mechanics, not model fidelity,
 /// and the lighter body buys a bigger `--sanitize` case budget.
 pub fn sanitized_differential_check(spec: &ScenarioSpec) -> FuzzOutcome {
@@ -421,46 +393,48 @@ pub fn sanitized_differential_check(spec: &ScenarioSpec) -> FuzzOutcome {
         return FuzzOutcome::Skip(format!("analyzer flagged: {}", codes.join(",")));
     }
 
-    let combos = [
-        (Engine::Calendar, true, "calendar/batched"),
-        (Engine::Calendar, false, "calendar/scalar"),
-        (Engine::ReferenceHeap, true, "heap/batched"),
-        (Engine::ReferenceHeap, false, "heap/scalar"),
-    ];
-    let mut runs = Vec::with_capacity(combos.len());
-    for (engine, batch, label) in combos {
-        let built = Simulation::builder(&scenario.graph, &scenario.hardware, &scenario.traffic)
-            .config(SimConfig {
-                batch,
-                ..fuzz_config(spec.seed, engine)
-            })
-            .build();
-        let sim = match built {
+    let builder = || {
+        Simulation::builder(&scenario.graph, &scenario.hardware, &scenario.traffic)
+            .config(fuzz_config(spec.seed))
+    };
+    let plain = match builder().run() {
+        Ok(r) => r,
+        Err(e) => return FuzzOutcome::Fail(format!("plain run failed: {e}")),
+    };
+    let mut audits = Vec::with_capacity(2);
+    for _ in 0..2 {
+        let sim = match builder().build() {
             Ok(s) => s,
-            Err(e) => return FuzzOutcome::Fail(format!("{label} failed to build: {e}")),
+            Err(e) => return FuzzOutcome::Fail(format!("failed to build: {e}")),
         };
         match sim.run_sanitized() {
-            Ok((report, audit)) => runs.push((label, report, audit)),
-            Err(e) => return FuzzOutcome::Fail(format!("{label} sanitizer/run failure: {e}")),
+            Ok((report, audit)) => {
+                if report != plain || format!("{report:?}") != format!("{plain:?}") {
+                    return FuzzOutcome::Fail(format!(
+                        "sanitizer perturbed the run: plain {plain:?} vs sanitized {report:?}"
+                    ));
+                }
+                audits.push(audit);
+            }
+            Err(e) => return FuzzOutcome::Fail(format!("sanitizer/run failure: {e}")),
         }
     }
 
-    let (base_label, base_report, base_audit) = &runs[0];
-    if base_report.completed == 0 {
+    if plain.completed == 0 {
         return FuzzOutcome::Fail("clean scenario completed no packets".into());
     }
-    for (label, report, audit) in &runs[1..] {
-        if report != base_report || format!("{report:?}") != format!("{base_report:?}") {
-            return FuzzOutcome::Fail(format!(
-                "sanitized runs diverged: {base_label} {base_report:?} vs {label} {report:?}"
-            ));
-        }
-        if audit.rng_draws != base_audit.rng_draws {
-            return FuzzOutcome::Fail(format!(
-                "RNG draw audit diverged: {base_label} drew {} vs {label} {}",
-                base_audit.rng_draws, audit.rng_draws
-            ));
-        }
+    let (first, second) = (&audits[0], &audits[1]);
+    if first.events != plain.events {
+        return FuzzOutcome::Fail(format!(
+            "event audit disagrees with the report: audited {} vs reported {}",
+            first.events, plain.events
+        ));
+    }
+    if (first.rng_draws, first.events) != (second.rng_draws, second.events) {
+        return FuzzOutcome::Fail(format!(
+            "audit not reproducible: {} draws / {} events vs {} / {}",
+            first.rng_draws, first.events, second.rng_draws, second.events
+        ));
     }
     FuzzOutcome::Pass
 }

@@ -8,7 +8,8 @@
 //!    Chrome exporter), survives the binary and CSV trace framings
 //!    byte-for-byte, and re-ingesting it drives a deterministic
 //!    replay whose report is pinned as a byte-golden under
-//!    `tests/golden/corpus/`:
+//!    `tests/golden/corpus/`. A doorbell-burst replay, whose trace
+//!    records tie on time by the dozens, is pinned the same way:
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test --test corpus
@@ -25,6 +26,7 @@ use std::path::PathBuf;
 
 use lognic::prelude::*;
 use lognic::workloads::chaos::accelerator_brownout;
+use lognic::workloads::doorbell::{doorbell_burst, BurstPlan};
 use lognic::workloads::registry;
 
 fn golden_path(name: &str) -> PathBuf {
@@ -70,12 +72,11 @@ fn small_brownout() -> lognic::workloads::chaos::ChaosScenario {
     )
 }
 
-fn small_config(seed: u64, engine: Engine) -> SimConfig {
+fn small_config(seed: u64) -> SimConfig {
     SimConfig {
         seed,
         duration: Seconds::micros(600.0),
         warmup: Seconds::ZERO,
-        engine,
         ..SimConfig::default()
     }
 }
@@ -90,7 +91,7 @@ fn captured_chaos_trace() -> (PacketTrace, SimReport) {
         TimeSeriesSampler::new(Seconds::micros(25.0)),
     );
     let report = chaos
-        .simulate_with(small_config(7, Engine::Calendar), &mut obs)
+        .simulate_with(small_config(7), &mut obs)
         .expect("chaos capture run");
     let trace = obs.0.into_trace().expect("engine arrivals always validate");
     (trace, report)
@@ -98,11 +99,11 @@ fn captured_chaos_trace() -> (PacketTrace, SimReport) {
 
 /// Replays a captured trace through the chaos scenario (same graph,
 /// hardware, fault plan and seed) and returns the report.
-fn replay(trace: &PacketTrace, engine: Engine) -> SimReport {
+fn replay(trace: &PacketTrace) -> SimReport {
     let chaos = small_brownout();
     let s = &chaos.scenario;
     Simulation::builder(&s.graph, &s.hardware, &s.traffic)
-        .config(small_config(7, engine))
+        .config(small_config(7))
         .with_fault_plan(chaos.plan.clone())
         .with_trace(trace.to_sim_trace())
         .run()
@@ -138,23 +139,20 @@ fn captured_arrivals_round_trip_to_golden_report() {
     // The arrivals file itself is a pinned artifact.
     assert_golden("chaos.arrivals.csv", &csv);
 
-    // Re-ingest and replay: deterministic, engine-independent, pinned.
-    let wheel = replay(&trace, Engine::Calendar);
-    let heap = replay(&trace, Engine::ReferenceHeap);
-    assert_eq!(wheel, heap, "trace replay diverged across engines");
-    assert_eq!(format!("{wheel:?}"), format!("{heap:?}"));
+    // Re-ingest and replay: deterministic and pinned.
+    let first = replay(&trace);
     assert_eq!(
-        wheel.injected,
+        first.injected,
         trace.len() as u64,
         "replay must inject exactly the recorded arrivals"
     );
-    let again = replay(&trace, Engine::Calendar);
+    let again = replay(&trace);
     assert_eq!(
-        format!("{wheel:?}"),
+        format!("{first:?}"),
         format!("{again:?}"),
         "replay not deterministic"
     );
-    assert_golden("chaos.replay.report.txt", &format!("{wheel:#?}\n"));
+    assert_golden("chaos.replay.report.txt", &format!("{first:#?}\n"));
 }
 
 /// The Chrome `trace_event` export carries the arrival stream at full
@@ -166,7 +164,7 @@ fn chrome_export_reingests_losslessly() {
     let chaos = small_brownout();
     let mut obs = (ArrivalRecorder::new(), ChromeTrace::new());
     chaos
-        .simulate_with(small_config(7, Engine::Calendar), &mut obs)
+        .simulate_with(small_config(7), &mut obs)
         .expect("chaos capture run");
     let (recorder, chrome) = obs;
     assert_eq!(chrome.truncated(), 0, "fixture must not truncate");
@@ -179,8 +177,35 @@ fn chrome_export_reingests_losslessly() {
     );
 
     // The chrome-derived trace replays to the same pinned report.
-    let report = replay(&recovered, Engine::Calendar);
+    let report = replay(&recovered);
     assert_golden("chaos.replay.report.txt", &format!("{report:#?}\n"));
+}
+
+/// Zero-gap trace records tie on time by the dozens at every doorbell
+/// ring, so their `(time, seq)` order — set by how the simulator
+/// schedules same-time trace records — decides queue admission. The
+/// replayed report of a small doorbell-burst plan is pinned
+/// byte-for-byte.
+#[test]
+fn doorbell_burst_report_matches_golden() {
+    let plan = BurstPlan {
+        rings: 50,
+        depth: 64,
+        ring_gap: SimTime::from_micros(30.0),
+        size: Bytes::new(512),
+    };
+    let (scenario, trace) = doorbell_burst(&plan);
+    let report = Simulation::builder(&scenario.graph, &scenario.hardware, &scenario.traffic)
+        .with_trace(trace)
+        .config(SimConfig {
+            duration: Seconds::millis(2.0),
+            warmup: Seconds::ZERO,
+            ..SimConfig::default()
+        })
+        .run()
+        .expect("doorbell bursts simulate");
+    assert_eq!(report.injected, plan.packets());
+    assert_golden("doorbell_burst.report.txt", &format!("{report:#?}\n"));
 }
 
 /// An empirical profile derived from the captured trace feeds the
@@ -215,7 +240,7 @@ fn empty_trace_is_valid_and_simulates_silently() {
     let chaos = small_brownout();
     let s = &chaos.scenario;
     let report = Simulation::builder(&s.graph, &s.hardware, &s.traffic)
-        .config(small_config(7, Engine::Calendar))
+        .config(small_config(7))
         .with_trace(empty.to_sim_trace())
         .run()
         .expect("empty trace simulates");
@@ -235,7 +260,7 @@ fn single_record_trace_replays_one_packet() {
     let chaos = small_brownout();
     let s = &chaos.scenario;
     let report = Simulation::builder(&s.graph, &s.hardware, &s.traffic)
-        .config(small_config(7, Engine::Calendar))
+        .config(small_config(7))
         .with_trace(one.to_sim_trace())
         .run()
         .expect("single-record trace simulates");

@@ -2,12 +2,10 @@
 //!
 //! The fleet event loop's headline guarantee is that sharding is
 //! *invisible*: for a given topology, configuration and seed, the
-//! aggregate [`FleetReport`] is byte-identical at any shard count,
-//! under either scheduler engine, with or without the batched train
-//! fast path. These tests pin that guarantee the same way the
-//! engine-differential suite pins single-NIC determinism: by
-//! comparing the `Debug` rendering of whole reports, so any drifting
-//! float or counter anywhere in the report fails loudly.
+//! aggregate [`FleetReport`] is byte-identical at any shard count.
+//! These tests pin that guarantee by comparing the `Debug` rendering
+//! of whole reports, so any drifting float or counter anywhere in the
+//! report fails loudly.
 //!
 //! The composition anchor pins the fleet/single-NIC boundary from the
 //! other side: a fleet whose links carry no traffic is exactly a set
@@ -16,18 +14,8 @@
 
 use lognic::prelude::*;
 
-/// Every (engine, batch) combination; index 0 is the default.
-const COMBOS: [(Engine, bool); 4] = [
-    (Engine::Calendar, true),
-    (Engine::Calendar, false),
-    (Engine::ReferenceHeap, true),
-    (Engine::ReferenceHeap, false),
-];
-
-fn run_rack(nics: usize, shards: usize, engine: Engine, batch: bool) -> FleetReport {
+fn run_rack(nics: usize, shards: usize) -> FleetReport {
     rack::smoke_fleet(nics, shards)
-        .engine(engine)
-        .batch(batch)
         .build()
         .expect("rack builds")
         .run()
@@ -35,34 +23,25 @@ fn run_rack(nics: usize, shards: usize, engine: Engine, batch: bool) -> FleetRep
 }
 
 #[test]
-fn fleet_reports_are_bit_identical_across_shard_counts_engines_and_batching() {
-    // A 6-NIC rack keeps the full 3 x 2 x 2 matrix affordable while
-    // still crossing shard boundaries (6 NICs over 8 shards clamps,
-    // over 2 shards interleaves producers and consumers).
-    let reference = format!("{:?}", run_rack(6, 1, Engine::Calendar, true));
-    for shards in [1usize, 2, 8] {
-        for (engine, batch) in COMBOS {
-            if shards == 1 && engine == Engine::Calendar && batch {
-                continue; // the reference itself
-            }
-            let got = format!("{:?}", run_rack(6, shards, engine, batch));
-            assert_eq!(
-                got, reference,
-                "FleetReport diverged at shards={shards} engine={engine:?} batch={batch}"
-            );
-        }
+fn fleet_reports_are_bit_identical_across_shard_counts() {
+    // A 6-NIC rack crosses shard boundaries cheaply: over 8 shards it
+    // clamps, over 2 shards it interleaves producers and consumers.
+    let reference = format!("{:?}", run_rack(6, 1));
+    for shards in [2usize, 8] {
+        let got = format!("{:?}", run_rack(6, shards));
+        assert_eq!(got, reference, "FleetReport diverged at shards={shards}");
     }
 }
 
 #[test]
 fn rack32_is_bit_identical_at_1_and_8_shards() {
     // The acceptance-criterion rack: >= 32 NICs, byte-compared at the
-    // shard-count extremes under the production engine.
-    let one = run_rack(32, 1, Engine::Calendar, true);
+    // shard-count extremes.
+    let one = run_rack(32, 1);
     assert!(one.completed > 0, "rack must complete packets");
     assert!(one.forwarded > 0, "ring links must carry traffic");
     assert_eq!(one.nics.len(), 32);
-    let eight = run_rack(32, 8, Engine::Calendar, true);
+    let eight = run_rack(32, 8);
     assert_eq!(format!("{one:?}"), format!("{eight:?}"));
 }
 

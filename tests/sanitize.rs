@@ -1,7 +1,6 @@
 //! Differential property test of the simulation sanitizer.
 //!
-//! Three claims, each over the full {calendar, reference heap} ×
-//! {batched, scalar} matrix:
+//! Three claims:
 //!
 //! 1. **Passivity** — attaching the [`Sanitizer`] never changes the
 //!    report: a sanitized run is byte-identical to the plain run of
@@ -10,25 +9,15 @@
 //!    packet conservation, credit balance, arena discipline, event
 //!    monotonicity and the end-of-run audit all hold across random
 //!    graphs, traffic, fault plans, WRR queue plans and burst traces.
-//! 3. **Cross-path agreement** — the [`SanitizerReport`] counters
-//!    (RNG draws, dispatched events, ledger totals) are identical
-//!    across all four paths, pinning the PR-8 guarantee that the
-//!    batched loop replicates the scalar RNG draw order exactly.
+//! 3. **Audit agreement** — the [`SanitizerReport`] counters agree
+//!    with the report (dispatched events) and reproduce exactly on a
+//!    rerun (RNG draws, events, ledger totals).
 //!
 //! Scenario generators mirror `tests/engine_differential.rs`; a
 //! failing case panics with its seed for exact replay.
 
 use lognic::prelude::*;
 use lognic_testkit::{ensure, Gen, Property};
-
-/// Every (engine, batch) combination the simulator supports; index 0
-/// is the production default.
-const COMBOS: [(Engine, bool); 4] = [
-    (Engine::Calendar, true),
-    (Engine::Calendar, false),
-    (Engine::ReferenceHeap, true),
-    (Engine::ReferenceHeap, false),
-];
 
 /// A random 1–4 stage chain with varied peaks, parallelism and queues.
 fn arb_chain(g: &mut Gen) -> ExecutionGraph {
@@ -122,8 +111,8 @@ fn arb_plan(g: &mut Gen, graph: &ExecutionGraph) -> Option<FaultPlan> {
     Some(plan)
 }
 
-/// A random zero-gap burst trace exercising the batched train loop
-/// and the `drain_burst` arena-alloc path.
+/// A random zero-gap burst trace exercising the `drain_burst`
+/// arena-alloc path.
 fn arb_burst_trace(g: &mut Gen) -> Trace {
     let bursts = g.u64(4..24);
     let gap_us = g.f64(5.0..80.0);
@@ -144,15 +133,11 @@ fn builder<'a>(
     traffic: &'a TrafficProfile,
     plan: &Option<FaultPlan>,
     seed: u64,
-    engine: Engine,
-    batch: bool,
 ) -> SimulationBuilder<'a> {
     let mut b = Simulation::builder(graph, hw, traffic)
         .seed(seed)
         .duration(Seconds::millis(10.0))
-        .warmup(Seconds::millis(2.0))
-        .engine(engine)
-        .batch(batch);
+        .warmup(Seconds::millis(2.0));
     if let Some(p) = plan {
         b = b.with_fault_plan(p.clone());
     }
@@ -170,61 +155,52 @@ fn sanitized_runs_are_passive_clean_and_bit_identical() {
             let seed = g.u64(0..u64::MAX - 1);
             let hw = HardwareModel::new(Bandwidth::gbps(400.0), Bandwidth::gbps(400.0));
 
-            let mut reports: Vec<SimReport> = Vec::new();
+            let plain = builder(&graph, &hw, &traffic, &plan, seed)
+                .run()
+                .expect("generated scenarios are valid");
             let mut audits: Vec<SanitizerReport> = Vec::new();
-            for &(engine, batch) in &COMBOS {
-                let plain = builder(&graph, &hw, &traffic, &plan, seed, engine, batch)
-                    .run()
-                    .expect("generated scenarios are valid");
-                let (sanitized, audit) = builder(&graph, &hw, &traffic, &plan, seed, engine, batch)
+            for _ in 0..2 {
+                let (sanitized, audit) = builder(&graph, &hw, &traffic, &plan, seed)
                     .build()
                     .expect("generated scenarios are valid")
                     .run_sanitized()
                     .expect("healthy runs are sanitizer-clean");
                 ensure!(
                     plain == sanitized,
-                    "sanitizer perturbed the run ({engine:?} batch={batch}, faulted: {})",
+                    "sanitizer perturbed the run (faulted: {})",
                     plan.is_some()
                 );
                 ensure!(
+                    format!("{plain:?}") == format!("{sanitized:?}"),
+                    "debug renderings diverged"
+                );
+                ensure!(
                     audit.is_clean(),
-                    "violations on a healthy run ({engine:?} batch={batch}): {:?}",
+                    "violations on a healthy run: {:?}",
                     audit.violations
                 );
-                reports.push(sanitized);
+                ensure!(
+                    audit.events == plain.events,
+                    "audited {} events, report says {}",
+                    audit.events,
+                    plain.events
+                );
                 audits.push(audit);
             }
-
-            for (r, &(engine, batch)) in reports.iter().zip(&COMBOS).skip(1) {
-                ensure!(
-                    reports[0] == *r,
-                    "sanitized reports diverged ({engine:?} batch={batch})"
-                );
-                ensure!(
-                    format!("{:?}", reports[0]) == format!("{r:?}"),
-                    "debug renderings diverged ({engine:?} batch={batch})"
-                );
-            }
-            // The audit counters pin the cross-path contracts directly:
-            // identical RNG draw counts (batch replays the scalar draw
-            // order), identical event counts, identical ledger totals.
-            for (a, &(engine, batch)) in audits.iter().zip(&COMBOS).skip(1) {
-                ensure!(
-                    audits[0].rng_draws == a.rng_draws,
-                    "RNG draw counts diverged ({engine:?} batch={batch}): {} vs {}",
-                    audits[0].rng_draws,
-                    a.rng_draws
-                );
-                ensure!(
-                    audits[0].events == a.events,
-                    "event counts diverged ({engine:?} batch={batch})"
-                );
-                ensure!(
-                    (audits[0].injected, audits[0].delivered, audits[0].dropped)
-                        == (a.injected, a.delivered, a.dropped),
-                    "conservation ledgers diverged ({engine:?} batch={batch})"
-                );
-            }
+            // The audit counters reproduce exactly on a rerun:
+            // identical RNG draw counts, event counts, ledger totals.
+            let (a, b) = (&audits[0], &audits[1]);
+            ensure!(
+                a.rng_draws == b.rng_draws,
+                "RNG draw counts diverged on a rerun: {} vs {}",
+                a.rng_draws,
+                b.rng_draws
+            );
+            ensure!(
+                (a.events, a.injected, a.delivered, a.dropped)
+                    == (b.events, b.injected, b.delivered, b.dropped),
+                "audit counters diverged on a rerun"
+            );
             // The ledger must close: every injected packet was
             // delivered or dropped by end of run.
             let a = &audits[0];
@@ -239,6 +215,8 @@ fn sanitized_runs_are_passive_clean_and_bit_identical() {
         });
 }
 
+/// Property: zero-gap burst traces run sanitizer-clean, and every
+/// run path — plain, traced and sanitized — reports the same bytes.
 #[test]
 fn burst_trace_runs_are_sanitizer_clean_on_all_paths() {
     Property::new("burst_trace_runs_are_sanitizer_clean_on_all_paths")
@@ -249,41 +227,37 @@ fn burst_trace_runs_are_sanitizer_clean_on_all_paths() {
             let traffic = TrafficProfile::fixed(Bandwidth::gbps(1.0), Bytes::new(1024));
             let seed = g.u64(0..u64::MAX - 1);
             let hw = HardwareModel::new(Bandwidth::gbps(400.0), Bandwidth::gbps(400.0));
-
-            let mut reports = Vec::new();
-            let mut audits = Vec::new();
-            for &(engine, batch) in &COMBOS {
-                let (report, audit) = Simulation::builder(&graph, &hw, &traffic)
+            let builder = || {
+                Simulation::builder(&graph, &hw, &traffic)
                     .with_trace(trace.clone())
                     .seed(seed)
                     .duration(Seconds::millis(10.0))
                     .warmup(Seconds::ZERO)
-                    .engine(engine)
-                    .batch(batch)
-                    .build()
-                    .expect("generated scenarios are valid")
-                    .run_sanitized()
-                    .expect("healthy trace runs are sanitizer-clean");
-                ensure!(
-                    audit.is_clean(),
-                    "violations on a burst trace ({engine:?} batch={batch}): {:?}",
-                    audit.violations
-                );
-                reports.push(report);
-                audits.push(audit);
-            }
-            for (r, &(engine, batch)) in reports.iter().zip(&COMBOS).skip(1) {
-                ensure!(
-                    reports[0] == *r,
-                    "sanitized burst reports diverged ({engine:?} batch={batch})"
-                );
-            }
-            for a in &audits[1..] {
-                ensure!(
-                    audits[0].rng_draws == a.rng_draws && audits[0].events == a.events,
-                    "burst audit counters diverged across paths"
-                );
-            }
+            };
+
+            let plain = builder().run().expect("generated scenarios are valid");
+            let mut ring = RingLog::with_capacity(1 << 12);
+            let traced = builder()
+                .run_with(&mut ring)
+                .expect("generated scenarios are valid");
+            let (sanitized, audit) = builder()
+                .build()
+                .expect("generated scenarios are valid")
+                .run_sanitized()
+                .expect("healthy trace runs are sanitizer-clean");
+            ensure!(
+                audit.is_clean(),
+                "violations on a burst trace: {:?}",
+                audit.violations
+            );
+            ensure!(plain == traced, "ring log perturbed a burst run");
+            ensure!(plain == sanitized, "sanitizer perturbed a burst run");
+            ensure!(
+                audit.events == plain.events,
+                "audited {} events, report says {}",
+                audit.events,
+                plain.events
+            );
             Ok(())
         });
 }
@@ -292,7 +266,8 @@ fn burst_trace_runs_are_sanitizer_clean_on_all_paths() {
 /// squeeze on its shared-queue neighbour, probabilistic drops, retry
 /// and a deadline — every sanitizer code path (per-class admission,
 /// credit windows, queue reaps without dequeue, retry re-injection)
-/// in one deterministic scenario across all four paths.
+/// in one deterministic scenario, sanitized twice and compared with
+/// the plain run path.
 #[test]
 fn chaos_anchor_is_sanitizer_clean_and_identical_across_paths() {
     let graph = ExecutionGraph::chain(
@@ -330,39 +305,29 @@ fn chaos_anchor_is_sanitizer_clean_and_identical_across_paths() {
         },
     ]);
 
-    let mut reports = Vec::new();
-    let mut audits = Vec::new();
-    for &(engine, batch) in &COMBOS {
-        let (report, audit) = Simulation::builder(&graph, &hw, &traffic)
+    let builder = || {
+        Simulation::builder(&graph, &hw, &traffic)
             .seed(31)
             .duration(Seconds::millis(10.0))
             .warmup(Seconds::millis(2.0))
-            .engine(engine)
-            .batch(batch)
             .with_fault_plan(plan.clone())
             .override_queues("crypto", queues.clone())
+    };
+    let plain = builder().run().unwrap();
+    let mut audits = Vec::new();
+    for _ in 0..2 {
+        let (report, audit) = builder()
             .build()
             .unwrap()
             .run_sanitized()
-            .unwrap_or_else(|e| panic!("chaos anchor tripped ({engine:?} batch={batch}): {e}"));
-        assert!(
-            audit.is_clean(),
-            "violations ({engine:?} batch={batch}): {:?}",
-            audit.violations
-        );
-        reports.push(report);
+            .unwrap_or_else(|e| panic!("chaos anchor tripped: {e}"));
+        assert!(audit.is_clean(), "violations: {:?}", audit.violations);
+        assert_eq!(report, plain, "sanitizer perturbed the chaos anchor");
+        assert_eq!(audit.events, plain.events);
         audits.push(audit);
     }
-    for (r, &(engine, batch)) in reports.iter().zip(&COMBOS).skip(1) {
-        assert_eq!(
-            &reports[0], r,
-            "chaos anchor diverged ({engine:?} batch={batch})"
-        );
-    }
-    for a in &audits[1..] {
-        assert_eq!(audits[0].rng_draws, a.rng_draws);
-        assert_eq!(audits[0].events, a.events);
-    }
+    assert_eq!(audits[0].rng_draws, audits[1].rng_draws);
+    assert_eq!(audits[0].events, audits[1].events);
     // The scenario really exercised the interesting paths.
     let a = &audits[0];
     assert!(a.injected > 0, "nothing injected");

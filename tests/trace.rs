@@ -4,10 +4,10 @@
 //!
 //! 1. **Passivity** — attaching any observer (ring log, sampler,
 //!    Chrome exporter, all at once) never perturbs the simulation:
-//!    the `SimReport` is byte-identical to the untraced run, on both
-//!    scheduler engines, with and without faults.
+//!    the `SimReport` is byte-identical to the untraced run, with and
+//!    without faults.
 //! 2. **Determinism** — the exported traces themselves are
-//!    byte-identical across engines and across repeated runs.
+//!    byte-identical across repeated runs.
 //! 3. **Format stability** — the Chrome `trace_event` JSON and the
 //!    time-series CSV for the accelerator-brownout chaos scenario are
 //!    pinned by golden files under `tests/golden/trace/`. A
@@ -67,47 +67,44 @@ fn small_brownout() -> lognic::workloads::chaos::ChaosScenario {
     )
 }
 
-fn small_config(seed: u64, engine: Engine) -> SimConfig {
+fn small_config(seed: u64) -> SimConfig {
     SimConfig {
         seed,
         duration: Seconds::micros(600.0),
         warmup: Seconds::ZERO,
-        engine,
         ..SimConfig::default()
     }
 }
 
 /// Passivity: the fully-instrumented run (ring + sampler + Chrome
 /// exporter stacked through the tuple observer) reports exactly what
-/// the untraced run reports — on both engines, with faults live.
+/// the untraced run reports, with faults live.
 #[test]
 fn traced_reports_are_byte_identical_to_untraced() {
     let chaos = small_brownout();
-    for engine in [Engine::Calendar, Engine::ReferenceHeap] {
-        for seed in [7, 42, 1234] {
-            let config = small_config(seed, engine);
-            let plain = chaos.simulate(config).expect("untraced run");
+    for seed in [7, 42, 1234] {
+        let config = small_config(seed);
+        let plain = chaos.simulate(config).expect("untraced run");
 
-            let mut obs = (
-                RingLog::with_capacity(1 << 15),
-                (
-                    TimeSeriesSampler::new(Seconds::micros(25.0)),
-                    ChromeTrace::new(),
-                ),
-            );
-            let traced = chaos.simulate_with(config, &mut obs).expect("traced run");
+        let mut obs = (
+            RingLog::with_capacity(1 << 15),
+            (
+                TimeSeriesSampler::new(Seconds::micros(25.0)),
+                ChromeTrace::new(),
+            ),
+        );
+        let traced = chaos.simulate_with(config, &mut obs).expect("traced run");
 
-            assert_eq!(plain, traced, "seed {seed}: observer perturbed the run");
-            assert_eq!(
-                format!("{plain:?}"),
-                format!("{traced:?}"),
-                "seed {seed}: debug renderings diverged"
-            );
-            assert!(
-                traced.retries > 0,
-                "seed {seed}: brownout caused no retries"
-            );
-        }
+        assert_eq!(plain, traced, "seed {seed}: observer perturbed the run");
+        assert_eq!(
+            format!("{plain:?}"),
+            format!("{traced:?}"),
+            "seed {seed}: debug renderings diverged"
+        );
+        assert!(
+            traced.retries > 0,
+            "seed {seed}: brownout caused no retries"
+        );
     }
 }
 
@@ -140,32 +137,26 @@ fn traced_reports_match_untraced_without_faults() {
     assert!(ring.written() > 0, "observer saw no events");
 }
 
-/// Determinism: the binary event ring is byte-identical across the
-/// two scheduler engines and across repeated runs of the same seed.
+/// Determinism: the binary event ring is byte-identical across
+/// repeated runs of the same seed.
 #[test]
-fn ring_traces_are_identical_across_engines_and_reruns() {
+fn ring_traces_are_identical_across_reruns() {
     let chaos = small_brownout();
-    let capture = |engine| {
+    let capture = || {
         let mut ring = RingLog::with_capacity(1 << 15);
         chaos
-            .simulate_with(small_config(7, engine), &mut ring)
+            .simulate_with(small_config(7), &mut ring)
             .expect("traced run");
         ring
     };
-    let wheel = capture(Engine::Calendar);
-    let heap = capture(Engine::ReferenceHeap);
-    let again = capture(Engine::Calendar);
+    let first = capture();
+    let again = capture();
     assert_eq!(
-        wheel.bytes(),
-        heap.bytes(),
-        "engines emitted different traces"
-    );
-    assert_eq!(
-        wheel.bytes(),
+        first.bytes(),
         again.bytes(),
         "rerun emitted a different trace"
     );
-    assert_eq!(wheel.dropped(), 0, "fixture ring must hold the whole run");
+    assert_eq!(first.dropped(), 0, "fixture ring must hold the whole run");
 }
 
 /// Bounded memory: a ring sized for 64 records never grows, retains
@@ -176,7 +167,7 @@ fn ring_log_is_bounded_and_keeps_the_newest_events() {
     let chaos = small_brownout();
     let mut ring = RingLog::with_capacity(64);
     chaos
-        .simulate_with(small_config(7, Engine::Calendar), &mut ring)
+        .simulate_with(small_config(7), &mut ring)
         .expect("traced run");
     assert_eq!(ring.capacity(), 64);
     assert!(ring.written() > 64, "run too small to overflow the ring");
@@ -188,18 +179,19 @@ fn ring_log_is_bounded_and_keeps_the_newest_events() {
     }
 }
 
-/// The sampler surfaced through `SimulationBuilder::timeline` lands on
-/// the exact Δt grid, covers every service node, and its ρ column
+/// The time-series sampler lands on the exact Δt grid, covers every service node, and its ρ column
 /// stays within [0, 1].
 #[test]
 fn timeline_samples_on_the_grid_and_within_bounds() {
     let chaos = small_brownout();
     let s = &chaos.scenario;
-    let (report, timeline) = Simulation::builder(&s.graph, &s.hardware, &s.traffic)
-        .config(small_config(7, Engine::Calendar))
+    let mut sampler = TimeSeriesSampler::new(Seconds::micros(25.0));
+    let report = Simulation::builder(&s.graph, &s.hardware, &s.traffic)
+        .config(small_config(7))
         .with_fault_plan(chaos.plan.clone())
-        .timeline(Seconds::micros(25.0))
+        .run_with(&mut sampler)
         .expect("timeline run");
+    let timeline = sampler.into_timeline();
     assert!(report.events > 0);
     let names = timeline.node_names();
     assert!(
@@ -235,7 +227,7 @@ fn chrome_trace_matches_golden() {
     let chaos = small_brownout();
     let mut trace = ChromeTrace::new();
     chaos
-        .simulate_with(small_config(7, Engine::Calendar), &mut trace)
+        .simulate_with(small_config(7), &mut trace)
         .expect("traced run");
     assert_eq!(trace.truncated(), 0, "fixture must not truncate");
     assert_golden("brownout.chrome.json", &trace.into_json());
@@ -247,7 +239,7 @@ fn timeline_csv_matches_golden() {
     let chaos = small_brownout();
     let mut sampler = TimeSeriesSampler::new(Seconds::micros(25.0));
     chaos
-        .simulate_with(small_config(7, Engine::Calendar), &mut sampler)
+        .simulate_with(small_config(7), &mut sampler)
         .expect("traced run");
     assert_golden("brownout.timeline.csv", &sampler.into_timeline().to_csv());
 }

@@ -6,7 +6,9 @@
 //! free list, events live inline in wheel buckets, and latency samples
 //! stream into fixed histogram buckets. This test proves it with a
 //! counting `#[global_allocator]` — integration tests are separate
-//! binaries, so the allocator override is confined to this file.
+//! binaries, so the allocator override is confined to this file. The
+//! count is per thread: the test harness runs this file's tests in
+//! parallel, and each must see only its own allocations.
 //!
 //! Methodology: run the same scenario at two durations and compare the
 //! *deltas* — extra events vs extra allocations. One-time costs (graph
@@ -17,17 +19,25 @@
 //! first touched late in the long run) cannot flake the suite.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use lognic::prelude::*;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialized: reading it never allocates, so the
+    // allocator may touch it from inside `alloc`.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    ALLOCS.with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -36,7 +46,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -45,7 +55,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocs_now() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 fn scenario() -> (ExecutionGraph, HardwareModel, TrafficProfile) {
@@ -76,14 +86,13 @@ fn scenario() -> (ExecutionGraph, HardwareModel, TrafficProfile) {
 
 /// Runs the scenario for `millis` and returns `(events, allocations)`
 /// for the whole build + run.
-fn run_counted(engine: Engine, millis: f64) -> (u64, u64) {
+fn run_counted(millis: f64) -> (u64, u64) {
     let (graph, hw, traffic) = scenario();
     let a0 = allocs_now();
     let report = Simulation::builder(&graph, &hw, &traffic)
         .seed(7)
         .duration(Seconds::millis(millis))
         .warmup(Seconds::millis(millis * 0.2))
-        .engine(engine)
         .run()
         .expect("valid scenario");
     (report.events, allocs_now() - a0)
@@ -92,10 +101,10 @@ fn run_counted(engine: Engine, millis: f64) -> (u64, u64) {
 #[test]
 fn calendar_engine_steady_state_is_allocation_free() {
     // Warm the allocator's own caches before measuring.
-    run_counted(Engine::Calendar, 5.0);
+    run_counted(5.0);
 
-    let (ev_short, alloc_short) = run_counted(Engine::Calendar, 10.0);
-    let (ev_long, alloc_long) = run_counted(Engine::Calendar, 30.0);
+    let (ev_short, alloc_short) = run_counted(10.0);
+    let (ev_long, alloc_long) = run_counted(30.0);
 
     let extra_events = ev_long - ev_short;
     let extra_allocs = alloc_long.saturating_sub(alloc_short);
@@ -162,9 +171,9 @@ fn calendar_queue_hold_pattern_reuses_slab_slots() {
 fn arena_reuses_freed_packet_slots() {
     // Over three identical runs the arena high-water mark is reached
     // in the first; later runs must not allocate meaningfully more.
-    run_counted(Engine::Calendar, 10.0);
-    let (_, a1) = run_counted(Engine::Calendar, 10.0);
-    let (_, a2) = run_counted(Engine::Calendar, 10.0);
+    run_counted(10.0);
+    let (_, a1) = run_counted(10.0);
+    let (_, a2) = run_counted(10.0);
     // Identical work → near-identical allocation counts (the build
     // phase allocates; the delta between identical runs is noise).
     let diff = a1.abs_diff(a2);
