@@ -109,7 +109,7 @@ struct Workload {
     scenario: Scenario,
     plan: Option<FaultPlan>,
     /// Replayed trace injection (`None` = synthetic traffic).
-    trace: Option<Trace>,
+    trace: Option<PacketTrace>,
     millis: f64,
 }
 
@@ -120,7 +120,8 @@ fn workloads() -> Vec<Workload> {
         Seconds::millis(2.0),
         Seconds::millis(3.0),
     );
-    let (burst, burst_trace) = doorbell_burst(&BurstPlan::default());
+    let (burst, burst_trace) =
+        doorbell_burst(&BurstPlan::default()).expect("the default burst plan is valid");
     vec![
         Workload {
             name: "microservices",

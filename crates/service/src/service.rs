@@ -427,12 +427,12 @@ impl Service {
         }
     }
 
-    /// Runs the registry rack through the fleet runtime. The response
-    /// is a pure function of `(nics, duration_ms, max_events)` — the
-    /// fleet loop guarantees the aggregate report is byte-identical
-    /// at any `shards` value, so the shard knob tunes wall-clock
-    /// only and deliberately never appears in the response.
-    fn evaluate_fleet(&self, req: &Request) -> Result<String, ServiceError> {
+    /// The run configuration of a `simulate` or `fleet_simulate`
+    /// request: its horizon with a 20% warmup, and an event budget
+    /// that is the tightest of the service cap, the request's own
+    /// `max_events` and its deadline converted at
+    /// `events_per_deadline_ms`.
+    fn sim_config(&self, req: &Request) -> SimConfig {
         let duration = Seconds::millis(req.duration_ms);
         let mut budget = self.config.max_events_per_request;
         if req.max_events > 0 {
@@ -444,14 +444,22 @@ impl Service {
                 .max(1);
             budget = budget.min(from_deadline);
         }
-        let config = SimConfig {
+        SimConfig {
             duration,
             warmup: duration.scaled(0.2),
             max_events: budget,
             ..SimConfig::default()
-        };
+        }
+    }
+
+    /// Runs the registry rack through the fleet runtime. The response
+    /// is a pure function of `(nics, duration_ms, max_events)` — the
+    /// fleet loop guarantees the aggregate report is byte-identical
+    /// at any `shards` value, so the shard knob tunes wall-clock
+    /// only and deliberately never appears in the response.
+    fn evaluate_fleet(&self, req: &Request) -> Result<String, ServiceError> {
         let report = FleetBuilder::new(rack::topology(req.nics as usize))
-            .config(config)
+            .config(self.sim_config(req))
             .shards(req.shards as usize)
             .build()?
             .run()?;
@@ -489,23 +497,7 @@ impl Service {
         entry: &GraphEntry,
         scenario: &Scenario,
     ) -> Result<String, ServiceError> {
-        let duration = Seconds::millis(req.duration_ms);
-        let mut budget = self.config.max_events_per_request;
-        if req.max_events > 0 {
-            budget = budget.min(req.max_events);
-        }
-        if let Some(deadline_ms) = req.deadline_ms {
-            let from_deadline = (deadline_ms.ceil() as u64)
-                .saturating_mul(self.config.events_per_deadline_ms)
-                .max(1);
-            budget = budget.min(from_deadline);
-        }
-        let config = SimConfig {
-            duration,
-            warmup: duration.scaled(0.2),
-            max_events: budget,
-            ..SimConfig::default()
-        };
+        let config = self.sim_config(req);
         let replication = Replication::new(req.seeds).threads(self.config.threads);
         let inline = req.fault_plan();
         let plan = inline.as_ref().or(entry.plan.as_ref());

@@ -97,8 +97,6 @@ pub mod prelude {
         NoopObserver, RecordKind, RingLog, RunAudit, RunMeta, Sample, SimObserver,
         TimeSeriesSampler, Timeline, TraceRecord,
     };
-    pub use crate::traffic::{
-        ArrivalProcess, Injection, PacketTrace, Trace, TraceCursor, TraceEntry, TrafficSource,
-    };
+    pub use crate::traffic::{ArrivalProcess, Injection, PacketTrace, TraceEntry, TrafficSource};
     pub use crate::wrr::{QueuePlan, QueueSpec};
 }

@@ -125,42 +125,42 @@ impl Replication {
     }
 
     /// Runs `run_one` once per seed across scoped worker threads and
-    /// aggregates the reports in seed order.
-    ///
-    /// `run_one` must be a pure function of the seed for the
-    /// determinism guarantee to hold (a `Simulation` run is).
-    pub fn run<F>(&self, run_one: F) -> ReplicatedReport
+    /// returns the outcomes in seed order, whatever order the workers
+    /// finished in.
+    fn map_seeds<T, F>(&self, run_one: F) -> Vec<T>
     where
-        F: Fn(u64) -> SimReport + Sync,
+        T: Send,
+        F: Fn(u64) -> T + Sync,
     {
-        let slots: Mutex<Vec<Option<SimReport>>> = Mutex::new(vec![None; self.seeds.len()]);
+        let slots: Mutex<Vec<Option<T>>> =
+            Mutex::new((0..self.seeds.len()).map(|_| None).collect());
         let next = AtomicUsize::new(0);
-        let workers = self.worker_count();
         std::thread::scope(|scope| {
-            for _ in 0..workers {
+            for _ in 0..self.worker_count() {
                 scope.spawn(|| loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some(&seed) = self.seeds.get(i) else {
                         break;
                     };
-                    let report = run_one(seed);
-                    slots.lock().expect("no poisoned workers")[i] = Some(report);
+                    let outcome = run_one(seed);
+                    slots.lock().expect("no poisoned workers")[i] = Some(outcome);
                 });
             }
         });
-        let reports: Vec<SimReport> = slots
+        slots
             .into_inner()
             .expect("scope joined all workers")
             .into_iter()
             .map(|r| r.expect("every seed index was claimed exactly once"))
-            .collect();
-        ReplicatedReport::aggregate(self.seeds.clone(), reports)
+            .collect()
     }
 
-    /// Like [`Replication::run`] for fallible replicas: runs every
-    /// seed, then reports failures *in seed order* (not in completion
-    /// order, which would make the reported error depend on the
-    /// thread schedule).
+    /// Runs `run_one` once per seed across scoped worker threads and
+    /// aggregates the reports in seed order, reporting failures *in
+    /// seed order* too (not in completion order, which would make the
+    /// reported error depend on the thread schedule). `run_one` must
+    /// be a pure function of the seed for the determinism guarantee
+    /// to hold (a `Simulation` run is).
     ///
     /// When every replica fails, the first seed's error propagates
     /// as-is (a structurally broken scenario fails the same way on
@@ -174,28 +174,7 @@ impl Replication {
     where
         F: Fn(u64) -> LogNicResult<SimReport> + Sync,
     {
-        let slots: Mutex<Vec<Option<LogNicResult<SimReport>>>> =
-            Mutex::new((0..self.seeds.len()).map(|_| None).collect());
-        let next = AtomicUsize::new(0);
-        let workers = self.worker_count();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&seed) = self.seeds.get(i) else {
-                        break;
-                    };
-                    let report = run_one(seed);
-                    slots.lock().expect("no poisoned workers")[i] = Some(report);
-                });
-            }
-        });
-        let outcomes: Vec<LogNicResult<SimReport>> = slots
-            .into_inner()
-            .expect("scope joined all workers")
-            .into_iter()
-            .map(|r| r.expect("every seed index was claimed exactly once"))
-            .collect();
+        let outcomes = self.map_seeds(run_one);
         if outcomes.iter().all(|r| r.is_ok()) {
             let reports = outcomes
                 .into_iter()
@@ -300,32 +279,19 @@ impl Replication {
         let compiled = plan
             .map(|p| CompiledFaultPlan::compile(p, graph))
             .transpose()?;
-        type Slots<O> = Mutex<Vec<Option<LogNicResult<(SimReport, O)>>>>;
-        let slots: Slots<O> = Mutex::new((0..self.seeds.len()).map(|_| None).collect());
-        let next = AtomicUsize::new(0);
-        let workers = self.worker_count();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&seed) = self.seeds.get(i) else {
-                        break;
-                    };
-                    let mut obs = make_observer(seed);
-                    let mut builder = Simulation::builder(graph, hw, traffic)
-                        .config(SimConfig { seed, ..config });
-                    if let Some(c) = compiled.as_ref() {
-                        builder = builder.with_compiled_faults(c);
-                    }
-                    let result = builder.run_with(&mut obs).map(|report| (report, obs));
-                    slots.lock().expect("no poisoned workers")[i] = Some(result);
-                });
+        let outcomes = self.map_seeds(|seed| {
+            let mut obs = make_observer(seed);
+            let mut builder =
+                Simulation::builder(graph, hw, traffic).config(SimConfig { seed, ..config });
+            if let Some(c) = compiled.as_ref() {
+                builder = builder.with_compiled_faults(c);
             }
+            builder.run_with(&mut obs).map(|report| (report, obs))
         });
         let mut reports = Vec::with_capacity(self.seeds.len());
         let mut observers = Vec::with_capacity(self.seeds.len());
-        for slot in slots.into_inner().expect("scope joined all workers") {
-            let (report, obs) = slot.expect("every seed index was claimed exactly once")?;
+        for outcome in outcomes {
+            let (report, obs) = outcome?;
             reports.push(report);
             observers.push(obs);
         }

@@ -49,7 +49,7 @@ use crate::time::SimTime;
 use crate::trace::{
     DropReason, FaultWindowKind, NodeAudit, NodeMeta, NoopObserver, RunAudit, RunMeta, SimObserver,
 };
-use crate::traffic::{ArrivalProcess, Trace, TraceCursor, TrafficSource};
+use crate::traffic::{ArrivalProcess, PacketTrace, TraceCursor, TrafficSource};
 use crate::wrr::{QueuePlan, WrrQueues};
 
 /// Run-control parameters of a simulation.
@@ -68,10 +68,6 @@ pub struct SimConfig {
     pub service_dist: ServiceDist,
     /// Safety cap on total injected packets.
     pub max_packets: u64,
-    /// Maximum reservation backlog tolerated on a shared medium,
-    /// expressed as time-ahead-of-now; transfers beyond it are dropped
-    /// (finite buffering in front of a saturated interconnect).
-    pub medium_backlog: Seconds,
     /// Watchdog budget: the run aborts with a structured
     /// [`LogNicError::WatchdogAbort`] after processing this many
     /// events. `0` (the default) derives a generous bound from
@@ -89,11 +85,15 @@ impl Default for SimConfig {
             arrival: ArrivalProcess::Poisson,
             service_dist: ServiceDist::Exponential,
             max_packets: 20_000_000,
-            medium_backlog: Seconds::micros(50.0),
             max_events: 0,
         }
     }
 }
+
+/// Maximum reservation backlog tolerated on a shared medium, as time
+/// ahead of now (50 µs); ingress transfers beyond it are dropped
+/// (finite buffering in front of a saturated interconnect).
+const MEDIUM_BACKLOG: SimTime = SimTime::from_picos(50_000_000);
 
 /// Event kinds, packed into the top bits of [`Ev::kind_node`].
 const K_INJECT: u32 = 0;
@@ -262,8 +262,7 @@ pub struct SimulationBuilder<'a> {
     config: SimConfig,
     overrides: Vec<(String, Box<dyn ServiceModel>)>,
     queue_plans: Vec<(String, QueuePlan)>,
-    trace: Option<Trace>,
-    outages: Vec<(String, Seconds, Seconds)>,
+    trace: Option<PacketTrace>,
     plan: FaultPlan,
     compiled: Option<&'a CompiledFaultPlan>,
     analysis: AnalysisConfig,
@@ -333,22 +332,11 @@ impl<'a> SimulationBuilder<'a> {
 
     /// Replays a recorded packet trace instead of sampling the traffic
     /// profile (the profile still supplies the nominal offered rate
-    /// for reporting).
-    pub fn with_trace(mut self, trace: Trace) -> Self {
+    /// for reporting). Record `i` becomes packet `i`, injected at its
+    /// arrival time with its size and class; flow tags are not
+    /// simulated.
+    pub fn with_trace(mut self, trace: PacketTrace) -> Self {
         self.trace = Some(trace);
-        self
-    }
-
-    /// Injects a fault: the named node drops every arriving packet
-    /// during `[from, until)` (engines crashed / firmware reset).
-    /// Packets already in service complete normally.
-    ///
-    /// Shorthand for a [`FaultPlan`] holding one outage window; use
-    /// [`SimulationBuilder::with_fault_plan`] to compose richer fault
-    /// scenarios (rate degradation, drops, corruption, credit loss,
-    /// retry/backoff, deadlines).
-    pub fn inject_outage(mut self, node_name: &str, from: Seconds, until: Seconds) -> Self {
-        self.outages.push((node_name.to_owned(), from, until));
         self
     }
 
@@ -374,10 +362,9 @@ impl<'a> SimulationBuilder<'a> {
     /// tables by reference. Replicated runs compile a [`FaultPlan`]
     /// once and hand the same [`CompiledFaultPlan`] to every seed.
     ///
-    /// Takes precedence over [`SimulationBuilder::with_fault_plan`]
-    /// and [`SimulationBuilder::inject_outage`]: when a compiled plan
-    /// is installed, declarative plans/outages are ignored (their node
-    /// names are still validated).
+    /// Takes precedence over [`SimulationBuilder::with_fault_plan`]:
+    /// when a compiled plan is installed, the declarative plan is
+    /// ignored (its node names are still validated).
     pub fn with_compiled_faults(mut self, compiled: &'a CompiledFaultPlan) -> Self {
         self.compiled = Some(compiled);
         self
@@ -388,8 +375,8 @@ impl<'a> SimulationBuilder<'a> {
     /// # Errors
     ///
     /// Returns a typed [`LogNicError`] instead of panicking when the
-    /// inputs are malformed: a service override, queue plan, outage or
-    /// fault window naming a node absent from the graph (one dangling
+    /// inputs are malformed: a service override, queue plan or fault
+    /// window naming a node absent from the graph (one dangling
     /// name yields [`LogNicError::UnknownNode`]; several are
     /// aggregated into [`LogNicError::UnknownNodes`] so a misconfigured
     /// scenario surfaces every bad reference at once); an empty or
@@ -438,7 +425,6 @@ impl<'a> SimulationBuilder<'a> {
         let mut svc_over: Vec<Option<Box<dyn ServiceModel>>> = (0..n).map(|_| None).collect();
         let mut plan_over: Vec<Option<QueuePlan>> = vec![None; n];
         let mut unknown: Vec<(&'static str, String)> = Vec::new();
-        let mut window_err: Option<LogNicError> = None;
         for (name, model) in self.overrides {
             match table.resolve(&name) {
                 // First override wins, matching the old scan order.
@@ -462,15 +448,9 @@ impl<'a> SimulationBuilder<'a> {
                 None => unknown.push(("queue plan", name)),
             }
         }
-        for (name, from, until) in &self.outages {
-            if table.resolve(name).is_none() {
-                unknown.push(("outage", name.clone()));
-            } else if until.as_secs() <= from.as_secs() && window_err.is_none() {
-                window_err = Some(LogNicError::InvalidFaultWindow {
-                    node: name.clone(),
-                    from: from.as_secs(),
-                    until: until.as_secs(),
-                });
+        for w in self.plan.windows() {
+            if table.resolve(w.node()).is_none() {
+                unknown.push(("fault window", w.node().to_owned()));
             }
         }
         match unknown.len() {
@@ -485,22 +465,15 @@ impl<'a> SimulationBuilder<'a> {
                 })
             }
         }
-        if let Some(e) = window_err {
-            return Err(e);
-        }
 
         // Fault compilation: a pre-compiled plan is shared by
-        // reference (Arc-cloned tables); otherwise merge the
-        // `inject_outage` shorthands into the declarative plan and
-        // compile here. Both paths validate window/parameter domains.
+        // reference (Arc-cloned tables); otherwise the declarative
+        // plan is compiled here. Both paths validate window/parameter
+        // domains.
         let (per_node, retry, deadline) = match self.compiled {
             Some(c) => (c.per_node.clone(), c.retry, c.deadline),
             None => {
-                let mut plan = self.plan;
-                for (name, from, until) in self.outages {
-                    plan = plan.outage(&name, from, until);
-                }
-                let c = CompiledFaultPlan::compile(&plan, self.graph)?;
+                let c = CompiledFaultPlan::compile(&self.plan, self.graph)?;
                 (c.per_node, c.retry, c.deadline)
             }
         };
@@ -621,13 +594,12 @@ impl<'a> SimulationBuilder<'a> {
             egress: self.graph.egress().index(),
             media,
             source: match self.trace {
-                Some(t) => Source::Trace(t.cursor()),
+                Some(t) => Source::Trace(TraceCursor::new(t)),
                 None => Source::Synthetic(TrafficSource::new(self.traffic, cfg.arrival)),
             },
             rng: SimRng::seed_from(cfg.seed),
             config: cfg,
             offered: self.traffic.ingress_bandwidth(),
-            backlog_cap: SimTime::from_secs(cfg.medium_backlog.as_secs()),
             retry,
             deadline,
             max_events,
@@ -671,7 +643,7 @@ impl Source {
     fn is_silent(&self) -> bool {
         match self {
             Source::Synthetic(s) => s.is_silent(),
-            Source::Trace(t) => t.remaining() == 0,
+            Source::Trace(t) => t.peek_arrival().is_none(),
         }
     }
 
@@ -717,7 +689,6 @@ pub struct Simulation {
     rng: SimRng,
     config: SimConfig,
     offered: Bandwidth,
-    backlog_cap: SimTime,
     retry: Option<RetryPolicy>,
     deadline: Option<SimTime>,
     max_events: u64,
@@ -857,7 +828,6 @@ impl Simulation {
             overrides: Vec::new(),
             queue_plans: Vec::new(),
             trace: None,
-            outages: Vec::new(),
             plan: FaultPlan::new(),
             compiled: None,
             analysis: AnalysisConfig::default(),
@@ -1675,7 +1645,7 @@ impl Simulation {
         // backlog, so dropping them would deadlock the pipeline's
         // share of a saturated medium.
         let cap = if node == self.ingress {
-            self.backlog_cap
+            MEDIUM_BACKLOG
         } else {
             SimTime::MAX
         };
@@ -2231,12 +2201,12 @@ mod tests {
 
     #[test]
     fn trace_replay_drives_the_simulation() {
-        use crate::traffic::Trace;
+        use crate::traffic::TraceEntry;
         // 1000 paced packets of 1000 B every 2 µs = 4 Gb/s.
-        let events: Vec<_> = (0..1000)
-            .map(|i| (SimTime::from_micros(2.0 * i as f64), Bytes::new(1000), 0u32))
+        let entries: Vec<_> = (0..1000)
+            .map(|i| TraceEntry::new(SimTime::from_micros(2.0 * i as f64), Bytes::new(1000), 0, 0))
             .collect();
-        let trace = Trace::from_events(events);
+        let trace = PacketTrace::new(entries).unwrap();
         let g = chain(10.0, 64);
         let t = TrafficProfile::fixed(Bandwidth::gbps(4.0), Bytes::new(1000));
         let r = Simulation::builder(&g, &fast_hw(), &t)
@@ -2256,11 +2226,10 @@ mod tests {
 
     #[test]
     fn empty_trace_is_silent() {
-        use crate::traffic::Trace;
         let g = chain(10.0, 16);
         let t = TrafficProfile::fixed(Bandwidth::gbps(4.0), Bytes::new(1000));
         let r = Simulation::builder(&g, &fast_hw(), &t)
-            .with_trace(Trace::default())
+            .with_trace(PacketTrace::default())
             .duration(Seconds::millis(1.0))
             .warmup(Seconds::ZERO)
             .run()
@@ -2281,7 +2250,11 @@ mod tests {
         let faulty = Simulation::builder(&g, &fast_hw(), &t)
             .duration(Seconds::millis(10.0))
             .warmup(Seconds::ZERO)
-            .inject_outage("ip", Seconds::millis(2.0), Seconds::millis(6.0))
+            .with_fault_plan(FaultPlan::new().outage(
+                "ip",
+                Seconds::millis(2.0),
+                Seconds::millis(6.0),
+            ))
             .run()
             .unwrap();
         assert_eq!(healthy.dropped, 0);
@@ -2299,7 +2272,11 @@ mod tests {
         let r = Simulation::builder(&g, &fast_hw(), &t)
             .duration(Seconds::millis(5.0))
             .warmup(Seconds::ZERO)
-            .inject_outage("ip", Seconds::millis(50.0), Seconds::millis(60.0))
+            .with_fault_plan(FaultPlan::new().outage(
+                "ip",
+                Seconds::millis(50.0),
+                Seconds::millis(60.0),
+            ))
             .run()
             .unwrap();
         assert_eq!(r.dropped, 0);
@@ -2548,13 +2525,17 @@ mod tests {
         let base = || Simulation::builder(&g, &hw, &t);
 
         let err = base()
-            .inject_outage("ghost", Seconds::ZERO, Seconds::millis(1.0))
+            .with_fault_plan(FaultPlan::new().outage("ghost", Seconds::ZERO, Seconds::millis(1.0)))
             .build()
             .unwrap_err();
         assert!(matches!(err, LogNicError::UnknownNode { .. }), "{err}");
 
         let err = base()
-            .inject_outage("ip", Seconds::millis(2.0), Seconds::millis(1.0))
+            .with_fault_plan(FaultPlan::new().outage(
+                "ip",
+                Seconds::millis(2.0),
+                Seconds::millis(1.0),
+            ))
             .build()
             .unwrap_err();
         assert!(
@@ -2659,7 +2640,11 @@ mod engine_tests {
                 )),
             )
             .override_queues("ghost", QueuePlan::single(8))
-            .inject_outage("wraith", Seconds::millis(1.0), Seconds::millis(2.0))
+            .with_fault_plan(FaultPlan::new().outage(
+                "wraith",
+                Seconds::millis(1.0),
+                Seconds::millis(2.0),
+            ))
             .build()
             .unwrap_err();
         match err {
@@ -2671,7 +2656,7 @@ mod engine_tests {
                     vec![
                         ("service override", "phantom"),
                         ("queue plan", "ghost"),
-                        ("outage", "wraith"),
+                        ("fault window", "wraith"),
                     ]
                 );
             }

@@ -1198,7 +1198,7 @@ impl SimObserver for ChromeTrace {
 /// [`PacketTrace`] file. This closes the round-trip loop: a synthetic
 /// scenario's arrival stream is captured here, persisted via
 /// [`PacketTrace::to_binary`] or [`PacketTrace::to_csv`], and
-/// re-ingested as a regression input through
+/// replayed as a regression input by
 /// [`SimulationBuilder::with_trace`].
 ///
 /// The simulator keys behaviour on traffic class, so the recorded
@@ -1206,6 +1206,8 @@ impl SimObserver for ChromeTrace {
 /// finer flow structure.
 ///
 /// [`PacketTrace`]: crate::traffic::PacketTrace
+/// [`PacketTrace::to_binary`]: crate::traffic::PacketTrace::to_binary
+/// [`PacketTrace::to_csv`]: crate::traffic::PacketTrace::to_csv
 /// [`TraceEntry`]: crate::traffic::TraceEntry
 /// [`SimulationBuilder::with_trace`]: crate::sim::SimulationBuilder::with_trace
 #[derive(Debug, Clone, Default)]

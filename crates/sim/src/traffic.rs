@@ -117,135 +117,6 @@ impl TrafficSource {
     }
 }
 
-/// A recorded packet trace: absolute injection times, sizes and
-/// classes. Traces realize the paper's *empirical* traffic profiles —
-/// replaying a capture instead of sampling a synthetic distribution.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Trace {
-    events: Vec<(SimTime, Bytes, u32)>,
-}
-
-impl Trace {
-    /// Builds a trace from absolute `(time, size, class)` events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the events are not sorted by time. Use
-    /// [`Trace::try_from_events`] to surface the defect as a typed
-    /// error instead.
-    pub fn from_events(events: Vec<(SimTime, Bytes, u32)>) -> Self {
-        assert!(
-            events.windows(2).all(|w| w[0].0 <= w[1].0),
-            "trace events must be time-sorted"
-        );
-        Trace { events }
-    }
-
-    /// Builds a trace from absolute `(time, size, class)` events,
-    /// reporting unsorted timestamps as a typed error instead of
-    /// panicking — the ingest-facing constructor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LogNicError::InvalidTrace`] naming the first record
-    /// whose timestamp runs backwards.
-    pub fn try_from_events(events: Vec<(SimTime, Bytes, u32)>) -> LogNicResult<Self> {
-        for (i, w) in events.windows(2).enumerate() {
-            if w[0].0 > w[1].0 {
-                return Err(LogNicError::InvalidTrace {
-                    reason: format!(
-                        "arrival timestamps run backwards ({} ps after {} ps)",
-                        w[1].0.as_picos(),
-                        w[0].0.as_picos()
-                    ),
-                    record: Some(i as u64 + 1),
-                });
-            }
-        }
-        Ok(Trace { events })
-    }
-
-    /// Number of packets in the trace.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when the trace holds no packets.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Total bytes across the trace.
-    pub fn total_bytes(&self) -> u64 {
-        self.events.iter().map(|(_, s, _)| s.get()).sum()
-    }
-
-    /// The trace's span (time of the last event).
-    pub fn span(&self) -> SimTime {
-        self.events
-            .last()
-            .map(|(t, _, _)| *t)
-            .unwrap_or(SimTime::ZERO)
-    }
-
-    /// The trace's mean byte rate in bits per second (zero for traces
-    /// spanning no time).
-    pub fn mean_rate_bps(&self) -> f64 {
-        let span = self.span().as_secs();
-        if span <= 0.0 {
-            return 0.0;
-        }
-        self.total_bytes() as f64 * 8.0 / span
-    }
-
-    /// A replay cursor over the trace.
-    pub fn cursor(&self) -> TraceCursor {
-        TraceCursor {
-            events: self.events.clone(),
-            idx: 0,
-            last: SimTime::ZERO,
-        }
-    }
-}
-
-/// Replays a [`Trace`] as a sequence of [`Injection`]s.
-#[derive(Debug, Clone)]
-pub struct TraceCursor {
-    events: Vec<(SimTime, Bytes, u32)>,
-    idx: usize,
-    last: SimTime,
-}
-
-impl TraceCursor {
-    /// The next injection, or `None` when the trace is exhausted.
-    pub fn next_injection(&mut self) -> Option<Injection> {
-        let (t, size, class) = *self.events.get(self.idx)?;
-        let gap = t.since(self.last);
-        self.last = t;
-        let id = self.idx as u64;
-        self.idx += 1;
-        Some(Injection {
-            gap,
-            id,
-            size,
-            class,
-        })
-    }
-
-    /// Packets remaining.
-    pub fn remaining(&self) -> usize {
-        self.events.len() - self.idx
-    }
-
-    /// The absolute arrival time of the next record without consuming
-    /// it, or `None` when the trace is exhausted. The simulator uses
-    /// this to drain a whole same-timestamp burst in one injection
-    /// step so downstream nodes see it as one event train.
-    pub fn peek_arrival(&self) -> Option<SimTime> {
-        self.events.get(self.idx).map(|&(t, _, _)| t)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Packet-trace corpus files
 // ---------------------------------------------------------------------------
@@ -287,10 +158,10 @@ const RECORD_BYTES: usize = 20;
 /// A validated packet-trace corpus: the empirical counterpart of a
 /// synthetic [`TrafficProfile`]. Traces are recorded from live runs
 /// (via [`crate::trace::ArrivalRecorder`]) or written by external
-/// tools, persisted in a compact binary or CSV framing, and re-ingested
-/// through [`PacketTrace::to_sim_trace`] to drive a replayed
-/// simulation — or through [`PacketTrace::empirical_profile`] to feed
-/// the analytical model's size-mixture machinery.
+/// tools, persisted in a compact binary or CSV framing, and replayed
+/// as-is by [`SimulationBuilder::with_trace`] — or fed through
+/// [`PacketTrace::empirical_profile`] to the analytical model's
+/// size-mixture machinery.
 ///
 /// Construction always validates: arrivals must be non-decreasing and
 /// sizes positive; defects are reported as typed
@@ -309,6 +180,8 @@ const RECORD_BYTES: usize = 20;
 ///
 /// A header line `arrival_ps,size_bytes,flow,class` followed by one
 /// integer row per record; blank lines and `#` comments are ignored.
+///
+/// [`SimulationBuilder::with_trace`]: crate::sim::SimulationBuilder::with_trace
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PacketTrace {
     entries: Vec<TraceEntry>,
@@ -613,17 +486,6 @@ impl PacketTrace {
         PacketTrace::new(entries)
     }
 
-    /// Converts the corpus trace into the simulator's replay form
-    /// (flow tags are dropped — the engine keys on class alone).
-    pub fn to_sim_trace(&self) -> Trace {
-        Trace::from_events(
-            self.entries
-                .iter()
-                .map(|e| (e.arrival, e.size, e.class))
-                .collect(),
-        )
-    }
-
     /// Derives an empirical [`TrafficProfile`] from the trace: the
     /// observed size mixture (weighted by packet count) at the trace's
     /// mean byte rate — the ingest path into the analytical model's
@@ -656,6 +518,50 @@ impl PacketTrace {
                 record: None,
             })?;
         Ok(TrafficProfile::new(Bandwidth::bps(rate), dist))
+    }
+}
+
+/// Replays a [`PacketTrace`] as a sequence of [`Injection`]s: the gap
+/// since the previous arrival, the record index as packet id, and the
+/// record's size and class (the flow tag is not simulated).
+#[derive(Debug)]
+pub(crate) struct TraceCursor {
+    entries: Vec<TraceEntry>,
+    idx: usize,
+    last: SimTime,
+}
+
+impl TraceCursor {
+    /// A cursor owning the trace's records.
+    pub(crate) fn new(trace: PacketTrace) -> Self {
+        TraceCursor {
+            entries: trace.entries,
+            idx: 0,
+            last: SimTime::ZERO,
+        }
+    }
+
+    /// The next injection, or `None` when the trace is exhausted.
+    pub(crate) fn next_injection(&mut self) -> Option<Injection> {
+        let e = *self.entries.get(self.idx)?;
+        let gap = e.arrival.since(self.last);
+        self.last = e.arrival;
+        let id = self.idx as u64;
+        self.idx += 1;
+        Some(Injection {
+            gap,
+            id,
+            size: e.size,
+            class: e.class,
+        })
+    }
+
+    /// The absolute arrival time of the next record without consuming
+    /// it, or `None` when the trace is exhausted. The simulator uses
+    /// this to drain a whole same-timestamp burst in one injection
+    /// step so downstream nodes see it as one event train.
+    pub(crate) fn peek_arrival(&self) -> Option<SimTime> {
+        self.entries.get(self.idx).map(|e| e.arrival)
     }
 }
 
@@ -743,46 +649,41 @@ mod tests {
 
     #[test]
     fn trace_replays_exact_times() {
-        let trace = Trace::from_events(vec![
-            (SimTime::from_micros(1.0), Bytes::new(64), 0),
-            (SimTime::from_micros(3.0), Bytes::new(128), 1),
-            (SimTime::from_micros(3.0), Bytes::new(256), 0),
-        ]);
+        let at = SimTime::from_micros;
+        let trace = PacketTrace::new(vec![
+            TraceEntry::new(at(1.0), Bytes::new(64), 0, 0),
+            TraceEntry::new(at(3.0), Bytes::new(128), 1, 1),
+            TraceEntry::new(at(3.0), Bytes::new(256), 0, 0),
+        ])
+        .expect("sorted records of positive size");
         assert_eq!(trace.len(), 3);
         assert_eq!(trace.total_bytes(), 448);
-        assert_eq!(trace.span(), SimTime::from_micros(3.0));
-        let mut c = trace.cursor();
+        assert_eq!(trace.span(), at(3.0));
+        let mut c = TraceCursor::new(trace);
+        assert_eq!(c.peek_arrival(), Some(at(1.0)));
         let a = c.next_injection().unwrap();
-        assert_eq!(a.gap, SimTime::from_micros(1.0));
-        assert_eq!(a.size, Bytes::new(64));
+        assert_eq!((a.gap, a.id, a.size), (at(1.0), 0, Bytes::new(64)));
         let b = c.next_injection().unwrap();
-        assert_eq!(b.gap, SimTime::from_micros(2.0));
+        assert_eq!((b.gap, b.id, b.class), (at(2.0), 1, 1));
+        assert_eq!(c.peek_arrival(), Some(at(3.0)), "peek does not consume");
         let d = c.next_injection().unwrap();
         assert_eq!(d.gap, SimTime::ZERO, "simultaneous arrivals");
-        assert_eq!(d.class, 0);
+        assert_eq!((d.id, d.class), (2, 0));
         assert!(c.next_injection().is_none());
-        assert_eq!(c.remaining(), 0);
+        assert_eq!(c.peek_arrival(), None);
     }
 
     #[test]
     fn trace_mean_rate() {
-        let trace = Trace::from_events(vec![
-            (SimTime::from_micros(0.0), Bytes::new(1000), 0),
-            (SimTime::from_micros(8.0), Bytes::new(1000), 0),
-        ]);
+        let trace = PacketTrace::new(vec![
+            TraceEntry::new(SimTime::from_micros(0.0), Bytes::new(1000), 0, 0),
+            TraceEntry::new(SimTime::from_micros(8.0), Bytes::new(1000), 0, 0),
+        ])
+        .expect("valid trace");
         // 2000 B over 8 µs = 2 Gb/s.
         assert!((trace.mean_rate_bps() - 2e9).abs() < 1e-3);
-        assert_eq!(Trace::default().mean_rate_bps(), 0.0);
-        assert!(Trace::default().is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "time-sorted")]
-    fn trace_rejects_unsorted() {
-        let _ = Trace::from_events(vec![
-            (SimTime::from_micros(5.0), Bytes::new(64), 0),
-            (SimTime::from_micros(1.0), Bytes::new(64), 0),
-        ]);
+        assert_eq!(PacketTrace::default().mean_rate_bps(), 0.0);
+        assert!(PacketTrace::default().is_empty());
     }
 
     #[test]
@@ -883,11 +784,8 @@ mod tests {
     }
 
     #[test]
-    fn packet_trace_feeds_sim_trace_and_profile() {
+    fn packet_trace_feeds_the_empirical_profile() {
         let trace = sample_trace();
-        let sim = trace.to_sim_trace();
-        assert_eq!(sim.len(), trace.len());
-        assert_eq!(sim.total_bytes(), trace.total_bytes());
         let profile = trace.empirical_profile().expect("spanning trace");
         // Mean rate: 2140 B over 9.5 ns.
         let expected = 2140.0 * 8.0 / 9.5e-9;

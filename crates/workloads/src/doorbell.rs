@@ -18,11 +18,12 @@
 //! worst case for ties, and a golden test pins its report.
 
 use crate::scenario::Scenario;
+use lognic_model::error::LogNicResult;
 use lognic_model::graph::ExecutionGraph;
 use lognic_model::params::{EdgeParams, HardwareModel, IpParams, TrafficProfile};
 use lognic_model::units::{Bandwidth, Bytes};
 use lognic_sim::time::SimTime;
-use lognic_sim::traffic::Trace;
+use lognic_sim::traffic::{PacketTrace, TraceEntry};
 
 /// One doorbell ring: `depth` same-timestamp packets.
 #[derive(Debug, Clone, Copy)]
@@ -68,16 +69,24 @@ impl BurstPlan {
 
     /// Builds the deterministic zero-gap trace: ring `r`'s packets all
     /// arrive at `r × ring_gap`, classes cycling 0/1/2 so WRR-style
-    /// policies see a class mix.
-    pub fn trace(&self) -> Trace {
-        let mut events = Vec::with_capacity(self.packets() as usize);
+    /// policies see a class mix (each record's flow tag mirrors its
+    /// class).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LogNicError::InvalidTrace`] for a zero-byte `size`.
+    ///
+    /// [`LogNicError::InvalidTrace`]: lognic_model::error::LogNicError::InvalidTrace
+    pub fn trace(&self) -> LogNicResult<PacketTrace> {
+        let mut entries = Vec::with_capacity(self.packets() as usize);
         for r in 0..self.rings {
             let t = SimTime::from_picos(r * self.ring_gap.as_picos());
             for d in 0..self.depth {
-                events.push((t, self.size, (d % 3) as u32));
+                let class = (d % 3) as u32;
+                entries.push(TraceEntry::new(t, self.size, class, class));
             }
         }
-        Trace::from_events(events)
+        PacketTrace::new(entries)
     }
 }
 
@@ -87,7 +96,11 @@ impl BurstPlan {
 /// the actual injection; the profile feeds the analytical model). The
 /// stage's parallelism covers a whole default ring so burst arrivals
 /// start service together instead of trickling through a queue.
-pub fn doorbell_burst(plan: &BurstPlan) -> (Scenario, Trace) {
+///
+/// # Errors
+///
+/// Propagates [`BurstPlan::trace`]'s rejection of a zero-byte payload.
+pub fn doorbell_burst(plan: &BurstPlan) -> LogNicResult<(Scenario, PacketTrace)> {
     let mut b = ExecutionGraph::builder("doorbell_burst");
     let ing = b.ingress("doorbell");
     let sq = b.ip(
@@ -105,10 +118,10 @@ pub fn doorbell_burst(plan: &BurstPlan) -> (Scenario, Trace) {
     let graph = b.build().expect("static burst graph is valid");
     let hardware = HardwareModel::new(Bandwidth::gbps(400.0), Bandwidth::gbps(400.0));
     let traffic = TrafficProfile::fixed(plan.mean_rate(), plan.size);
-    (
+    Ok((
         Scenario::new("doorbell_burst", graph, hardware, traffic),
-        plan.trace(),
-    )
+        plan.trace()?,
+    ))
 }
 
 #[cfg(test)]
@@ -127,10 +140,25 @@ mod tests {
     #[test]
     fn trace_shape_matches_the_plan() {
         let plan = small();
-        let trace = plan.trace();
+        let trace = plan.trace().unwrap();
         assert_eq!(trace.len() as u64, plan.packets());
         assert_eq!(trace.span(), SimTime::from_micros(30.0 * 49.0));
         let gbps = plan.mean_rate().as_gbps();
         assert!(gbps > 1.0 && gbps < 40.0, "mean rate = {gbps} Gb/s");
+    }
+
+    #[test]
+    fn zero_byte_payloads_are_a_typed_error() {
+        let plan = BurstPlan {
+            size: Bytes::new(0),
+            ..small()
+        };
+        assert!(matches!(
+            doorbell_burst(&plan),
+            Err(lognic_model::error::LogNicError::InvalidTrace {
+                record: Some(0),
+                ..
+            })
+        ));
     }
 }

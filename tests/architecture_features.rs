@@ -144,13 +144,13 @@ fn trace_replay_matches_synthetic_statistics() {
     // the paced run's throughput.
     let g = base_chain(10.0);
     let t = TrafficProfile::fixed(Bandwidth::gbps(6.0), Bytes::new(1200));
-    let events: Vec<(SimTime, Bytes, u32)> = (0..12_000)
+    let entries: Vec<TraceEntry> = (0..12_000)
         .map(|i| {
             let gap_s = 1200.0 * 8.0 / 6e9;
-            (SimTime::from_secs(gap_s * i as f64), Bytes::new(1200), 0u32)
+            TraceEntry::new(SimTime::from_secs(gap_s * i as f64), Bytes::new(1200), 0, 0)
         })
         .collect();
-    let trace = Trace::from_events(events);
+    let trace = PacketTrace::new(entries).expect("paced 1200 B records");
     assert!((trace.mean_rate_bps() - 6e9).abs() / 6e9 < 0.01);
 
     let replay = Simulation::builder(&g, &hw(), &t)

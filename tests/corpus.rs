@@ -105,7 +105,7 @@ fn replay(trace: &PacketTrace) -> SimReport {
     Simulation::builder(&s.graph, &s.hardware, &s.traffic)
         .config(small_config(7))
         .with_fault_plan(chaos.plan.clone())
-        .with_trace(trace.to_sim_trace())
+        .with_trace(trace.clone())
         .run()
         .expect("replayed trace simulates")
 }
@@ -194,7 +194,7 @@ fn doorbell_burst_report_matches_golden() {
         ring_gap: SimTime::from_micros(30.0),
         size: Bytes::new(512),
     };
-    let (scenario, trace) = doorbell_burst(&plan);
+    let (scenario, trace) = doorbell_burst(&plan).expect("positive payloads");
     let report = Simulation::builder(&scenario.graph, &scenario.hardware, &scenario.traffic)
         .with_trace(trace)
         .config(SimConfig {
@@ -241,7 +241,7 @@ fn empty_trace_is_valid_and_simulates_silently() {
     let s = &chaos.scenario;
     let report = Simulation::builder(&s.graph, &s.hardware, &s.traffic)
         .config(small_config(7))
-        .with_trace(empty.to_sim_trace())
+        .with_trace(empty)
         .run()
         .expect("empty trace simulates");
     assert_eq!(report.injected, 0);
@@ -261,7 +261,7 @@ fn single_record_trace_replays_one_packet() {
     let s = &chaos.scenario;
     let report = Simulation::builder(&s.graph, &s.hardware, &s.traffic)
         .config(small_config(7))
-        .with_trace(one.to_sim_trace())
+        .with_trace(one)
         .run()
         .expect("single-record trace simulates");
     assert_eq!(report.injected, 1);
@@ -341,22 +341,6 @@ fn truncated_and_mangled_binaries_are_typed_errors() {
     assert!(matches!(
         PacketTrace::from_binary(&bad),
         Err(LogNicError::InvalidTrace { record: None, .. })
-    ));
-}
-
-#[test]
-fn sim_trace_builder_rejects_backwards_events_without_panicking() {
-    let err = Trace::try_from_events(vec![
-        (SimTime::from_micros(5.0), Bytes::new(64), 0),
-        (SimTime::from_micros(1.0), Bytes::new(64), 0),
-    ])
-    .expect_err("backwards events must be rejected");
-    assert!(matches!(
-        err,
-        LogNicError::InvalidTrace {
-            record: Some(1),
-            ..
-        }
     ));
 }
 

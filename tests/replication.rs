@@ -28,7 +28,7 @@ fn cfg(ms: f64) -> SimConfig {
 }
 
 /// The acceptance-criteria contract: two invocations of
-/// `Replication::run` over the same seed set produce bit-identical
+/// `Replication::run_sim` over the same seed set produce bit-identical
 /// aggregates — every mean, stddev and CI bound, and every per-seed
 /// report, compares equal.
 #[test]

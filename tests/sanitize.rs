@@ -1,10 +1,12 @@
-//! Differential property test of the simulation sanitizer.
+//! Differential property tests of the simulation sanitizer and the
+//! other run observers.
 //!
 //! Three claims:
 //!
-//! 1. **Passivity** — attaching the [`Sanitizer`] never changes the
-//!    report: a sanitized run is byte-identical to the plain run of
-//!    the same scenario and seed.
+//! 1. **Passivity** — attaching the [`Sanitizer`] or a live
+//!    [`RingLog`] never changes the report: an observed run is
+//!    byte-identical to the plain run of the same scenario and seed,
+//!    and a rerun emits the byte-identical event stream.
 //! 2. **Cleanliness** — the healthy engine never trips an invariant:
 //!    packet conservation, credit balance, arena discipline, event
 //!    monotonicity and the end-of-run audit all hold across random
@@ -13,8 +15,11 @@
 //!    with the report (dispatched events) and reproduce exactly on a
 //!    rerun (RNG draws, events, ledger totals).
 //!
-//! Scenario generators mirror `tests/engine_differential.rs`; a
-//! failing case panics with its seed for exact replay.
+//! The event order itself is checked where it is defined, against a
+//! binary heap in the calendar queue's unit tests; the committed
+//! golden files pin whole reports end to end. Scenarios come from the
+//! in-repo `lognic-testkit` harness; a failing case panics with its
+//! seed for exact replay.
 
 use lognic::prelude::*;
 use lognic_testkit::{ensure, Gen, Property};
@@ -112,19 +117,22 @@ fn arb_plan(g: &mut Gen, graph: &ExecutionGraph) -> Option<FaultPlan> {
 }
 
 /// A random zero-gap burst trace exercising the `drain_burst`
-/// arena-alloc path.
-fn arb_burst_trace(g: &mut Gen) -> Trace {
+/// arena-alloc path: groups of same-timestamp packets, each record's
+/// flow tag mirroring its class.
+fn arb_burst_trace(g: &mut Gen) -> PacketTrace {
     let bursts = g.u64(4..24);
     let gap_us = g.f64(5.0..80.0);
-    let mut events = Vec::new();
+    let mut entries = Vec::new();
     for b in 0..bursts {
         let t = SimTime::from_micros(b as f64 * gap_us);
         let len = g.u64(1..96);
         for _ in 0..len {
-            events.push((t, Bytes::new(g.u64(64..4000)), g.u32(0..3)));
+            let size = Bytes::new(g.u64(64..4000));
+            let class = g.u32(0..3);
+            entries.push(TraceEntry::new(t, size, class, class));
         }
     }
-    Trace::from_events(events)
+    PacketTrace::new(entries).expect("sorted bursts of positive sizes")
 }
 
 fn builder<'a>(
@@ -257,6 +265,58 @@ fn burst_trace_runs_are_sanitizer_clean_on_all_paths() {
                 "audited {} events, report says {}",
                 audit.events,
                 plain.events
+            );
+            Ok(())
+        });
+}
+
+/// Property: attaching a live ring-log observer never changes the
+/// report, and a rerun emits the byte-identical event stream — the
+/// observability layer is passive and deterministic over the whole
+/// randomized scenario space, not just the pinned fixtures in
+/// `tests/trace.rs`. A quarter of the cases replay a burst trace
+/// instead of sampling the traffic profile.
+#[test]
+fn traced_runs_match_untraced_on_all_paths() {
+    Property::new("traced_runs_match_untraced_on_all_paths")
+        .cases(24)
+        .check(|g| {
+            let graph = arb_chain(g);
+            let traffic = arb_traffic(g);
+            let plan = arb_plan(g, &graph);
+            let trace = g.bool(0.25).then(|| arb_burst_trace(g));
+            let seed = g.u64(0..u64::MAX - 1);
+            let hw = HardwareModel::new(Bandwidth::gbps(400.0), Bandwidth::gbps(400.0));
+            let builder = || {
+                let b = builder(&graph, &hw, &traffic, &plan, seed);
+                match &trace {
+                    Some(t) => b.with_trace(t.clone()),
+                    None => b,
+                }
+            };
+
+            let untraced = builder().run().expect("generated scenarios are valid");
+            let mut rings = Vec::new();
+            for _ in 0..2 {
+                let mut ring = RingLog::with_capacity(1 << 16);
+                let traced = builder()
+                    .run_with(&mut ring)
+                    .expect("generated scenarios are valid");
+                ensure!(
+                    untraced == traced,
+                    "observer perturbed the run (faulted: {}, trace: {})",
+                    plan.is_some(),
+                    trace.is_some()
+                );
+                ensure!(
+                    format!("{untraced:?}") == format!("{traced:?}"),
+                    "debug renderings diverged"
+                );
+                rings.push(ring);
+            }
+            ensure!(
+                rings[0].bytes() == rings[1].bytes(),
+                "reruns emitted different event streams"
             );
             Ok(())
         });
