@@ -7,9 +7,9 @@
 //! together with the paper's anchor values for comparison.
 //!
 //! Run `cargo run -p lognic-bench --release --bin figures -- all` for
-//! the full set, or pass figure ids (`fig5 fig9 …`). The Criterion
-//! benches (`cargo bench`) measure the cost of the model evaluations
-//! and simulator runs behind each figure.
+//! the full set, or pass figure ids (`fig5 fig9 …`). The cost of the
+//! model evaluations and simulator runs behind the figures is tracked
+//! by the `perf_baseline` binary in `BENCH_sim.json`.
 
 #![warn(missing_docs)]
 

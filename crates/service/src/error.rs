@@ -52,6 +52,15 @@ pub enum ServiceError {
         /// The configured maximum.
         limit: usize,
     },
+    /// The request's cost exceeds the load gauge's high-water mark, so
+    /// it could never be admitted, even by an idle service; it is
+    /// refused outright rather than shed with a retry hint.
+    OversizedRequest {
+        /// The request's cost, in logical milliseconds.
+        cost: u64,
+        /// The configured high-water mark.
+        limit: u64,
+    },
     /// The deterministic cost model predicts the request cannot
     /// complete inside its declared deadline, so it is refused at
     /// admission instead of evaluated and discarded late.
@@ -94,6 +103,7 @@ impl ServiceError {
             ServiceError::UnknownGraph { .. } => "unknown_graph",
             ServiceError::InvalidParameter { .. } => "invalid_parameter",
             ServiceError::OversizedSweep { .. } => "oversized_sweep",
+            ServiceError::OversizedRequest { .. } => "oversized_request",
             ServiceError::DeadlineExceeded { .. } => "deadline_exceeded",
             ServiceError::Overloaded { .. } => "overloaded",
             ServiceError::Evaluation(e) => match e {
@@ -144,6 +154,9 @@ impl ServiceError {
             }
             ServiceError::OversizedSweep { points, limit } => {
                 let _ = write!(out, ",\"points\":{points},\"limit\":{limit}");
+            }
+            ServiceError::OversizedRequest { cost, limit } => {
+                let _ = write!(out, ",\"cost\":{cost},\"limit\":{limit}");
             }
             ServiceError::Evaluation(LogNicError::AnalysisRejected { diagnostics }) => {
                 out.push_str(",\"diagnostics\":[");
@@ -212,6 +225,10 @@ impl fmt::Display for ServiceError {
             ServiceError::OversizedSweep { points, limit } => write!(
                 f,
                 "sweep of {points} points exceeds the {limit}-point limit"
+            ),
+            ServiceError::OversizedRequest { cost, limit } => write!(
+                f,
+                "request cost {cost} exceeds the {limit}-unit admission limit and can never be admitted"
             ),
             ServiceError::DeadlineExceeded {
                 deadline_ms,
@@ -286,6 +303,10 @@ mod tests {
             ServiceError::OversizedSweep {
                 points: 9,
                 limit: 4,
+            },
+            ServiceError::OversizedRequest {
+                cost: 80,
+                limit: 64,
             },
             ServiceError::DeadlineExceeded {
                 deadline_ms: 0.0,

@@ -4,15 +4,16 @@
 //! workspace. The repo's core claim is *reproducible* model-vs-sim
 //! agreement, so the validation pipeline itself must build and run
 //! with no network and no crates.io registry. This crate replaces the
-//! three external test/bench dependencies the seed carried:
+//! external test dependencies the seed carried:
 //!
 //! * [`rng`] — a 40-line xoshiro256++ generator (replacing
 //!   `rand::SmallRng`), validated against the reference test vectors.
 //! * [`gen`] + [`check`] — a seeded property-check harness (replacing
 //!   `proptest`): deterministic case generation, failure-seed
 //!   reporting, and explicit named regression cases.
-//! * [`bench`] — a plain `std::time` measurement harness (replacing
-//!   `criterion`) for the figure-evaluation benchmarks.
+//!
+//! Timing lives in one place, the `perf_baseline` ledger of the
+//! `lognic-bench` crate.
 //!
 //! Everything here is deterministic by construction: the same seed
 //! always produces the same cases, the same simulation stream, the
@@ -21,13 +22,11 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod bench;
 pub mod check;
 pub mod fuzz;
 pub mod gen;
 pub mod rng;
 
-pub use bench::{Bench, Measurement};
 pub use check::{CaseResult, Property};
 pub use fuzz::{Counterexample, Fuzz, FuzzOutcome, FuzzReport};
 pub use gen::Gen;

@@ -96,6 +96,7 @@ fn curated_corpus_exercises_every_error_code() {
         "invalid_parameter",
         "deadline_exceeded",
         "overloaded",
+        "oversized_request",
         "watchdog_abort",
         "analysis_rejected",
     ] {
