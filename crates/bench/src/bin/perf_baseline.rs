@@ -7,9 +7,8 @@
 //! scheduler's worst case for ties); the `sched_hold_2m` pair, which
 //! times the calendar queue against a plain `BinaryHeap` on the
 //! classic hold model, where the scheduler is the whole workload; the
-//! `fleet_rack16_s{1,2,4,8}` rows, the 16-NIC registry rack through
-//! the sharded fleet loop at each shard count (see DESIGN §5l); and
-//! two analytical-model rows, `model_sweep` (one pass over the
+//! `fleet_rack16` row, the 16-NIC registry rack through the fleet
+//! loop (see DESIGN §5l); and two analytical-model rows, `model_sweep` (one pass over the
 //! figures' model points) and `mmcn_c64_n256` (the M/M/c/N queueing
 //! kernel the model evaluates per node).
 //!
@@ -31,8 +30,8 @@
 //!   [`WALL_FLOOR`] of the committed row's. Each row also records its
 //!   `spread` — how far the run's median sample sits above the
 //!   statistic — and the file records `nproc`, so a fresh ledger shows
-//!   how noisy the host was and how many cores the fleet rows had. The
-//!   gate reads neither: `spread` is the dispersion of samples within
+//!   how noisy the host was and how many cores it had. The gate reads
+//!   neither: `spread` is the dispersion of samples within
 //!   one run, not how far the statistic moves between runs, and a
 //!   bound a fresh run could widen would let a slower, noisier row
 //!   through.
@@ -417,22 +416,16 @@ fn hold_row(engine: &'static str, mut op: impl FnMut() -> u32 + 'static) -> Benc
     }
 }
 
-/// Rack size for the fleet scaling rows: 16 NICs keeps the
-/// 4-shard-count sweep affordable while still spreading several NICs
-/// per shard at every measured count.
+/// Rack size for the fleet row.
 const FLEET_NICS: usize = 16;
 
-/// Shard counts measured for the committed scaling rows.
-const FLEET_SHARDS: [usize; 4] = [1, 2, 4, 8];
-
-/// One fleet scaling row: the 16-NIC registry rack at a given shard
-/// count. Timing excludes topology construction and per-NIC builds
-/// (the steady-state loop is what shards parallelize). The counters
-/// are aggregates across NICs and — by the determinism guarantee —
-/// identical at every shard count, so rows differ only in wall time.
-fn fleet_bench(shards: usize) -> Bench {
-    let run = move || {
-        let fleet = rack::smoke_fleet(FLEET_NICS, shards)
+/// The fleet row: the 16-NIC registry rack. Timing excludes topology
+/// construction and per-NIC builds, so the row measures the round
+/// loop. The counters are aggregates across NICs.
+fn fleet_bench() -> Bench {
+    const NAME: &str = "fleet_rack16";
+    let run = || {
+        let fleet = rack::smoke_fleet(FLEET_NICS)
             .build()
             .expect("the registry rack builds");
         let mut counters = (0, 0, 0);
@@ -444,14 +437,13 @@ fn fleet_bench(shards: usize) -> Bench {
     };
     let (_, counters) = run();
     let (events, rounds, forwarded) = counters;
-    let name = format!("fleet_rack16_s{shards}");
     let row = Row {
         fleet: Some((rounds, forwarded)),
-        ..Row::new(&name, CALENDAR, events)
+        ..Row::new(NAME, CALENDAR, events)
     };
     let sample = move || {
         let (secs, now) = run();
-        assert_eq!(now, counters, "{name}: counters drift");
+        assert_eq!(now, counters, "{NAME}: counters drift");
         secs
     };
     Bench {
@@ -803,10 +795,7 @@ fn main() {
 
     let mut benches: Vec<Bench> = workloads().into_iter().map(sim_bench).collect();
     benches.extend([CALENDAR, HEAP].map(hold_bench));
-    // Fleet scaling rows: the counters are identical at every shard
-    // count (the determinism guarantee), so the rows isolate how wall
-    // time responds to sharding on this machine.
-    benches.extend(FLEET_SHARDS.map(fleet_bench));
+    benches.push(fleet_bench());
     benches.push(model_bench("model_sweep", 4, model_sweep_pass));
     benches.push(model_bench("mmcn_c64_n256", 64, mmcn_pass));
     let rows = measure(benches);
@@ -844,7 +833,7 @@ mod tests {
 
     #[test]
     fn the_ledger_round_trips_through_its_file_format() {
-        let mut fleet = row("fleet_rack16_s2", 169_584, 0.036_4, 0.142_5);
+        let mut fleet = row("fleet_rack16", 169_584, 0.036_4, 0.142_5);
         fleet.fleet = Some((1863, 2697));
         let rows = vec![row("nvmeof", 81_729, 0.006_57, 0.291), fleet];
         let text = render_json(&rows, 2);

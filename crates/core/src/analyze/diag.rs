@@ -410,11 +410,12 @@ without it — the scheduled fault demonstrably changes nothing."),
     FleetZeroLatencyLink = ("L0701", "fleet-zero-latency-link", Deny,
 "a traffic-carrying fleet link has zero propagation latency
 
-The sharded fleet event loop exchanges boundary packets at
-conservative-lookahead window boundaries, and the lookahead is the
-minimum latency over links that actually carry traffic. A zero-latency
-link collapses that window to nothing: no finite schedule can order
-cross-NIC events deterministically, so the topology is degenerate.
+The fleet event loop steps every NIC one conservative-lookahead window
+at a time and exchanges boundary packets at each window edge; the
+lookahead is the minimum latency over links that actually carry
+traffic. A zero-latency link collapses that window to nothing: no
+finite schedule of windows can order cross-NIC events, so the topology
+is degenerate.
 
 Fix: give the link a positive propagation latency (even 1 ps), or set
 its traffic share to zero if it should carry nothing.

@@ -12,7 +12,8 @@
 //! and per-link offered load versus link bandwidth.
 //!
 //! The topology is a pure description — `lognic-sim`'s `fleet` module
-//! turns it into a sharded, deterministic multi-NIC simulation.
+//! turns it into a deterministic multi-NIC simulation, stepped on one
+//! thread in conservative-lookahead windows.
 
 use crate::analyze::{AnalysisConfig, AnalysisReport, Code, Diagnostic, Span};
 use crate::error::{LogNicError, LogNicResult};

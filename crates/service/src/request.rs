@@ -27,7 +27,7 @@ pub enum RequestKind {
     Sweep,
     /// A replicated discrete-event simulation under the watchdog.
     Simulate,
-    /// A sharded multi-NIC rack simulation over the fleet runtime.
+    /// A multi-NIC rack simulation over the fleet runtime.
     FleetSimulate,
     /// Liveness probe.
     Health,
@@ -141,9 +141,9 @@ pub struct Request {
     pub max_events: u64,
     /// Rack size for `fleet_simulate`.
     pub nics: u32,
-    /// Shard count for `fleet_simulate`. Purely a throughput knob:
-    /// the fleet runtime guarantees byte-identical reports at any
-    /// value, so the response never depends on it.
+    /// Shard count for `fleet_simulate`: validated as a positive
+    /// whole number, then ignored (the fleet runs on one thread).
+    /// Accepted so older clients keep working.
     pub shards: u32,
 }
 

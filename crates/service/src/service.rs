@@ -51,10 +51,12 @@ use crate::stats::ServiceStats;
 /// millisecond, rounded down. A run stopped at this budget has spent
 /// about its deadline on that host.
 ///
-/// The budget is per simulation, not per request: each replica of a
-/// `simulate` (and each NIC of a `fleet_simulate`) runs under its own
-/// watchdog, so a request of `seeds` replicas on `threads` workers may
-/// take up to `ceil(seeds / threads)` deadlines of wall time.
+/// A `simulate` request's budget applies to each replica, and each
+/// replica runs under its own watchdog, so `seeds` replicas on
+/// `threads` workers may take up to `ceil(seeds / threads)` deadlines
+/// of wall time. A `fleet_simulate` request's budget is split: one
+/// thread steps every NIC, so each NIC's watchdog gets
+/// `ceil(budget / nics)` and the whole rack stays near one deadline.
 const EVENTS_PER_DEADLINE_MS: u64 = 11_000;
 
 /// Tunables for one service process.
@@ -75,7 +77,9 @@ pub struct ServeConfig {
     pub max_sim_ms: f64,
     /// Most NICs one `fleet_simulate` rack may request.
     pub max_fleet_nics: u32,
-    /// Hard per-request event budget for the simulation watchdog.
+    /// Hard per-request event budget for the simulation watchdog
+    /// (given whole to each `simulate` replica, split evenly across
+    /// the NICs of a `fleet_simulate`).
     pub max_events_per_request: u64,
     /// Worker threads inside replicated simulations (0 = available
     /// parallelism). Has no effect on responses.
@@ -452,7 +456,8 @@ impl Service {
     /// request: its horizon with a 20% warmup, and an event budget
     /// that is the tightest of the service cap, the request's own
     /// `max_events` and its deadline converted at
-    /// [`EVENTS_PER_DEADLINE_MS`].
+    /// [`EVENTS_PER_DEADLINE_MS`]. A fleet splits that budget evenly
+    /// across its NICs, rounding up.
     fn sim_config(&self, req: &Request) -> SimConfig {
         let duration = Seconds::millis(req.duration_ms);
         let mut budget = self.config.max_events_per_request;
@@ -465,6 +470,9 @@ impl Service {
                 .max(1);
             budget = budget.min(from_deadline);
         }
+        if req.kind == RequestKind::FleetSimulate {
+            budget = budget.div_ceil(u64::from(req.nics));
+        }
         SimConfig {
             duration,
             warmup: duration.scaled(0.2),
@@ -474,14 +482,11 @@ impl Service {
     }
 
     /// Runs the registry rack through the fleet runtime. The response
-    /// is a pure function of `(nics, duration_ms, max_events)` — the
-    /// fleet loop guarantees the aggregate report is byte-identical
-    /// at any `shards` value, so the shard knob tunes wall-clock
-    /// only and deliberately never appears in the response.
+    /// is a pure function of `(nics, duration_ms, max_events,
+    /// deadline_ms)`; the accepted `shards` field is ignored.
     fn evaluate_fleet(&self, req: &Request) -> Result<String, ServiceError> {
         let report = FleetBuilder::new(rack::topology(req.nics as usize))
             .config(self.sim_config(req))
-            .shards(req.shards as usize)
             .build()?
             .run()?;
         let mut out = String::with_capacity(256);
@@ -808,26 +813,49 @@ mod tests {
         assert!(out.contains("\"ok\":true"), "{out}");
     }
 
+    /// The per-simulation event budget `sim_config` derives for a
+    /// request line.
+    fn event_budget(line: &str) -> u64 {
+        let req = Request::decode(&parse(line).unwrap()).unwrap();
+        det_service().sim_config(&req).max_events
+    }
+
     #[test]
     fn deadline_budget_is_whole_deadline_ms_times_the_ledger_rate() {
-        let s = det_service();
-        let budget = |line: &str| {
-            let req = Request::decode(&parse(line).unwrap()).unwrap();
-            s.sim_config(&req).max_events
-        };
         assert_eq!(
-            budget(r#"{"kind":"simulate","graph":"nvmeof","duration_ms":2,"deadline_ms":2.5}"#),
+            event_budget(
+                r#"{"kind":"simulate","graph":"nvmeof","duration_ms":2,"deadline_ms":2.5}"#
+            ),
             3 * EVENTS_PER_DEADLINE_MS
         );
         // The tightest cap wins: a request's own `max_events`…
         assert_eq!(
-            budget(r#"{"kind":"simulate","graph":"nvmeof","deadline_ms":20,"max_events":500}"#),
+            event_budget(
+                r#"{"kind":"simulate","graph":"nvmeof","deadline_ms":20,"max_events":500}"#
+            ),
             500
         );
         // …and the service-wide cap, when no deadline is declared.
         assert_eq!(
-            budget(r#"{"kind":"simulate","graph":"nvmeof"}"#),
+            event_budget(r#"{"kind":"simulate","graph":"nvmeof"}"#),
             ServeConfig::default().max_events_per_request
+        );
+    }
+
+    #[test]
+    fn fleet_nics_share_the_request_budget() {
+        // 3 NICs share one 1 ms deadline: ceil(11,000 / 3) each.
+        assert_eq!(
+            event_budget(r#"{"kind":"fleet_simulate","nics":3,"duration_ms":1,"deadline_ms":1}"#),
+            EVENTS_PER_DEADLINE_MS.div_ceil(3)
+        );
+        assert_eq!(
+            event_budget(r#"{"kind":"fleet_simulate","nics":4,"max_events":10}"#),
+            3
+        );
+        assert_eq!(
+            event_budget(r#"{"kind":"fleet_simulate","nics":8}"#),
+            ServeConfig::default().max_events_per_request / 8
         );
     }
 
@@ -958,19 +986,23 @@ mod tests {
     }
 
     #[test]
-    fn fleet_simulate_round_trip_is_shard_invariant() {
-        let run = |shards: u32| {
-            let mut s = det_service();
-            s.handle_line(&format!(
+    fn fleet_simulate_accepts_and_ignores_shards() {
+        let run = |line: &str| det_service().handle_line(line);
+        let plain = run(r#"{"id":"f","kind":"fleet_simulate","nics":4,"duration_ms":2}"#);
+        assert!(plain.contains("\"ok\":true"), "{plain}");
+        assert!(plain.contains("\"topology\":\"rack-4\""), "{plain}");
+        assert!(plain.contains("\"forwarded\":"), "{plain}");
+        parse(&plain).expect("valid JSON");
+        for shards in [1, 8] {
+            let line = format!(
                 r#"{{"id":"f","kind":"fleet_simulate","nics":4,"shards":{shards},"duration_ms":2}}"#
-            ))
-        };
-        let one = run(1);
-        assert!(one.contains("\"ok\":true"), "{one}");
-        assert!(one.contains("\"topology\":\"rack-4\""), "{one}");
-        assert!(one.contains("\"forwarded\":"), "{one}");
-        parse(&one).expect("valid JSON");
-        assert_eq!(one, run(8), "shard count must not leak into responses");
+            );
+            assert_eq!(
+                run(&line),
+                plain,
+                "shards={shards} must not change the response"
+            );
+        }
     }
 
     #[test]

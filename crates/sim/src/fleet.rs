@@ -1,5 +1,5 @@
-//! Fleet simulation: a sharded, deterministic event loop over a
-//! multi-NIC [`Topology`].
+//! Fleet simulation: a deterministic, single-threaded event loop
+//! over a multi-NIC [`Topology`].
 //!
 //! The fleet runtime lifts the single-device simulator to rack scale
 //! with a *conservative-lookahead* round protocol. The lookahead `L`
@@ -10,21 +10,14 @@
 //! hearing from its peers, then exchange boundary packets at the
 //! window edge.
 //!
-//! **Determinism.** Aggregate [`FleetReport`]s are bit-identical at
-//! any shard count because nothing observable depends on the thread
-//! schedule:
-//!
-//! * the window schedule (`limit = (round+1)·L`) is a pure function
-//!   of the topology, not of how NICs are assigned to shards;
-//! * each NIC is a fully sequential [`Simulation`] with its own RNG
-//!   stream, arena and event sequence;
-//! * boundary packets are exchanged through per-NIC mailboxes and
-//!   sorted by the canonical key `(arrival time, source NIC,
-//!   emission sequence)` before injection, erasing mailbox push
-//!   order;
-//! * the round loop's continue/stop decision is a global OR of
-//!   per-NIC activity, evaluated at a barrier, so every shard stops
-//!   at the same round.
+//! One thread steps the whole fleet. Each round advances every NIC
+//! to the window limit in NIC-index order, then injects each NIC's
+//! inbound boundary packets sorted by the canonical key `(arrival
+//! time, source NIC, emission sequence)`. The run stops after the
+//! first round with no activity anywhere. Each NIC is a fully
+//! sequential [`Simulation`] with its own RNG stream, arena and event
+//! sequence, so a [`FleetReport`] is a pure function of the topology,
+//! configuration and seed.
 //!
 //! The single-NIC simulation is the degenerate case: a topology with
 //! no traffic-carrying links has infinite lookahead, so the whole
@@ -41,9 +34,6 @@ use crate::rng::SimRng;
 use crate::sim::{BoundaryPacket, PacedRun, SimConfig, Simulation, Uplink};
 use crate::time::SimTime;
 use crate::trace::NoopObserver;
-
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Barrier, Mutex};
 
 /// The RNG seed NIC `index` of a fleet derives from the fleet's base
 /// seed.
@@ -98,7 +88,6 @@ pub fn nic_seed(base: u64, index: usize) -> u64 {
 pub struct FleetBuilder {
     topology: Topology,
     config: SimConfig,
-    shards: usize,
     analysis: AnalysisConfig,
 }
 
@@ -108,7 +97,6 @@ impl FleetBuilder {
         FleetBuilder {
             topology,
             config: SimConfig::default(),
-            shards: 1,
             analysis: AnalysisConfig::default(),
         }
     }
@@ -139,12 +127,10 @@ impl FleetBuilder {
         self
     }
 
-    /// Sets the worker-shard count. NICs are assigned round-robin to
-    /// shards; the count is clamped to the NIC count at run time.
-    /// Reports are bit-identical at any shard count — this knob
-    /// trades wall-clock for cores, never results.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
+    /// Does nothing: the fleet runs on one thread. Kept so callers
+    /// written against the retired sharded loop still compile; it
+    /// will be removed.
+    pub fn shards(self, _shards: usize) -> Self {
         self
     }
 
@@ -254,7 +240,6 @@ impl FleetBuilder {
             sims,
             link_meta,
             lookahead_ps,
-            shards: self.shards,
             duration: self.config.duration,
             warnings,
         })
@@ -279,30 +264,8 @@ pub struct FleetSim {
     sims: Vec<Simulation>,
     link_meta: Vec<LinkMeta>,
     lookahead_ps: u64,
-    shards: usize,
     duration: Seconds,
     warnings: Vec<Diagnostic>,
-}
-
-/// What one NIC's worker hands back to the aggregator.
-type NicOutcome = LogNicResult<(SimReport, Vec<Uplink>, u64, u64)>;
-
-/// Shared coordination state of one fleet run.
-struct Shared {
-    /// One inbound mailbox per NIC, filled during the advance phase
-    /// and drained (sorted canonically) during the inject phase.
-    mailboxes: Vec<Mutex<Vec<BoundaryPacket>>>,
-    /// Double-buffered activity flags, indexed by round parity: round
-    /// `r` raises `flags[r % 2]` on any activity and resets the
-    /// *other* buffer, whose readers all finished at round `r-1`'s
-    /// closing barrier.
-    flags: [AtomicBool; 2],
-    /// Raised by a shard whose NIC failed; every shard observes it at
-    /// the same round boundary and stops.
-    failed: AtomicBool,
-    /// Serves as both the exchange barrier (after advance) and the
-    /// decision barrier (after inject) of every round.
-    barrier: Barrier,
 }
 
 impl FleetSim {
@@ -318,153 +281,55 @@ impl FleetSim {
         &self.warnings
     }
 
-    /// Runs every NIC to completion across the configured shards and
-    /// aggregates a [`FleetReport`].
+    /// Runs every NIC to completion, one lookahead window per round,
+    /// and aggregates a [`FleetReport`].
     ///
     /// # Errors
     ///
-    /// When NICs fail (e.g. a watchdog abort), the error of the
-    /// *lowest-indexed* failing NIC propagates — a deterministic
-    /// choice, not a race between shards.
+    /// When a NIC fails (e.g. a watchdog abort), the run stops and
+    /// that NIC's error propagates. NICs advance in index order, so
+    /// this is the *lowest-indexed* NIC failing in the first round
+    /// that has a failure.
     pub fn run(self) -> LogNicResult<FleetReport> {
-        let n = self.sims.len();
-        let shards = self.shards.min(n).max(1);
-        let lookahead = self.lookahead_ps;
-
-        // Round-robin NIC -> shard assignment; each shard owns its
-        // NICs' paced runs for the whole run.
-        let mut parts: Vec<Vec<(usize, Simulation)>> = (0..shards).map(|_| Vec::new()).collect();
-        for (i, sim) in self.sims.into_iter().enumerate() {
-            parts[i % shards].push((i, sim));
-        }
-
-        let shared = Shared {
-            mailboxes: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
-            flags: [AtomicBool::new(false), AtomicBool::new(false)],
-            failed: AtomicBool::new(false),
-            barrier: Barrier::new(shards),
-        };
-        let slots: Mutex<Vec<Option<NicOutcome>>> = Mutex::new((0..n).map(|_| None).collect());
-        let rounds = Mutex::new(0u64);
-
-        std::thread::scope(|scope| {
-            for part in parts {
-                let shared = &shared;
-                let slots = &slots;
-                let rounds = &rounds;
-                scope.spawn(move || {
-                    let mut obs = NoopObserver;
-                    let mut runs: Vec<(usize, PacedRun, Option<LogNicError>)> = part
-                        .into_iter()
-                        .map(|(i, sim)| (i, PacedRun::start(sim, &mut obs), None))
-                        .collect();
-                    let mut round: u64 = 0;
-                    loop {
-                        let p = (round % 2) as usize;
-                        // Safe to reset: every reader of flags[1-p]
-                        // finished at round r-1's closing barrier.
-                        shared.flags[1 - p].store(false, Ordering::SeqCst);
-                        let limit = round.saturating_add(1).saturating_mul(lookahead);
-                        let mut activity = false;
-                        for (_, run, err) in runs.iter_mut() {
-                            if err.is_some() {
-                                continue;
-                            }
-                            match run.advance(limit, &mut obs) {
-                                Ok(more) => activity |= more,
-                                Err(e) => {
-                                    *err = Some(e);
-                                    shared.failed.store(true, Ordering::SeqCst);
-                                    continue;
-                                }
-                            }
-                            let out = run.take_outbox();
-                            if !out.is_empty() {
-                                activity = true;
-                            }
-                            for bp in out {
-                                shared.mailboxes[bp.dst_nic as usize]
-                                    .lock()
-                                    .expect("no poisoned shards")
-                                    .push(bp);
-                            }
-                        }
-                        if activity {
-                            shared.flags[p].store(true, Ordering::SeqCst);
-                        }
-                        shared.barrier.wait();
-                        for (idx, run, err) in runs.iter_mut() {
-                            if err.is_some() {
-                                continue;
-                            }
-                            let mut pkts = std::mem::take(
-                                &mut *shared.mailboxes[*idx].lock().expect("no poisoned shards"),
-                            );
-                            pkts.sort_unstable_by_key(|b| (b.arrive_ps, b.src_nic, b.emit_seq));
-                            for bp in &pkts {
-                                run.inject_boundary(bp);
-                            }
-                        }
-                        let stop = !shared.flags[p].load(Ordering::SeqCst)
-                            || shared.failed.load(Ordering::SeqCst);
-                        shared.barrier.wait();
-                        round += 1;
-                        if stop {
-                            break;
-                        }
-                    }
-                    let mut slots = slots.lock().expect("no poisoned shards");
-                    for (idx, run, err) in runs {
-                        slots[idx] = Some(match err {
-                            Some(e) => Err(e),
-                            None => {
-                                let uplinks = run.uplinks().to_vec();
-                                let received = run.received();
-                                let emitted = run.emitted();
-                                let report = run.finish(&mut obs);
-                                Ok((report, uplinks, received, emitted))
-                            }
-                        });
-                    }
-                    *rounds.lock().expect("no poisoned shards") = round;
-                });
-            }
-        });
-
-        let outcomes: Vec<NicOutcome> = slots
-            .into_inner()
-            .expect("scope joined all shards")
+        let mut obs = NoopObserver;
+        let mut runs: Vec<PacedRun> = self
+            .sims
             .into_iter()
-            .map(|o| o.expect("every NIC index was claimed exactly once"))
+            .map(|sim| PacedRun::start(sim, &mut obs))
             .collect();
-        let rounds = rounds.into_inner().expect("scope joined all shards");
-
-        // Deterministic error choice: the lowest-indexed failing NIC.
-        let mut nics = Vec::with_capacity(n);
-        for (i, outcome) in outcomes.into_iter().enumerate() {
-            match outcome {
-                Err(e) => return Err(e),
-                Ok((report, uplinks, received, emitted)) => {
-                    nics.push((
-                        self.nic_names[i].clone(),
-                        report,
-                        uplinks,
-                        received,
-                        emitted,
-                    ));
+        let mut inboxes: Vec<Vec<BoundaryPacket>> = vec![Vec::new(); runs.len()];
+        let mut rounds: u64 = 0;
+        loop {
+            let limit = rounds.saturating_add(1).saturating_mul(self.lookahead_ps);
+            let mut activity = false;
+            for run in &mut runs {
+                activity |= run.advance(limit, &mut obs)?;
+                for bp in run.take_outbox() {
+                    activity = true;
+                    inboxes[bp.dst_nic as usize].push(bp);
                 }
             }
+            for (run, inbox) in runs.iter_mut().zip(&mut inboxes) {
+                inbox.sort_unstable_by_key(|b| (b.arrive_ps, b.src_nic, b.emit_seq));
+                for bp in inbox.drain(..) {
+                    run.inject_boundary(&bp);
+                }
+            }
+            rounds += 1;
+            if !activity {
+                break;
+            }
         }
 
+        let secs = self.duration.as_secs();
         let links: Vec<LinkReport> = self
             .link_meta
-            .iter()
+            .into_iter()
             .map(|m| {
-                let up = &nics[m.src].2[m.pos];
-                let secs = self.duration.as_secs();
+                let up = &runs[m.src].uplinks()[m.pos];
                 LinkReport {
-                    src: m.src_name.clone(),
-                    dst: m.dst_name.clone(),
+                    src: m.src_name,
+                    dst: m.dst_name,
                     forwarded: up.forwarded,
                     bytes: Bytes::new(up.bytes),
                     utilization: if secs > 0.0 {
@@ -486,12 +351,15 @@ impl FleetSim {
             throughput: Bandwidth::ZERO,
             goodput: Bandwidth::ZERO,
             events: 0,
-            nics: Vec::with_capacity(n),
+            nics: Vec::with_capacity(runs.len()),
             links,
         };
         let mut throughput = 0.0;
         let mut goodput = 0.0;
-        for (name, nic_report, _uplinks, received, emitted) in nics {
+        for (name, run) in self.nic_names.into_iter().zip(runs) {
+            let received = run.received();
+            let emitted = run.emitted();
+            let nic_report = run.finish(&mut obs);
             report.injected += nic_report.injected;
             report.completed += nic_report.completed;
             report.dropped += nic_report.dropped;
@@ -544,10 +412,10 @@ pub struct LinkReport {
 
 /// Aggregate measurements of one fleet run.
 ///
-/// Bit-identical for a given topology, configuration and seed at any
-/// shard count; differential tests compare reports via their `Debug`
-/// rendering, so the report deliberately records nothing about the
-/// thread schedule (no shard count, no wall-clock).
+/// Bit-identical for a given topology, configuration and seed;
+/// determinism tests compare reports via their `Debug` rendering, so
+/// the report deliberately records nothing about the run's wall
+/// clock.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetReport {
     /// The topology's name.

@@ -5,9 +5,9 @@
 //! routing a slice of its egress traffic to its ring successor over a
 //! 100 Gb/s ToR link with a realistic intra-rack propagation latency.
 //! The ring keeps every NIC both a producer and a consumer of
-//! boundary traffic, so determinism tests exercise the full
-//! cross-shard exchange protocol rather than a star that funnels
-//! everything through one mailbox.
+//! boundary traffic, so determinism tests exercise the boundary
+//! exchange of every lookahead window at every NIC, rather than a
+//! star that funnels everything into one NIC.
 //!
 //! Deliberately *not* a [`crate::registry`] entry: the registry's
 //! consumers (trace_dump, the lint clean set, the corpus round-trip
@@ -86,12 +86,9 @@ pub fn smoke_config() -> SimConfig {
     }
 }
 
-/// Builds the default rack's fleet simulation at the given shard
-/// count, under [`smoke_config`].
-pub fn smoke_fleet(n: usize, shards: usize) -> FleetBuilder {
-    FleetBuilder::new(topology(n))
-        .config(smoke_config())
-        .shards(shards)
+/// Builds an `n`-NIC rack's fleet simulation under [`smoke_config`].
+pub fn smoke_fleet(n: usize) -> FleetBuilder {
+    FleetBuilder::new(topology(n)).config(smoke_config())
 }
 
 #[cfg(test)]
@@ -123,11 +120,7 @@ mod tests {
 
     #[test]
     fn small_rack_smoke_runs() {
-        let report = smoke_fleet(4, 2)
-            .build()
-            .expect("builds")
-            .run()
-            .expect("runs");
+        let report = smoke_fleet(4).build().expect("builds").run().expect("runs");
         assert_eq!(report.nics.len(), 4);
         assert!(report.completed > 0);
         assert!(report.forwarded > 0, "ring links must carry traffic");

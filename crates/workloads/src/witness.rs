@@ -945,13 +945,11 @@ pub fn exhibits(code: Code, p: &WitnessParams) -> Result<String, String> {
 }
 
 /// Runs the two-NIC fleet pair with the analysis gate disabled (the
-/// topologies are broken on purpose) across two shards, so the
-/// witness also exercises the cross-shard exchange protocol.
+/// topologies are broken on purpose).
 fn run_fleet(topo: Topology) -> Result<lognic_sim::fleet::FleetReport, String> {
     FleetBuilder::new(topo)
         .config(confirm_config())
         .analysis(AnalysisConfig::permissive())
-        .shards(2)
         .build()
         .map_err(|e| format!("fleet build failed: {e}"))?
         .run()

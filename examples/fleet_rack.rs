@@ -1,11 +1,9 @@
 //! Fleet simulation: a hand-built NIC pair, then the 32-NIC registry
-//! rack, through the sharded deterministic event loop.
+//! rack, through the deterministic fleet event loop.
 //!
 //! The headline property on display: the aggregate `FleetReport` is
-//! byte-identical at any shard count — `shards` tunes wall-clock
-//! only. This example runs the rack at 1 and 8 shards and asserts
-//! the reports match (the same check CI's `fleet-smoke` job makes
-//! end-to-end through the service protocol).
+//! a pure function of topology, configuration and seed. This example
+//! runs the rack twice and asserts the reports match byte for byte.
 //!
 //! ```console
 //! $ cargo run --release --example fleet_rack
@@ -36,7 +34,6 @@ fn main() -> Result<(), LogNicError> {
     let report = FleetBuilder::new(topo)
         .duration(Seconds::millis(2.0))
         .warmup(Seconds::ZERO)
-        .shards(2) // wall-clock knob only: bytes never change
         .build()?
         .run()?;
     println!(
@@ -47,19 +44,16 @@ fn main() -> Result<(), LogNicError> {
     );
 
     // --- The registry rack: 32 NICs cycling the workload corpus on
-    // a ToR ring, byte-compared across shard counts. ---
-    let run = |shards: usize| -> Result<FleetReport, LogNicError> {
-        rack::smoke_fleet(32, shards).build()?.run()
-    };
-    let one = run(1)?;
-    let eight = run(8)?;
+    // a ToR ring, byte-compared across two runs. ---
+    let run = || -> Result<FleetReport, LogNicError> { rack::smoke_fleet(32).build()?.run() };
+    let one = run()?;
     assert_eq!(
         format!("{one:?}"),
-        format!("{eight:?}"),
-        "sharding must be invisible in the aggregate report"
+        format!("{:?}", run()?),
+        "a rerun must reproduce the aggregate report"
     );
     println!(
-        "rack-32: {} rounds, {} completed, {} forwarded, identical at 1 and 8 shards",
+        "rack-32: {} rounds, {} completed, {} forwarded, identical across two runs",
         one.rounds, one.completed, one.forwarded
     );
     for link in one.links.iter().take(3) {

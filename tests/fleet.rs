@@ -1,11 +1,11 @@
 //! Determinism and composition properties of the fleet runtime.
 //!
-//! The fleet event loop's headline guarantee is that sharding is
-//! *invisible*: for a given topology, configuration and seed, the
-//! aggregate [`FleetReport`] is byte-identical at any shard count.
-//! These tests pin that guarantee by comparing the `Debug` rendering
-//! of whole reports, so any drifting float or counter anywhere in the
-//! report fails loudly.
+//! The fleet event loop's headline guarantee is determinism: for a
+//! given topology, configuration and seed, the aggregate
+//! [`FleetReport`] is byte-identical on every run. These tests pin
+//! that guarantee by comparing the `Debug` rendering of whole
+//! reports, so any drifting float or counter anywhere in the report
+//! fails loudly.
 //!
 //! The composition anchor pins the fleet/single-NIC boundary from the
 //! other side: a fleet whose links carry no traffic is exactly a set
@@ -15,7 +15,10 @@
 use lognic::prelude::*;
 
 fn run_rack(nics: usize, shards: usize) -> FleetReport {
-    rack::smoke_fleet(nics, shards)
+    // `shards` is an inert builder option kept for older callers; the
+    // fleet steps every NIC on one thread whatever it is set to.
+    rack::smoke_fleet(nics)
+        .shards(shards)
         .build()
         .expect("rack builds")
         .run()
@@ -24,8 +27,9 @@ fn run_rack(nics: usize, shards: usize) -> FleetReport {
 
 #[test]
 fn fleet_reports_are_bit_identical_across_shard_counts() {
-    // A 6-NIC rack crosses shard boundaries cheaply: over 8 shards it
-    // clamps, over 2 shards it interleaves producers and consumers.
+    // A 6-NIC rack run from scratch three times, once per accepted
+    // shard count, and byte-compared: the report is deterministic and
+    // the retired shard option cannot change it.
     let reference = format!("{:?}", run_rack(6, 1));
     for shards in [2usize, 8] {
         let got = format!("{:?}", run_rack(6, shards));
@@ -35,8 +39,8 @@ fn fleet_reports_are_bit_identical_across_shard_counts() {
 
 #[test]
 fn rack32_is_bit_identical_at_1_and_8_shards() {
-    // The acceptance-criterion rack: >= 32 NICs, byte-compared at the
-    // shard-count extremes.
+    // The acceptance-criterion rack: >= 32 NICs, run twice from
+    // scratch and byte-compared.
     let one = run_rack(32, 1);
     assert!(one.completed > 0, "rack must complete packets");
     assert!(one.forwarded > 0, "ring links must carry traffic");
@@ -76,7 +80,6 @@ fn traffic_free_links_compose_independent_single_nic_runs() {
 
     let fleet = FleetBuilder::new(topo)
         .config(config)
-        .shards(2)
         .build()
         .expect("idle pair builds")
         .run()
@@ -121,7 +124,6 @@ fn single_nic_fleet_is_the_simulation_builder_special_case() {
 
     let fleet = FleetBuilder::new(Topology::single("solo", g.clone(), hw, t.clone()))
         .config(config)
-        .shards(8)
         .build()
         .expect("single builds")
         .run()
