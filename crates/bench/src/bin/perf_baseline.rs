@@ -45,14 +45,7 @@
 //! cargo run --release -p lognic-bench --bin perf_baseline -- --check # compare, no write
 //! cargo run --release -p lognic-bench --bin perf_baseline -- --check --out /tmp/fresh.json
 //! cargo run --release -p lognic-bench --bin perf_baseline -- --out /tmp/b.json
-//! cargo run --release -p lognic-bench --bin perf_baseline -- --trace-overhead
 //! ```
-//!
-//! `--trace-overhead` gates the observability layer's zero-cost
-//! claim: it A/B-measures the default `run()` path against an
-//! explicit `run_with(&mut NoopObserver)` on the chaos workload and
-//! fails if the no-op-observer path is more than 8 % slower. An
-//! attached `RingLog` sink is measured too, informationally.
 //!
 //! Allocations are counted by a wrapping `#[global_allocator]`. For a
 //! simulation the per-event figure is a *delta between two run
@@ -552,89 +545,6 @@ fn model_bench(name: &str, repeats: u64, pass: fn() -> u64) -> Bench {
     }
 }
 
-/// One timed run with an explicit observer through the generic
-/// `run_with` path; returns `(events, wall_secs)`.
-fn run_once_observed<O: SimObserver>(w: &Workload, millis: f64, obs: &mut O) -> (u64, f64) {
-    let sim = builder_for(w, millis);
-    let start = Instant::now();
-    let report = sim
-        .run_with(obs)
-        .expect("bench runs stay under the watchdog");
-    (report.events, start.elapsed().as_secs_f64())
-}
-
-/// The `--trace-overhead` gate: the no-op-observer path must run
-/// within 8 % of the default path. Both compile to the same
-/// monomorphization today (`run()` is a thin
-/// `run_with(&mut NoopObserver)` wrapper); this trips if that ever
-/// stops being true or unconditional work leaks into a hook site.
-/// Best-of-`ROUNDS` with the plain/noop order alternating each round:
-/// on shared CI boxes, clock drift within a round otherwise lands
-/// asymmetrically on whichever arm always runs first (measured ~6–8 %
-/// phantom "overhead" between provably identical code paths), so the
-/// order flip plus the relaxed 8 % bound keeps the gate sensitive to
-/// real hook-site regressions without flaking on scheduler noise.
-fn trace_overhead() -> ! {
-    const ROUNDS: usize = 8;
-    let w = workloads()
-        .into_iter()
-        .find(|w| w.name == "chaos")
-        .expect("chaos workload present");
-    let millis = w.millis;
-
-    let mut best_plain = f64::INFINITY;
-    let mut best_noop = f64::INFINITY;
-    let mut best_ring = f64::INFINITY;
-    let mut events = 0u64;
-    let mut ring_records = 0u64;
-    for round in 0..ROUNDS {
-        let run_plain = |best: &mut f64, events: &mut u64| {
-            let (report, secs) = run_once(&w, millis);
-            *best = best.min(secs);
-            *events = report.events;
-        };
-        let run_noop = |best: &mut f64| {
-            let mut noop = NoopObserver;
-            let (_, secs) = run_once_observed(&w, millis, &mut noop);
-            *best = best.min(secs);
-        };
-        if round % 2 == 0 {
-            run_plain(&mut best_plain, &mut events);
-            run_noop(&mut best_noop);
-        } else {
-            run_noop(&mut best_noop);
-            run_plain(&mut best_plain, &mut events);
-        }
-
-        let mut ring = RingLog::with_capacity(1 << 18);
-        let (_, secs) = run_once_observed(&w, millis, &mut ring);
-        best_ring = best_ring.min(secs);
-        ring_records = ring.written();
-    }
-
-    let plain_eps = events as f64 / best_plain;
-    let noop_eps = events as f64 / best_noop;
-    let ring_eps = events as f64 / best_ring;
-    println!(
-        "trace-overhead chaos/calendar  plain {:>12.0} ev/s  noop-observer {:>12.0} ev/s  ({:+.2}%)",
-        plain_eps,
-        noop_eps,
-        (noop_eps / plain_eps - 1.0) * 100.0,
-    );
-    println!(
-        "trace-overhead chaos/calendar  ring-sink {:>12.0} ev/s  ({:+.2}%, {} records, informational)",
-        ring_eps,
-        (ring_eps / plain_eps - 1.0) * 100.0,
-        ring_records,
-    );
-    if noop_eps < plain_eps * 0.92 {
-        eprintln!("trace-overhead: no-op observer costs more than 8% — the zero-cost gate failed");
-        std::process::exit(1);
-    }
-    println!("trace-overhead: no-op observer within 8% of the untraced path");
-    std::process::exit(0);
-}
-
 fn render_json(rows: &[Row], nproc: usize) -> String {
     let mut out = format!(
         "{{\n  \"schema\": \"lognic-perf-baseline/v2\",\n  \"nproc\": {nproc},\n  \"results\": [\n"
@@ -780,9 +690,6 @@ fn check(fresh: &[Row], nproc: usize) -> ! {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--trace-overhead") {
-        trace_overhead();
-    }
     let checking = args.iter().any(|a| a == "--check");
     // `--check` writes its fresh rows only where `--out` asks.
     let out_path = args

@@ -8,8 +8,8 @@
 //!   instants and fault-window spans.
 //! * `csv` / `json` — the per-node time series (queue depth, ρ(t),
 //!   drop and retry counters) sampled on a fixed Δt grid.
-//! * `ring` — a human-readable dump of the bounded binary event ring
-//!   (most recent events, oldest first).
+//! * `ring` — one line per record of the bounded event ring (most
+//!   recent events, oldest first).
 //!
 //! Usage:
 //!
@@ -30,7 +30,6 @@
 
 use lognic_model::units::Seconds;
 use lognic_sim::prelude::*;
-use lognic_sim::trace::NO_NODE;
 use lognic_workloads::registry;
 use lognic_workloads::scenario::Scenario;
 
@@ -175,30 +174,21 @@ fn main() {
             (report, text)
         }
         "ring" => {
-            // Capacity is in 32-byte records; --ring-kib sizes the buffer.
-            let mut ring = RingLog::with_capacity(opts.ring_kib * 1024 / 32);
+            // --ring-kib sizes the buffer of typed records.
+            let record = std::mem::size_of::<(SimTime, SimEvent)>();
+            let mut ring = RingLog::with_capacity(opts.ring_kib * 1024 / record);
             let report = builder(&scenario, &plan, &opts)
                 .run_with(&mut ring)
                 .expect("trace workloads are valid");
+            let records = ring.records();
             let mut text = String::new();
-            for rec in ring.decode() {
-                text.push_str(&format!(
-                    "{:>14} ps  {:<12} node={:<4} pkt={:<10} aux={}\n",
-                    rec.time.as_picos(),
-                    format!("{:?}", rec.kind),
-                    if rec.node == NO_NODE {
-                        "-".to_owned()
-                    } else {
-                        rec.node.to_string()
-                    },
-                    rec.pkt,
-                    rec.aux,
-                ));
+            for (time, event) in &records {
+                text.push_str(&format!("{:>14} ps  {event:?}\n", time.as_picos()));
             }
             if ring.dropped() > 0 {
                 eprintln!(
                     "trace_dump: ring retained {} of {} records (oldest overwritten)",
-                    ring.decode().len(),
+                    records.len(),
                     ring.written(),
                 );
             }

@@ -254,8 +254,9 @@ pub fn estimate_mixed(classes: &[TrafficClass], hw: &HardwareModel) -> Result<Mi
 ///
 /// Losses cascade: every node sees the rate already thinned by the
 /// nodes upstream of it, so serially overloaded stages do not
-/// double-charge the same lost packets. For every packet-size class,
-/// the delivered rate is the path-weighted sum of the cascaded rates,
+/// double-charge the same lost packets. Utilization depends on rates,
+/// not packet sizes (Eq. 11), so one pass serves every size class: the
+/// delivered rate is the path-weighted sum of the cascaded rates,
 /// capped by the Eq. 4 attainable rate. This is how the model
 /// expresses the credit-sizing behaviour of §4.6 scenario #1 (too few
 /// credits → drops → bandwidth loss).
@@ -273,33 +274,30 @@ pub fn delivered_throughput(
     use crate::throughput::effective_delta_in;
 
     let attainable = estimate_throughput(graph, hw, traffic)?.attainable();
-    let paths = graph.paths()?;
     let mut delivered = 0.0;
-    for (_size, w) in traffic.sizes().entries() {
-        for path in &paths {
-            // Cascade the whole-graph-equivalent rate through the
-            // path's compute nodes.
-            let mut rate = traffic.ingress_bandwidth().as_bps();
-            for node in &path.nodes {
-                let Some(p) = graph.node(*node).params() else {
-                    continue;
-                };
-                let peak = p.effective_peak();
-                if peak.is_zero() {
-                    rate = 0.0;
-                    break;
-                }
-                let load = effective_delta_in(graph, *node) * p.work_factor();
-                if load <= 0.0 {
-                    continue;
-                }
-                let rho = rate * load / peak.as_bps();
-                let q = MmcN::new(rho, p.parallelism(), p.effective_queue_capacity())
-                    .expect("finite non-negative utilization");
-                rate *= 1.0 - q.blocking_probability();
+    for path in &graph.paths()? {
+        // Cascade the whole-graph-equivalent rate through the path's
+        // compute nodes.
+        let mut rate = traffic.ingress_bandwidth().as_bps();
+        for node in &path.nodes {
+            let Some(p) = graph.node(*node).params() else {
+                continue;
+            };
+            let peak = p.effective_peak();
+            if peak.is_zero() {
+                rate = 0.0;
+                break;
             }
-            delivered += w * path.weight * rate;
+            let load = effective_delta_in(graph, *node) * p.work_factor();
+            if load <= 0.0 {
+                continue;
+            }
+            let rho = rate * load / peak.as_bps();
+            let q = MmcN::new(rho, p.parallelism(), p.effective_queue_capacity())
+                .expect("finite non-negative utilization");
+            rate *= 1.0 - q.blocking_probability();
         }
+        delivered += path.weight * rate;
     }
     Ok(attainable.min(Bandwidth::bps(delivered)))
 }

@@ -264,13 +264,16 @@ pub fn mixture_node_timing(
     // Utilization is size-independent (Eq. 11 uses rates, not sizes);
     // reuse any class's value.
     let reference = node_timing(graph, node, traffic, traffic.sizes().mean_size())?;
-    let base_queue = {
-        let q = Mm1cApprox::new(
+    let base_queue = if reference.utilization.is_finite() {
+        MmcN::new(
             reference.utilization,
             params.parallelism(),
             params.effective_queue_capacity(),
-        );
-        q.delay(Seconds::new(mean_service))
+        )
+        .expect("utilization is finite and non-negative")
+        .queueing_delay(Seconds::new(mean_service))
+    } else {
+        Seconds::INFINITY
     };
     Some(NodeTiming {
         node,
@@ -279,29 +282,6 @@ pub fn mixture_node_timing(
         queueing_delay: base_queue.scaled(kappa),
         drop_probability: reference.drop_probability,
     })
-}
-
-/// Internal shim so the mixture path shares the M/M/c/N machinery.
-struct Mm1cApprox {
-    queue: Option<MmcN>,
-}
-
-impl Mm1cApprox {
-    fn new(utilization: f64, engines: u32, capacity: u32) -> Self {
-        let queue = if utilization.is_finite() {
-            Some(MmcN::new(utilization, engines, capacity).expect("finite utilization"))
-        } else {
-            None
-        };
-        Mm1cApprox { queue }
-    }
-
-    fn delay(&self, service: Seconds) -> Seconds {
-        match &self.queue {
-            Some(q) => q.queueing_delay(service),
-            None => Seconds::INFINITY,
-        }
-    }
 }
 
 /// Estimates the application latency for the full traffic profile: a

@@ -157,6 +157,9 @@ pub struct CompiledFaultPlan {
     pub(crate) retry: Option<RetryPolicy>,
     /// Plan-wide sojourn deadline, in simulator time.
     pub(crate) deadline: Option<SimTime>,
+    /// The declarative plan these tables were compiled from; the
+    /// builder's static analysis lints it.
+    pub(crate) plan: FaultPlan,
 }
 
 impl CompiledFaultPlan {
@@ -196,6 +199,7 @@ impl CompiledFaultPlan {
                 .collect(),
             retry: plan.retry().copied(),
             deadline: plan.deadline().map(|d| SimTime::from_secs(d.as_secs())),
+            plan: plan.clone(),
         })
     }
 

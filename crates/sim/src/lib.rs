@@ -94,8 +94,8 @@ pub mod prelude {
     pub use crate::time::SimTime;
     pub use crate::trace::{
         ArrivalRecorder, ChromeTrace, DropReason, FaultWindowKind, NodeAudit, NodeMeta,
-        NoopObserver, RecordKind, RingLog, RunAudit, RunMeta, Sample, SimObserver,
-        TimeSeriesSampler, Timeline, TraceRecord,
+        NoopObserver, RingLog, RunAudit, RunMeta, Sample, SimEvent, SimObserver, TimeSeriesSampler,
+        Timeline,
     };
     pub use crate::traffic::{ArrivalProcess, Injection, PacketTrace, TraceEntry, TrafficSource};
     pub use crate::wrr::{QueuePlan, QueueSpec};

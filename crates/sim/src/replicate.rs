@@ -250,7 +250,7 @@ impl Replication {
     /// Observers are passive and each replica is a pure function of
     /// its seed, so both the aggregate and every returned sink are
     /// bit-identical across invocations and thread counts (the trace
-    /// suite asserts [`RingLog::bytes`] equality between 1-thread and
+    /// suite asserts [`RingLog::records`] equality between 1-thread and
     /// N-thread replications). An optional [`FaultPlan`] is compiled
     /// once and shared across replicas, as in
     /// [`Replication::run_sim_faulted`].
@@ -261,7 +261,7 @@ impl Replication {
     /// error in seed order.
     ///
     /// [`RingLog`]: crate::trace::RingLog
-    /// [`RingLog::bytes`]: crate::trace::RingLog::bytes
+    /// [`RingLog::records`]: crate::trace::RingLog::records
     /// [`ChromeTrace`]: crate::trace::ChromeTrace
     pub fn run_sim_observed<O, F>(
         &self,
@@ -495,9 +495,9 @@ mod tests {
         for (w, n) in wide_logs.iter().zip(&narrow_logs) {
             assert!(w.written() > 0, "traces captured events");
             assert_eq!(
-                w.bytes(),
-                n.bytes(),
-                "per-seed traces are byte-identical across thread counts"
+                w.records(),
+                n.records(),
+                "per-seed traces are identical across thread counts"
             );
         }
     }

@@ -26,7 +26,7 @@
 //!
 //! ## Passivity
 //!
-//! The sanitizer only *reads* hook arguments: it never touches the
+//! The sanitizer only *reads* the events it is handed: it never touches the
 //! RNG, the event queue or any packet, so a sanitized run's
 //! [`SimReport`](crate::metrics::SimReport) is byte-identical to the
 //! unsanitized run (the sanitizer suite pins this over randomized
@@ -39,7 +39,7 @@
 use std::collections::{HashMap, HashSet};
 
 use crate::time::SimTime;
-use crate::trace::{DropReason, FaultWindowKind, RunAudit, RunMeta, SimObserver};
+use crate::trace::{FaultWindowKind, RunAudit, RunMeta, SimEvent, SimObserver};
 use lognic_model::error::{LogNicError, LogNicResult};
 
 /// Cap on recorded violations; a single broken invariant usually
@@ -305,26 +305,8 @@ impl Sanitizer {
             ns.occupancy_last = upto;
         }
     }
-}
 
-impl SimObserver for Sanitizer {
-    fn on_run_start(&mut self, meta: &RunMeta) {
-        self.nodes = meta
-            .nodes
-            .iter()
-            .map(|n| NodeState {
-                name: n.name.clone(),
-                engines: n.engines,
-                capacity: n.queue_capacity,
-                wrr: n.wrr,
-                ..NodeState::default()
-            })
-            .collect();
-        self.ingress = meta.ingress;
-        self.horizon = meta.duration;
-    }
-
-    fn on_fault_window(&mut self, node: u32, kind: FaultWindowKind, from: SimTime, until: SimTime) {
+    fn fault_window(&mut self, node: u32, kind: FaultWindowKind, from: SimTime, until: SimTime) {
         if let FaultWindowKind::CreditLoss { credits } = kind {
             if self.check_node(node) {
                 self.nodes[node as usize]
@@ -334,7 +316,7 @@ impl SimObserver for Sanitizer {
         }
     }
 
-    fn on_event(&mut self, now: SimTime, seq: u64) {
+    fn dispatch(&mut self, now: SimTime, seq: u64) {
         if now < self.last_time {
             self.record(
                 Invariant::MonotonicTime,
@@ -357,7 +339,7 @@ impl SimObserver for Sanitizer {
         self.last_seq = seq;
     }
 
-    fn on_inject(&mut self, _now: SimTime, pkt: u64, _size: u64, _class: u32) {
+    fn inject(&mut self, pkt: u64) {
         self.injected += 1;
         if !self.inflight.insert(pkt) {
             self.record(
@@ -368,7 +350,7 @@ impl SimObserver for Sanitizer {
         }
     }
 
-    fn on_enqueue(&mut self, now: SimTime, node: u32, pkt: u64, depth: u32) {
+    fn enqueue(&mut self, now: SimTime, node: u32, pkt: u64, depth: u32) {
         if !self.check_node(node) {
             return;
         }
@@ -414,7 +396,7 @@ impl SimObserver for Sanitizer {
         }
     }
 
-    fn on_dequeue(&mut self, now: SimTime, node: u32, pkt: u64, depth: u32) {
+    fn dequeue(&mut self, now: SimTime, node: u32, pkt: u64, depth: u32) {
         if !self.check_node(node) {
             return;
         }
@@ -435,7 +417,7 @@ impl SimObserver for Sanitizer {
         }
     }
 
-    fn on_service_start(&mut self, now: SimTime, node: u32, pkt: u64, occupancy: SimTime) {
+    fn service_start(&mut self, now: SimTime, node: u32, pkt: u64, occupancy: SimTime) {
         if !self.check_node(node) {
             return;
         }
@@ -455,7 +437,7 @@ impl SimObserver for Sanitizer {
         }
     }
 
-    fn on_complete(&mut self, now: SimTime, node: u32, pkt: u64) {
+    fn complete(&mut self, now: SimTime, node: u32, pkt: u64) {
         if !self.check_node(node) {
             return;
         }
@@ -469,7 +451,7 @@ impl SimObserver for Sanitizer {
         }
     }
 
-    fn on_deliver(&mut self, _now: SimTime, pkt: u64, _latency: SimTime) {
+    fn deliver(&mut self, pkt: u64) {
         self.delivered += 1;
         if !self.inflight.remove(&pkt) {
             self.record(
@@ -480,14 +462,14 @@ impl SimObserver for Sanitizer {
         }
     }
 
-    fn on_drop(&mut self, now: SimTime, node: u32, pkt: u64, _reason: DropReason) {
+    fn drop_packet(&mut self, now: SimTime, node: u32, pkt: u64) {
         self.dropped += 1;
         if !self.check_node(node) {
             return;
         }
         let idx = node as usize;
-        // A reaped head-of-line packet leaves the queue without an
-        // `on_dequeue`; packets dropped on arrival were never queued.
+        // A reaped head-of-line packet leaves the queue without a
+        // `Dequeue`; packets dropped on arrival were never queued.
         self.advance_occupancy(idx, now);
         self.nodes[idx].waiting.remove(&pkt);
         self.nodes[idx].drops += 1;
@@ -500,7 +482,7 @@ impl SimObserver for Sanitizer {
         }
     }
 
-    fn on_arena_alloc(&mut self, _at: SimTime, handle: u32, pkt: u64) {
+    fn arena_alloc(&mut self, handle: u32, pkt: u64) {
         if self.live.insert(handle, pkt).is_some() {
             self.record(
                 Invariant::ArenaDiscipline,
@@ -511,13 +493,54 @@ impl SimObserver for Sanitizer {
         self.arena_high_water = self.arena_high_water.max(self.live.len());
     }
 
-    fn on_arena_free(&mut self, _now: SimTime, handle: u32) {
+    fn arena_free(&mut self, handle: u32) {
         if self.live.remove(&handle).is_none() {
             self.record(
                 Invariant::ArenaDiscipline,
                 None,
                 format!("arena handle {handle} freed while not live (double free)"),
             );
+        }
+    }
+}
+
+impl SimObserver for Sanitizer {
+    fn on_run_start(&mut self, meta: &RunMeta) {
+        self.nodes = meta
+            .nodes
+            .iter()
+            .map(|n| NodeState {
+                name: n.name.clone(),
+                engines: n.engines,
+                capacity: n.queue_capacity,
+                wrr: n.wrr,
+                ..NodeState::default()
+            })
+            .collect();
+        self.ingress = meta.ingress;
+        self.horizon = meta.duration;
+    }
+
+    fn on(&mut self, now: SimTime, event: SimEvent) {
+        match event {
+            SimEvent::FaultWindow { node, kind, until } => {
+                self.fault_window(node, kind, now, until)
+            }
+            SimEvent::Dispatch { seq } => self.dispatch(now, seq),
+            SimEvent::Inject { pkt, .. } => self.inject(pkt),
+            SimEvent::ArenaAlloc { handle, pkt } => self.arena_alloc(handle, pkt),
+            SimEvent::ArenaFree { handle } => self.arena_free(handle),
+            SimEvent::Enqueue { node, pkt, depth } => self.enqueue(now, node, pkt, depth),
+            SimEvent::Dequeue { node, pkt, depth } => self.dequeue(now, node, pkt, depth),
+            SimEvent::ServiceStart {
+                node,
+                pkt,
+                occupancy,
+            } => self.service_start(now, node, pkt, occupancy),
+            SimEvent::Complete { node, pkt } => self.complete(now, node, pkt),
+            SimEvent::Deliver { pkt, .. } => self.deliver(pkt),
+            SimEvent::Drop { node, pkt, .. } => self.drop_packet(now, node, pkt),
+            SimEvent::Retry { .. } => {}
         }
     }
 
@@ -648,7 +671,7 @@ impl SimObserver for Sanitizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{NodeAudit, NodeMeta};
+    use crate::trace::{DropReason, NodeAudit, NodeMeta};
 
     fn t(us: f64) -> SimTime {
         SimTime::from_micros(us)
@@ -713,15 +736,35 @@ mod tests {
         let mut s = Sanitizer::new();
         s.on_run_start(&meta());
         // Packet 7 travels rx → ip (service) → tx.
-        s.on_arena_alloc(t(1.0), 0, 7);
-        s.on_event(t(1.0), 1);
-        s.on_inject(t(1.0), 7, 64, 0);
-        s.on_event(t(1.0), 2);
-        s.on_service_start(t(1.0), 1, 7, t(2.0));
-        s.on_event(t(3.0), 3);
-        s.on_complete(t(3.0), 1, 7);
-        s.on_arena_free(t(3.0), 0);
-        s.on_deliver(t(3.0), 7, t(2.0));
+        s.on(t(1.0), SimEvent::ArenaAlloc { handle: 0, pkt: 7 });
+        s.on(t(1.0), SimEvent::Dispatch { seq: 1 });
+        s.on(
+            t(1.0),
+            SimEvent::Inject {
+                pkt: 7,
+                size: 64,
+                class: 0,
+            },
+        );
+        s.on(t(1.0), SimEvent::Dispatch { seq: 2 });
+        s.on(
+            t(1.0),
+            SimEvent::ServiceStart {
+                node: 1,
+                pkt: 7,
+                occupancy: t(2.0),
+            },
+        );
+        s.on(t(3.0), SimEvent::Dispatch { seq: 3 });
+        s.on(t(3.0), SimEvent::Complete { node: 1, pkt: 7 });
+        s.on(t(3.0), SimEvent::ArenaFree { handle: 0 });
+        s.on(
+            t(3.0),
+            SimEvent::Deliver {
+                pkt: 7,
+                latency: t(2.0),
+            },
+        );
         let mut audit = empty_audit(3);
         audit.events = 3;
         audit.total_injected = 1;
@@ -742,8 +785,15 @@ mod tests {
     fn silent_packet_loss_trips_the_ledger() {
         let mut s = Sanitizer::new();
         s.on_run_start(&meta());
-        s.on_event(t(1.0), 1);
-        s.on_inject(t(1.0), 7, 64, 0);
+        s.on(t(1.0), SimEvent::Dispatch { seq: 1 });
+        s.on(
+            t(1.0),
+            SimEvent::Inject {
+                pkt: 7,
+                size: 64,
+                class: 0,
+            },
+        );
         // Packet 7 vanishes: no deliver, no drop.
         let mut audit = empty_audit(3);
         audit.events = 1;
@@ -768,15 +818,15 @@ mod tests {
     fn double_free_and_leak_are_arena_violations() {
         let mut s = Sanitizer::new();
         s.on_run_start(&meta());
-        s.on_arena_alloc(t(1.0), 3, 1);
-        s.on_arena_free(t(2.0), 3);
-        s.on_arena_free(t(2.0), 3); // double free
+        s.on(t(1.0), SimEvent::ArenaAlloc { handle: 3, pkt: 1 });
+        s.on(t(2.0), SimEvent::ArenaFree { handle: 3 });
+        s.on(t(2.0), SimEvent::ArenaFree { handle: 3 }); // double free
         assert_eq!(s.violations().len(), 1);
         assert_eq!(s.violations()[0].invariant, Invariant::ArenaDiscipline);
 
         let mut s = Sanitizer::new();
         s.on_run_start(&meta());
-        s.on_arena_alloc(t(1.0), 3, 1);
+        s.on(t(1.0), SimEvent::ArenaAlloc { handle: 3, pkt: 1 });
         let mut audit = empty_audit(3);
         audit.arena_live = 1; // engine agrees the slab is live…
         s.on_run_audit(&audit);
@@ -792,9 +842,9 @@ mod tests {
     fn time_regression_and_seq_skip_are_violations() {
         let mut s = Sanitizer::new();
         s.on_run_start(&meta());
-        s.on_event(t(5.0), 1);
-        s.on_event(t(4.0), 2); // time runs backwards
-        s.on_event(t(6.0), 4); // sequence skips 3
+        s.on(t(5.0), SimEvent::Dispatch { seq: 1 });
+        s.on(t(4.0), SimEvent::Dispatch { seq: 2 }); // time runs backwards
+        s.on(t(6.0), SimEvent::Dispatch { seq: 4 }); // sequence skips 3
         let kinds: Vec<Invariant> = s.violations().iter().map(|v| v.invariant).collect();
         assert!(kinds.contains(&Invariant::MonotonicTime));
         assert!(kinds.contains(&Invariant::EventSequence));
@@ -805,16 +855,32 @@ mod tests {
         let mut s = Sanitizer::new();
         s.on_run_start(&meta());
         // A credit-loss window removes 3 of ip's 4 credits.
-        s.on_fault_window(
-            1,
-            FaultWindowKind::CreditLoss { credits: 3 },
+        s.on(
             t(0.0),
-            t(50.0),
+            SimEvent::FaultWindow {
+                node: 1,
+                kind: FaultWindowKind::CreditLoss { credits: 3 },
+                until: t(50.0),
+            },
         );
         // Admission to depth 2 at ip while the window is active:
         // 0 busy + 2 waiting > 1 effective credit.
-        s.on_enqueue(t(10.0), 1, 7, 1);
-        s.on_enqueue(t(10.0), 1, 8, 2);
+        s.on(
+            t(10.0),
+            SimEvent::Enqueue {
+                node: 1,
+                pkt: 7,
+                depth: 1,
+            },
+        );
+        s.on(
+            t(10.0),
+            SimEvent::Enqueue {
+                node: 1,
+                pkt: 8,
+                depth: 2,
+            },
+        );
         assert!(s
             .violations()
             .iter()
@@ -822,14 +888,30 @@ mod tests {
         // Outside the window the same admissions are fine.
         let mut s = Sanitizer::new();
         s.on_run_start(&meta());
-        s.on_fault_window(
-            1,
-            FaultWindowKind::CreditLoss { credits: 3 },
+        s.on(
             t(0.0),
-            t(5.0),
+            SimEvent::FaultWindow {
+                node: 1,
+                kind: FaultWindowKind::CreditLoss { credits: 3 },
+                until: t(5.0),
+            },
         );
-        s.on_enqueue(t(10.0), 1, 7, 1);
-        s.on_enqueue(t(10.0), 1, 8, 2);
+        s.on(
+            t(10.0),
+            SimEvent::Enqueue {
+                node: 1,
+                pkt: 7,
+                depth: 1,
+            },
+        );
+        s.on(
+            t(10.0),
+            SimEvent::Enqueue {
+                node: 1,
+                pkt: 8,
+                depth: 2,
+            },
+        );
         assert!(s.violations().is_empty(), "{:?}", s.violations());
     }
 
@@ -837,13 +919,55 @@ mod tests {
     fn engine_overcommit_is_flagged() {
         let mut s = Sanitizer::new();
         s.on_run_start(&meta());
-        s.on_inject(t(1.0), 1, 64, 0);
-        s.on_inject(t(1.0), 2, 64, 0);
-        s.on_inject(t(1.0), 3, 64, 0);
-        s.on_service_start(t(1.0), 1, 1, t(1.0));
-        s.on_service_start(t(1.0), 1, 2, t(1.0));
+        s.on(
+            t(1.0),
+            SimEvent::Inject {
+                pkt: 1,
+                size: 64,
+                class: 0,
+            },
+        );
+        s.on(
+            t(1.0),
+            SimEvent::Inject {
+                pkt: 2,
+                size: 64,
+                class: 0,
+            },
+        );
+        s.on(
+            t(1.0),
+            SimEvent::Inject {
+                pkt: 3,
+                size: 64,
+                class: 0,
+            },
+        );
+        s.on(
+            t(1.0),
+            SimEvent::ServiceStart {
+                node: 1,
+                pkt: 1,
+                occupancy: t(1.0),
+            },
+        );
+        s.on(
+            t(1.0),
+            SimEvent::ServiceStart {
+                node: 1,
+                pkt: 2,
+                occupancy: t(1.0),
+            },
+        );
         assert!(s.violations().is_empty());
-        s.on_service_start(t(1.0), 1, 3, t(1.0)); // 3 on 2 engines
+        s.on(
+            t(1.0),
+            SimEvent::ServiceStart {
+                node: 1,
+                pkt: 3,
+                occupancy: t(1.0),
+            },
+        ); // 3 on 2 engines
         assert!(s
             .violations()
             .iter()
@@ -855,13 +979,33 @@ mod tests {
     fn unknown_packets_and_depth_mismatches_are_flagged() {
         let mut s = Sanitizer::new();
         s.on_run_start(&meta());
-        s.on_deliver(t(1.0), 99, t(1.0));
+        s.on(
+            t(1.0),
+            SimEvent::Deliver {
+                pkt: 99,
+                latency: t(1.0),
+            },
+        );
         assert_eq!(s.violations()[0].invariant, Invariant::PacketConservation);
 
         let mut s = Sanitizer::new();
         s.on_run_start(&meta());
-        s.on_inject(t(1.0), 5, 64, 0);
-        s.on_enqueue(t(1.0), 1, 5, 3); // reported depth 3, actual 1
+        s.on(
+            t(1.0),
+            SimEvent::Inject {
+                pkt: 5,
+                size: 64,
+                class: 0,
+            },
+        );
+        s.on(
+            t(1.0),
+            SimEvent::Enqueue {
+                node: 1,
+                pkt: 5,
+                depth: 3,
+            },
+        ); // reported depth 3, actual 1
         assert!(s
             .violations()
             .iter()
@@ -869,7 +1013,14 @@ mod tests {
 
         let mut s = Sanitizer::new();
         s.on_run_start(&meta());
-        s.on_dequeue(t(1.0), 1, 5, 0); // never enqueued
+        s.on(
+            t(1.0),
+            SimEvent::Dequeue {
+                node: 1,
+                pkt: 5,
+                depth: 0,
+            },
+        ); // never enqueued
         assert_eq!(s.violations()[0].invariant, Invariant::PacketConservation);
     }
 
@@ -891,7 +1042,7 @@ mod tests {
         let mut s = Sanitizer::new();
         s.on_run_start(&meta());
         for h in 0..(MAX_VIOLATIONS as u32 + 100) {
-            s.on_arena_free(t(1.0), h); // every one a double free
+            s.on(t(1.0), SimEvent::ArenaFree { handle: h }); // every one a double free
         }
         assert_eq!(s.violations().len(), MAX_VIOLATIONS);
     }
@@ -902,9 +1053,30 @@ mod tests {
         // on_drop but no on_dequeue; the waiting set must still close.
         let mut s = Sanitizer::new();
         s.on_run_start(&meta());
-        s.on_inject(t(1.0), 5, 64, 0);
-        s.on_enqueue(t(1.0), 1, 5, 1);
-        s.on_drop(t(2.0), 1, 5, DropReason::DeadlineExpired);
+        s.on(
+            t(1.0),
+            SimEvent::Inject {
+                pkt: 5,
+                size: 64,
+                class: 0,
+            },
+        );
+        s.on(
+            t(1.0),
+            SimEvent::Enqueue {
+                node: 1,
+                pkt: 5,
+                depth: 1,
+            },
+        );
+        s.on(
+            t(2.0),
+            SimEvent::Drop {
+                node: 1,
+                pkt: 5,
+                reason: DropReason::DeadlineExpired,
+            },
+        );
         let mut audit = empty_audit(3);
         audit.total_injected = 1;
         audit.total_dropped = 1;

@@ -47,7 +47,8 @@ use crate::sanitize::{Sanitizer, SanitizerReport};
 use crate::service::{RateService, ServiceDist, ServiceModel};
 use crate::time::SimTime;
 use crate::trace::{
-    DropReason, FaultWindowKind, NodeAudit, NodeMeta, NoopObserver, RunAudit, RunMeta, SimObserver,
+    DropReason, FaultWindowKind, NodeAudit, NodeMeta, NoopObserver, RunAudit, RunMeta, SimEvent,
+    SimObserver,
 };
 use crate::traffic::{ArrivalProcess, PacketTrace, TraceCursor, TrafficSource};
 use crate::wrr::{QueuePlan, WrrQueues};
@@ -364,7 +365,8 @@ impl<'a> SimulationBuilder<'a> {
     ///
     /// Takes precedence over [`SimulationBuilder::with_fault_plan`]:
     /// when a compiled plan is installed, the declarative plan is
-    /// ignored (its node names are still validated).
+    /// ignored (its node names are still validated), and the static
+    /// analysis lints the plan the tables were compiled from.
     pub fn with_compiled_faults(mut self, compiled: &'a CompiledFaultPlan) -> Self {
         self.compiled = Some(compiled);
         self
@@ -389,10 +391,13 @@ impl<'a> SimulationBuilder<'a> {
     /// retained on the built simulation
     /// ([`Simulation::analysis_warnings`]).
     pub fn build(self) -> LogNicResult<Simulation> {
+        // A compiled plan carries the declarative plan it came from, so
+        // its windows are linted like a plan installed directly.
+        let plan = self.compiled.map_or(&self.plan, |c| &c.plan);
         let report = Analyzer::new(self.graph)
             .with_hardware(self.hw)
             .with_traffic(self.traffic)
-            .with_fault_plan(&self.plan)
+            .with_fault_plan(plan)
             .run(&self.analysis);
         if report.is_rejected() {
             return Err(LogNicError::AnalysisRejected {
@@ -1013,7 +1018,15 @@ impl PacedRun {
             for (i, n) in sim.nodes.iter().enumerate() {
                 if let Some(rt) = n.runtime.as_ref() {
                     for &(from, until, kind) in rt.faults.windows() {
-                        obs.on_fault_window(i as u32, observed_kind(kind), from, until);
+                        let kind = observed_kind(kind);
+                        obs.on(
+                            from,
+                            SimEvent::FaultWindow {
+                                node: i as u32,
+                                kind,
+                                until,
+                            },
+                        );
                     }
                 }
             }
@@ -1027,7 +1040,13 @@ impl PacedRun {
                         .arena
                         .alloc(Packet::new(first.id, first.size, t, first.class));
                     if O::ENABLED {
-                        obs.on_arena_alloc(t, h, first.id);
+                        obs.on(
+                            t,
+                            SimEvent::ArenaAlloc {
+                                handle: h,
+                                pkt: first.id,
+                            },
+                        );
                     }
                     st.push(t, Ev::arrive(sim.ingress, h));
                     sim.drain_burst(t, &mut st, obs);
@@ -1082,7 +1101,12 @@ impl PacedRun {
                 return Err(self.sim.watchdog_error(self.processed, now, &self.st));
             }
             if O::ENABLED {
-                obs.on_event(now, self.processed);
+                obs.on(
+                    now,
+                    SimEvent::Dispatch {
+                        seq: self.processed,
+                    },
+                );
             }
             self.sim
                 .dispatch(ev, now, self.warmup, self.end, &mut self.st, obs);
@@ -1217,7 +1241,13 @@ impl Simulation {
                 if t <= end {
                     let h = st.arena.alloc(Packet::new(inj.id, inj.size, t, inj.class));
                     if O::ENABLED {
-                        obs.on_arena_alloc(t, h, inj.id);
+                        obs.on(
+                            t,
+                            SimEvent::ArenaAlloc {
+                                handle: h,
+                                pkt: inj.id,
+                            },
+                        );
                     }
                     st.push(t, Ev::arrive(self.ingress, h));
                     self.drain_burst(t, st, obs);
@@ -1237,7 +1267,12 @@ impl Simulation {
                     // the *next* packet one gap into the future).
                     if O::ENABLED {
                         let p = st.arena.get(ev.pkt);
-                        obs.on_inject(now, p.id, p.size.get(), p.class);
+                        let event = SimEvent::Inject {
+                            pkt: p.id,
+                            size: p.size.get(),
+                            class: p.class,
+                        };
+                        obs.on(now, event);
                     }
                 }
                 self.arrive(node, ev.pkt, now, warmup, end, st, obs);
@@ -1272,7 +1307,13 @@ impl Simulation {
             let inj = cursor.next_injection().expect("peeked trace record");
             let h = st.arena.alloc(Packet::new(inj.id, inj.size, t, inj.class));
             if O::ENABLED {
-                obs.on_arena_alloc(t, h, inj.id);
+                obs.on(
+                    t,
+                    SimEvent::ArenaAlloc {
+                        handle: h,
+                        pkt: inj.id,
+                    },
+                );
             }
             st.push(t, Ev::arrive(self.ingress, h));
             scheduled += 1;
@@ -1338,28 +1379,52 @@ impl Simulation {
                     st.retries += 1;
                 }
                 if O::ENABLED {
-                    obs.on_retry(
-                        now,
-                        node as u32,
-                        st.arena.get(h).id,
-                        attempts + 1,
-                        now + backoff,
-                    );
+                    let event = SimEvent::Retry {
+                        node: node as u32,
+                        pkt: st.arena.get(h).id,
+                        attempt: attempts + 1,
+                        resume_at: now + backoff,
+                    };
+                    obs.on(now, event);
                 }
                 st.push(now + backoff, Ev::arrive(node, h));
                 return;
             }
         }
+        self.discard(node, h, now, warmup, st, obs, cause);
+    }
+
+    /// Discards packet `h` at `node` — the one drop path: counts the
+    /// drop at the node, reports the drop and the slab release, frees
+    /// the slab and updates the run's drop ledger (warmup-filtered
+    /// `dropped`, plus `timed_out` for deadline expiries).
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    fn discard<O: SimObserver>(
+        &mut self,
+        node: usize,
+        h: PacketHandle,
+        now: SimTime,
+        warmup: SimTime,
+        st: &mut RunState,
+        obs: &mut O,
+        reason: DropReason,
+    ) {
         self.nodes[node].drops += 1;
         if O::ENABLED {
-            obs.on_drop(now, node as u32, st.arena.get(h).id, cause);
-            obs.on_arena_free(now, h);
+            let (node, pkt) = (node as u32, st.arena.get(h).id);
+            obs.on(now, SimEvent::Drop { node, pkt, reason });
+            obs.on(now, SimEvent::ArenaFree { handle: h });
             st.total_dropped += 1;
         }
-        if st.arena.get(h).injected_at >= warmup {
-            st.dropped += 1;
-        }
+        let injected_at = st.arena.get(h).injected_at;
         st.arena.free(h);
+        if injected_at >= warmup {
+            st.dropped += 1;
+            if reason == DropReason::DeadlineExpired {
+                st.timed_out += 1;
+            }
+        }
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1380,22 +1445,7 @@ impl Simulation {
         if let Some(deadline) = self.deadline {
             let injected_at = st.arena.get(h).injected_at;
             if now.since(injected_at) > deadline {
-                self.nodes[node].drops += 1;
-                if O::ENABLED {
-                    obs.on_drop(
-                        now,
-                        node as u32,
-                        st.arena.get(h).id,
-                        DropReason::DeadlineExpired,
-                    );
-                    obs.on_arena_free(now, h);
-                    st.total_dropped += 1;
-                }
-                if injected_at >= warmup {
-                    st.dropped += 1;
-                    st.timed_out += 1;
-                }
-                st.arena.free(h);
+                self.discard(node, h, now, warmup, st, obs, DropReason::DeadlineExpired);
                 return;
             }
         }
@@ -1443,7 +1493,12 @@ impl Simulation {
         if busy < engines {
             let occupancy = self.start_service(node, now, st.arena.get(h));
             if O::ENABLED {
-                obs.on_service_start(now, node as u32, st.arena.get(h).id, occupancy);
+                let event = SimEvent::ServiceStart {
+                    node: node as u32,
+                    pkt: st.arena.get(h).id,
+                    occupancy,
+                };
+                obs.on(now, event);
             }
             st.push(now + occupancy, Ev::done(node, h));
             return;
@@ -1456,7 +1511,12 @@ impl Simulation {
         };
         if admitted {
             if O::ENABLED {
-                obs.on_enqueue(now, node as u32, st.arena.get(h).id, depth as u32);
+                let event = SimEvent::Enqueue {
+                    node: node as u32,
+                    pkt: st.arena.get(h).id,
+                    depth: depth as u32,
+                };
+                obs.on(now, event);
             }
             if depth > self.nodes[node].max_queue {
                 self.nodes[node].max_queue = depth;
@@ -1479,7 +1539,11 @@ impl Simulation {
     ) {
         self.nodes[node].served += 1;
         if O::ENABLED {
-            obs.on_complete(now, node as u32, st.arena.get(h).id);
+            let event = SimEvent::Complete {
+                node: node as u32,
+                pkt: st.arena.get(h).id,
+            };
+            obs.on(now, event);
         }
         self.touch_occupancy(node, now, end);
         let deadline = self.deadline;
@@ -1511,32 +1575,26 @@ impl Simulation {
             (next, rt.queue.len())
         };
         for p in expired.drain(..) {
-            self.nodes[node].drops += 1;
-            if O::ENABLED {
-                obs.on_drop(
-                    now,
-                    node as u32,
-                    st.arena.get(p).id,
-                    DropReason::DeadlineExpired,
-                );
-                obs.on_arena_free(now, p);
-                st.total_dropped += 1;
-            }
-            let injected_at = st.arena.get(p).injected_at;
-            st.arena.free(p);
-            if injected_at >= warmup {
-                st.dropped += 1;
-                st.timed_out += 1;
-            }
+            self.discard(node, p, now, warmup, st, obs, DropReason::DeadlineExpired);
         }
         st.scratch_expired = expired;
         if let Some(next) = next {
             if O::ENABLED {
-                obs.on_dequeue(now, node as u32, st.arena.get(next).id, depth_after as u32);
+                let event = SimEvent::Dequeue {
+                    node: node as u32,
+                    pkt: st.arena.get(next).id,
+                    depth: depth_after as u32,
+                };
+                obs.on(now, event);
             }
             let occupancy = self.start_service(node, now, st.arena.get(next));
             if O::ENABLED {
-                obs.on_service_start(now, node as u32, st.arena.get(next).id, occupancy);
+                let event = SimEvent::ServiceStart {
+                    node: node as u32,
+                    pkt: st.arena.get(next).id,
+                    occupancy,
+                };
+                obs.on(now, event);
             }
             st.push(now + occupancy, Ev::done(node, next));
         }
@@ -1573,11 +1631,15 @@ impl Simulation {
             }
             let pkt = *st.arena.get(h);
             if O::ENABLED {
-                obs.on_arena_free(now, h);
+                obs.on(now, SimEvent::ArenaFree { handle: h });
             }
             st.arena.free(h);
             if O::ENABLED {
-                obs.on_deliver(now, pkt.id, pkt.latency_at(now));
+                let event = SimEvent::Deliver {
+                    pkt: pkt.id,
+                    latency: pkt.latency_at(now),
+                };
+                obs.on(now, event);
                 st.total_delivered += 1;
             }
             if pkt.injected_at >= warmup {
@@ -1612,7 +1674,7 @@ impl Simulation {
         let outs = &self.out_edges[node];
         if outs.is_empty() {
             if O::ENABLED {
-                obs.on_arena_free(now, h);
+                obs.on(now, SimEvent::ArenaFree { handle: h });
             }
             st.arena.free(h);
             return;
@@ -1668,22 +1730,7 @@ impl Simulation {
                 // rejections are not retried — the packet never held
                 // node credits, and RX overflow under sustained
                 // overload would retry forever.
-                self.nodes[node].drops += 1;
-                if O::ENABLED {
-                    obs.on_drop(
-                        now,
-                        node as u32,
-                        st.arena.get(h).id,
-                        DropReason::MediaBacklog,
-                    );
-                    obs.on_arena_free(now, h);
-                    st.total_dropped += 1;
-                }
-                let injected_at = st.arena.get(h).injected_at;
-                st.arena.free(h);
-                if injected_at >= warmup {
-                    st.dropped += 1;
-                }
+                self.discard(node, h, now, warmup, st, obs, DropReason::MediaBacklog);
             }
         }
     }
@@ -1705,7 +1752,7 @@ impl Simulation {
     ) {
         let pkt = *st.arena.get(h);
         if O::ENABLED {
-            obs.on_arena_free(now, h);
+            obs.on(now, SimEvent::ArenaFree { handle: h });
         }
         st.arena.free(h);
         let link = &mut self.uplinks[pick];
@@ -2058,6 +2105,27 @@ mod tests {
             .build()
             .unwrap();
         assert!(sim.analysis_warnings().is_empty());
+    }
+
+    #[test]
+    fn compiled_fault_plans_are_linted_like_declarative_ones() {
+        use lognic_model::analyze::Code;
+        let g = chain(10.0, 64);
+        let t = TrafficProfile::fixed(Bandwidth::gbps(2.0), Bytes::new(1500));
+        // Two overlapping drop windows on one node: L0602.
+        let plan = FaultPlan::new()
+            .drop_packets("ip", 0.1, Seconds::millis(1.0), Seconds::millis(3.0))
+            .drop_packets("ip", 0.2, Seconds::millis(2.0), Seconds::millis(4.0));
+        let codes = |sim: Simulation| -> Vec<Code> {
+            sim.analysis_warnings().iter().map(|d| d.code).collect()
+        };
+        let hw = fast_hw();
+        let builder = || Simulation::builder(&g, &hw, &t).duration(Seconds::millis(5.0));
+        let declarative = builder().with_fault_plan(plan.clone()).build().unwrap();
+        assert_eq!(codes(declarative), [Code::FaultOverlappingWindows]);
+        let compiled = CompiledFaultPlan::compile(&plan, &g).unwrap();
+        let shared = builder().with_compiled_faults(&compiled).build().unwrap();
+        assert_eq!(codes(shared), [Code::FaultOverlappingWindows]);
     }
 
     #[test]

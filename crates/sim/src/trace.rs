@@ -2,25 +2,25 @@
 //!
 //! The engine's hot loop reports every state transition — injections,
 //! enqueues/dequeues, service starts, completions, deliveries, drops,
-//! retries and fault windows — to a [`SimObserver`]. The observer is a
+//! retries, dispatches, arena traffic and fault windows — as one
+//! [`SimEvent`] to a [`SimObserver`]. The observer is a
 //! *monomorphized generic* of [`Simulation::run_with`], and every hook
 //! site in the engine is guarded by the observer's associated
 //! `const ENABLED`: with the default [`NoopObserver`] the guard is a
-//! compile-time `false`, so the argument computation and the call are
+//! compile-time `false`, so the event construction and the call are
 //! eliminated entirely and `run()` compiles to the exact pre-trace hot
-//! loop (the perf baseline's `--trace-overhead` mode measures this).
+//! loop (`run()` *is* `run_with(&mut NoopObserver)`).
 //!
 //! Observers are passive: they receive interned node ids and
 //! [`SimTime`] stamps but never touch the RNG or the event queue, so a
 //! traced run's [`SimReport`] is byte-identical to an untraced run of
 //! the same scenario and seed (the differential suite asserts this).
 //!
-//! Three sinks ship with the crate:
+//! Four sinks ship with this module (the [`Sanitizer`] is a fifth):
 //!
-//! * [`RingLog`] — a bounded ring buffer of fixed-size 32-byte binary
-//!   records with a post-run decoder ([`RingLog::decode`]). Memory is
-//!   fixed at construction; once full, the oldest records are
-//!   overwritten and counted in [`RingLog::dropped`].
+//! * [`RingLog`] — a bounded ring of typed `(SimTime, SimEvent)`
+//!   records. Memory is fixed at construction; once full, the oldest
+//!   records are overwritten and counted in [`RingLog::dropped`].
 //! * [`TimeSeriesSampler`] — per-node time series (queue depth, busy
 //!   engines, instantaneous utilization ρ(t), cumulative drop/retry
 //!   counters) sampled every Δt, rendered to CSV or JSON by the
@@ -28,9 +28,12 @@
 //! * [`ChromeTrace`] — a Chrome `trace_event` JSON exporter (one track
 //!   per node plus a packet track and per-node queue-depth counters)
 //!   whose output opens directly in Perfetto / `chrome://tracing`.
+//! * [`ArrivalRecorder`] — captures the injection stream as a
+//!   replayable packet trace.
 //!
 //! [`Simulation::run_with`]: crate::sim::Simulation::run_with
 //! [`SimReport`]: crate::metrics::SimReport
+//! [`Sanitizer`]: crate::sanitize::Sanitizer
 
 use crate::time::SimTime;
 use lognic_model::units::Seconds;
@@ -47,7 +50,7 @@ pub struct RunMeta {
     /// Measurement cutoff.
     pub warmup: SimTime,
     /// Per-node metadata, indexed by interned node id — the same dense
-    /// index every hook's `node` argument uses.
+    /// index every event's `node` field uses.
     pub nodes: Vec<NodeMeta>,
     /// Interned id of the ingress engine.
     pub ingress: u32,
@@ -98,33 +101,10 @@ impl DropReason {
             DropReason::MediaBacklog => "media_backlog",
         }
     }
-
-    /// Dense discriminant for binary encodings.
-    pub fn code(self) -> u8 {
-        match self {
-            DropReason::QueueFull => 0,
-            DropReason::Outage => 1,
-            DropReason::FaultDrop => 2,
-            DropReason::DeadlineExpired => 3,
-            DropReason::MediaBacklog => 4,
-        }
-    }
-
-    /// Inverse of [`DropReason::code`].
-    pub fn from_code(code: u8) -> Option<Self> {
-        Some(match code {
-            0 => DropReason::QueueFull,
-            1 => DropReason::Outage,
-            2 => DropReason::FaultDrop,
-            3 => DropReason::DeadlineExpired,
-            4 => DropReason::MediaBacklog,
-            _ => return None,
-        })
-    }
 }
 
 /// The effect of one scheduled fault window, as reported by
-/// [`SimObserver::on_fault_window`] at run start.
+/// [`SimEvent::FaultWindow`] at run start.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultWindowKind {
     /// The node refuses every arrival.
@@ -223,27 +203,135 @@ impl FaultWindowKind {
             FaultWindowKind::CreditLoss { credits } => credits as f64,
         }
     }
+}
 
-    /// Dense discriminant for binary encodings.
-    pub fn code(self) -> u8 {
-        match self {
-            FaultWindowKind::Outage => 0,
-            FaultWindowKind::RateDegradation { .. } => 1,
-            FaultWindowKind::PacketDrop { .. } => 2,
-            FaultWindowKind::PacketCorruption { .. } => 3,
-            FaultWindowKind::CreditLoss { .. } => 4,
-        }
-    }
+/// One packet-level engine event, delivered by [`SimObserver::on`]
+/// together with its timestamp.
+///
+/// The timestamp is the dispatch clock, with two exceptions noted on
+/// their variants: a fault window is stamped with its opening instant,
+/// and an arena allocation with the packet's scheduled arrival.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum SimEvent {
+    /// A scheduled fault window on `node`, open from the event's
+    /// timestamp until `until`. Reported per node at run start, in
+    /// node order, before any packet event.
+    FaultWindow {
+        /// Interned node id.
+        node: u32,
+        /// The window's effect.
+        kind: FaultWindowKind,
+        /// When the window closes.
+        until: SimTime,
+    },
+    /// An event is about to dispatch. `seq` is the running dispatch
+    /// count (the watchdog's counter, starting at 1). The scheduler
+    /// contract makes `seq` increase by exactly one per dispatch and
+    /// the timestamp non-decreasing — the sanitizer's monotonicity
+    /// invariant.
+    Dispatch {
+        /// Dispatch sequence number.
+        seq: u64,
+    },
+    /// A packet entered the pipeline at the ingress engine.
+    Inject {
+        /// Packet injection id.
+        pkt: u64,
+        /// Wire size in bytes.
+        size: u64,
+        /// Traffic class.
+        class: u32,
+    },
+    /// A packet slab was allocated. Stamped with the packet's
+    /// scheduled arrival, which may lie *ahead* of the dispatch clock
+    /// (injection schedules one gap into the future), so it is not
+    /// covered by the monotonicity invariant.
+    ArenaAlloc {
+        /// Arena slot.
+        handle: u32,
+        /// Packet injection id.
+        pkt: u64,
+    },
+    /// A packet slab is about to be released back to the arena. On
+    /// delivery the release precedes [`SimEvent::Deliver`]; on a drop
+    /// it follows [`SimEvent::Drop`].
+    ArenaFree {
+        /// Arena slot.
+        handle: u32,
+    },
+    /// A packet joined `node`'s queue.
+    Enqueue {
+        /// Interned node id.
+        node: u32,
+        /// Packet injection id.
+        pkt: u64,
+        /// Waiting count after admission.
+        depth: u32,
+    },
+    /// A packet left `node`'s queue for service.
+    Dequeue {
+        /// Interned node id.
+        node: u32,
+        /// Packet injection id.
+        pkt: u64,
+        /// Waiting count after removal.
+        depth: u32,
+    },
+    /// An engine of `node` started serving the packet.
+    ServiceStart {
+        /// Interned node id.
+        node: u32,
+        /// Packet injection id.
+        pkt: u64,
+        /// How long the engine stays occupied (service plus overhead).
+        occupancy: SimTime,
+    },
+    /// `node` finished serving the packet.
+    Complete {
+        /// Interned node id.
+        node: u32,
+        /// Packet injection id.
+        pkt: u64,
+    },
+    /// The packet reached the egress.
+    Deliver {
+        /// Packet injection id.
+        pkt: u64,
+        /// End-to-end sojourn.
+        latency: SimTime,
+    },
+    /// The packet was discarded at `node`.
+    Drop {
+        /// Interned node id.
+        node: u32,
+        /// Packet injection id.
+        pkt: u64,
+        /// Why it was discarded.
+        reason: DropReason,
+    },
+    /// A refused packet was rescheduled.
+    Retry {
+        /// Interned node id.
+        node: u32,
+        /// Packet injection id.
+        pkt: u64,
+        /// Retries consumed so far, this one included.
+        attempt: u32,
+        /// When the packet re-presents.
+        resume_at: SimTime,
+    },
 }
 
 /// A passive observer of engine state transitions.
 ///
-/// All hooks default to no-ops, so a sink overrides only what it
-/// needs. The associated `ENABLED` constant is the zero-cost switch:
-/// the engine guards every hook site (including the computation of
-/// hook arguments) with `if O::ENABLED`, which the compiler resolves
-/// per monomorphization — [`NoopObserver`] sets it to `false` and the
-/// whole tracing surface vanishes from the generated code.
+/// All methods default to no-ops, so a sink overrides only what it
+/// needs, and a sink reacts to packet-level events with one `match`
+/// over [`SimEvent`]. The associated `ENABLED` constant is the
+/// zero-cost switch: the engine guards every hook site (including the
+/// construction of the event) with `if O::ENABLED`, which the compiler
+/// resolves per monomorphization — [`NoopObserver`] sets it to
+/// `false` and the whole tracing surface vanishes from the generated
+/// code.
 ///
 /// Observers must be passive: they see interned node ids and
 /// timestamps but cannot influence the run, so the report of a traced
@@ -256,58 +344,8 @@ pub trait SimObserver {
     /// The run is about to start; `meta` describes its shape.
     fn on_run_start(&mut self, meta: &RunMeta) {}
 
-    /// One scheduled fault window (reported per node at run start, in
-    /// node order, before any packet event).
-    fn on_fault_window(&mut self, node: u32, kind: FaultWindowKind, from: SimTime, until: SimTime) {
-    }
-
-    /// A packet entered the pipeline at the ingress engine.
-    fn on_inject(&mut self, now: SimTime, pkt: u64, size: u64, class: u32) {}
-
-    /// A packet joined `node`'s queue; `depth` is the waiting count
-    /// after admission.
-    fn on_enqueue(&mut self, now: SimTime, node: u32, pkt: u64, depth: u32) {}
-
-    /// A packet left `node`'s queue for service; `depth` is the
-    /// waiting count after removal.
-    fn on_dequeue(&mut self, now: SimTime, node: u32, pkt: u64, depth: u32) {}
-
-    /// An engine of `node` started serving the packet and stays
-    /// occupied for `occupancy` (service plus overhead).
-    fn on_service_start(&mut self, now: SimTime, node: u32, pkt: u64, occupancy: SimTime) {}
-
-    /// `node` finished serving the packet.
-    fn on_complete(&mut self, now: SimTime, node: u32, pkt: u64) {}
-
-    /// The packet reached the egress; `latency` is its end-to-end
-    /// sojourn.
-    fn on_deliver(&mut self, now: SimTime, pkt: u64, latency: SimTime) {}
-
-    /// The packet was discarded at `node`.
-    fn on_drop(&mut self, now: SimTime, node: u32, pkt: u64, reason: DropReason) {}
-
-    /// A refused packet was rescheduled; `attempt` is the retry count
-    /// consumed so far and `resume_at` when it re-presents.
-    fn on_retry(&mut self, now: SimTime, node: u32, pkt: u64, attempt: u32, resume_at: SimTime) {}
-
-    /// An event is about to dispatch. `seq` is the running dispatch
-    /// count (the watchdog's counter, starting at 1) and `now` the
-    /// event's timestamp. The scheduler contract makes `seq` increase
-    /// by exactly one per call and `now` non-decreasing across calls —
-    /// the sanitizer's monotonicity invariant.
-    fn on_event(&mut self, now: SimTime, seq: u64) {}
-
-    /// A packet slab was allocated for `pkt`. `at` is the packet's
-    /// scheduled arrival timestamp, which may lie *ahead* of the
-    /// dispatch clock (injection schedules one gap into the future) —
-    /// it is not covered by the monotonicity invariant.
-    fn on_arena_alloc(&mut self, at: SimTime, handle: u32, pkt: u64) {}
-
-    /// The packet slab `handle` was released back to the arena. Fires
-    /// immediately *before* the release, at the dispatch clock. On
-    /// delivery the release precedes [`SimObserver::on_deliver`];
-    /// on a drop it follows [`SimObserver::on_drop`].
-    fn on_arena_free(&mut self, now: SimTime, handle: u32) {}
+    /// One packet-level event at `now`.
+    fn on(&mut self, now: SimTime, event: SimEvent) {}
 
     /// The event queue drained; `audit` snapshots the engine's final
     /// internal accounting. Delivered immediately before
@@ -319,7 +357,7 @@ pub trait SimObserver {
     fn on_run_end(&mut self, last: SimTime) {}
 }
 
-/// The default observer: every hook is a no-op *and* `ENABLED` is
+/// The default observer: every method is a no-op *and* `ENABLED` is
 /// `false`, so traced and untraced code paths are literally the same
 /// machine code. [`Simulation::run`] is `run_with(&mut NoopObserver)`.
 ///
@@ -343,64 +381,9 @@ impl<A: SimObserver, B: SimObserver> SimObserver for (A, B) {
         self.1.on_run_start(meta);
     }
 
-    fn on_fault_window(&mut self, node: u32, kind: FaultWindowKind, from: SimTime, until: SimTime) {
-        self.0.on_fault_window(node, kind, from, until);
-        self.1.on_fault_window(node, kind, from, until);
-    }
-
-    fn on_inject(&mut self, now: SimTime, pkt: u64, size: u64, class: u32) {
-        self.0.on_inject(now, pkt, size, class);
-        self.1.on_inject(now, pkt, size, class);
-    }
-
-    fn on_enqueue(&mut self, now: SimTime, node: u32, pkt: u64, depth: u32) {
-        self.0.on_enqueue(now, node, pkt, depth);
-        self.1.on_enqueue(now, node, pkt, depth);
-    }
-
-    fn on_dequeue(&mut self, now: SimTime, node: u32, pkt: u64, depth: u32) {
-        self.0.on_dequeue(now, node, pkt, depth);
-        self.1.on_dequeue(now, node, pkt, depth);
-    }
-
-    fn on_service_start(&mut self, now: SimTime, node: u32, pkt: u64, occupancy: SimTime) {
-        self.0.on_service_start(now, node, pkt, occupancy);
-        self.1.on_service_start(now, node, pkt, occupancy);
-    }
-
-    fn on_complete(&mut self, now: SimTime, node: u32, pkt: u64) {
-        self.0.on_complete(now, node, pkt);
-        self.1.on_complete(now, node, pkt);
-    }
-
-    fn on_deliver(&mut self, now: SimTime, pkt: u64, latency: SimTime) {
-        self.0.on_deliver(now, pkt, latency);
-        self.1.on_deliver(now, pkt, latency);
-    }
-
-    fn on_drop(&mut self, now: SimTime, node: u32, pkt: u64, reason: DropReason) {
-        self.0.on_drop(now, node, pkt, reason);
-        self.1.on_drop(now, node, pkt, reason);
-    }
-
-    fn on_retry(&mut self, now: SimTime, node: u32, pkt: u64, attempt: u32, resume_at: SimTime) {
-        self.0.on_retry(now, node, pkt, attempt, resume_at);
-        self.1.on_retry(now, node, pkt, attempt, resume_at);
-    }
-
-    fn on_event(&mut self, now: SimTime, seq: u64) {
-        self.0.on_event(now, seq);
-        self.1.on_event(now, seq);
-    }
-
-    fn on_arena_alloc(&mut self, at: SimTime, handle: u32, pkt: u64) {
-        self.0.on_arena_alloc(at, handle, pkt);
-        self.1.on_arena_alloc(at, handle, pkt);
-    }
-
-    fn on_arena_free(&mut self, now: SimTime, handle: u32) {
-        self.0.on_arena_free(now, handle);
-        self.1.on_arena_free(now, handle);
+    fn on(&mut self, now: SimTime, event: SimEvent) {
+        self.0.on(now, event);
+        self.1.on(now, event);
     }
 
     fn on_run_audit(&mut self, audit: &RunAudit) {
@@ -423,52 +406,8 @@ impl<O: SimObserver> SimObserver for &mut O {
         (**self).on_run_start(meta);
     }
 
-    fn on_fault_window(&mut self, node: u32, kind: FaultWindowKind, from: SimTime, until: SimTime) {
-        (**self).on_fault_window(node, kind, from, until);
-    }
-
-    fn on_inject(&mut self, now: SimTime, pkt: u64, size: u64, class: u32) {
-        (**self).on_inject(now, pkt, size, class);
-    }
-
-    fn on_enqueue(&mut self, now: SimTime, node: u32, pkt: u64, depth: u32) {
-        (**self).on_enqueue(now, node, pkt, depth);
-    }
-
-    fn on_dequeue(&mut self, now: SimTime, node: u32, pkt: u64, depth: u32) {
-        (**self).on_dequeue(now, node, pkt, depth);
-    }
-
-    fn on_service_start(&mut self, now: SimTime, node: u32, pkt: u64, occupancy: SimTime) {
-        (**self).on_service_start(now, node, pkt, occupancy);
-    }
-
-    fn on_complete(&mut self, now: SimTime, node: u32, pkt: u64) {
-        (**self).on_complete(now, node, pkt);
-    }
-
-    fn on_deliver(&mut self, now: SimTime, pkt: u64, latency: SimTime) {
-        (**self).on_deliver(now, pkt, latency);
-    }
-
-    fn on_drop(&mut self, now: SimTime, node: u32, pkt: u64, reason: DropReason) {
-        (**self).on_drop(now, node, pkt, reason);
-    }
-
-    fn on_retry(&mut self, now: SimTime, node: u32, pkt: u64, attempt: u32, resume_at: SimTime) {
-        (**self).on_retry(now, node, pkt, attempt, resume_at);
-    }
-
-    fn on_event(&mut self, now: SimTime, seq: u64) {
-        (**self).on_event(now, seq);
-    }
-
-    fn on_arena_alloc(&mut self, at: SimTime, handle: u32, pkt: u64) {
-        (**self).on_arena_alloc(at, handle, pkt);
-    }
-
-    fn on_arena_free(&mut self, now: SimTime, handle: u32) {
-        (**self).on_arena_free(now, handle);
+    fn on(&mut self, now: SimTime, event: SimEvent) {
+        (**self).on(now, event);
     }
 
     fn on_run_audit(&mut self, audit: &RunAudit) {
@@ -481,114 +420,45 @@ impl<O: SimObserver> SimObserver for &mut O {
 }
 
 // ---------------------------------------------------------------------------
-// Ring-buffered binary event log
+// Ring-buffered event log
 // ---------------------------------------------------------------------------
 
-/// Binary record kind codes (the `kind` byte of a [`TraceRecord`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum RecordKind {
-    /// Packet injected; `aux` = wire size in bytes.
-    Inject = 0,
-    /// Packet enqueued; `aux` = queue depth after admission.
-    Enqueue = 1,
-    /// Packet dequeued; `aux` = queue depth after removal.
-    Dequeue = 2,
-    /// Service started; `aux` = occupancy in picoseconds.
-    ServiceStart = 3,
-    /// Node finished serving the packet; `aux` = 0.
-    Complete = 4,
-    /// Packet delivered at the egress; `aux` = latency in picoseconds.
-    Deliver = 5,
-    /// Packet dropped; `aux` = [`DropReason::code`].
-    Drop = 6,
-    /// Packet rescheduled; `aux` = resume time in picoseconds, `pkt`'s
-    /// top 8 bits carry the attempt count.
-    Retry = 7,
-    /// Fault window opens; `pkt` = [`FaultWindowKind::code`], `aux` =
-    /// the window parameter's IEEE-754 bits.
-    FaultOpen = 8,
-    /// Fault window closes; encoded like [`RecordKind::FaultOpen`].
-    FaultClose = 9,
-}
-
-impl RecordKind {
-    fn from_code(code: u8) -> Option<Self> {
-        Some(match code {
-            0 => RecordKind::Inject,
-            1 => RecordKind::Enqueue,
-            2 => RecordKind::Dequeue,
-            3 => RecordKind::ServiceStart,
-            4 => RecordKind::Complete,
-            5 => RecordKind::Deliver,
-            6 => RecordKind::Drop,
-            7 => RecordKind::Retry,
-            8 => RecordKind::FaultOpen,
-            9 => RecordKind::FaultClose,
-            _ => return None,
-        })
-    }
-}
-
-/// One decoded ring-log record. Interpretation of `pkt`/`aux` depends
-/// on [`RecordKind`] (documented on each variant).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceRecord {
-    /// Event timestamp.
-    pub time: SimTime,
-    /// Record kind.
-    pub kind: RecordKind,
-    /// Interned node id (`u32::MAX` for node-less events —
-    /// injections and deliveries).
-    pub node: u32,
-    /// Packet injection id (kind-specific for fault records).
-    pub pkt: u64,
-    /// Kind-specific payload.
-    pub aux: u64,
-}
-
-/// Size of one encoded record: `time (8) + pkt (8) + aux (8) +
-/// node (4) + kind (1) + pad (3)`.
-const REC_SIZE: usize = 32;
-
-/// Sentinel node id for events not tied to a node.
-pub const NO_NODE: u32 = u32::MAX;
-
-/// A bounded binary event log: the newest `capacity` events, encoded
-/// as fixed 32-byte records in a preallocated ring.
+/// A bounded event log: the newest `capacity` packet events as typed
+/// `(SimTime, SimEvent)` records in a preallocated ring.
 ///
 /// The buffer is allocated once at construction, so attaching a ring
 /// log preserves the engine's zero-allocation steady state; when the
 /// ring wraps, the oldest records are overwritten ([`RingLog::dropped`]
-/// counts them). Records are written in event order, so
-/// [`RingLog::decode`] returns chronologically sorted events.
+/// counts them). The ring skips dispatch and arena events and keeps a
+/// fault window as one record. Records are written in event order, so
+/// [`RingLog::records`] returns them in the order the engine emitted
+/// them.
 ///
 /// # Examples
 ///
 /// ```
-/// use lognic_sim::trace::{RecordKind, RingLog};
 /// use lognic_sim::time::SimTime;
-/// use lognic_sim::trace::SimObserver;
+/// use lognic_sim::trace::{RingLog, SimEvent, SimObserver};
 ///
 /// let mut log = RingLog::with_capacity(2);
-/// log.on_inject(SimTime::from_nanos(1.0), 0, 1500, 0);
-/// log.on_inject(SimTime::from_nanos(2.0), 1, 1500, 0);
-/// log.on_inject(SimTime::from_nanos(3.0), 2, 1500, 0);
-/// let recs = log.decode();
+/// for pkt in 0..3 {
+///     let now = SimTime::from_nanos(pkt as f64);
+///     log.on(now, SimEvent::Inject { pkt, size: 1500, class: 0 });
+/// }
+/// let recs = log.records();
 /// assert_eq!(recs.len(), 2, "bounded: oldest record was evicted");
 /// assert_eq!(log.dropped(), 1);
-/// assert_eq!(recs[0].pkt, 1);
-/// assert_eq!(recs[1].kind, RecordKind::Inject);
+/// assert!(matches!(recs[0].1, SimEvent::Inject { pkt: 1, .. }));
 /// ```
 #[derive(Debug, Clone)]
 pub struct RingLog {
-    buf: Vec<u8>,
+    buf: Vec<(SimTime, SimEvent)>,
     capacity: usize,
     written: u64,
 }
 
 impl RingLog {
-    /// A ring holding the newest `capacity` records (32 bytes each).
+    /// A ring holding the newest `capacity` records.
     ///
     /// # Panics
     ///
@@ -596,23 +466,15 @@ impl RingLog {
     pub fn with_capacity(capacity: usize) -> Self {
         assert!(capacity > 0, "ring log needs at least one record slot");
         RingLog {
-            buf: vec![0u8; capacity * REC_SIZE],
+            buf: Vec::with_capacity(capacity),
             capacity,
             written: 0,
         }
     }
 
-    #[inline]
-    fn push(&mut self, time: SimTime, kind: RecordKind, node: u32, pkt: u64, aux: u64) {
-        let slot = (self.written as usize % self.capacity) * REC_SIZE;
-        let rec = &mut self.buf[slot..slot + REC_SIZE];
-        rec[0..8].copy_from_slice(&time.as_picos().to_le_bytes());
-        rec[8..16].copy_from_slice(&pkt.to_le_bytes());
-        rec[16..24].copy_from_slice(&aux.to_le_bytes());
-        rec[24..28].copy_from_slice(&node.to_le_bytes());
-        rec[28] = kind as u8;
-        rec[29..32].fill(0);
-        self.written += 1;
+    /// The slot the next record lands in (the oldest once full).
+    fn next_slot(&self) -> usize {
+        (self.written % self.capacity as u64) as usize
     }
 
     /// Total records observed (including evicted ones).
@@ -630,97 +492,28 @@ impl RingLog {
         self.written.saturating_sub(self.capacity as u64)
     }
 
-    /// The raw ring bytes (encoding is little-endian and
-    /// deterministic, so identical runs produce identical bytes).
-    pub fn bytes(&self) -> &[u8] {
-        &self.buf
-    }
-
-    /// Decodes the retained records, oldest first.
-    pub fn decode(&self) -> Vec<TraceRecord> {
-        let retained = self.written.min(self.capacity as u64) as usize;
-        let start = if self.written as usize > self.capacity {
-            self.written as usize % self.capacity
-        } else {
-            0
-        };
-        (0..retained)
-            .filter_map(|i| {
-                let slot = ((start + i) % self.capacity) * REC_SIZE;
-                let rec = &self.buf[slot..slot + REC_SIZE];
-                let word = |r: std::ops::Range<usize>| {
-                    u64::from_le_bytes(rec[r].try_into().expect("8-byte slice"))
-                };
-                Some(TraceRecord {
-                    time: SimTime::from_picos(word(0..8)),
-                    pkt: word(8..16),
-                    aux: word(16..24),
-                    node: u32::from_le_bytes(rec[24..28].try_into().expect("4-byte slice")),
-                    kind: RecordKind::from_code(rec[28])?,
-                })
-            })
-            .collect()
+    /// The retained records, oldest first.
+    pub fn records(&self) -> Vec<(SimTime, SimEvent)> {
+        let (newer, older) = self.buf.split_at(self.next_slot());
+        older.iter().chain(newer).copied().collect()
     }
 }
 
 impl SimObserver for RingLog {
-    fn on_fault_window(&mut self, node: u32, kind: FaultWindowKind, from: SimTime, until: SimTime) {
-        let param = kind.parameter().to_bits();
-        self.push(from, RecordKind::FaultOpen, node, kind.code() as u64, param);
-        self.push(
-            until,
-            RecordKind::FaultClose,
-            node,
-            kind.code() as u64,
-            param,
-        );
-    }
-
-    fn on_inject(&mut self, now: SimTime, pkt: u64, size: u64, _class: u32) {
-        self.push(now, RecordKind::Inject, NO_NODE, pkt, size);
-    }
-
-    fn on_enqueue(&mut self, now: SimTime, node: u32, pkt: u64, depth: u32) {
-        self.push(now, RecordKind::Enqueue, node, pkt, depth as u64);
-    }
-
-    fn on_dequeue(&mut self, now: SimTime, node: u32, pkt: u64, depth: u32) {
-        self.push(now, RecordKind::Dequeue, node, pkt, depth as u64);
-    }
-
-    fn on_service_start(&mut self, now: SimTime, node: u32, pkt: u64, occupancy: SimTime) {
-        self.push(
-            now,
-            RecordKind::ServiceStart,
-            node,
-            pkt,
-            occupancy.as_picos(),
-        );
-    }
-
-    fn on_complete(&mut self, now: SimTime, node: u32, pkt: u64) {
-        self.push(now, RecordKind::Complete, node, pkt, 0);
-    }
-
-    fn on_deliver(&mut self, now: SimTime, pkt: u64, latency: SimTime) {
-        self.push(now, RecordKind::Deliver, NO_NODE, pkt, latency.as_picos());
-    }
-
-    fn on_drop(&mut self, now: SimTime, node: u32, pkt: u64, reason: DropReason) {
-        self.push(now, RecordKind::Drop, node, pkt, reason.code() as u64);
-    }
-
-    fn on_retry(&mut self, now: SimTime, node: u32, pkt: u64, attempt: u32, resume_at: SimTime) {
-        // The attempt count rides in the packet word's top byte — ids
-        // are injection counters and stay far below 2^56.
-        let pkt_attempt = pkt | ((attempt as u64) << 56);
-        self.push(
-            now,
-            RecordKind::Retry,
-            node,
-            pkt_attempt,
-            resume_at.as_picos(),
-        );
+    fn on(&mut self, now: SimTime, event: SimEvent) {
+        if matches!(
+            event,
+            SimEvent::Dispatch { .. } | SimEvent::ArenaAlloc { .. } | SimEvent::ArenaFree { .. }
+        ) {
+            return;
+        }
+        if self.buf.len() < self.capacity {
+            self.buf.push((now, event));
+        } else {
+            let slot = self.next_slot();
+            self.buf[slot] = (now, event);
+        }
+        self.written += 1;
     }
 }
 
@@ -801,6 +594,13 @@ impl TimeSeriesSampler {
         }
     }
 
+    /// Updates `node`'s busy-engine count and its instantaneous ρ.
+    fn set_busy(&mut self, node: u32, update: impl FnOnce(u32) -> u32) {
+        let s = &mut self.state[node as usize];
+        s.busy = update(s.busy);
+        s.rho = s.busy as f64 / self.engines[node as usize].max(1) as f64;
+    }
+
     /// Finishes the run and returns the collected timeline.
     pub fn into_timeline(self) -> Timeline {
         Timeline {
@@ -823,42 +623,31 @@ impl SimObserver for TimeSeriesSampler {
         self.next_tick = self.dt;
     }
 
-    fn on_enqueue(&mut self, now: SimTime, node: u32, _pkt: u64, depth: u32) {
-        self.flush(now);
-        self.state[node as usize].depth = depth;
-    }
-
-    fn on_dequeue(&mut self, now: SimTime, node: u32, _pkt: u64, depth: u32) {
-        self.flush(now);
-        self.state[node as usize].depth = depth;
-    }
-
-    fn on_service_start(&mut self, now: SimTime, node: u32, _pkt: u64, _occupancy: SimTime) {
-        self.flush(now);
-        let s = &mut self.state[node as usize];
-        s.busy += 1;
-        s.rho = s.busy as f64 / self.engines[node as usize].max(1) as f64;
-    }
-
-    fn on_complete(&mut self, now: SimTime, node: u32, _pkt: u64) {
-        self.flush(now);
-        let s = &mut self.state[node as usize];
-        s.busy = s.busy.saturating_sub(1);
-        s.rho = s.busy as f64 / self.engines[node as usize].max(1) as f64;
-    }
-
-    fn on_deliver(&mut self, now: SimTime, _pkt: u64, _latency: SimTime) {
-        self.flush(now);
-    }
-
-    fn on_drop(&mut self, now: SimTime, node: u32, _pkt: u64, _reason: DropReason) {
-        self.flush(now);
-        self.state[node as usize].drops += 1;
-    }
-
-    fn on_retry(&mut self, now: SimTime, node: u32, _pkt: u64, _attempt: u32, _resume: SimTime) {
-        self.flush(now);
-        self.state[node as usize].retries += 1;
+    fn on(&mut self, now: SimTime, event: SimEvent) {
+        match event {
+            SimEvent::Enqueue { node, depth, .. } | SimEvent::Dequeue { node, depth, .. } => {
+                self.flush(now);
+                self.state[node as usize].depth = depth;
+            }
+            SimEvent::ServiceStart { node, .. } => {
+                self.flush(now);
+                self.set_busy(node, |busy| busy + 1);
+            }
+            SimEvent::Complete { node, .. } => {
+                self.flush(now);
+                self.set_busy(node, |busy| busy.saturating_sub(1));
+            }
+            SimEvent::Deliver { .. } => self.flush(now),
+            SimEvent::Drop { node, .. } => {
+                self.flush(now);
+                self.state[node as usize].drops += 1;
+            }
+            SimEvent::Retry { node, .. } => {
+                self.flush(now);
+                self.state[node as usize].retries += 1;
+            }
+            _ => {}
+        }
     }
 
     fn on_run_end(&mut self, last: SimTime) {
@@ -1072,6 +861,75 @@ impl ChromeTrace {
             .unwrap_or("?")
     }
 
+    fn fault_window(&mut self, node: u32, kind: FaultWindowKind, from: SimTime, until: SimTime) {
+        // Fault windows are structural (reported at run start); they
+        // bypass the packet-event limit.
+        self.events.push(format!(
+            "{{\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\"name\":\"fault:{}\",\
+             \"cat\":\"fault\",\"args\":{{\"parameter\":{:.6}}}}}",
+            node + 1,
+            ts_us(from.as_picos()),
+            ts_us(until.since(from).as_picos()),
+            kind.label(),
+            kind.parameter()
+        ));
+    }
+
+    fn inject(&mut self, now: SimTime, pkt: u64, size: u64, class: u32) {
+        self.emit(format!(
+            "{{\"ph\":\"i\",\"pid\":1,\"tid\":0,\"ts\":{},\"name\":\"inject\",\"s\":\"t\",\
+             \"args\":{{\"pkt\":{pkt},\"size\":{size},\"class\":{class}}}}}",
+            ts_us(now.as_picos())
+        ));
+    }
+
+    fn queue_depth(&mut self, now: SimTime, node: u32, depth: u32) {
+        self.emit(format!(
+            "{{\"ph\":\"C\",\"pid\":1,\"ts\":{},\"name\":{},\"args\":{{\"depth\":{depth}}}}}",
+            ts_us(now.as_picos()),
+            json_string(&format!("queue@{}", self.node_name(node)))
+        ));
+    }
+
+    fn service_start(&mut self, now: SimTime, node: u32, pkt: u64, occupancy: SimTime) {
+        self.emit(format!(
+            "{{\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\"name\":\"service\",\
+             \"cat\":\"service\",\"args\":{{\"pkt\":{pkt}}}}}",
+            node + 1,
+            ts_us(now.as_picos()),
+            ts_us(occupancy.as_picos())
+        ));
+    }
+
+    fn deliver(&mut self, now: SimTime, pkt: u64, latency: SimTime) {
+        self.emit(format!(
+            "{{\"ph\":\"i\",\"pid\":1,\"tid\":0,\"ts\":{},\"name\":\"deliver\",\"s\":\"t\",\
+             \"args\":{{\"pkt\":{pkt},\"latency_us\":{}}}}}",
+            ts_us(now.as_picos()),
+            ts_us(latency.as_picos())
+        ));
+    }
+
+    fn drop_packet(&mut self, now: SimTime, node: u32, pkt: u64, reason: DropReason) {
+        self.emit(format!(
+            "{{\"ph\":\"i\",\"pid\":1,\"tid\":{},\"ts\":{},\"name\":\"drop:{}\",\"s\":\"t\",\
+             \"args\":{{\"pkt\":{pkt}}}}}",
+            node + 1,
+            ts_us(now.as_picos()),
+            reason.label()
+        ));
+    }
+
+    fn retry(&mut self, now: SimTime, node: u32, pkt: u64, attempt: u32, resume_at: SimTime) {
+        self.emit(format!(
+            "{{\"ph\":\"i\",\"pid\":1,\"tid\":{},\"ts\":{},\"name\":\"retry\",\"s\":\"t\",\
+             \"args\":{{\"pkt\":{pkt},\"attempt\":{attempt},\"resume_us\":{}}}}}",
+            node + 1,
+            ts_us(now.as_picos()),
+            ts_us(resume_at.as_picos())
+        ));
+    }
+
     /// Serializes the collected events as a Chrome JSON object
     /// (`{"traceEvents": [...], "displayTimeUnit": "ms"}`).
     pub fn into_json(self) -> String {
@@ -1111,81 +969,30 @@ impl SimObserver for ChromeTrace {
         }
     }
 
-    fn on_fault_window(&mut self, node: u32, kind: FaultWindowKind, from: SimTime, until: SimTime) {
-        // Fault windows are structural (reported at run start); they
-        // bypass the packet-event limit.
-        self.events.push(format!(
-            "{{\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\"name\":\"fault:{}\",\
-             \"cat\":\"fault\",\"args\":{{\"parameter\":{:.6}}}}}",
-            node + 1,
-            ts_us(from.as_picos()),
-            ts_us(until.since(from).as_picos()),
-            kind.label(),
-            kind.parameter()
-        ));
-    }
-
-    fn on_inject(&mut self, now: SimTime, pkt: u64, size: u64, class: u32) {
-        self.emit(format!(
-            "{{\"ph\":\"i\",\"pid\":1,\"tid\":0,\"ts\":{},\"name\":\"inject\",\"s\":\"t\",\
-             \"args\":{{\"pkt\":{pkt},\"size\":{size},\"class\":{class}}}}}",
-            ts_us(now.as_picos())
-        ));
-    }
-
-    fn on_enqueue(&mut self, now: SimTime, node: u32, _pkt: u64, depth: u32) {
-        self.emit(format!(
-            "{{\"ph\":\"C\",\"pid\":1,\"ts\":{},\"name\":{},\"args\":{{\"depth\":{depth}}}}}",
-            ts_us(now.as_picos()),
-            json_string(&format!("queue@{}", self.node_name(node)))
-        ));
-    }
-
-    fn on_dequeue(&mut self, now: SimTime, node: u32, _pkt: u64, depth: u32) {
-        self.emit(format!(
-            "{{\"ph\":\"C\",\"pid\":1,\"ts\":{},\"name\":{},\"args\":{{\"depth\":{depth}}}}}",
-            ts_us(now.as_picos()),
-            json_string(&format!("queue@{}", self.node_name(node)))
-        ));
-    }
-
-    fn on_service_start(&mut self, now: SimTime, node: u32, pkt: u64, occupancy: SimTime) {
-        self.emit(format!(
-            "{{\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\"name\":\"service\",\
-             \"cat\":\"service\",\"args\":{{\"pkt\":{pkt}}}}}",
-            node + 1,
-            ts_us(now.as_picos()),
-            ts_us(occupancy.as_picos())
-        ));
-    }
-
-    fn on_deliver(&mut self, now: SimTime, pkt: u64, latency: SimTime) {
-        self.emit(format!(
-            "{{\"ph\":\"i\",\"pid\":1,\"tid\":0,\"ts\":{},\"name\":\"deliver\",\"s\":\"t\",\
-             \"args\":{{\"pkt\":{pkt},\"latency_us\":{}}}}}",
-            ts_us(now.as_picos()),
-            ts_us(latency.as_picos())
-        ));
-    }
-
-    fn on_drop(&mut self, now: SimTime, node: u32, pkt: u64, reason: DropReason) {
-        self.emit(format!(
-            "{{\"ph\":\"i\",\"pid\":1,\"tid\":{},\"ts\":{},\"name\":\"drop:{}\",\"s\":\"t\",\
-             \"args\":{{\"pkt\":{pkt}}}}}",
-            node + 1,
-            ts_us(now.as_picos()),
-            reason.label()
-        ));
-    }
-
-    fn on_retry(&mut self, now: SimTime, node: u32, pkt: u64, attempt: u32, resume_at: SimTime) {
-        self.emit(format!(
-            "{{\"ph\":\"i\",\"pid\":1,\"tid\":{},\"ts\":{},\"name\":\"retry\",\"s\":\"t\",\
-             \"args\":{{\"pkt\":{pkt},\"attempt\":{attempt},\"resume_us\":{}}}}}",
-            node + 1,
-            ts_us(now.as_picos()),
-            ts_us(resume_at.as_picos())
-        ));
+    fn on(&mut self, now: SimTime, event: SimEvent) {
+        match event {
+            SimEvent::FaultWindow { node, kind, until } => {
+                self.fault_window(node, kind, now, until)
+            }
+            SimEvent::Inject { pkt, size, class } => self.inject(now, pkt, size, class),
+            SimEvent::Enqueue { node, depth, .. } | SimEvent::Dequeue { node, depth, .. } => {
+                self.queue_depth(now, node, depth)
+            }
+            SimEvent::ServiceStart {
+                node,
+                pkt,
+                occupancy,
+            } => self.service_start(now, node, pkt, occupancy),
+            SimEvent::Deliver { pkt, latency } => self.deliver(now, pkt, latency),
+            SimEvent::Drop { node, pkt, reason } => self.drop_packet(now, node, pkt, reason),
+            SimEvent::Retry {
+                node,
+                pkt,
+                attempt,
+                resume_at,
+            } => self.retry(now, node, pkt, attempt, resume_at),
+            _ => {}
+        }
     }
 }
 
@@ -1250,13 +1057,15 @@ impl ArrivalRecorder {
 }
 
 impl SimObserver for ArrivalRecorder {
-    fn on_inject(&mut self, now: SimTime, _pkt: u64, size: u64, class: u32) {
-        self.entries.push(crate::traffic::TraceEntry::new(
-            now,
-            lognic_model::units::Bytes::new(size),
-            class,
-            class,
-        ));
+    fn on(&mut self, now: SimTime, event: SimEvent) {
+        if let SimEvent::Inject { size, class, .. } = event {
+            self.entries.push(crate::traffic::TraceEntry::new(
+                now,
+                lognic_model::units::Bytes::new(size),
+                class,
+                class,
+            ));
+        }
     }
 }
 
@@ -1269,53 +1078,102 @@ mod tests {
     }
 
     #[test]
-    fn ring_encodes_and_decodes_every_kind() {
+    fn ring_keeps_packet_events_and_skips_dispatch_and_arena() {
+        let events = [
+            (
+                t(0.0),
+                SimEvent::FaultWindow {
+                    node: 2,
+                    kind: FaultWindowKind::RateDegradation { factor: 0.25 },
+                    until: t(20.0),
+                },
+            ),
+            (
+                t(1.0),
+                SimEvent::Inject {
+                    pkt: 7,
+                    size: 1500,
+                    class: 3,
+                },
+            ),
+            (
+                t(2.0),
+                SimEvent::Enqueue {
+                    node: 1,
+                    pkt: 7,
+                    depth: 4,
+                },
+            ),
+            (
+                t(3.0),
+                SimEvent::Dequeue {
+                    node: 1,
+                    pkt: 7,
+                    depth: 3,
+                },
+            ),
+            (
+                t(4.0),
+                SimEvent::ServiceStart {
+                    node: 1,
+                    pkt: 7,
+                    occupancy: t(5.0),
+                },
+            ),
+            (t(9.0), SimEvent::Complete { node: 1, pkt: 7 }),
+            (
+                t(10.0),
+                SimEvent::Deliver {
+                    pkt: 7,
+                    latency: t(9.0),
+                },
+            ),
+            (
+                t(11.0),
+                SimEvent::Drop {
+                    node: 1,
+                    pkt: 8,
+                    reason: DropReason::DeadlineExpired,
+                },
+            ),
+            (
+                t(12.0),
+                SimEvent::Retry {
+                    node: 1,
+                    pkt: 9,
+                    attempt: 2,
+                    resume_at: t(15.0),
+                },
+            ),
+        ];
         let mut log = RingLog::with_capacity(16);
-        log.on_fault_window(
-            2,
-            FaultWindowKind::RateDegradation { factor: 0.25 },
-            t(10.0),
-            t(20.0),
-        );
-        log.on_inject(t(1.0), 7, 1500, 3);
-        log.on_enqueue(t(2.0), 1, 7, 4);
-        log.on_dequeue(t(3.0), 1, 7, 3);
-        log.on_service_start(t(4.0), 1, 7, t(5.0));
-        log.on_complete(t(9.0), 1, 7);
-        log.on_deliver(t(10.0), 7, t(9.0));
-        log.on_drop(t(11.0), 1, 8, DropReason::DeadlineExpired);
-        log.on_retry(t(12.0), 1, 9, 2, t(15.0));
-        let recs = log.decode();
-        assert_eq!(recs.len(), 10, "fault window yields open+close");
-        assert_eq!(recs[0].kind, RecordKind::FaultOpen);
-        assert_eq!(recs[0].node, 2);
-        assert_eq!(f64::from_bits(recs[0].aux), 0.25);
-        assert_eq!(recs[1].kind, RecordKind::FaultClose);
-        assert_eq!(recs[2].kind, RecordKind::Inject);
-        assert_eq!(recs[2].node, NO_NODE);
-        assert_eq!((recs[2].pkt, recs[2].aux), (7, 1500));
-        assert_eq!(recs[3].aux, 4, "enqueue carries depth");
-        assert_eq!(recs[5].aux, t(5.0).as_picos(), "occupancy in ps");
-        assert_eq!(recs[7].aux, t(9.0).as_picos(), "latency in ps");
-        assert_eq!(recs[8].aux, DropReason::DeadlineExpired.code() as u64);
-        let retry = recs[9];
-        assert_eq!(retry.pkt & 0x00ff_ffff_ffff_ffff, 9);
-        assert_eq!(retry.pkt >> 56, 2, "attempt in the top byte");
-        assert_eq!(retry.aux, t(15.0).as_picos());
+        for &(now, event) in &events {
+            log.on(now, event);
+            log.on(now, SimEvent::Dispatch { seq: 1 });
+            log.on(now, SimEvent::ArenaAlloc { handle: 0, pkt: 7 });
+            log.on(now, SimEvent::ArenaFree { handle: 0 });
+        }
+        assert_eq!(log.records(), events, "one record per packet event");
+        assert_eq!(log.written(), events.len() as u64);
         assert_eq!(log.dropped(), 0);
     }
 
     #[test]
     fn ring_is_bounded_and_keeps_the_newest() {
         let mut log = RingLog::with_capacity(4);
+        let inject = |pkt| SimEvent::Inject {
+            pkt,
+            size: 64,
+            class: 0,
+        };
         for i in 0..10u64 {
-            log.on_inject(t(i as f64), i, 64, 0);
+            log.on(t(i as f64), inject(i));
         }
         assert_eq!(log.written(), 10);
         assert_eq!(log.dropped(), 6);
-        assert_eq!(log.bytes().len(), 4 * REC_SIZE, "memory stays fixed");
-        let ids: Vec<u64> = log.decode().iter().map(|r| r.pkt).collect();
-        assert_eq!(ids, vec![6, 7, 8, 9]);
+        assert_eq!(log.buf.capacity(), 4, "memory stays fixed");
+        let expected: Vec<_> = (6..10u64).map(|i| (t(i as f64), inject(i))).collect();
+        assert_eq!(log.records(), expected);
     }
 
     #[test]
@@ -1343,11 +1201,32 @@ mod tests {
             egress: 1,
         });
         // Before the first tick: one busy engine, depth 3.
-        s.on_service_start(SimTime::from_nanos(100.0), 1, 0, t(50.0));
-        s.on_enqueue(SimTime::from_nanos(200.0), 1, 1, 3);
+        s.on(
+            SimTime::from_nanos(100.0),
+            SimEvent::ServiceStart {
+                node: 1,
+                pkt: 0,
+                occupancy: t(50.0),
+            },
+        );
+        s.on(
+            SimTime::from_nanos(200.0),
+            SimEvent::Enqueue {
+                node: 1,
+                pkt: 1,
+                depth: 3,
+            },
+        );
         // Crosses tick 1 µs and 2 µs: state as of those ticks is the
         // pre-event state above.
-        s.on_drop(SimTime::from_micros(2.5), 1, 2, DropReason::QueueFull);
+        s.on(
+            SimTime::from_micros(2.5),
+            SimEvent::Drop {
+                node: 1,
+                pkt: 2,
+                reason: DropReason::QueueFull,
+            },
+        );
         s.on_run_end(SimTime::from_micros(4.0));
         let tl = s.into_timeline();
         assert_eq!(tl.ticks().len(), 4);
@@ -1384,10 +1263,38 @@ mod tests {
             egress: 0,
         });
         let metadata = c.len();
-        c.on_service_start(t(1.0), 0, 1, t(2.0));
-        c.on_inject(t(1.0), 1, 64, 0);
-        c.on_deliver(t(3.0), 1, t(2.0));
-        c.on_drop(t(4.0), 0, 2, DropReason::Outage); // over the limit
+        c.on(
+            t(1.0),
+            SimEvent::ServiceStart {
+                node: 0,
+                pkt: 1,
+                occupancy: t(2.0),
+            },
+        );
+        c.on(
+            t(1.0),
+            SimEvent::Inject {
+                pkt: 1,
+                size: 64,
+                class: 0,
+            },
+        );
+        c.on(
+            t(3.0),
+            SimEvent::Deliver {
+                pkt: 1,
+                latency: t(2.0),
+            },
+        );
+        // Over the limit.
+        c.on(
+            t(4.0),
+            SimEvent::Drop {
+                node: 0,
+                pkt: 2,
+                reason: DropReason::Outage,
+            },
+        );
         assert_eq!(c.len(), metadata + 3);
         assert_eq!(c.truncated(), 1);
         let json = c.into_json();
@@ -1408,24 +1315,24 @@ mod tests {
     #[test]
     fn pair_observer_fans_out_in_order() {
         let mut pair = (RingLog::with_capacity(4), RingLog::with_capacity(4));
-        pair.on_inject(t(1.0), 1, 64, 0);
-        pair.on_deliver(t(2.0), 1, t(1.0));
-        assert_eq!(pair.0.decode(), pair.1.decode());
+        pair.on(
+            t(1.0),
+            SimEvent::Inject {
+                pkt: 1,
+                size: 64,
+                class: 0,
+            },
+        );
+        pair.on(
+            t(2.0),
+            SimEvent::Deliver {
+                pkt: 1,
+                latency: t(1.0),
+            },
+        );
+        assert_eq!(pair.0.records().len(), 2);
+        assert_eq!(pair.0.records(), pair.1.records());
         const { assert!(<(RingLog, RingLog) as SimObserver>::ENABLED) };
         const { assert!(!NoopObserver::ENABLED) };
-    }
-
-    #[test]
-    fn drop_reason_codes_round_trip() {
-        for r in [
-            DropReason::QueueFull,
-            DropReason::Outage,
-            DropReason::FaultDrop,
-            DropReason::DeadlineExpired,
-            DropReason::MediaBacklog,
-        ] {
-            assert_eq!(DropReason::from_code(r.code()), Some(r));
-        }
-        assert_eq!(DropReason::from_code(99), None);
     }
 }

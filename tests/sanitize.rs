@@ -6,7 +6,7 @@
 //! 1. **Passivity** — attaching the [`Sanitizer`] or a live
 //!    [`RingLog`] never changes the report: an observed run is
 //!    byte-identical to the plain run of the same scenario and seed,
-//!    and a rerun emits the byte-identical event stream.
+//!    and a rerun emits the identical event stream.
 //! 2. **Cleanliness** — the healthy engine never trips an invariant:
 //!    packet conservation, credit balance, arena discipline, event
 //!    monotonicity and the end-of-run audit all hold across random
@@ -271,7 +271,7 @@ fn burst_trace_runs_are_sanitizer_clean_on_all_paths() {
 }
 
 /// Property: attaching a live ring-log observer never changes the
-/// report, and a rerun emits the byte-identical event stream — the
+/// report, and a rerun emits the identical event stream — the
 /// observability layer is passive and deterministic over the whole
 /// randomized scenario space, not just the pinned fixtures in
 /// `tests/trace.rs`. A quarter of the cases replay a burst trace
@@ -315,7 +315,7 @@ fn traced_runs_match_untraced_on_all_paths() {
                 rings.push(ring);
             }
             ensure!(
-                rings[0].bytes() == rings[1].bytes(),
+                rings[0].records() == rings[1].records(),
                 "reruns emitted different event streams"
             );
             Ok(())

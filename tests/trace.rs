@@ -137,7 +137,7 @@ fn traced_reports_match_untraced_without_faults() {
     assert!(ring.written() > 0, "observer saw no events");
 }
 
-/// Determinism: the binary event ring is byte-identical across
+/// Determinism: the event ring holds identical records across
 /// repeated runs of the same seed.
 #[test]
 fn ring_traces_are_identical_across_reruns() {
@@ -152,8 +152,8 @@ fn ring_traces_are_identical_across_reruns() {
     let first = capture();
     let again = capture();
     assert_eq!(
-        first.bytes(),
-        again.bytes(),
+        first.records(),
+        again.records(),
         "rerun emitted a different trace"
     );
     assert_eq!(first.dropped(), 0, "fixture ring must hold the whole run");
@@ -172,10 +172,10 @@ fn ring_log_is_bounded_and_keeps_the_newest_events() {
     assert_eq!(ring.capacity(), 64);
     assert!(ring.written() > 64, "run too small to overflow the ring");
     assert_eq!(ring.dropped(), ring.written() - 64);
-    let recs = ring.decode();
+    let recs = ring.records();
     assert_eq!(recs.len(), 64);
     for pair in recs.windows(2) {
-        assert!(pair[0].time <= pair[1].time, "decoded out of order");
+        assert!(pair[0].0 <= pair[1].0, "records out of order");
     }
 }
 
