@@ -2,9 +2,11 @@
 //! row each, committed as `BENCH_sim.json` and re-measured by CI.
 //!
 //! The rows: the representative simulator workloads (microservices,
-//! NVMe-oF, accelerator-brownout chaos, and the doorbell-burst
-//! workload, whose hundreds of same-timestamp arrivals are the
-//! scheduler's worst case for ties); the `sched_hold_2m` pair, which
+//! NVMe-oF, accelerator-brownout chaos, the doorbell-burst workload,
+//! whose hundreds of same-timestamp arrivals are the scheduler's worst
+//! case for ties, and `dns_kv`, the registry's three-class size
+//! mixture, the one sim row whose packets differ in size); the
+//! `sched_hold_2m` pair, which
 //! times the calendar queue against a plain `BinaryHeap` on the
 //! classic hold model, where the scheduler is the whole workload; the
 //! `fleet_rack16` row, the 16-NIC registry rack through the fleet
@@ -75,7 +77,7 @@ use lognic_workloads::doorbell::{doorbell_burst, BurstPlan};
 use lognic_workloads::microservices::{self, scenario, AllocationScheme, App};
 use lognic_workloads::nvmeof::{self, nvmeof};
 use lognic_workloads::scenario::Scenario;
-use lognic_workloads::{inline_accel, nf_placement, panic_scenarios, rack};
+use lognic_workloads::{inline_accel, nf_placement, panic_scenarios, rack, registry};
 
 /// A pass-through allocator that counts every allocation. Wrapping the
 /// system allocator costs one relaxed atomic increment per call —
@@ -247,6 +249,9 @@ fn workloads() -> Vec<Workload> {
     );
     let (burst, burst_trace) =
         doorbell_burst(&BurstPlan::default()).expect("the default burst plan is valid");
+    let (dns_kv, dns_kv_plan) = registry::find("dns-kv")
+        .expect("dns-kv is registered")
+        .build();
     vec![
         Workload {
             name: "microservices",
@@ -275,6 +280,13 @@ fn workloads() -> Vec<Workload> {
             plan: None,
             trace: Some(burst_trace),
             millis: 60.0,
+        },
+        Workload {
+            name: "dns_kv",
+            scenario: dns_kv,
+            plan: dns_kv_plan,
+            trace: None,
+            millis: 25.0,
         },
     ]
 }

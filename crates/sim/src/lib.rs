@@ -66,6 +66,7 @@ pub mod rng;
 pub mod sanitize;
 pub mod service;
 pub mod sim;
+mod size_table;
 pub mod stats;
 pub mod time;
 pub mod trace;

@@ -62,6 +62,21 @@ impl Medium {
         bytes: Bytes,
         max_backlog: SimTime,
     ) -> Option<SimTime> {
+        let duration = transfer_duration(self.bandwidth, bytes);
+        self.try_reserve(now, bytes, duration, max_backlog)
+    }
+
+    /// [`Self::try_acquire`] with the transfer's `duration` already
+    /// computed by [`transfer_duration`] at this medium's bandwidth, so
+    /// the engine can keep durations per packet size.
+    pub(crate) fn try_reserve(
+        &mut self,
+        now: SimTime,
+        bytes: Bytes,
+        duration: SimTime,
+        max_backlog: SimTime,
+    ) -> Option<SimTime> {
+        debug_assert_eq!(duration, transfer_duration(self.bandwidth, bytes));
         if bytes.get() == 0 {
             return Some(now);
         }
@@ -72,7 +87,6 @@ impl Medium {
             return None;
         }
         let start = now.max(self.next_free);
-        let duration = SimTime::from_secs(self.bandwidth.transfer_time(bytes).as_secs());
         let end = start + duration;
         self.next_free = end;
         self.busy += duration;
@@ -92,6 +106,19 @@ impl Medium {
         }
         (self.busy.as_secs() / elapsed.as_secs()).min(1.0)
     }
+}
+
+/// The time `bytes` occupy a medium of `bandwidth`, rounded to the
+/// picosecond: zero for an empty transfer, [`SimTime::MAX`] when the
+/// bandwidth is zero.
+pub(crate) fn transfer_duration(bandwidth: Bandwidth, bytes: Bytes) -> SimTime {
+    if bytes.get() == 0 {
+        return SimTime::ZERO;
+    }
+    if bandwidth.is_zero() {
+        return SimTime::MAX;
+    }
+    SimTime::from_secs(bandwidth.transfer_time(bytes).as_secs())
 }
 
 #[cfg(test)]
@@ -143,6 +170,25 @@ mod tests {
     fn zero_bandwidth_blocks_forever() {
         let mut m = Medium::new("dead", Bandwidth::ZERO);
         assert_eq!(m.acquire(SimTime::ZERO, Bytes::new(1)), SimTime::MAX);
+    }
+
+    #[test]
+    fn transfer_duration_edges() {
+        let bw = Bandwidth::gbps(8.0);
+        assert_eq!(
+            transfer_duration(bw, Bytes::new(1000)),
+            SimTime::from_micros(1.0)
+        );
+        // An empty transfer takes no time, even with no bandwidth.
+        assert_eq!(transfer_duration(bw, Bytes::new(0)), SimTime::ZERO);
+        assert_eq!(
+            transfer_duration(Bandwidth::ZERO, Bytes::new(0)),
+            SimTime::ZERO
+        );
+        assert_eq!(
+            transfer_duration(Bandwidth::ZERO, Bytes::new(1)),
+            SimTime::MAX
+        );
     }
 
     #[test]

@@ -22,6 +22,17 @@ pub enum ServiceDist {
     Exponential,
 }
 
+impl ServiceDist {
+    /// One service time with mean `mean`: `mean` itself, or an
+    /// exponential draw from `rng`.
+    pub(crate) fn draw(self, mean: SimTime, rng: &mut SimRng) -> SimTime {
+        match self {
+            ServiceDist::Deterministic => mean,
+            ServiceDist::Exponential => rng.exponential(mean),
+        }
+    }
+}
+
 /// Produces per-request service times for one node's engines.
 ///
 /// Implementations may keep internal state (queue-depth effects,
@@ -88,11 +99,7 @@ impl ServiceModel for RateService {
         work: Bytes,
         rng: &mut SimRng,
     ) -> SimTime {
-        let mean = self.mean_time(work);
-        match self.dist {
-            ServiceDist::Deterministic => mean,
-            ServiceDist::Exponential => rng.exponential(mean),
-        }
+        self.dist.draw(self.mean_time(work), rng)
     }
 }
 
@@ -119,10 +126,7 @@ impl ServiceModel for FixedService {
         _work: Bytes,
         rng: &mut SimRng,
     ) -> SimTime {
-        match self.dist {
-            ServiceDist::Deterministic => self.time,
-            ServiceDist::Exponential => rng.exponential(self.time),
-        }
+        self.dist.draw(self.time, rng)
     }
 }
 

@@ -19,6 +19,16 @@
 //! pop in exactly `(time, seq)` order, the order the calendar queue's
 //! own tests check against a binary heap.
 //!
+//! What a packet costs at a node or edge besides its random draws
+//! depends on its size alone: a node's work bytes and rate-model mean
+//! service time, an edge's interface and memory bytes and each
+//! medium's transfer time. Every node and edge keeps these in a
+//! `size_table::SizeTable`, four inline slots indexed by packet class and
+//! validated by the packet's size, so a hit returns exactly what the
+//! float arithmetic would and a miss (a resized packet, a trace record
+//! of a new size, a fifth class) recomputes it. Fault rate factors and
+//! exponential draws stay per event.
+//!
 //! [`Ev`]: self::Simulation
 //! [`CalendarQueue`]: crate::calendar::CalendarQueue
 //! [`PacketArena`]: crate::arena::PacketArena
@@ -33,18 +43,19 @@ use lognic_model::fault::{FaultPlan, RetryPolicy};
 use lognic_model::graph::ExecutionGraph;
 use lognic_model::intern::NameTable;
 use lognic_model::params::{HardwareModel, TrafficProfile};
-use lognic_model::units::{Bandwidth, Seconds};
+use lognic_model::units::{Bandwidth, Bytes, Seconds};
 
 use crate::arena::{PacketArena, PacketHandle, NO_PACKET};
 use crate::calendar::CalendarQueue;
 use crate::faults::{CompiledFaultPlan, CompiledKind, NodeFaults};
 use crate::histogram::LatencyRecorder;
-use crate::medium::Medium;
+use crate::medium::{transfer_duration, Medium};
 use crate::metrics::{ClassReport, LatencySummary, MediumReport, NodeReport, SimReport};
 use crate::packet::Packet;
 use crate::rng::SimRng;
 use crate::sanitize::{Sanitizer, SanitizerReport};
 use crate::service::{RateService, ServiceDist, ServiceModel};
+use crate::size_table::SizeTable;
 use crate::time::SimTime;
 use crate::trace::{
     DropReason, FaultWindowKind, NodeAudit, NodeMeta, NoopObserver, RunAudit, RunMeta, SimEvent,
@@ -221,13 +232,45 @@ fn observed_kind(kind: CompiledKind) -> FaultWindowKind {
     }
 }
 
+/// A node's engine model.
+enum NodeService {
+    /// The default rate model: the mean service time depends on the
+    /// packet size alone, so the node's size table holds it.
+    Rate(RateService),
+    /// A user override, asked for every request.
+    Custom(Box<dyn ServiceModel>),
+}
+
+/// What a node needs per packet size.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct NodeCosts {
+    /// The bytes the node computes on (`size × work_factor`).
+    work: Bytes,
+    /// The rate model's mean service time for `work`; zero for a
+    /// custom model.
+    mean: SimTime,
+}
+
+impl NodeService {
+    fn costs(&self, work_factor: f64, size: Bytes) -> NodeCosts {
+        let work = size.scaled(work_factor);
+        let mean = match self {
+            NodeService::Rate(rate) => rate.mean_time(work),
+            NodeService::Custom(_) => SimTime::ZERO,
+        };
+        NodeCosts { work, mean }
+    }
+}
+
 struct NodeRuntime {
     engines: u32,
     busy: u32,
     queue: QueueState,
-    service: Box<dyn ServiceModel>,
+    service: NodeService,
     overhead: SimTime,
     work_factor: f64,
+    /// [`NodeService::costs`] per packet class.
+    sizes: SizeTable<NodeCosts>,
     busy_time: SimTime,
     /// Shared compiled fault table — an `Arc` so replicated runs reuse
     /// one compilation across every seed instead of cloning windows.
@@ -249,10 +292,49 @@ struct SimNode {
 
 struct SimEdge {
     dst: usize,
-    interface_per_packet: f64,
-    memory_per_packet: f64,
     dedicated: Option<usize>,
     resize: f64,
+    transfer: EdgeTransfer,
+    /// [`EdgeTransfer::costs`] per packet class.
+    sizes: SizeTable<EdgeCosts>,
+}
+
+/// What one packet moves over an edge's media: shares of its size
+/// over the interface and memory, and the whole packet over the
+/// dedicated link, each at that medium's bandwidth.
+#[derive(Clone, Copy)]
+struct EdgeTransfer {
+    interface_per_packet: f64,
+    memory_per_packet: f64,
+    interface_bw: Bandwidth,
+    memory_bw: Bandwidth,
+    /// Zero when the edge has no dedicated link; its duration is then
+    /// never used.
+    dedicated_bw: Bandwidth,
+}
+
+/// An edge's bytes and transfer times per medium for one packet size.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct EdgeCosts {
+    interface: Bytes,
+    memory: Bytes,
+    interface_time: SimTime,
+    memory_time: SimTime,
+    dedicated_time: SimTime,
+}
+
+impl EdgeTransfer {
+    fn costs(&self, size: Bytes) -> EdgeCosts {
+        let interface = size.scaled(self.interface_per_packet);
+        let memory = size.scaled(self.memory_per_packet);
+        EdgeCosts {
+            interface,
+            memory,
+            interface_time: transfer_duration(self.interface_bw, interface),
+            memory_time: transfer_duration(self.memory_bw, memory),
+            dedicated_time: transfer_duration(self.dedicated_bw, size),
+        }
+    }
 }
 
 /// Builds a [`Simulation`], allowing per-node service-model overrides.
@@ -492,12 +574,13 @@ impl<'a> SimulationBuilder<'a> {
             .zip(&per_node)
             .map(|(((gn, svc), qplan), faults)| {
                 let runtime = gn.params().map(|p| {
-                    let service = svc.unwrap_or_else(|| {
-                        Box::new(RateService::new(
+                    let service = match svc {
+                        Some(model) => NodeService::Custom(model),
+                        None => NodeService::Rate(RateService::new(
                             p.effective_peak() / p.parallelism() as f64,
                             cfg.service_dist,
-                        ))
-                    });
+                        )),
+                    };
                     let queue = match qplan {
                         Some(plan) => QueueState::Wrr(WrrQueues::new(&plan)),
                         None => QueueState::Shared {
@@ -505,13 +588,15 @@ impl<'a> SimulationBuilder<'a> {
                             capacity: p.effective_queue_capacity(),
                         },
                     };
+                    let work_factor = p.work_factor();
                     NodeRuntime {
                         engines: p.parallelism(),
                         busy: 0,
                         queue,
+                        sizes: SizeTable::new(|size| service.costs(work_factor, size)),
                         service,
                         overhead: SimTime::from_secs(p.overhead().as_secs()),
-                        work_factor: p.work_factor(),
+                        work_factor,
                         busy_time: SimTime::ZERO,
                         faults: Arc::clone(faults),
                         occupancy_integral: 0.0,
@@ -541,12 +626,19 @@ impl<'a> SimulationBuilder<'a> {
                 media.push(Medium::new(&format!("link#{i}"), bw));
                 media.len() - 1
             });
-            edges.push(SimEdge {
-                dst: e.dst().index(),
+            let transfer = EdgeTransfer {
                 interface_per_packet: p.interface_fraction() / delta,
                 memory_per_packet: p.memory_fraction() / delta,
+                interface_bw: media[0].bandwidth(),
+                memory_bw: media[1].bandwidth(),
+                dedicated_bw: p.dedicated_bandwidth().unwrap_or(Bandwidth::ZERO),
+            };
+            edges.push(SimEdge {
+                dst: e.dst().index(),
                 dedicated,
                 resize: p.size_factor(),
+                transfer,
+                sizes: SizeTable::new(|size| transfer.costs(size)),
             });
         }
 
@@ -1342,8 +1434,13 @@ impl Simulation {
         let rng = &mut self.rng;
         let rt = self.nodes[node].runtime.as_mut().expect("compute node");
         rt.busy += 1;
-        let work = pkt.size.scaled(rt.work_factor);
-        let mut service = rt.service.service_time(now, pkt, work, rng);
+        let costs = rt.sizes.get(pkt.class, pkt.size, |size| {
+            rt.service.costs(rt.work_factor, size)
+        });
+        let mut service = match &mut rt.service {
+            NodeService::Rate(rate) => rate.dist().draw(costs.mean, rng),
+            NodeService::Custom(model) => model.service_time(now, pkt, costs.work, rng),
+        };
         if !rt.faults.is_empty() {
             let factor = rt.faults.rate_factor_at(now);
             if factor < 1.0 {
@@ -1680,25 +1777,16 @@ impl Simulation {
             return;
         }
         let pick = self.rng.pick_cumulative(&self.out_cum[node]);
-        let eid = outs[pick];
-        let (dst, interface_pp, memory_pp, dedicated, resize) = {
-            let e = &self.edges[eid];
-            (
-                e.dst,
-                e.interface_per_packet,
-                e.memory_per_packet,
-                e.dedicated,
-                e.resize,
-            )
-        };
+        let e = &mut self.edges[outs[pick]];
         // Compression/decompression edges resize the request in place;
         // the resized data is what crosses the media and what
         // downstream stages compute on.
-        if (resize - 1.0).abs() > f64::EPSILON {
-            let p = st.arena.get_mut(h);
-            p.size = p.size.scaled(resize);
+        let p = st.arena.get_mut(h);
+        if (e.resize - 1.0).abs() > f64::EPSILON {
+            p.size = p.size.scaled(e.resize);
         }
-        let size = st.arena.get(h).size;
+        let costs = e.sizes.get(p.class, p.size, |size| e.transfer.costs(size));
+        let (dst, dedicated, size) = (e.dst, e.dedicated, p.size);
 
         // Finite ingress buffering: transfers issued by the ingress
         // engine are refused (RX overflow) once a medium's backlog
@@ -1711,15 +1799,11 @@ impl Simulation {
         } else {
             SimTime::MAX
         };
-        let mut t = Some(now);
-        if interface_pp > 0.0 {
-            t = t.and_then(|at| self.media[0].try_acquire(at, size.scaled(interface_pp), cap));
-        }
-        if memory_pp > 0.0 {
-            t = t.and_then(|at| self.media[1].try_acquire(at, size.scaled(memory_pp), cap));
-        }
+        // A medium the edge moves no bytes over answers `Some(at)`.
+        let mut t = self.media[0].try_reserve(now, costs.interface, costs.interface_time, cap);
+        t = t.and_then(|at| self.media[1].try_reserve(at, costs.memory, costs.memory_time, cap));
         if let Some(d) = dedicated {
-            t = t.and_then(|at| self.media[d].try_acquire(at, size, cap));
+            t = t.and_then(|at| self.media[d].try_reserve(at, size, costs.dedicated_time, cap));
         }
         match t {
             Some(at) if at != SimTime::MAX => {
@@ -2753,5 +2837,75 @@ mod engine_tests {
                 .unwrap();
             assert_eq!(declarative, shared, "seed {seed}");
         }
+    }
+
+    #[test]
+    fn edge_size_table_covers_zero_bytes_and_zero_bandwidth() {
+        let transfer = EdgeTransfer {
+            // The edge moves nothing over the interface ...
+            interface_per_packet: 0.0,
+            memory_per_packet: 0.5,
+            interface_bw: Bandwidth::gbps(8.0),
+            // ... and half the packet over a dead memory.
+            memory_bw: Bandwidth::ZERO,
+            dedicated_bw: Bandwidth::gbps(8.0),
+        };
+        let mut table = SizeTable::new(|size| transfer.costs(size));
+        let expected = EdgeCosts {
+            interface: Bytes::new(0),
+            memory: Bytes::new(500),
+            interface_time: SimTime::ZERO,
+            memory_time: SimTime::MAX,
+            dedicated_time: SimTime::from_micros(1.0),
+        };
+        // A miss fills class 2's slot; the second lookup hits it.
+        for _ in 0..2 {
+            let costs = table.get(2, Bytes::new(1000), |size| transfer.costs(size));
+            assert_eq!(costs, expected);
+        }
+        // A zero-byte packet finds the value a fresh slot starts with.
+        let empty = table.get(1, Bytes::new(0), |size| transfer.costs(size));
+        assert_eq!(empty.memory, Bytes::new(0));
+        assert_eq!(empty.memory_time, SimTime::ZERO);
+        assert_eq!(empty.dedicated_time, SimTime::ZERO);
+        // The media answer the cached costs as they answer `try_acquire`.
+        let now = SimTime::from_micros(3.0);
+        let mut interface = Medium::new("interface", transfer.interface_bw);
+        let mut memory = Medium::new("memory", transfer.memory_bw);
+        let (bytes, time) = (expected.interface, expected.interface_time);
+        assert_eq!(
+            interface.try_reserve(now, bytes, time, SimTime::MAX),
+            Some(now)
+        );
+        assert_eq!(interface.transferred(), Bytes::new(0));
+        let (bytes, time) = (expected.memory, expected.memory_time);
+        assert_eq!(
+            memory.try_reserve(now, bytes, time, SimTime::MAX),
+            Some(SimTime::MAX)
+        );
+    }
+
+    #[test]
+    fn node_costs_follow_the_service_model() {
+        let rate = |gbps| {
+            NodeService::Rate(RateService::new(
+                Bandwidth::gbps(gbps),
+                ServiceDist::Exponential,
+            ))
+        };
+        let costs = rate(8.0).costs(1.5, Bytes::new(1000));
+        assert_eq!(costs.work, Bytes::new(1500));
+        assert_eq!(costs.mean, SimTime::from_micros(1.5));
+        // A zero-rate engine never finishes; an empty request is free.
+        assert_eq!(rate(0.0).costs(1.0, Bytes::new(64)).mean, SimTime::MAX);
+        assert_eq!(rate(8.0).costs(1.0, Bytes::new(0)).mean, SimTime::ZERO);
+        // A custom model gets the work bytes and computes its own time.
+        let fixed = Box::new(crate::service::FixedService::new(
+            SimTime::from_micros(2.0),
+            ServiceDist::Deterministic,
+        ));
+        let costs = NodeService::Custom(fixed).costs(0.5, Bytes::new(1000));
+        assert_eq!(costs.work, Bytes::new(500));
+        assert_eq!(costs.mean, SimTime::ZERO);
     }
 }

@@ -9,7 +9,9 @@
 //!    byte-for-byte, and re-ingesting it drives a deterministic
 //!    replay whose report is pinned as a byte-golden under
 //!    `tests/golden/corpus/`. A doorbell-burst replay, whose trace
-//!    records tie on time by the dozens, is pinned the same way:
+//!    records tie on time by the dozens, and a size-mix scenario,
+//!    whose packets reach stages at many sizes per class, are pinned
+//!    the same way:
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test --test corpus
@@ -206,6 +208,133 @@ fn doorbell_burst_report_matches_golden() {
         .expect("doorbell bursts simulate");
     assert_eq!(report.injected, plan.packets());
     assert_golden("doorbell_burst.report.txt", &format!("{report:#?}\n"));
+}
+
+/// A pipeline whose per-packet costs depend on size in every way the
+/// engine knows: a work factor above 1, a fan-out whose branch crosses
+/// a dedicated link into a compressor, a resizing edge, so the crypto
+/// stage sees each class at two sizes, memory traffic and a
+/// rate-degradation window.
+fn size_mix_scenario() -> (ExecutionGraph, HardwareModel, TrafficProfile, FaultPlan) {
+    let mut b = ExecutionGraph::builder("size-mix");
+    let ing = b.ingress("rx-port");
+    let parser = b.ip(
+        "parser",
+        IpParams::new(Bandwidth::gbps(30.0))
+            .with_parallelism(4)
+            .with_queue_capacity(64),
+    );
+    let zip = b.ip(
+        "compressor",
+        IpParams::new(Bandwidth::gbps(20.0))
+            .with_parallelism(2)
+            .with_queue_capacity(32)
+            .with_work_factor(2.0),
+    );
+    let crypto = b.ip(
+        "crypto",
+        IpParams::new(Bandwidth::gbps(16.0))
+            .with_parallelism(4)
+            .with_queue_capacity(64)
+            .with_overhead(Seconds::micros(0.05)),
+    );
+    let eg = b.egress("tx-port");
+    b.edge(ing, parser, EdgeParams::full().with_interface_fraction(0.0));
+    b.edge(
+        parser,
+        zip,
+        EdgeParams::new(0.7)
+            .expect("fraction within [0, 1]")
+            .with_dedicated_bandwidth(Bandwidth::gbps(12.0)),
+    );
+    b.edge(
+        parser,
+        crypto,
+        EdgeParams::new(0.3).expect("fraction within [0, 1]"),
+    );
+    b.edge(
+        zip,
+        crypto,
+        EdgeParams::new(0.35)
+            .expect("fraction within [0, 1]")
+            .with_memory_fraction(0.2)
+            .with_size_factor(0.5),
+    );
+    b.edge(crypto, eg, EdgeParams::full().with_interface_fraction(0.2));
+    let graph = b.build().expect("size-mix graph is valid");
+    let hw = HardwareModel::new(Bandwidth::gbps(40.0), Bandwidth::gbps(30.0));
+    // Six classes: more than there are per-class table slots, so
+    // classes 4 and 5 share slots with classes 0 and 1.
+    let sizes = PacketSizeDist::mix([
+        (Bytes::new(64), 0.30),
+        (Bytes::new(128), 0.15),
+        (Bytes::new(256), 0.15),
+        (Bytes::new(576), 0.15),
+        (Bytes::new(1024), 0.10),
+        (Bytes::new(1500), 0.15),
+    ])
+    .expect("static mixture is valid");
+    let traffic = TrafficProfile::new(Bandwidth::gbps(8.0), sizes);
+    let plan = FaultPlan::new().degrade_rate(
+        "crypto",
+        0.5,
+        Seconds::micros(800.0),
+        Seconds::micros(1200.0),
+    );
+    (graph, hw, traffic, plan)
+}
+
+/// Every per-packet cost the simulator derives from a packet's size —
+/// work bytes, service means, medium bytes and transfer times — pinned
+/// under a six-class synthetic mixture and under a trace replay whose
+/// sizes vary within each flow and class.
+#[test]
+fn size_mix_reports_match_golden() {
+    let (graph, hw, traffic, plan) = size_mix_scenario();
+    let config = SimConfig {
+        seed: 11,
+        duration: Seconds::millis(2.0),
+        warmup: Seconds::micros(200.0),
+        ..SimConfig::default()
+    };
+    let synthetic = Simulation::builder(&graph, &hw, &traffic)
+        .config(config)
+        .with_fault_plan(plan.clone())
+        .run()
+        .expect("size-mix scenario simulates");
+    assert_eq!(synthetic.classes.len(), 6, "every class completes");
+
+    // Seven classes and three flows; sizes cycle through 1,437 values,
+    // and every third record arrives with its predecessor.
+    let gaps_ps = [0, 600_000, 1_200_000];
+    let mut arrival_ps = 0u64;
+    let records = (0..2_000u64)
+        .map(|i| {
+            arrival_ps += gaps_ps[(i % 3) as usize];
+            let size = Bytes::new(64 + (i * 7_919) % 1_437);
+            TraceEntry::new(
+                SimTime::from_picos(arrival_ps),
+                size,
+                (i % 3) as u32,
+                ((i / 3) % 7) as u32,
+            )
+        })
+        .collect();
+    let trace = PacketTrace::new(records).expect("ordered positive records");
+    let replay = Simulation::builder(&graph, &hw, &traffic)
+        .config(SimConfig {
+            warmup: Seconds::ZERO,
+            ..config
+        })
+        .with_fault_plan(plan)
+        .with_trace(trace)
+        .run()
+        .expect("size-mix trace replays");
+    assert_eq!(replay.injected, 2_000);
+    assert_golden(
+        "size_mix.report.txt",
+        &format!("# synthetic\n{synthetic:#?}\n# trace replay\n{replay:#?}\n"),
+    );
 }
 
 /// An empirical profile derived from the captured trace feeds the

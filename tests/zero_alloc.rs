@@ -16,7 +16,9 @@
 //! assembly) are identical in both runs and cancel; what remains is
 //! the steady-state per-event cost. The bound is a small epsilon
 //! rather than literal zero so a rare amortized growth (a wheel bucket
-//! first touched late in the long run) cannot flake the suite.
+//! first touched late in the long run) cannot flake the suite. The
+//! check runs on fixed-size traffic and on a three-class size mixture,
+//! whose packets miss and refill the engine's per-class size tables.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -58,7 +60,8 @@ fn allocs_now() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
-fn scenario() -> (ExecutionGraph, HardwareModel, TrafficProfile) {
+/// The steady pipeline under `sizes` at 30 Gb/s.
+fn scenario(sizes: PacketSizeDist) -> (ExecutionGraph, HardwareModel, TrafficProfile) {
     let graph = ExecutionGraph::chain(
         "steady",
         &[
@@ -80,14 +83,29 @@ fn scenario() -> (ExecutionGraph, HardwareModel, TrafficProfile) {
     )
     .unwrap();
     let hw = HardwareModel::new(Bandwidth::gbps(400.0), Bandwidth::gbps(400.0));
-    let traffic = TrafficProfile::fixed(Bandwidth::gbps(30.0), Bytes::new(1500));
+    let traffic = TrafficProfile::new(Bandwidth::gbps(30.0), sizes);
     (graph, hw, traffic)
+}
+
+fn fixed_size() -> PacketSizeDist {
+    PacketSizeDist::fixed(Bytes::new(1500))
+}
+
+/// A request/response mixture like the registry's `dns-kv`, at sizes
+/// whose per-event costs differ.
+fn three_classes() -> PacketSizeDist {
+    PacketSizeDist::mix([
+        (Bytes::new(80), 0.55),
+        (Bytes::new(576), 0.35),
+        (Bytes::new(1500), 0.10),
+    ])
+    .expect("static mixture is valid")
 }
 
 /// Runs the scenario for `millis` and returns `(events, allocations)`
 /// for the whole build + run.
-fn run_counted(millis: f64) -> (u64, u64) {
-    let (graph, hw, traffic) = scenario();
+fn run_counted(sizes: PacketSizeDist, millis: f64) -> (u64, u64) {
+    let (graph, hw, traffic) = scenario(sizes);
     let a0 = allocs_now();
     let report = Simulation::builder(&graph, &hw, &traffic)
         .seed(7)
@@ -98,13 +116,13 @@ fn run_counted(millis: f64) -> (u64, u64) {
     (report.events, allocs_now() - a0)
 }
 
-#[test]
-fn calendar_engine_steady_state_is_allocation_free() {
+/// Asserts that the run's allocations do not grow with its length.
+fn assert_steady_state_allocation_free(sizes: fn() -> PacketSizeDist) {
     // Warm the allocator's own caches before measuring.
-    run_counted(5.0);
+    run_counted(sizes(), 5.0);
 
-    let (ev_short, alloc_short) = run_counted(10.0);
-    let (ev_long, alloc_long) = run_counted(30.0);
+    let (ev_short, alloc_short) = run_counted(sizes(), 10.0);
+    let (ev_long, alloc_long) = run_counted(sizes(), 30.0);
 
     let extra_events = ev_long - ev_short;
     let extra_allocs = alloc_long.saturating_sub(alloc_short);
@@ -119,6 +137,16 @@ fn calendar_engine_steady_state_is_allocation_free() {
          {extra_allocs} allocations over {extra_events} extra events \
          ({per_event:.6} allocs/event)"
     );
+}
+
+#[test]
+fn calendar_engine_steady_state_is_allocation_free() {
+    assert_steady_state_allocation_free(fixed_size);
+}
+
+#[test]
+fn size_mixture_steady_state_is_allocation_free() {
+    assert_steady_state_allocation_free(three_classes);
 }
 
 #[test]
@@ -171,9 +199,9 @@ fn calendar_queue_hold_pattern_reuses_slab_slots() {
 fn arena_reuses_freed_packet_slots() {
     // Over three identical runs the arena high-water mark is reached
     // in the first; later runs must not allocate meaningfully more.
-    run_counted(10.0);
-    let (_, a1) = run_counted(10.0);
-    let (_, a2) = run_counted(10.0);
+    run_counted(fixed_size(), 10.0);
+    let (_, a1) = run_counted(fixed_size(), 10.0);
+    let (_, a2) = run_counted(fixed_size(), 10.0);
     // Identical work → near-identical allocation counts (the build
     // phase allocates; the delta between identical runs is noise).
     let diff = a1.abs_diff(a2);
