@@ -10,8 +10,10 @@
 //! times the calendar queue against a plain `BinaryHeap` on the
 //! classic hold model, where the scheduler is the whole workload; the
 //! `fleet_rack16` row, the 16-NIC registry rack through the fleet
-//! loop (see DESIGN §5l); and two analytical-model rows, `model_sweep` (one pass over the
-//! figures' model points) and `mmcn_c64_n256` (the M/M/c/N queueing
+//! loop (see DESIGN §5l); and three analytical-model rows,
+//! `model_sweep` (one pass over the figures' model points),
+//! `model_registry` (one evaluation of every registry workload, four of
+//! them packet-size mixtures) and `mmcn_c64_n256` (the M/M/c/N queueing
 //! kernel the model evaluates per node).
 //!
 //! Each row carries two kinds of numbers, and `--check` gates them
@@ -48,6 +50,9 @@
 //! cargo run --release -p lognic-bench --bin perf_baseline -- --check --out /tmp/fresh.json
 //! cargo run --release -p lognic-bench --bin perf_baseline -- --out /tmp/b.json
 //! ```
+//!
+//! Any other argument prints the usage and exits 2 before anything is
+//! measured or written.
 //!
 //! Allocations are counted by a wrapping `#[global_allocator]`. For a
 //! simulation the per-event figure is a *delta between two run
@@ -524,6 +529,20 @@ fn model_sweep_pass() -> u64 {
     points.get()
 }
 
+/// One plain `request().evaluate()` of every registry workload, four of
+/// them packet-size mixtures. The scenarios are built once beforehand,
+/// so the pass times the model alone. Returns the evaluations made.
+fn model_registry_pass() -> impl FnMut() -> u64 {
+    let scenarios: Vec<Scenario> = registry::ALL.iter().map(|e| e.scenario()).collect();
+    move || {
+        for s in &scenarios {
+            let estimate = s.estimator().request().evaluate();
+            black_box(estimate.expect("registry scenarios evaluate"));
+        }
+        scenarios.len() as u64
+    }
+}
+
 /// The queueing-kernel pass: the M/M/c/N queue of a 64-engine,
 /// 256-slot IP across 19 utilizations. Returns the kernels evaluated.
 fn mmcn_pass() -> u64 {
@@ -539,8 +558,8 @@ fn mmcn_pass() -> u64 {
 
 /// A model row: `repeats` passes per timed sample, so one sample spans
 /// milliseconds. Allocations are counted over one untimed pass.
-fn model_bench(name: &str, repeats: u64, pass: fn() -> u64) -> Bench {
-    let (points, allocs) = allocs_in(pass);
+fn model_bench(name: &str, repeats: u64, mut pass: impl FnMut() -> u64 + 'static) -> Bench {
+    let (points, allocs) = allocs_in(&mut pass);
     let sample = move || {
         secs_in(|| {
             for _ in 0..repeats {
@@ -700,31 +719,76 @@ fn check(fresh: &[Row], nproc: usize) -> ! {
     std::process::exit(0);
 }
 
+const USAGE: &str = "\
+usage: perf_baseline [--check] [--out PATH]
+
+  (no arguments)  measure every row and write BENCH_sim.json
+  --check         compare against BENCH_sim.json; exit 1 on a failure
+  --out PATH      write the measured rows to PATH (with --check, the
+                  only file written)";
+
+/// The command line: whether to check against the committed ledger,
+/// and where to write the fresh rows.
+#[derive(Debug, PartialEq)]
+struct Args {
+    check: bool,
+    out: Option<String>,
+}
+
+impl Args {
+    /// Accepts `--check` and `--out PATH`, each at most once; anything
+    /// else is an error naming the offending argument.
+    fn parse(args: &[String]) -> Result<Args, String> {
+        let mut parsed = Args {
+            check: false,
+            out: None,
+        };
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            match arg.as_str() {
+                "--check" if !parsed.check => parsed.check = true,
+                "--out" if parsed.out.is_none() => match it.next() {
+                    Some(path) if !path.starts_with('-') => parsed.out = Some(path.clone()),
+                    _ => return Err("--out needs a file path".to_owned()),
+                },
+                "--check" | "--out" => return Err(format!("{arg} given twice")),
+                _ => return Err(format!("unknown argument {arg:?}")),
+            }
+        }
+        Ok(parsed)
+    }
+
+    /// Where the fresh rows go: `--out`, else `BENCH_sim.json` unless
+    /// checking (`--check` writes only where `--out` asks).
+    fn out_path(&self) -> Option<&str> {
+        self.out
+            .as_deref()
+            .or((!self.check).then_some("BENCH_sim.json"))
+    }
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let checking = args.iter().any(|a| a == "--check");
-    // `--check` writes its fresh rows only where `--out` asks.
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-        .or((!checking).then_some("BENCH_sim.json"));
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let args = Args::parse(&raw).unwrap_or_else(|e| {
+        eprintln!("perf_baseline: {e}\n\n{USAGE}");
+        std::process::exit(2);
+    });
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let mut benches: Vec<Bench> = workloads().into_iter().map(sim_bench).collect();
     benches.extend([CALENDAR, HEAP].map(hold_bench));
     benches.push(fleet_bench());
     benches.push(model_bench("model_sweep", 4, model_sweep_pass));
+    benches.push(model_bench("model_registry", 8, model_registry_pass()));
     benches.push(model_bench("mmcn_c64_n256", 64, mmcn_pass));
     let rows = measure(benches);
     rows.iter().for_each(print_row);
 
-    if let Some(path) = out_path {
+    if let Some(path) = args.out_path() {
         std::fs::write(path, render_json(&rows, nproc)).expect("write the ledger");
         println!("wrote {path}");
     }
-    if checking {
+    if args.check {
         check(&rows, nproc);
     }
 }
@@ -740,6 +804,48 @@ mod tests {
             spread,
             ..Row::new(name, CALENDAR, events)
         }
+    }
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        Args::parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn only_check_and_out_are_accepted() {
+        let write = parse(&[]).unwrap();
+        assert_eq!(write.out_path(), Some("BENCH_sim.json"));
+        let check = parse(&["--check"]).unwrap();
+        assert!(check.check);
+        assert_eq!(check.out_path(), None, "--check alone writes nothing");
+        for args in [
+            &["--check", "--out", "fresh.json"][..],
+            &["--out", "fresh.json", "--check"],
+        ] {
+            let both = parse(args).unwrap();
+            assert!(both.check);
+            assert_eq!(both.out_path(), Some("fresh.json"));
+        }
+        assert_eq!(
+            parse(&["--out", "b.json"]).unwrap().out_path(),
+            Some("b.json")
+        );
+
+        for bad in [
+            &["--help"][..],
+            &["-h"],
+            &["--chek"],
+            &["--check", "extra"],
+            &["--out"],
+            &["--out", "--check"],
+            &["--check", "--check"],
+            &["--out", "a.json", "--out", "b.json"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must be refused");
+        }
+        assert_eq!(
+            parse(&["--chek"]).unwrap_err(),
+            "unknown argument \"--chek\""
+        );
     }
 
     #[test]

@@ -27,9 +27,9 @@
 //! Each code has a default [`Severity`]; an [`AnalysisConfig`] can
 //! override any code and can escalate all warnings to errors
 //! (`deny_warnings`, the CI posture). `Deny` findings reject the
-//! scenario — [`crate::SimulationBuilder::build`][^sim] and
-//! [`crate::Estimator::request`]'s checked evaluation surface them as
-//! [`crate::LogNicError::AnalysisRejected`] — while `Warn` findings
+//! scenario — `SimulationBuilder::build`[^sim] and
+//! [`crate::estimate::Estimator::request`]'s checked evaluation surface them as
+//! [`crate::error::LogNicError::AnalysisRejected`] — while `Warn` findings
 //! are reported but do not gate, and `Allow` findings are recorded for
 //! audit only.
 //!

@@ -9,7 +9,7 @@
 
 use crate::error::Result;
 use crate::graph::{ExecutionGraph, NodeId, Path};
-use crate::params::{HardwareModel, TrafficProfile};
+use crate::params::{HardwareModel, IpParams, TrafficProfile};
 use crate::queueing::MmcN;
 use crate::throughput::effective_delta_in;
 use crate::units::{Bytes, Seconds};
@@ -78,6 +78,68 @@ impl LatencyEstimate {
     }
 }
 
+/// The mean request execution time `C_i / A_i` (Eq. 7) of vertex
+/// `node` at granularity `granularity`, without its queue: what
+/// [`node_timing`] reports as `service`.
+///
+/// Returns `None` for pure data movers (ingress/egress vertices
+/// without parameters).
+pub fn node_service(graph: &ExecutionGraph, node: NodeId, granularity: Bytes) -> Option<Seconds> {
+    let params = graph.node(node).params()?;
+    let peak = params.effective_peak();
+    // C_i/A_i = D · g · w / P_eff   (Eq. 7 with routed granularity:
+    // each request carries its full `g` bytes, of which the node
+    // computes on the `w` fraction; on single-path graphs with w = 1
+    // this is exactly the paper's D·g·Σδ/(P·indegree)).
+    Some(if peak.is_zero() {
+        Seconds::INFINITY
+    } else {
+        Seconds::new(
+            params.parallelism() as f64 * granularity.bits() as f64 * params.work_factor()
+                / peak.as_bps(),
+        )
+    })
+}
+
+/// The offered utilization `ρ = BW_in · Σδ · w / P_eff` (Eq. 11) of a
+/// computing vertex: infinite when its effective peak is zero.
+fn node_utilization(
+    graph: &ExecutionGraph,
+    node: NodeId,
+    params: &IpParams,
+    traffic: &TrafficProfile,
+) -> f64 {
+    let peak = params.effective_peak();
+    if peak.is_zero() {
+        f64::INFINITY
+    } else {
+        traffic.ingress_bandwidth().as_bps()
+            * effective_delta_in(graph, node)
+            * params.work_factor()
+            / peak.as_bps()
+    }
+}
+
+/// The Eq. 12 queueing delay in front of `service` and the drop
+/// probability of a vertex at `utilization`: `(∞, 1)` when the
+/// utilization is infinite.
+///
+/// The paper's Eq. 12 is the D = 1 case; for multi-engine IPs the
+/// M/M/c/N generalization avoids charging queueing delay that D
+/// concurrent engines never exhibit (DESIGN.md §5b).
+fn node_queue(params: &IpParams, utilization: f64, service: Seconds) -> (Seconds, f64) {
+    if !utilization.is_finite() {
+        return (Seconds::INFINITY, 1.0);
+    }
+    let queue = MmcN::new(
+        utilization,
+        params.parallelism(),
+        params.effective_queue_capacity(),
+    )
+    .expect("utilization is finite and non-negative");
+    (queue.queueing_delay(service), queue.blocking_probability())
+}
+
 /// Computes the per-node timing (Eq. 7 service time, Eq. 11
 /// utilization, Eq. 12 queueing delay) for vertex `node` at ingress
 /// granularity `granularity`.
@@ -91,42 +153,9 @@ pub fn node_timing(
     granularity: Bytes,
 ) -> Option<NodeTiming> {
     let params = graph.node(node).params()?;
-    let delta_in = effective_delta_in(graph, node);
-    let peak = params.effective_peak();
-    let work = params.work_factor();
-
-    // C_i/A_i = D · g · w / P_eff   (Eq. 7 with routed granularity:
-    // each request carries its full `g` bytes, of which the node
-    // computes on the `w` fraction; on single-path graphs with w = 1
-    // this is exactly the paper's D·g·Σδ/(P·indegree)).
-    let service = if peak.is_zero() {
-        Seconds::INFINITY
-    } else {
-        Seconds::new(params.parallelism() as f64 * granularity.bits() as f64 * work / peak.as_bps())
-    };
-
-    // ρ = BW_in · Σδ · w / P_eff   (Eq. 11)
-    let utilization = if peak.is_zero() {
-        f64::INFINITY
-    } else {
-        traffic.ingress_bandwidth().as_bps() * delta_in * work / peak.as_bps()
-    };
-
-    // The paper's Eq. 12 is the D = 1 case; for multi-engine IPs the
-    // M/M/c/N generalization avoids charging queueing delay that D
-    // concurrent engines never exhibit (DESIGN.md §5b).
-    let (queueing_delay, drop_probability) = if utilization.is_finite() {
-        let queue = MmcN::new(
-            utilization,
-            params.parallelism(),
-            params.effective_queue_capacity(),
-        )
-        .expect("utilization is finite and non-negative");
-        (queue.queueing_delay(service), queue.blocking_probability())
-    } else {
-        (Seconds::INFINITY, 1.0)
-    };
-
+    let service = node_service(graph, node, granularity)?;
+    let utilization = node_utilization(graph, node, params, traffic);
+    let (queueing_delay, drop_probability) = node_queue(params, utilization, service);
     Some(NodeTiming {
         node,
         service,
@@ -250,8 +279,7 @@ pub fn mixture_node_timing(
     let mut second_moment = 0.0;
     for (size, p) in entries {
         let g = traffic.granularity_for(*size);
-        let t = node_timing(graph, node, traffic, g)?;
-        let s = t.service.as_secs();
+        let s = node_service(graph, node, g)?.as_secs();
         mean_service += p * s;
         // Exponential class service: E[S_i²] = 2·m_i².
         second_moment += p * 2.0 * s * s;
@@ -261,26 +289,17 @@ pub fn mixture_node_timing(
     } else {
         1.0
     };
-    // Utilization is size-independent (Eq. 11 uses rates, not sizes);
-    // reuse any class's value.
-    let reference = node_timing(graph, node, traffic, traffic.sizes().mean_size())?;
-    let base_queue = if reference.utilization.is_finite() {
-        MmcN::new(
-            reference.utilization,
-            params.parallelism(),
-            params.effective_queue_capacity(),
-        )
-        .expect("utilization is finite and non-negative")
-        .queueing_delay(Seconds::new(mean_service))
-    } else {
-        Seconds::INFINITY
-    };
+    // Utilization is size-independent (Eq. 11 uses rates, not sizes),
+    // so one queue serves the whole mixture.
+    let utilization = node_utilization(graph, node, params, traffic);
+    let (base_queue, drop_probability) =
+        node_queue(params, utilization, Seconds::new(mean_service));
     Some(NodeTiming {
         node,
         service: Seconds::new(mean_service),
-        utilization: reference.utilization,
+        utilization,
         queueing_delay: base_queue.scaled(kappa),
-        drop_probability: reference.drop_probability,
+        drop_probability,
     })
 }
 

@@ -248,9 +248,6 @@ impl MmcN {
         // Offered load in erlangs: a = λ/μ = ρ·c.
         let a = rho * engines as f64;
         let n = capacity as usize;
-        // Log-space weights: ln w_{k+1} = ln w_k + ln a − ln min(k+1, c).
-        let mut log_w = Vec::with_capacity(n + 1);
-        log_w.push(0.0f64);
         if a == 0.0 {
             let mut probs = vec![0.0; n + 1];
             probs[0] = 1.0;
@@ -261,14 +258,29 @@ impl MmcN {
                 probs,
             });
         }
+        // Log-space weights: ln w_{k+1} = ln w_k + ln a − ln min(k+1, c).
+        // Every state from k + 1 = c on divides by c, so `ln c` is
+        // computed once; the weights become probabilities in place.
+        let c = engines as usize;
         let ln_a = a.ln();
+        let ln_c = (c as f64).ln();
+        let mut probs = Vec::with_capacity(n + 1);
+        let mut prev = 0.0f64;
+        let mut max = prev;
+        probs.push(prev);
         for k in 0..n {
-            let srv = (k + 1).min(engines as usize) as f64;
-            let prev = *log_w.last().expect("non-empty");
-            log_w.push(prev + ln_a - srv.ln());
+            let ln_srv = if k + 1 < c {
+                ((k + 1) as f64).ln()
+            } else {
+                ln_c
+            };
+            prev = prev + ln_a - ln_srv;
+            max = max.max(prev);
+            probs.push(prev);
         }
-        let max = log_w.iter().copied().fold(f64::MIN, f64::max);
-        let mut probs: Vec<f64> = log_w.iter().map(|l| (l - max).exp()).collect();
+        for p in &mut probs {
+            *p = (*p - max).exp();
+        }
         let total: f64 = probs.iter().sum();
         for p in &mut probs {
             *p /= total;
@@ -551,6 +563,94 @@ mod tests {
     }
 
     // --- M/M/c/N ---
+
+    /// The M/M/c/N constructor as first written — a log-weight buffer
+    /// plus a probability buffer, and `ln min(k+1, c)` taken per state
+    /// — kept as the oracle the production constructor must reproduce
+    /// bit for bit.
+    fn oracle_mmcn(rho: f64, engines: u32, capacity: u32) -> MmcN {
+        let capacity = capacity.max(engines);
+        let a = rho * engines as f64;
+        let n = capacity as usize;
+        let mut log_w = Vec::with_capacity(n + 1);
+        log_w.push(0.0f64);
+        if a == 0.0 {
+            let mut probs = vec![0.0; n + 1];
+            probs[0] = 1.0;
+            return MmcN {
+                rho,
+                engines,
+                capacity,
+                probs,
+            };
+        }
+        let ln_a = a.ln();
+        for k in 0..n {
+            let srv = (k + 1).min(engines as usize) as f64;
+            let prev = *log_w.last().expect("non-empty");
+            log_w.push(prev + ln_a - srv.ln());
+        }
+        let max = log_w.iter().copied().fold(f64::MIN, f64::max);
+        let mut probs: Vec<f64> = log_w.iter().map(|l| (l - max).exp()).collect();
+        let total: f64 = probs.iter().sum();
+        for p in &mut probs {
+            *p /= total;
+        }
+        MmcN {
+            rho,
+            engines,
+            capacity,
+            probs,
+        }
+    }
+
+    #[test]
+    fn mmcn_matches_its_oracle_bit_for_bit() {
+        // splitmix64: a seeded grid of utilizations in [0, 2], plus
+        // the two loads the constructor treats specially.
+        let mut state = 0x4c6f_674e_4943_u64;
+        let mut uniform = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) as f64 / u64::MAX as f64
+        };
+        let mut rhos = vec![0.0, 1.0];
+        rhos.extend((0..10).map(|_| 2.0 * uniform()));
+        for c in [1u32, 2, 8, 64, 256] {
+            // Below c (clamped up to c), c, 2c, and two fixed sizes.
+            for n in [(c / 2).max(1), c, 2 * c, 256, 4096] {
+                for &rho in &rhos {
+                    let got = MmcN::new(rho, c, n).unwrap();
+                    let want = oracle_mmcn(rho, c, n);
+                    let at = format!("rho={rho} c={c} n={n}");
+                    assert_eq!(got.capacity(), want.capacity(), "{at}");
+                    for k in 0..=want.capacity() + 1 {
+                        assert_eq!(
+                            got.occupancy_probability(k).to_bits(),
+                            want.occupancy_probability(k).to_bits(),
+                            "{at} k={k}"
+                        );
+                    }
+                    let metrics = |q: &MmcN| {
+                        [
+                            q.blocking_probability(),
+                            q.mean_occupancy(),
+                            q.mean_queue_length(),
+                            q.queueing_delay(Seconds::micros(7.0)).as_secs(),
+                        ]
+                        .map(f64::to_bits)
+                    };
+                    assert_eq!(
+                        metrics(&got),
+                        metrics(&want),
+                        "{at}: blocking, occupancy, queue length, delay"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn mmcn_rejects_invalid_inputs() {

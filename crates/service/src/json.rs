@@ -177,6 +177,7 @@ impl std::error::Error for JsonError {}
 /// error (a request line must be one object, not two).
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
+        src: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -190,6 +191,7 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -352,13 +354,15 @@ impl<'a> Parser<'a> {
                     return Err(self.err("unescaped control character in string"))
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar. The input is a &str so
-                    // boundaries are already valid.
-                    let rest = &self.bytes[self.pos..];
-                    let s = core::str::from_utf8(rest).expect("input is valid UTF-8");
-                    let c = s.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run of plain bytes. It ends at a
+                    // quote, a backslash, a control byte or the end of
+                    // input — all ASCII, so never inside a multi-byte
+                    // scalar, and the run is a slice of the input str.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(c) if c >= 0x20 && c != b'"' && c != b'\\') {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.src[start..self.pos]);
                 }
             }
         }
@@ -469,6 +473,30 @@ mod tests {
         let v = parse(r#""tab\t quote\" slash\\ pair\ud83d\ude00""#).unwrap();
         assert_eq!(v.as_str(), Some("tab\t quote\" slash\\ pair😀"));
         assert_eq!(escape("a\"b\\c\nd\u{1}"), "a\\\"b\\\\c\\nd\\u0001");
+    }
+
+    #[test]
+    fn multi_byte_characters_between_escapes_round_trip() {
+        // 2-, 3- and 4-byte scalars, each next to an escape.
+        let text = "é\n中\t😀\"ß\\€\u{1}𝄞/x";
+        let v = parse(r#""é\n中\t😀\"ß\\€\u0001𝄞\/x""#).unwrap();
+        assert_eq!(v.as_str(), Some(text));
+        let mut out = String::new();
+        v.render(&mut out);
+        assert_eq!(parse(&out).unwrap().as_str(), Some(text));
+    }
+
+    #[test]
+    fn a_string_filling_the_line_limit_parses() {
+        // 64 KiB, the service's default `max_line_bytes`, of mixed
+        // widths and escapes.
+        let unit = "ab\u{e9}\u{4e2d}\u{1f600}\\n";
+        let body = unit.repeat((64 * 1024 - r#"{"s":""}"#.len()) / unit.len());
+        let line = format!("{{\"s\":\"{body}\"}}");
+        assert!(line.len() > 64 * 1024 - unit.len() && line.len() <= 64 * 1024);
+        let v = parse(&line).unwrap();
+        let want = body.replace("\\n", "\n");
+        assert_eq!(v.get("s").and_then(Json::as_str), Some(want.as_str()));
     }
 
     #[test]

@@ -546,11 +546,11 @@ pub struct Sample {
 /// "state at `t⁻`" convention, which makes the series independent of
 /// intra-tick event ordering).
 ///
-/// Memory grows with `nodes × ticks`; pick Δt accordingly. Convert the
-/// collected series with [`TimeSeriesSampler::into_timeline`], or use
-/// [`Simulation::timeline`] for the one-call form.
+/// Memory grows with `nodes × ticks`; pick Δt accordingly. Attach the
+/// sampler with [`Simulation::run_with`] and convert the collected
+/// series with [`TimeSeriesSampler::into_timeline`].
 ///
-/// [`Simulation::timeline`]: crate::sim::Simulation::timeline
+/// [`Simulation::run_with`]: crate::sim::Simulation::run_with
 #[derive(Debug, Clone)]
 pub struct TimeSeriesSampler {
     dt: SimTime,

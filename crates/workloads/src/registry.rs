@@ -355,6 +355,49 @@ mod tests {
     }
 
     #[test]
+    fn node_service_is_node_timing_service_bit_for_bit() {
+        use lognic_model::latency::{node_service, node_timing};
+        let mut rescaled = 0;
+        for entry in ALL {
+            let s = entry.scenario();
+            let (graph, traffic) = (&s.graph, &s.traffic);
+            // Every granularity the latency walk reaches a vertex at:
+            // each size class's, rescaled by the edges (compression)
+            // along each path.
+            let mut granularities = Vec::new();
+            for path in graph.paths().expect("registry graphs have paths") {
+                for (size, _) in traffic.sizes().entries() {
+                    let class = traffic.granularity_for(*size);
+                    let mut g = class;
+                    granularities.push(g);
+                    for eid in &path.edges {
+                        g = g.scaled(graph.edge(*eid).params().size_factor());
+                        if g != class {
+                            rescaled += 1;
+                        }
+                        granularities.push(g);
+                    }
+                }
+            }
+            for vertex in graph.nodes() {
+                let node = graph.node_by_name(vertex.name()).expect("names resolve");
+                for &g in &granularities {
+                    let service = node_service(graph, node, g);
+                    let timing = node_timing(graph, node, traffic, g).map(|t| t.service);
+                    assert_eq!(
+                        service.map(|s| s.as_secs().to_bits()),
+                        timing.map(|s| s.as_secs().to_bits()),
+                        "{}: {} at {g:?}",
+                        entry.name,
+                        vertex.name()
+                    );
+                }
+            }
+        }
+        assert!(rescaled > 0, "some registry graph must rescale requests");
+    }
+
+    #[test]
     fn chaos_entry_carries_the_trace_dump_default_plan() {
         let (scenario, plan) = find("chaos").expect("registered").build();
         assert!(plan.is_some(), "chaos must ship its fault plan");
