@@ -28,7 +28,8 @@
 
 use std::process::ExitCode;
 
-use lognic_testkit::fuzz::Fuzz;
+use lognic_model::json;
+use lognic_testkit::fuzz::{Counterexample, Fuzz};
 use lognic_workloads::corpus::gen::{
     differential_check, sanitized_differential_check, ScenarioSpec,
 };
@@ -84,6 +85,22 @@ fn parse_args() -> Options {
     opts
 }
 
+/// The failure artifact: one JSON object naming the harness, the seeds
+/// that replay the failure, both failure messages and the shrunk spec.
+fn artifact(harness: &str, base_seed: u64, cx: &Counterexample<ScenarioSpec>) -> String {
+    format!(
+        "{{\"harness\":\"{harness}\",\"base_seed\":{base_seed},\
+         \"case\":{},\"case_seed\":{},\"shrink_steps\":{},\
+         \"original_message\":\"{}\",\"message\":\"{}\",\"minimal_spec\":{}}}\n",
+        cx.case,
+        cx.seed,
+        cx.shrink_steps,
+        json::escape(&cx.original_message),
+        json::escape(&cx.message),
+        cx.minimal.to_json()
+    )
+}
+
 fn main() -> ExitCode {
     let opts = parse_args();
     let (harness, oracle): (&str, fn(&ScenarioSpec) -> _) = if opts.sanitize {
@@ -123,19 +140,7 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         Some(cx) => {
-            let artifact = format!(
-                "{{\"harness\":\"{harness}\",\"base_seed\":{},\
-                 \"case\":{},\"case_seed\":{},\"shrink_steps\":{},\
-                 \"original_message\":{:?},\"message\":{:?},\"minimal_spec\":{}}}\n",
-                opts.seed,
-                cx.case,
-                cx.seed,
-                cx.shrink_steps,
-                cx.original_message,
-                cx.message,
-                cx.minimal.to_json()
-            );
-            if let Err(e) = std::fs::write(&opts.artifact, &artifact) {
+            if let Err(e) = std::fs::write(&opts.artifact, artifact(harness, opts.seed, cx)) {
                 eprintln!("fuzz_smoke: cannot write {}: {e}", opts.artifact);
             } else {
                 eprintln!("fuzz_smoke: wrote failing scenario to {}", opts.artifact);
@@ -153,5 +158,35 @@ fn main() -> ExitCode {
             );
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lognic_testkit::Gen;
+
+    #[test]
+    fn the_artifact_is_json_whatever_the_messages_hold() {
+        let tricky = "quote\" backslash\\ newline\n tab\t control\u{1}";
+        let cx = Counterexample {
+            case: 3,
+            seed: u64::MAX,
+            original_message: format!("original: {tricky}"),
+            minimal: ScenarioSpec::arbitrary(&mut Gen::new(7)),
+            message: tricky.to_owned(),
+            shrink_steps: 2,
+        };
+        let text = artifact("differential_scenario_fuzz", 11, &cx);
+        let doc = json::parse(&text).expect("the artifact parses");
+        let field = |key| doc.get(key).and_then(json::Json::as_str);
+        assert_eq!(field("harness"), Some("differential_scenario_fuzz"));
+        assert_eq!(
+            field("original_message"),
+            Some(cx.original_message.as_str())
+        );
+        assert_eq!(field("message"), Some(tricky));
+        let spec = doc.get("minimal_spec").expect("the spec rides along");
+        assert_eq!(spec, &json::parse(&cx.minimal.to_json()).unwrap());
     }
 }

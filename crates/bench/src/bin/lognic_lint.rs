@@ -32,6 +32,7 @@ use std::process::ExitCode;
 
 use lognic_devices::validate::all_profile_diagnostics;
 use lognic_model::analyze::{pass_names, AnalysisConfig, Code, Diagnostic, Severity};
+use lognic_model::json;
 use lognic_workloads::broken::{all_broken, BrokenCase};
 use lognic_workloads::scenario::Scenario;
 use lognic_workloads::witness::synthesize;
@@ -248,7 +249,8 @@ fn main() -> ExitCode {
                 // One JSON object per line, tagged with its scope.
                 let line = d.render_json();
                 let tagged = format!(
-                    "{{\"scenario\":\"{scope}\",{}",
+                    "{{\"scenario\":\"{}\",{}",
+                    json::escape(scope),
                     line.strip_prefix('{').unwrap_or(&line)
                 );
                 println!("{tagged}");

@@ -52,7 +52,9 @@
 //! ```
 //!
 //! Any other argument prints the usage and exits 2 before anything is
-//! measured or written.
+//! measured or written, and so does `--check` when `BENCH_sim.json` is
+//! missing, is not JSON, or has a `schema` other than
+//! `lognic-perf-baseline/v2`.
 //!
 //! Allocations are counted by a wrapping `#[global_allocator]`. For a
 //! simulation the per-event figure is a *delta between two run
@@ -72,6 +74,7 @@ use std::time::Instant;
 
 use lognic_devices::liquidio::{Accelerator, LiquidIo};
 use lognic_devices::stingray::IoPattern;
+use lognic_model::json::{self, Json};
 use lognic_model::queueing::MmcN;
 use lognic_model::units::{Bandwidth, Bytes, Seconds};
 use lognic_optimizer::suggest;
@@ -576,14 +579,19 @@ fn model_bench(name: &str, repeats: u64, mut pass: impl FnMut() -> u64 + 'static
     }
 }
 
+/// The `schema` of the ledger file this binary reads and writes.
+const SCHEMA: &str = "lognic-perf-baseline/v2";
+
 fn render_json(rows: &[Row], nproc: usize) -> String {
-    let mut out = format!(
-        "{{\n  \"schema\": \"lognic-perf-baseline/v2\",\n  \"nproc\": {nproc},\n  \"results\": [\n"
-    );
+    let mut out =
+        format!("{{\n  \"schema\": \"{SCHEMA}\",\n  \"nproc\": {nproc},\n  \"results\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"name\": \"{}\", \"engine\": \"{}\", \"events\": {}, \"allocs_per_event\": {:.6}, ",
-            r.name, r.engine, r.events, r.allocs_per_event,
+            json::escape(&r.name),
+            json::escape(&r.engine),
+            r.events,
+            r.allocs_per_event,
         ));
         if let Some((rounds, forwarded)) = r.fleet {
             out.push_str(&format!(
@@ -602,33 +610,43 @@ fn render_json(rows: &[Row], nproc: usize) -> String {
     out
 }
 
-/// Reads the rows of a ledger file — each result record sits on its
-/// own line, so a line scanner is enough (no JSON dependency in a
-/// hermetic workspace). A record missing a field is an error.
-fn parse_ledger(text: &str) -> Result<Vec<Row>, String> {
-    let mut rows = Vec::new();
-    for line in text.lines().filter(|l| l.contains("\"name\"")) {
-        let field = |key: &str| -> Option<&str> {
-            let at = line.find(&format!("\"{key}\""))? + key.len() + 2;
-            let rest = line[at..].trim_start_matches([':', ' ', '"']);
-            Some(rest[..rest.find(['"', ',', '}'])?].trim())
-        };
-        let num = |key: &str| -> Option<f64> { field(key)?.parse().ok() };
-        let count = |key: &str| -> Option<u64> { field(key)?.parse().ok() };
-        let row = (|| {
-            Some(Row {
-                name: field("name")?.to_owned(),
-                engine: field("engine")?.to_owned(),
-                events: count("events")?,
-                allocs_per_event: num("allocs_per_event")?,
-                fleet: count("rounds").zip(count("forwarded")),
-                wall_secs: num("wall_secs")?,
-                spread: num("spread")?,
-            })
-        })();
-        rows.push(row.ok_or_else(|| format!("unreadable ledger record: {}", line.trim()))?);
+/// Reads a ledger file with the workspace's JSON codec, so any layout
+/// of the same document reads the same. Returns its rows and the core
+/// count they were measured at; a `schema` other than [`SCHEMA`] or a
+/// record missing a field is an error.
+fn read_ledger(text: &str) -> Result<(Vec<Row>, usize), String> {
+    let doc = json::parse(text).map_err(|e| format!("unreadable ledger: {e}"))?;
+    let schema = doc.get("schema").and_then(Json::as_str);
+    if schema != Some(SCHEMA) {
+        return Err(format!("ledger schema {schema:?} is not {SCHEMA:?}"));
     }
-    Ok(rows)
+    // A count is a whole, non-negative number.
+    let count = |v: &Json, key| {
+        let n = v.get(key).and_then(Json::as_f64)?;
+        (n.fract() == 0.0 && n >= 0.0).then_some(n as u64)
+    };
+    let results = doc.get("results").and_then(Json::as_arr);
+    let (Some(nproc), Some(results)) = (count(&doc, "nproc"), results) else {
+        return Err("the ledger lacks `nproc` or its `results` array".to_owned());
+    };
+    let row = |r: &Json| {
+        let num = |key| r.get(key).and_then(Json::as_f64);
+        let text = |key| r.get(key).and_then(Json::as_str).map(str::to_owned);
+        Some(Row {
+            name: text("name")?,
+            engine: text("engine")?,
+            events: count(r, "events")?,
+            allocs_per_event: num("allocs_per_event")?,
+            fleet: count(r, "rounds").zip(count(r, "forwarded")),
+            wall_secs: num("wall_secs")?,
+            spread: num("spread")?,
+        })
+    };
+    let rows = results
+        .iter()
+        .map(|r| row(r).ok_or_else(|| format!("unreadable ledger record: {r}")))
+        .collect::<Result<_, _>>()?;
+    Ok((rows, nproc as usize))
 }
 
 /// Compares fresh rows against the committed ledger and returns one
@@ -690,23 +708,26 @@ fn print_row(r: &Row) {
     );
 }
 
-/// `--check`: compares the measured rows against `BENCH_sim.json` and
-/// exits non-zero on any failure.
-fn check(fresh: &[Row], nproc: usize) -> ! {
+/// Reads the committed `BENCH_sim.json` for `--check`, exiting 2 when
+/// it is missing or unreadable.
+fn committed_ledger() -> (Vec<Row>, usize) {
     let text = std::fs::read_to_string("BENCH_sim.json").unwrap_or_else(|e| {
         eprintln!("perf-smoke: cannot read BENCH_sim.json: {e}");
         std::process::exit(2);
     });
-    let committed = parse_ledger(&text).unwrap_or_else(|e| {
+    read_ledger(&text).unwrap_or_else(|e| {
         eprintln!("perf-smoke: {e}");
         std::process::exit(2);
-    });
-    let committed_nproc = text.lines().find_map(|l| {
-        let n = l.trim().strip_prefix("\"nproc\": ")?;
-        n.trim_end_matches(',').parse::<usize>().ok()
-    });
-    if committed_nproc != Some(nproc) {
-        println!("perf-smoke: the ledger was measured at nproc {committed_nproc:?}, this host has {nproc}");
+    })
+}
+
+/// `--check`: compares the measured rows against the committed ledger
+/// and exits non-zero on any failure.
+fn check((committed, committed_nproc): (Vec<Row>, usize), fresh: &[Row], nproc: usize) -> ! {
+    if committed_nproc != nproc {
+        println!(
+            "perf-smoke: the ledger was measured at nproc {committed_nproc}, this host has {nproc}"
+        );
     }
     let failures = compare(&committed, fresh);
     for f in &failures {
@@ -774,6 +795,8 @@ fn main() {
         std::process::exit(2);
     });
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    // Read the ledger before measuring, so a bad one fails at once.
+    let committed = args.check.then(committed_ledger);
 
     let mut benches: Vec<Bench> = workloads().into_iter().map(sim_bench).collect();
     benches.extend([CALENDAR, HEAP].map(hold_bench));
@@ -788,8 +811,8 @@ fn main() {
         std::fs::write(path, render_json(&rows, nproc)).expect("write the ledger");
         println!("wrote {path}");
     }
-    if args.check {
-        check(&rows, nproc);
+    if let Some(committed) = committed {
+        check(committed, &rows, nproc);
     }
 }
 
@@ -863,12 +886,29 @@ mod tests {
         let rows = vec![row("nvmeof", 81_729, 0.006_57, 0.291), fleet];
         let text = render_json(&rows, 2);
         assert!(text.contains("\"nproc\": 2"), "{text}");
-        assert_eq!(parse_ledger(&text).unwrap(), rows);
+        assert_eq!(read_ledger(&text).unwrap(), (rows.clone(), 2));
         let broken = text.replace("\"spread\"", "\"spraed\"");
         assert!(
-            parse_ledger(&broken).is_err(),
+            read_ledger(&broken).is_err(),
             "a record missing a field is an error"
         );
+        let pretty = text.replace(", \"", ",\n      \"");
+        assert!(pretty.lines().count() > text.lines().count() + 10);
+        assert_eq!(
+            read_ledger(&pretty).unwrap(),
+            (rows.clone(), 2),
+            "rows pretty-printed across lines read the same"
+        );
+        let v1 = text.replace(SCHEMA, "lognic-perf-baseline/v1");
+        assert_eq!(
+            read_ledger(&v1).unwrap_err(),
+            "ledger schema Some(\"lognic-perf-baseline/v1\") is not \"lognic-perf-baseline/v2\""
+        );
+
+        // Names are escaped, so any name reads back unchanged.
+        let tricky = "quote\" backslash\\ newline\n tab\t control\u{1}";
+        let odd = vec![row(tricky, 7, 0.5, 0.0)];
+        assert_eq!(read_ledger(&render_json(&odd, 2)).unwrap(), (odd, 2));
     }
 
     #[test]

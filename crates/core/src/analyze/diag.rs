@@ -10,6 +10,7 @@
 use core::fmt;
 
 use crate::graph::{EdgeId, NodeId};
+use crate::json::escape;
 
 /// How a diagnostic participates in gating.
 ///
@@ -644,8 +645,8 @@ impl Diagnostic {
             self.code,
             self.code.slug(),
             self.severity,
-            escape_json(&self.message),
-            escape_json(&self.primary.to_string()),
+            escape(&self.message),
+            escape(&self.primary.to_string()),
         );
         if !self.labels.is_empty() {
             let _ = write!(out, ",\"notes\":[");
@@ -656,14 +657,14 @@ impl Diagnostic {
                 let _ = write!(
                     out,
                     "{{\"span\":\"{}\",\"note\":\"{}\"}}",
-                    escape_json(&label.span.to_string()),
-                    escape_json(&label.note)
+                    escape(&label.span.to_string()),
+                    escape(&label.note)
                 );
             }
             out.push(']');
         }
         if let Some(help) = &self.help {
-            let _ = write!(out, ",\"help\":\"{}\"", escape_json(help));
+            let _ = write!(out, ",\"help\":\"{}\"", escape(help));
         }
         out.push('}');
         out
@@ -678,26 +679,6 @@ impl fmt::Display for Diagnostic {
             self.severity, self.code, self.message, self.primary
         )
     }
-}
-
-/// Escapes a string for inclusion in a JSON string literal.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use core::fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -785,12 +766,6 @@ mod tests {
             "hardware memory"
         );
         assert_eq!(Span::Traffic.to_string(), "traffic profile");
-    }
-
-    #[test]
-    fn escape_control_chars() {
-        assert_eq!(escape_json("a\u{1}b"), "a\\u0001b");
-        assert_eq!(escape_json("t\tr\r"), "t\\tr\\r");
     }
 
     #[test]

@@ -58,6 +58,7 @@ pub mod extensions;
 pub mod fault;
 pub mod graph;
 pub mod intern;
+pub mod json;
 pub mod latency;
 pub mod params;
 pub mod prelude;

@@ -26,7 +26,6 @@
 //! transcript tests pin.
 
 pub mod error;
-pub mod json;
 pub mod request;
 pub mod service;
 pub mod shed;
@@ -34,6 +33,7 @@ pub mod stats;
 
 pub use error::ServiceError;
 pub use json::Json;
+pub use lognic_model::json;
 pub use request::{Request, RequestKind};
 pub use service::{serve, ServeConfig, ServeSummary, Service};
 pub use shed::LoadGauge;

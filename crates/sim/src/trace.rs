@@ -36,6 +36,7 @@
 //! [`Sanitizer`]: crate::sanitize::Sanitizer
 
 use crate::time::SimTime;
+use lognic_model::json;
 use lognic_model::units::Seconds;
 
 /// Immutable description of the run an observer is attached to,
@@ -730,8 +731,8 @@ impl Timeline {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"name\":{},\"engines\":{}",
-                json_string(name),
+                "{{\"name\":\"{}\",\"engines\":{}",
+                json::escape(name),
                 self.engines[node]
             ));
             let col = |f: &dyn Fn(&Sample) -> String| -> String {
@@ -758,22 +759,6 @@ impl Timeline {
 // ---------------------------------------------------------------------------
 // Chrome trace_event exporter
 // ---------------------------------------------------------------------------
-
-/// Escapes a string for inclusion in JSON output.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
 
 /// Formats picoseconds as the Chrome trace format's microsecond
 /// timestamps, exactly (six fractional digits = picosecond precision).
@@ -885,9 +870,9 @@ impl ChromeTrace {
 
     fn queue_depth(&mut self, now: SimTime, node: u32, depth: u32) {
         self.emit(format!(
-            "{{\"ph\":\"C\",\"pid\":1,\"ts\":{},\"name\":{},\"args\":{{\"depth\":{depth}}}}}",
+            "{{\"ph\":\"C\",\"pid\":1,\"ts\":{},\"name\":\"queue@{}\",\"args\":{{\"depth\":{depth}}}}}",
             ts_us(now.as_picos()),
-            json_string(&format!("queue@{}", self.node_name(node)))
+            json::escape(self.node_name(node))
         ));
     }
 
@@ -962,9 +947,9 @@ impl SimObserver for ChromeTrace {
         for (i, n) in meta.nodes.iter().enumerate() {
             self.events.push(format!(
                 "{{\"ph\":\"M\",\"pid\":1,\"tid\":{},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":{}}}}}",
+                 \"args\":{{\"name\":\"{}\"}}}}",
                 i + 1,
-                json_string(&n.name)
+                json::escape(&n.name)
             ));
         }
     }

@@ -8,6 +8,7 @@
 use crate::rng::SimRng;
 use crate::time::SimTime;
 use lognic_model::error::{LogNicError, LogNicResult};
+use lognic_model::json::{self, Json};
 use lognic_model::params::{PacketSizeDist, TrafficProfile};
 use lognic_model::units::{Bandwidth, Bytes};
 
@@ -154,6 +155,12 @@ impl TraceEntry {
 
 /// Size of one encoded [`TraceEntry`] in the binary framing.
 const RECORD_BYTES: usize = 20;
+
+/// The latest arrival [`PacketTrace::from_chrome_trace`] recovers,
+/// 2^50 ps. Parsing the microsecond `ts` and scaling it by 10^6 each
+/// err by at most 2^-53 relative, so up to here the product lies
+/// within 0.25 ps of the whole picosecond and rounding recovers it.
+const MAX_CHROME_TS_PS: f64 = (1u64 << 50) as f64;
 
 /// A validated packet-trace corpus: the empirical counterpart of a
 /// synthetic [`TrafficProfile`]. Traces are recorded from live runs
@@ -416,11 +423,16 @@ impl PacketTrace {
     }
 
     /// Re-ingests a Chrome `trace_event` export produced by
-    /// [`crate::trace::ChromeTrace`]: the `inject` instants carry the
-    /// full arrival stream (timestamps are rendered at picosecond
-    /// precision, so the recovery is lossless), which closes the loop
-    /// between the observability layer's output and the corpus
-    /// ingest path — an exported trace is a valid regression input.
+    /// [`crate::trace::ChromeTrace`]: the `inject` instants (`ph` `"i"`
+    /// on `tid` 0) of its `traceEvents` carry the full arrival stream,
+    /// which closes the loop between the observability layer's output
+    /// and the corpus ingest path — an exported trace is a valid
+    /// regression input. The document is parsed as JSON, so a
+    /// reformatted or pretty-printed export ingests too.
+    ///
+    /// Timestamps are microseconds at picosecond precision, recovered
+    /// losslessly up to 2⁵⁰ ps (about 18.8 simulated minutes); a later
+    /// `ts` is an error, never a silently rounded arrival.
     ///
     /// The simulator keys on traffic class, so the recovered flow tag
     /// mirrors the class tag (as [`crate::trace::ArrivalRecorder`]
@@ -428,56 +440,59 @@ impl PacketTrace {
     ///
     /// # Errors
     ///
-    /// Returns [`LogNicError::InvalidTrace`] when an `inject` event
-    /// lacks a parsable `ts`, `size` or `class` field, or when the
-    /// recovered records fail [`PacketTrace::new`] validation.
-    pub fn from_chrome_trace(json: &str) -> LogNicResult<Self> {
-        fn json_number(line: &str, key: &str, record: u64) -> LogNicResult<String> {
-            let at = line.find(key).ok_or_else(|| LogNicError::InvalidTrace {
-                reason: format!("inject event lacks `{key}`"),
-                record: Some(record),
-            })?;
-            let rest = &line[at + key.len()..];
-            let end = rest
-                .find([',', '}'])
-                .ok_or_else(|| LogNicError::InvalidTrace {
-                    reason: format!("unterminated `{key}` value"),
-                    record: Some(record),
-                })?;
-            Ok(rest[..end].trim().to_owned())
-        }
-        fn parse_u64(text: &str, what: &str, record: u64) -> LogNicResult<u64> {
-            text.parse().map_err(|_| LogNicError::InvalidTrace {
-                reason: format!("unparsable {what} `{text}`"),
-                record: Some(record),
-            })
-        }
+    /// Returns [`LogNicError::InvalidTrace`] when the input is not a
+    /// JSON document with a `traceEvents` array, when an `inject`
+    /// event lacks a `ts`, `args.size` or `args.class` in range, or
+    /// when the recovered records fail [`PacketTrace::new`]
+    /// validation.
+    pub fn from_chrome_trace(text: &str) -> LogNicResult<Self> {
+        let invalid = |reason: String, record| LogNicError::InvalidTrace { reason, record };
+        let doc =
+            json::parse(text).map_err(|e| invalid(format!("not a JSON document: {e}"), None))?;
+        let events = doc
+            .get("traceEvents")
+            .and_then(Json::as_arr)
+            .ok_or_else(|| invalid("no `traceEvents` array".into(), None))?;
         let mut entries = Vec::new();
-        for line in json.lines() {
-            if !line.contains("\"name\":\"inject\"") {
+        for event in events {
+            let text_of = |key| event.get(key).and_then(Json::as_str);
+            if text_of("ph") != Some("i")
+                || text_of("name") != Some("inject")
+                || event.get("tid").and_then(Json::as_f64) != Some(0.0)
+            {
                 continue;
             }
-            let record = entries.len() as u64;
-            // `ts` is microseconds with six fractional digits — i.e.
-            // picoseconds split at the decimal point.
-            let ts = json_number(line, "\"ts\":", record)?;
-            let arrival_ps = match ts.split_once('.') {
-                Some((whole, frac)) if frac.len() == 6 => {
-                    parse_u64(whole, "ts", record)? * 1_000_000
-                        + parse_u64(frac, "ts fraction", record)?
-                }
-                _ => {
-                    return Err(LogNicError::InvalidTrace {
-                        reason: format!("timestamp `{ts}` is not µs with 6 fraction digits"),
-                        record: Some(record),
-                    })
+            let record = Some(entries.len() as u64);
+            let number = |value: Option<&Json>, key: &str| {
+                value
+                    .and_then(Json::as_f64)
+                    .ok_or_else(|| invalid(format!("inject event lacks a numeric `{key}`"), record))
+            };
+            let ts = number(event.get("ts"), "ts")?;
+            let arrival_ps = (ts * 1e6).round();
+            if !(0.0..=MAX_CHROME_TS_PS).contains(&arrival_ps) {
+                return Err(invalid(
+                    format!("timestamp {ts} µs lies outside [0, 2^50 ps]"),
+                    record,
+                ));
+            }
+            let args = event.get("args");
+            let whole = |key: &str, max: f64| {
+                let n = number(args.and_then(|a| a.get(key)), key)?;
+                if n.fract() == 0.0 && (0.0..=max).contains(&n) {
+                    Ok(n as u64)
+                } else {
+                    Err(invalid(
+                        format!("`{key}` {n} is not a whole number in [0, {max}]"),
+                        record,
+                    ))
                 }
             };
-            let size = parse_u64(&json_number(line, "\"size\":", record)?, "size", record)?;
-            let class =
-                parse_u64(&json_number(line, "\"class\":", record)?, "class", record)? as u32;
+            // Every whole f64 up to 2^53 is an exact integer.
+            let size = whole("size", (1u64 << 53) as f64)?;
+            let class = whole("class", f64::from(u32::MAX))? as u32;
             entries.push(TraceEntry::new(
-                SimTime::from_picos(arrival_ps),
+                SimTime::from_picos(arrival_ps as u64),
                 Bytes::new(size),
                 class,
                 class,
@@ -803,5 +818,67 @@ mod tests {
             .map(|(_, w)| *w)
             .expect("64 B bucket");
         assert!((w64 - 0.5).abs() < 1e-12, "weight {w64}");
+    }
+
+    /// One `inject` instant, in the exporter's layout.
+    fn chrome_doc(ts: &str) -> String {
+        format!(
+            "{{\"traceEvents\":[{{\"ph\":\"i\",\"pid\":1,\"tid\":0,\"ts\":{ts},\
+             \"name\":\"inject\",\"args\":{{\"pkt\":0,\"size\":64,\"class\":1}}}}]}}"
+        )
+    }
+
+    /// `ts` rendered as the exporter renders it: whole microseconds and
+    /// six fractional digits.
+    fn ts_us(ps: u64) -> String {
+        format!("{}.{:06}", ps / 1_000_000, ps % 1_000_000)
+    }
+
+    #[test]
+    fn chrome_timestamps_recover_exactly_up_to_2_pow_50_ps() {
+        let max = 1u64 << 50;
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let seeded = (0..10_000).map(|_| {
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % (max + 1)
+        });
+        let edges = [0, 1, 999_999, 1_000_001, max - 1, max];
+        for ps in edges.into_iter().chain(seeded) {
+            let trace = PacketTrace::from_chrome_trace(&chrome_doc(&ts_us(ps))).unwrap();
+            assert_eq!(
+                trace.entries()[0].arrival,
+                SimTime::from_picos(ps),
+                "{ps} ps"
+            );
+        }
+        for ts in [ts_us(max + 1), ts_us(u64::MAX), "-1.000000".to_owned()] {
+            let err = PacketTrace::from_chrome_trace(&chrome_doc(&ts)).unwrap_err();
+            assert!(
+                matches!(&err, LogNicError::InvalidTrace { record: Some(0), reason }
+                    if reason.contains("2^50 ps")),
+                "{ts}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn malformed_chrome_documents_are_typed_errors() {
+        let no_size = chrome_doc("1.000000").replace("\"size\":64,", "");
+        let fractional = chrome_doc("1.000000").replace("\"class\":1", "\"class\":1.5");
+        for (doc, want) in [
+            ("{\"traceEvents\":".to_owned(), "not a JSON document"),
+            ("{}".to_owned(), "no `traceEvents` array"),
+            (chrome_doc("\"1\""), "numeric `ts`"),
+            (no_size, "numeric `size`"),
+            (fractional, "`class` 1.5 is not a whole number"),
+        ] {
+            let err = PacketTrace::from_chrome_trace(&doc).unwrap_err();
+            assert!(
+                matches!(&err, LogNicError::InvalidTrace { reason, .. } if reason.contains(want)),
+                "{doc}: {err:?}"
+            );
+        }
     }
 }

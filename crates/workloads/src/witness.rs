@@ -26,6 +26,7 @@ use lognic_model::analyze::{AnalysisConfig, Analyzer, Code, WitnessExpectation};
 use lognic_model::error::{LogNicError, LogNicResult};
 use lognic_model::fault::{FaultPlan, RetryPolicy};
 use lognic_model::graph::ExecutionGraph;
+use lognic_model::json;
 use lognic_model::params::{EdgeParams, HardwareModel, IpParams, TrafficProfile};
 use lognic_model::topology::Topology;
 use lognic_model::units::{Bandwidth, Bytes, Seconds};
@@ -105,29 +106,9 @@ impl ConfirmedWitness {
             self.params.to_json(),
             self.seed,
             self.shrink_steps,
-            escape_json(&self.detail)
+            json::escape(&self.detail)
         )
     }
-}
-
-/// Escapes a string for inclusion in a JSON string literal.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use core::fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Per-code knob ranges: `(lo, hi)` half-open, matching [`Gen`]

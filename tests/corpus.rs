@@ -183,6 +183,36 @@ fn chrome_export_reingests_losslessly() {
     assert_golden("chaos.replay.report.txt", &format!("{report:#?}\n"));
 }
 
+/// A node may be named `inject`. Its thread-name metadata record is not
+/// an injection, so the export still re-ingests to the direct capture,
+/// and so does the same export pretty-printed across lines.
+#[test]
+fn chrome_export_with_a_node_named_inject_reingests() {
+    let graph = ExecutionGraph::chain(
+        "inject-node",
+        &[("inject", IpParams::new(Bandwidth::gbps(20.0)))],
+    )
+    .expect("valid chain");
+    let hw = HardwareModel::new(Bandwidth::gbps(50.0), Bandwidth::gbps(40.0));
+    let traffic = TrafficProfile::fixed(Bandwidth::gbps(8.0), Bytes::new(512));
+    let mut obs = (ArrivalRecorder::new(), ChromeTrace::new());
+    Simulation::builder(&graph, &hw, &traffic)
+        .config(small_config(3))
+        .run_with(&mut obs)
+        .expect("capture run");
+    let (recorder, chrome) = obs;
+    let json = chrome.into_json();
+    assert!(json.contains("\"args\":{\"name\":\"inject\"}"), "{json}");
+    let direct = recorder.into_trace().expect("engine arrivals validate");
+    assert!(direct.len() > 10, "the fixture injects packets");
+
+    let recovered = PacketTrace::from_chrome_trace(&json).expect("chrome ingest");
+    assert_eq!(recovered, direct);
+    let pretty = json.replace(',', ",\n    ").replace('{', "{\n  ");
+    let recovered = PacketTrace::from_chrome_trace(&pretty).expect("pretty ingest");
+    assert_eq!(recovered, direct);
+}
+
 /// Zero-gap trace records tie on time by the dozens at every doorbell
 /// ring, so their `(time, seq)` order — set by how the simulator
 /// schedules same-time trace records — decides queue admission. The
