@@ -200,15 +200,14 @@ re-partition the pipeline.
 Witness: a sanitized run at the declared rate exhibits the overload —
 queue-full drops, maximum queue depth at capacity, and throughput
 clamped below the offered rate."),
-    /// A component's utilization exceeds the near-saturation threshold
-    /// (0.9 by default) without reaching 1.
+    /// A component's utilization exceeds 0.9 without reaching 1.
     NearSaturation = ("L0202", "near-saturation", Allow,
 "a component runs close to saturation (ρ above the warning threshold)
 
-Utilization is below 1 but above the configured threshold (0.9 by
-default): small rate increases, bursts or degradation windows will
-tip the component over. Allow-level by default because steady-state
-operation near the knee can be intentional.
+Utilization is below 1 but above 0.9: small rate increases, bursts
+or degradation windows will tip the component over. Allow-level by
+default because steady-state operation near the knee can be
+intentional.
 
 Fix: derate the offered load (the `lognic-lint` clean corpus ships at
 ρ = 0.5) or provision headroom.

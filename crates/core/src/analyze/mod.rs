@@ -64,6 +64,7 @@ pub use diag::{Code, Diagnostic, Label, Severity, Span};
 pub use flow::{propagate, FlowMap, FLOW_EPS};
 pub use witness::WitnessExpectation;
 
+use crate::error::{LogNicError, LogNicResult};
 use crate::fault::FaultPlan;
 use crate::graph::ExecutionGraph;
 use crate::params::{HardwareModel, TrafficProfile};
@@ -76,25 +77,13 @@ pub(crate) struct PassContext<'a> {
     pub(crate) traffic: Option<&'a TrafficProfile>,
     pub(crate) plan: Option<&'a FaultPlan>,
     pub(crate) flow: FlowMap,
-    pub(crate) near_saturation: f64,
 }
 
 /// Per-run severity policy.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct AnalysisConfig {
     overrides: Vec<(Code, Severity)>,
     deny_warnings: bool,
-    near_saturation_threshold: f64,
-}
-
-impl Default for AnalysisConfig {
-    fn default() -> Self {
-        Self {
-            overrides: Vec::new(),
-            deny_warnings: false,
-            near_saturation_threshold: 0.9,
-        }
-    }
 }
 
 impl AnalysisConfig {
@@ -128,13 +117,6 @@ impl AnalysisConfig {
     /// posture). Explicit [`Self::set_severity`] calls still win.
     pub fn deny_warnings(mut self, deny: bool) -> Self {
         self.deny_warnings = deny;
-        self
-    }
-
-    /// The ρ threshold above which `L0202 near-saturation` fires
-    /// (default 0.9; `L0201` fires at ρ ≥ 1 regardless).
-    pub fn near_saturation_threshold(mut self, rho: f64) -> Self {
-        self.near_saturation_threshold = rho;
         self
     }
 
@@ -198,6 +180,22 @@ impl AnalysisReport {
     /// True when at least one finding is at `Deny` level.
     pub fn is_rejected(&self) -> bool {
         self.diagnostics.iter().any(|d| d.is_denied())
+    }
+
+    /// The analyzer gate: `Ok` unless a finding is at `Deny` level.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LogNicError::AnalysisRejected`] carrying every
+    /// finding, the non-gating ones included, so callers can render
+    /// the full report.
+    pub fn check(&self) -> LogNicResult<()> {
+        if self.is_rejected() {
+            return Err(LogNicError::AnalysisRejected {
+                diagnostics: self.diagnostics.clone(),
+            });
+        }
+        Ok(())
     }
 
     /// True when nothing would be shown by default (no `Deny`, no
@@ -285,7 +283,6 @@ impl<'a> Analyzer<'a> {
             traffic: self.traffic,
             plan: self.plan,
             flow: flow::propagate(self.graph),
-            near_saturation: config.near_saturation_threshold,
         };
         let mut diagnostics = Vec::new();
         for pass in passes::registry() {

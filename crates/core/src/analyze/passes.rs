@@ -15,6 +15,10 @@ use crate::throughput::{estimate_throughput, Component};
 /// Tolerance for δ/γ comparisons, matching the historical lint.
 const EPS: f64 = 1e-9;
 
+/// The utilization above which `L0202 near-saturation` fires
+/// (`L0201` fires at ρ ≥ 1).
+const NEAR_SATURATION: f64 = 0.9;
+
 /// One registered analysis pass.
 pub(crate) trait Pass {
     /// The stable pass name (used in documentation and `--list`).
@@ -211,7 +215,7 @@ impl Pass for Saturation {
                         bound.limit
                     )),
                 );
-            } else if rho > cx.near_saturation {
+            } else if rho > NEAR_SATURATION {
                 out.push(
                     Diagnostic::new(
                         Code::NearSaturation,

@@ -2,10 +2,18 @@
 
 use core::fmt;
 
-/// Errors produced while building or evaluating a LogNIC model.
+/// The workspace-wide error type: everything that can go wrong while
+/// building, validating or running a LogNIC scenario — structural
+/// graph and model-parameter errors, malformed fault plans, invalid
+/// device profiles or run configurations, and the simulation
+/// watchdog's structured abort report.
+///
+/// `SimulationBuilder::build`, the degraded-mode estimators and the
+/// replication engine all return this type so that malformed inputs
+/// surface as diagnostics instead of panics.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
-pub enum ModelError {
+pub enum LogNicError {
     /// The execution graph contains a cycle; LogNIC graphs are DAGs
     /// (§3.3). Recirculation must be unrolled into extra vertices.
     CycleDetected {
@@ -26,7 +34,7 @@ pub enum ModelError {
     EmptyGraph,
     /// No ingress→egress path exists.
     NoPath,
-    /// A numeric parameter is outside its valid domain.
+    /// A numeric model parameter is outside its valid domain.
     InvalidParameter {
         /// Which parameter was rejected (e.g. `"delta"`).
         parameter: &'static str,
@@ -35,8 +43,9 @@ pub enum ModelError {
         /// Human-readable constraint, e.g. `"must lie in [0, 1]"`.
         constraint: &'static str,
     },
-    /// An edge references a node id that does not belong to this graph.
-    UnknownNode {
+    /// A node or edge id does not belong to this graph. (A dangling
+    /// node *name* is [`LogNicError::UnknownNode`].)
+    NodeIndexOutOfRange {
         /// The raw index that was out of range.
         index: usize,
     },
@@ -51,66 +60,6 @@ pub enum ModelError {
         /// Explanation of the violation.
         reason: String,
     },
-}
-
-impl fmt::Display for ModelError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ModelError::CycleDetected { node } => {
-                write!(f, "execution graph contains a cycle through node `{node}`")
-            }
-            ModelError::Disconnected { node } => {
-                write!(
-                    f,
-                    "node `{node}` is not connected on the ingress-egress data path"
-                )
-            }
-            ModelError::MissingIngress => write!(f, "execution graph has no ingress vertex"),
-            ModelError::MissingEgress => write!(f, "execution graph has no egress vertex"),
-            ModelError::EmptyGraph => write!(f, "execution graph has no vertices"),
-            ModelError::NoPath => write!(f, "no ingress-to-egress path exists"),
-            ModelError::InvalidParameter {
-                parameter,
-                value,
-                constraint,
-            } => {
-                write!(
-                    f,
-                    "parameter `{parameter}` = {value} is invalid: {constraint}"
-                )
-            }
-            ModelError::UnknownNode { index } => {
-                write!(f, "node index {index} does not belong to this graph")
-            }
-            ModelError::IncompatibleGraphs { reason } => {
-                write!(f, "graphs cannot be consolidated: {reason}")
-            }
-            ModelError::InvalidWeights { reason } => {
-                write!(f, "invalid weight vector: {reason}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ModelError {}
-
-/// Convenience alias for results returned by this crate.
-pub type Result<T> = std::result::Result<T, ModelError>;
-
-/// The workspace-wide error type: everything that can go wrong while
-/// building, validating or running a LogNIC scenario — structural
-/// model errors ([`ModelError`]), malformed fault plans, invalid
-/// device profiles or run configurations, and the simulation
-/// watchdog's structured abort report.
-///
-/// `SimulationBuilder::build`, the degraded-mode estimators and the
-/// replication engine all return this type so that malformed inputs
-/// surface as diagnostics instead of panics.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub enum LogNicError {
-    /// A structural or parameter error from the analytical model.
-    Model(ModelError),
     /// A name (service override, queue plan, fault window, …) refers
     /// to a node that does not exist in the execution graph.
     UnknownNode {
@@ -230,7 +179,38 @@ pub enum LogNicError {
 impl fmt::Display for LogNicError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            LogNicError::Model(e) => e.fmt(f),
+            LogNicError::CycleDetected { node } => {
+                write!(f, "execution graph contains a cycle through node `{node}`")
+            }
+            LogNicError::Disconnected { node } => {
+                write!(
+                    f,
+                    "node `{node}` is not connected on the ingress-egress data path"
+                )
+            }
+            LogNicError::MissingIngress => write!(f, "execution graph has no ingress vertex"),
+            LogNicError::MissingEgress => write!(f, "execution graph has no egress vertex"),
+            LogNicError::EmptyGraph => write!(f, "execution graph has no vertices"),
+            LogNicError::NoPath => write!(f, "no ingress-to-egress path exists"),
+            LogNicError::InvalidParameter {
+                parameter,
+                value,
+                constraint,
+            } => {
+                write!(
+                    f,
+                    "parameter `{parameter}` = {value} is invalid: {constraint}"
+                )
+            }
+            LogNicError::NodeIndexOutOfRange { index } => {
+                write!(f, "node index {index} does not belong to this graph")
+            }
+            LogNicError::IncompatibleGraphs { reason } => {
+                write!(f, "graphs cannot be consolidated: {reason}")
+            }
+            LogNicError::InvalidWeights { reason } => {
+                write!(f, "invalid weight vector: {reason}")
+            }
             LogNicError::UnknownNode { context, node } => {
                 write!(f, "{context} references unknown node `{node}`")
             }
@@ -315,20 +295,7 @@ impl fmt::Display for LogNicError {
     }
 }
 
-impl std::error::Error for LogNicError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            LogNicError::Model(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<ModelError> for LogNicError {
-    fn from(e: ModelError) -> Self {
-        LogNicError::Model(e)
-    }
-}
+impl std::error::Error for LogNicError {}
 
 /// Convenience alias for results carrying the workspace-wide error.
 pub type LogNicResult<T> = std::result::Result<T, LogNicError>;
@@ -338,33 +305,64 @@ mod tests {
     use super::*;
 
     #[test]
-    fn display_is_informative() {
-        let e = ModelError::CycleDetected { node: "ip1".into() };
-        assert!(e.to_string().contains("ip1"));
-        let e = ModelError::InvalidParameter {
-            parameter: "delta",
-            value: 1.5,
-            constraint: "must lie in [0, 1]",
-        };
-        assert!(e.to_string().contains("delta"));
-        assert!(e.to_string().contains("1.5"));
-        assert!(!ModelError::MissingIngress.to_string().is_empty());
-        assert!(!ModelError::NoPath.to_string().is_empty());
+    fn model_variants_display_their_exact_messages() {
+        // These strings reach the service wire inside
+        // `evaluation_error` responses, so they are pinned byte for byte.
+        let cases = [
+            (
+                LogNicError::CycleDetected { node: "ip1".into() },
+                "execution graph contains a cycle through node `ip1`",
+            ),
+            (
+                LogNicError::Disconnected {
+                    node: "orphan".into(),
+                },
+                "node `orphan` is not connected on the ingress-egress data path",
+            ),
+            (
+                LogNicError::MissingIngress,
+                "execution graph has no ingress vertex",
+            ),
+            (
+                LogNicError::MissingEgress,
+                "execution graph has no egress vertex",
+            ),
+            (LogNicError::EmptyGraph, "execution graph has no vertices"),
+            (LogNicError::NoPath, "no ingress-to-egress path exists"),
+            (
+                LogNicError::InvalidParameter {
+                    parameter: "delta",
+                    value: 1.5,
+                    constraint: "must lie in [0, 1]",
+                },
+                "parameter `delta` = 1.5 is invalid: must lie in [0, 1]",
+            ),
+            (
+                LogNicError::NodeIndexOutOfRange { index: 1000 },
+                "node index 1000 does not belong to this graph",
+            ),
+            (
+                LogNicError::IncompatibleGraphs {
+                    reason: "tenants disagree on the memory model".into(),
+                },
+                "graphs cannot be consolidated: tenants disagree on the memory model",
+            ),
+            (
+                LogNicError::InvalidWeights {
+                    reason: "weights sum to 0.5, not 1".into(),
+                },
+                "invalid weight vector: weights sum to 0.5, not 1",
+            ),
+        ];
+        for (error, expected) in cases {
+            assert_eq!(error.to_string(), expected, "{error:?}");
+        }
     }
 
     #[test]
     fn error_is_send_sync() {
         fn assert_send_sync<T: Send + Sync + std::error::Error>() {}
-        assert_send_sync::<ModelError>();
         assert_send_sync::<LogNicError>();
-    }
-
-    #[test]
-    fn lognic_error_wraps_model_error() {
-        let e: LogNicError = ModelError::MissingIngress.into();
-        assert!(matches!(e, LogNicError::Model(_)));
-        assert!(e.to_string().contains("ingress"));
-        assert!(std::error::Error::source(&e).is_some());
     }
 
     #[test]

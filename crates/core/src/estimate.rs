@@ -6,7 +6,7 @@
 //! one call.
 
 use crate::analyze::{AnalysisConfig, AnalysisReport, Analyzer};
-use crate::error::{LogNicResult, Result};
+use crate::error::LogNicResult;
 use crate::extensions::delivered_throughput;
 use crate::fault::FaultPlan;
 use crate::graph::ExecutionGraph;
@@ -62,11 +62,11 @@ pub struct Degradation {
 /// use lognic_model::params::{HardwareModel, IpParams, TrafficProfile};
 /// use lognic_model::units::{Bandwidth, Bytes};
 ///
-/// # fn main() -> Result<(), lognic_model::error::ModelError> {
+/// # fn main() -> lognic_model::error::LogNicResult<()> {
 /// let g = ExecutionGraph::chain("echo", &[("core", IpParams::new(Bandwidth::gbps(10.0)))])?;
 /// let hw = HardwareModel::default();
 /// let traffic = TrafficProfile::fixed(Bandwidth::gbps(25.0), Bytes::new(1500));
-/// let est = Estimator::new(&g, &hw, &traffic).estimate()?;
+/// let est = Estimator::new(&g, &hw, &traffic).request().evaluate()?;
 /// assert_eq!(est.throughput.attainable(), Bandwidth::gbps(10.0));
 /// assert!(est.latency.mean().as_micros() > 0.0);
 /// # Ok(())
@@ -99,7 +99,7 @@ impl<'a> Estimator<'a> {
     /// # Errors
     ///
     /// Propagates model-evaluation errors.
-    pub fn throughput(&self) -> Result<ThroughputEstimate> {
+    pub fn throughput(&self) -> LogNicResult<ThroughputEstimate> {
         estimate_throughput(self.graph, self.hw, self.traffic)
     }
 
@@ -108,7 +108,7 @@ impl<'a> Estimator<'a> {
     /// # Errors
     ///
     /// Propagates model-evaluation errors.
-    pub fn latency(&self) -> Result<LatencyEstimate> {
+    pub fn latency(&self) -> LogNicResult<LatencyEstimate> {
         estimate_latency(self.graph, self.hw, self.traffic)
     }
 
@@ -123,26 +123,6 @@ impl<'a> Estimator<'a> {
             faults: None,
             analysis: None,
         }
-    }
-
-    /// Runs the full evaluation: throughput, latency and the
-    /// drop-aware delivered rate.
-    ///
-    /// > **Deprecation note:** prefer the unified
-    /// > [`Estimator::request`] builder
-    /// > (`estimator.request().evaluate()`); this method remains as a
-    /// > thin equivalent.
-    ///
-    /// # Errors
-    ///
-    /// Propagates model-evaluation errors.
-    pub fn estimate(&self) -> Result<Estimate> {
-        Ok(Estimate {
-            throughput: self.throughput()?,
-            latency: self.latency()?,
-            delivered: delivered_throughput(self.graph, self.hw, self.traffic)?,
-            degraded: None,
-        })
     }
 
     /// Runs the static analyzer over the estimator's three inputs.
@@ -241,15 +221,16 @@ impl<'a> EstimateRequest<'a> {
     /// model-evaluation errors.
     pub fn evaluate(self) -> LogNicResult<Estimate> {
         if let Some(config) = &self.analysis {
-            let report = self.estimator.analyze(config);
-            if report.is_rejected() {
-                return Err(crate::error::LogNicError::AnalysisRejected {
-                    diagnostics: report.diagnostics().to_vec(),
-                });
-            }
+            self.estimator.analyze(config).check()?;
         }
+        let Estimator { graph, hw, traffic } = self.estimator;
         match self.faults {
-            None => Ok(self.estimator.estimate()?),
+            None => Ok(Estimate {
+                throughput: estimate_throughput(graph, hw, traffic)?,
+                latency: estimate_latency(graph, hw, traffic)?,
+                delivered: delivered_throughput(graph, hw, traffic)?,
+                degraded: None,
+            }),
             Some((plan, horizon)) => Self::evaluate_degraded(&self.estimator, plan, horizon),
         }
     }
@@ -300,7 +281,9 @@ impl<'a> EstimateRequest<'a> {
                 .scaled(retry_inflation),
         );
 
-        let mut estimate = Estimator::new(&degraded, estimator.hw, &traffic).estimate()?;
+        let mut estimate = Estimator::new(&degraded, estimator.hw, &traffic)
+            .request()
+            .evaluate()?;
 
         let fault_drop_probability = plan.path_drop_probability(estimator.graph, horizon);
         let residual_loss = plan.residual_loss(estimator.graph, horizon);
@@ -345,7 +328,7 @@ mod tests {
         let hw = HardwareModel::default();
         let traffic = TrafficProfile::fixed(Bandwidth::gbps(5.0), Bytes::new(1500));
         let e = Estimator::new(&g, &hw, &traffic);
-        let est = e.estimate().unwrap();
+        let est = e.request().evaluate().unwrap();
         assert_eq!(est.throughput.attainable(), Bandwidth::gbps(5.0));
         assert!(est.latency.mean().as_micros() > 0.0);
         assert!(est.delivered <= est.throughput.attainable());
@@ -519,13 +502,18 @@ mod tests {
         let traffic = TrafficProfile::fixed(Bandwidth::gbps(4.0), Bytes::new(1000));
         let e = Estimator::new(&g, &hw, &traffic);
 
-        // Plain request ≡ estimate().
-        let plain = e.estimate().unwrap();
+        // A plain request is exactly the three model parts.
         let req = e.request().evaluate().unwrap();
         assert!(req.degraded.is_none());
-        assert_eq!(req.throughput.attainable(), plain.throughput.attainable());
-        assert_eq!(req.latency.mean(), plain.latency.mean());
-        assert_eq!(req.delivered, plain.delivered);
+        assert_eq!(
+            req.throughput.attainable(),
+            e.throughput().unwrap().attainable()
+        );
+        assert_eq!(req.latency.mean(), e.latency().unwrap().mean());
+        assert_eq!(
+            req.delivered,
+            delivered_throughput(&g, &hw, &traffic).unwrap()
+        );
 
         // A strict policy rejects a saturated scenario...
         let h = Seconds::millis(10.0);

@@ -1,7 +1,7 @@
 //! Model extensions (§3.7): multi-tenant graph consolidation,
 //! interleaved traffic profiles, and drop-aware delivered throughput.
 
-use crate::error::{ModelError, Result};
+use crate::error::{LogNicError, LogNicResult};
 use crate::graph::ExecutionGraph;
 use crate::latency::estimate_latency;
 use crate::params::{HardwareModel, TrafficProfile};
@@ -60,7 +60,7 @@ pub struct ConsolidatedEstimate {
 ///
 /// # Errors
 ///
-/// * [`ModelError::InvalidWeights`] when the weights do not sum to 1
+/// * [`LogNicError::InvalidWeights`] when the weights do not sum to 1
 ///   (±1e-6) or any weight is non-positive.
 /// * Propagates estimation errors from the underlying models.
 ///
@@ -72,7 +72,7 @@ pub struct ConsolidatedEstimate {
 /// use lognic_model::params::{HardwareModel, IpParams, TrafficProfile};
 /// use lognic_model::units::{Bandwidth, Bytes};
 ///
-/// # fn main() -> Result<(), lognic_model::error::ModelError> {
+/// # fn main() -> lognic_model::error::LogNicResult<()> {
 /// let a = ExecutionGraph::chain("a", &[("ip", IpParams::new(Bandwidth::gbps(10.0)))])?;
 /// let b = ExecutionGraph::chain("b", &[("ip", IpParams::new(Bandwidth::gbps(10.0)))])?;
 /// let hw = HardwareModel::default();
@@ -87,15 +87,15 @@ pub fn consolidate(
     tenants: &[Tenant],
     hw: &HardwareModel,
     aggregate: &TrafficProfile,
-) -> Result<ConsolidatedEstimate> {
+) -> LogNicResult<ConsolidatedEstimate> {
     if tenants.is_empty() {
-        return Err(ModelError::InvalidWeights {
+        return Err(LogNicError::InvalidWeights {
             reason: "no tenants given".into(),
         });
     }
     let total_w: f64 = tenants.iter().map(|t| t.weight).sum();
     if (total_w - 1.0).abs() > 1e-6 {
-        return Err(ModelError::InvalidWeights {
+        return Err(LogNicError::InvalidWeights {
             reason: format!("tenant weights sum to {total_w}, expected 1"),
         });
     }
@@ -103,7 +103,7 @@ pub fn consolidate(
         .iter()
         .find(|t| !(t.weight > 0.0 && t.weight.is_finite()))
     {
-        return Err(ModelError::InvalidWeights {
+        return Err(LogNicError::InvalidWeights {
             reason: format!(
                 "tenant `{}` has non-positive weight {}",
                 t.graph.name(),
@@ -218,17 +218,17 @@ pub struct MixedEstimate {
 ///
 /// # Errors
 ///
-/// Returns [`ModelError::InvalidWeights`] for an empty class list or
+/// Returns [`LogNicError::InvalidWeights`] for an empty class list or
 /// weights that do not sum to 1 (±1e-6); propagates estimation errors.
-pub fn estimate_mixed(classes: &[TrafficClass], hw: &HardwareModel) -> Result<MixedEstimate> {
+pub fn estimate_mixed(classes: &[TrafficClass], hw: &HardwareModel) -> LogNicResult<MixedEstimate> {
     if classes.is_empty() {
-        return Err(ModelError::InvalidWeights {
+        return Err(LogNicError::InvalidWeights {
             reason: "no traffic classes given".into(),
         });
     }
     let total_w: f64 = classes.iter().map(|c| c.weight).sum();
     if (total_w - 1.0).abs() > 1e-6 {
-        return Err(ModelError::InvalidWeights {
+        return Err(LogNicError::InvalidWeights {
             reason: format!("class weights sum to {total_w}, expected 1"),
         });
     }
@@ -269,7 +269,7 @@ pub fn delivered_throughput(
     graph: &ExecutionGraph,
     hw: &HardwareModel,
     traffic: &TrafficProfile,
-) -> Result<Bandwidth> {
+) -> LogNicResult<Bandwidth> {
     use crate::queueing::MmcN;
     use crate::throughput::effective_delta_in;
 
@@ -334,7 +334,7 @@ mod tests {
         ];
         assert!(matches!(
             consolidate(&bad, &hw, &t),
-            Err(ModelError::InvalidWeights { .. })
+            Err(LogNicError::InvalidWeights { .. })
         ));
     }
 

@@ -7,7 +7,7 @@
 //! the egress vertex; fan-out vertices split traffic according to the
 //! per-edge data-transfer ratios `δ`.
 
-use crate::error::{ModelError, Result};
+use crate::error::{LogNicError, LogNicResult};
 use crate::params::{EdgeParams, IpParams};
 use crate::units::Bandwidth;
 
@@ -197,22 +197,22 @@ impl ExecutionGraphBuilder {
     ///
     /// # Errors
     ///
-    /// * [`ModelError::EmptyGraph`] — no vertices.
-    /// * [`ModelError::MissingIngress`] / [`ModelError::MissingEgress`].
-    /// * [`ModelError::UnknownNode`] — an edge references a foreign id.
-    /// * [`ModelError::CycleDetected`] — the graph is not a DAG.
-    /// * [`ModelError::NoPath`] — egress unreachable from ingress.
-    /// * [`ModelError::Disconnected`] — a vertex off the data path.
-    pub fn build(self) -> Result<ExecutionGraph> {
+    /// * [`LogNicError::EmptyGraph`] — no vertices.
+    /// * [`LogNicError::MissingIngress`] / [`LogNicError::MissingEgress`].
+    /// * [`LogNicError::NodeIndexOutOfRange`] — an edge references a foreign id.
+    /// * [`LogNicError::CycleDetected`] — the graph is not a DAG.
+    /// * [`LogNicError::NoPath`] — egress unreachable from ingress.
+    /// * [`LogNicError::Disconnected`] — a vertex off the data path.
+    pub fn build(self) -> LogNicResult<ExecutionGraph> {
         if self.nodes.is_empty() {
-            return Err(ModelError::EmptyGraph);
+            return Err(LogNicError::EmptyGraph);
         }
-        let ingress = self.ingress.ok_or(ModelError::MissingIngress)?;
-        let egress = self.egress.ok_or(ModelError::MissingEgress)?;
+        let ingress = self.ingress.ok_or(LogNicError::MissingIngress)?;
+        let egress = self.egress.ok_or(LogNicError::MissingEgress)?;
         for e in &self.edges {
             for id in [e.src, e.dst] {
                 if id.0 >= self.nodes.len() {
-                    return Err(ModelError::UnknownNode { index: id.0 });
+                    return Err(LogNicError::NodeIndexOutOfRange { index: id.0 });
                 }
             }
         }
@@ -240,7 +240,7 @@ impl ExecutionGraphBuilder {
 /// use lognic_model::params::{EdgeParams, IpParams};
 /// use lognic_model::units::Bandwidth;
 ///
-/// # fn main() -> Result<(), lognic_model::error::ModelError> {
+/// # fn main() -> lognic_model::error::LogNicResult<()> {
 /// let mut g = ExecutionGraph::builder("nvmeof-target");
 /// let ing = g.ingress("eth-ingress");
 /// let ip1 = g.ip("nic-core-submit", IpParams::new(Bandwidth::gbps(30.0)));
@@ -380,14 +380,14 @@ impl ExecutionGraph {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::UnknownNode`] if `id` is out of range, or
-    /// [`ModelError::InvalidParameter`] if the vertex is an
+    /// Returns [`LogNicError::NodeIndexOutOfRange`] if `id` is out of range, or
+    /// [`LogNicError::InvalidParameter`] if the vertex is an
     /// ingress/egress engine without parameters.
-    pub fn set_ip_params(&mut self, id: NodeId, params: IpParams) -> Result<()> {
+    pub fn set_ip_params(&mut self, id: NodeId, params: IpParams) -> LogNicResult<()> {
         let node = self
             .nodes
             .get_mut(id.0)
-            .ok_or(ModelError::UnknownNode { index: id.0 })?;
+            .ok_or(LogNicError::NodeIndexOutOfRange { index: id.0 })?;
         node.params = Some(params);
         Ok(())
     }
@@ -397,12 +397,12 @@ impl ExecutionGraph {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::UnknownNode`] if `id` is out of range.
-    pub fn set_edge_params(&mut self, id: EdgeId, params: EdgeParams) -> Result<()> {
+    /// Returns [`LogNicError::NodeIndexOutOfRange`] if `id` is out of range.
+    pub fn set_edge_params(&mut self, id: EdgeId, params: EdgeParams) -> LogNicResult<()> {
         let edge = self
             .edges
             .get_mut(id.0)
-            .ok_or(ModelError::UnknownNode { index: id.0 })?;
+            .ok_or(LogNicError::NodeIndexOutOfRange { index: id.0 })?;
         edge.params = params;
         Ok(())
     }
@@ -411,9 +411,9 @@ impl ExecutionGraph {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::CycleDetected`] if the graph is cyclic
+    /// Returns [`LogNicError::CycleDetected`] if the graph is cyclic
     /// (cannot happen for graphs built through [`Self::builder`]).
-    pub fn topological_order(&self) -> Result<Vec<NodeId>> {
+    pub fn topological_order(&self) -> LogNicResult<Vec<NodeId>> {
         let n = self.nodes.len();
         let mut indeg = vec![0usize; n];
         for e in &self.edges {
@@ -437,16 +437,16 @@ impl ExecutionGraph {
                 .find(|&i| indeg[i] > 0)
                 .map(|i| self.nodes[i].name.clone())
                 .unwrap_or_default();
-            return Err(ModelError::CycleDetected { node });
+            return Err(LogNicError::CycleDetected { node });
         }
         Ok(order)
     }
 
-    fn check_acyclic(&self) -> Result<()> {
+    fn check_acyclic(&self) -> LogNicResult<()> {
         self.topological_order().map(|_| ())
     }
 
-    fn check_connected(&self) -> Result<()> {
+    fn check_connected(&self) -> LogNicResult<()> {
         let n = self.nodes.len();
         // Forward reachability from ingress.
         let mut fwd = vec![false; n];
@@ -463,7 +463,7 @@ impl ExecutionGraph {
             }
         }
         if !fwd[self.egress.0] {
-            return Err(ModelError::NoPath);
+            return Err(LogNicError::NoPath);
         }
         // Backward reachability from egress.
         let mut bwd = vec![false; n];
@@ -480,7 +480,7 @@ impl ExecutionGraph {
             }
         }
         if let Some(i) = (0..n).find(|&i| !(fwd[i] && bwd[i])) {
-            return Err(ModelError::Disconnected {
+            return Err(LogNicError::Disconnected {
                 node: self.nodes[i].name.clone(),
             });
         }
@@ -496,14 +496,14 @@ impl ExecutionGraph {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::NoPath`] when no path exists (cannot
+    /// Returns [`LogNicError::NoPath`] when no path exists (cannot
     /// happen for graphs built through [`Self::builder`]).
-    pub fn paths(&self) -> Result<Vec<Path>> {
+    pub fn paths(&self) -> LogNicResult<Vec<Path>> {
         let mut out = Vec::new();
         let mut edge_stack: Vec<EdgeId> = Vec::new();
         self.walk_paths(self.ingress, 1.0, &mut edge_stack, &mut out);
         if out.is_empty() {
-            return Err(ModelError::NoPath);
+            return Err(LogNicError::NoPath);
         }
         Ok(out)
     }
@@ -559,7 +559,7 @@ impl ExecutionGraph {
     /// use lognic_model::params::IpParams;
     /// use lognic_model::units::Bandwidth;
     ///
-    /// # fn main() -> lognic_model::error::Result<()> {
+    /// # fn main() -> lognic_model::error::LogNicResult<()> {
     /// let g = ExecutionGraph::chain("demo", &[("ip", IpParams::new(Bandwidth::gbps(5.0)))])?;
     /// let dot = g.to_dot();
     /// assert!(dot.starts_with("digraph"));
@@ -632,7 +632,7 @@ impl ExecutionGraph {
     /// # Errors
     ///
     /// Propagates validation errors from [`ExecutionGraphBuilder::build`].
-    pub fn chain(name: &str, stages: &[(&str, IpParams)]) -> Result<ExecutionGraph> {
+    pub fn chain(name: &str, stages: &[(&str, IpParams)]) -> LogNicResult<ExecutionGraph> {
         let mut b = ExecutionGraph::builder(name);
         let ing = b.ingress("ingress");
         let mut prev = ing;
@@ -692,18 +692,18 @@ mod tests {
     #[test]
     fn empty_graph_rejected() {
         let b = ExecutionGraph::builder("e");
-        assert_eq!(b.build().unwrap_err(), ModelError::EmptyGraph);
+        assert_eq!(b.build().unwrap_err(), LogNicError::EmptyGraph);
     }
 
     #[test]
     fn missing_ingress_egress_rejected() {
         let mut b = ExecutionGraph::builder("e");
         b.egress("out");
-        assert_eq!(b.build().unwrap_err(), ModelError::MissingIngress);
+        assert_eq!(b.build().unwrap_err(), LogNicError::MissingIngress);
 
         let mut b = ExecutionGraph::builder("e");
         b.ingress("in");
-        assert_eq!(b.build().unwrap_err(), ModelError::MissingEgress);
+        assert_eq!(b.build().unwrap_err(), LogNicError::MissingEgress);
     }
 
     #[test]
@@ -717,7 +717,7 @@ mod tests {
         b.edge(a, c, EdgeParams::full());
         b.edge(c, a, EdgeParams::full()); // cycle a -> c -> a
         b.edge(c, eg, EdgeParams::full());
-        assert!(matches!(b.build(), Err(ModelError::CycleDetected { .. })));
+        assert!(matches!(b.build(), Err(LogNicError::CycleDetected { .. })));
     }
 
     #[test]
@@ -725,7 +725,7 @@ mod tests {
         let mut b = ExecutionGraph::builder("u");
         b.ingress("in");
         b.egress("out");
-        assert_eq!(b.build().unwrap_err(), ModelError::NoPath);
+        assert_eq!(b.build().unwrap_err(), LogNicError::NoPath);
     }
 
     #[test]
@@ -735,7 +735,7 @@ mod tests {
         let eg = b.egress("out");
         b.ip("orphan", ip(1.0));
         b.edge(ing, eg, EdgeParams::full());
-        assert!(matches!(b.build(), Err(ModelError::Disconnected { node }) if node == "orphan"));
+        assert!(matches!(b.build(), Err(LogNicError::Disconnected { node }) if node == "orphan"));
     }
 
     #[test]
@@ -815,7 +815,7 @@ mod tests {
         assert_eq!(g.node(a).params().unwrap().peak(), Bandwidth::gbps(99.0));
         assert!(matches!(
             g.set_ip_params(NodeId(1000), ip(1.0)),
-            Err(ModelError::UnknownNode { index: 1000 })
+            Err(LogNicError::NodeIndexOutOfRange { index: 1000 })
         ));
     }
 

@@ -7,7 +7,7 @@
 //! data movement time over its media. The application latency is the
 //! weighted average over all ingress→egress paths (Eq. 8).
 
-use crate::error::Result;
+use crate::error::LogNicResult;
 use crate::graph::{ExecutionGraph, NodeId, Path};
 use crate::params::{HardwareModel, IpParams, TrafficProfile};
 use crate::queueing::MmcN;
@@ -209,14 +209,14 @@ pub fn edge_transfer_time(
 ///
 /// # Errors
 ///
-/// Propagates [`crate::error::ModelError::NoPath`] for degenerate
+/// Propagates [`crate::error::LogNicError::NoPath`] for degenerate
 /// graphs (cannot happen for graphs built through the builder).
 pub fn estimate_latency_at(
     graph: &ExecutionGraph,
     hw: &HardwareModel,
     traffic: &TrafficProfile,
     granularity: Bytes,
-) -> Result<LatencyEstimate> {
+) -> LogNicResult<LatencyEstimate> {
     let timings: Vec<Option<NodeTiming>> = (0..graph.nodes().len())
         .map(|i| node_timing(graph, NodeId(i), traffic, granularity))
         .collect();
@@ -322,7 +322,7 @@ pub fn mixture_node_timing(
 /// use lognic_model::params::{HardwareModel, IpParams, TrafficProfile};
 /// use lognic_model::units::{Bandwidth, Bytes};
 ///
-/// # fn main() -> Result<(), lognic_model::error::ModelError> {
+/// # fn main() -> lognic_model::error::LogNicResult<()> {
 /// let g = ExecutionGraph::chain("echo", &[("core", IpParams::new(Bandwidth::gbps(10.0)))])?;
 /// let hw = HardwareModel::default();
 /// let t = TrafficProfile::fixed(Bandwidth::gbps(2.0), Bytes::new(1500));
@@ -335,7 +335,7 @@ pub fn estimate_latency(
     graph: &ExecutionGraph,
     hw: &HardwareModel,
     traffic: &TrafficProfile,
-) -> Result<LatencyEstimate> {
+) -> LogNicResult<LatencyEstimate> {
     let entries = traffic.sizes().entries().to_vec();
     if entries.len() == 1 {
         let g_in = traffic.granularity_for(entries[0].0);

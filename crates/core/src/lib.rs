@@ -31,7 +31,7 @@
 //! ```
 //! use lognic_model::prelude::*;
 //!
-//! # fn main() -> lognic_model::error::Result<()> {
+//! # fn main() -> lognic_model::error::LogNicResult<()> {
 //! // A UDP echo server whose packets visit one NIC-core stage.
 //! let graph = ExecutionGraph::chain(
 //!     "udp-echo",
@@ -40,7 +40,7 @@
 //! let hw = HardwareModel::new(Bandwidth::gbps(50.0), Bandwidth::gbps(40.0));
 //! let traffic = TrafficProfile::fixed(Bandwidth::gbps(25.0), Bytes::new(1500));
 //!
-//! let estimate = Estimator::new(&graph, &hw, &traffic).estimate()?;
+//! let estimate = Estimator::new(&graph, &hw, &traffic).request().evaluate()?;
 //! assert_eq!(estimate.throughput.attainable(), Bandwidth::gbps(18.0));
 //! println!("bottleneck: {}", estimate.throughput.bottleneck().component);
 //! # Ok(())

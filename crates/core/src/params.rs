@@ -7,7 +7,7 @@
 //! size distribution) and **output** (the throughput/latency estimates,
 //! which live in [`crate::estimate`]).
 
-use crate::error::{LogNicError, LogNicResult, ModelError, Result};
+use crate::error::{LogNicError, LogNicResult};
 use crate::units::{Bandwidth, Bytes, Seconds};
 
 /// Hardware-category parameters: shared communication media of the
@@ -292,10 +292,10 @@ impl EdgeParams {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::InvalidParameter`] if `delta` ∉ `[0, 1]`.
-    pub fn new(delta: f64) -> Result<Self> {
+    /// Returns [`LogNicError::InvalidParameter`] if `delta` ∉ `[0, 1]`.
+    pub fn new(delta: f64) -> LogNicResult<Self> {
         if !(0.0..=1.0).contains(&delta) || delta.is_nan() {
-            return Err(ModelError::InvalidParameter {
+            return Err(LogNicError::InvalidParameter {
                 parameter: "delta",
                 value: delta,
                 constraint: "must lie in [0, 1]",
@@ -429,27 +429,27 @@ impl PacketSizeDist {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::InvalidWeights`] when the iterator is
+    /// Returns [`LogNicError::InvalidWeights`] when the iterator is
     /// empty, any weight is non-positive, or the weights do not sum to
     /// a positive finite value.
-    pub fn mix<I>(entries: I) -> Result<Self>
+    pub fn mix<I>(entries: I) -> LogNicResult<Self>
     where
         I: IntoIterator<Item = (Bytes, f64)>,
     {
         let entries: Vec<(Bytes, f64)> = entries.into_iter().collect();
         if entries.is_empty() {
-            return Err(ModelError::InvalidWeights {
+            return Err(LogNicError::InvalidWeights {
                 reason: "no packet sizes given".into(),
             });
         }
         if let Some((size, w)) = entries.iter().find(|(_, w)| !(w.is_finite() && *w > 0.0)) {
-            return Err(ModelError::InvalidWeights {
+            return Err(LogNicError::InvalidWeights {
                 reason: format!("weight {w} for size {size} is not positive and finite"),
             });
         }
         let total: f64 = entries.iter().map(|(_, w)| *w).sum();
         if !total.is_finite() || total <= 0.0 {
-            return Err(ModelError::InvalidWeights {
+            return Err(LogNicError::InvalidWeights {
                 reason: format!("weights sum to {total}"),
             });
         }
@@ -462,8 +462,8 @@ impl PacketSizeDist {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::InvalidWeights`] when `sizes` is empty.
-    pub fn equal_mix<I>(sizes: I) -> Result<Self>
+    /// Returns [`LogNicError::InvalidWeights`] when `sizes` is empty.
+    pub fn equal_mix<I>(sizes: I) -> LogNicResult<Self>
     where
         I: IntoIterator<Item = Bytes>,
     {

@@ -14,9 +14,7 @@
 pub use crate::analyze::{
     AnalysisConfig, AnalysisReport, Analyzer, Code, Diagnostic, Severity, Span,
 };
-// Deliberately NOT the `Result` alias: the prelude must not shadow
-// `std::result::Result` in downstream code.
-pub use crate::error::{LogNicError, LogNicResult, ModelError};
+pub use crate::error::{LogNicError, LogNicResult};
 pub use crate::estimate::{Degradation, Estimate, EstimateRequest, Estimator};
 pub use crate::extensions::{consolidate, delivered_throughput, estimate_mixed, Tenant};
 pub use crate::fault::{FaultKind, FaultPlan, FaultWindow, RetryPolicy};

@@ -11,7 +11,7 @@
 //! (`Q = (N−1)/(2μ)`) and overload (ρ > 1, where the finite queue
 //! keeps the delay bounded).
 
-use crate::error::{ModelError, Result};
+use crate::error::{LogNicError, LogNicResult};
 use crate::units::Seconds;
 
 /// Window around ρ = 1 inside which the closed forms suffer
@@ -32,7 +32,7 @@ const RHO_ONE_EPS: f64 = 1e-6;
 /// assert!((q.blocking_probability() - 1.0 / 7.0).abs() < 1e-12);
 /// let delay = q.queueing_delay(Seconds::micros(3.0));
 /// assert!((delay.as_micros() - 1.0).abs() < 1e-9);
-/// # Ok::<(), lognic_model::error::ModelError>(())
+/// # Ok::<(), lognic_model::error::LogNicError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Mm1n {
@@ -46,18 +46,18 @@ impl Mm1n {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::InvalidParameter`] when `rho` is negative
+    /// Returns [`LogNicError::InvalidParameter`] when `rho` is negative
     /// or not finite, or when `capacity` is zero.
-    pub fn new(rho: f64, capacity: u32) -> Result<Self> {
+    pub fn new(rho: f64, capacity: u32) -> LogNicResult<Self> {
         if !(rho.is_finite() && rho >= 0.0) {
-            return Err(ModelError::InvalidParameter {
+            return Err(LogNicError::InvalidParameter {
                 parameter: "rho",
                 value: rho,
                 constraint: "must be finite and non-negative",
             });
         }
         if capacity == 0 {
-            return Err(ModelError::InvalidParameter {
+            return Err(LogNicError::InvalidParameter {
                 parameter: "capacity",
                 value: 0.0,
                 constraint: "must be at least 1",
@@ -201,7 +201,7 @@ impl Mm1n {
 /// let a = reduced.queueing_delay(service).as_secs();
 /// let b = single.queueing_delay(service).as_secs();
 /// assert!((a - b).abs() < 1e-12);
-/// # Ok::<(), lognic_model::error::ModelError>(())
+/// # Ok::<(), lognic_model::error::LogNicError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct MmcN {
@@ -220,25 +220,25 @@ impl MmcN {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::InvalidParameter`] when `rho` is negative
+    /// Returns [`LogNicError::InvalidParameter`] when `rho` is negative
     /// or not finite, or when `engines`/`capacity` is zero.
-    pub fn new(rho: f64, engines: u32, capacity: u32) -> Result<Self> {
+    pub fn new(rho: f64, engines: u32, capacity: u32) -> LogNicResult<Self> {
         if !(rho.is_finite() && rho >= 0.0) {
-            return Err(ModelError::InvalidParameter {
+            return Err(LogNicError::InvalidParameter {
                 parameter: "rho",
                 value: rho,
                 constraint: "must be finite and non-negative",
             });
         }
         if engines == 0 {
-            return Err(ModelError::InvalidParameter {
+            return Err(LogNicError::InvalidParameter {
                 parameter: "engines",
                 value: 0.0,
                 constraint: "must be at least 1",
             });
         }
         if capacity == 0 {
-            return Err(ModelError::InvalidParameter {
+            return Err(LogNicError::InvalidParameter {
                 parameter: "capacity",
                 value: 0.0,
                 constraint: "must be at least 1",

@@ -1,6 +1,6 @@
 //! Parameter sweeps: the latency-vs-throughput curves the paper plots.
 
-use crate::error::Result;
+use crate::error::LogNicResult;
 use crate::estimate::Estimator;
 use crate::graph::ExecutionGraph;
 use crate::params::{HardwareModel, TrafficProfile};
@@ -33,7 +33,7 @@ pub struct SweepPoint {
 /// use lognic_model::prelude::*;
 /// use lognic_model::sweep::rate_sweep;
 ///
-/// # fn main() -> lognic_model::error::Result<()> {
+/// # fn main() -> lognic_model::error::LogNicResult<()> {
 /// let g = ExecutionGraph::chain(
 ///     "s",
 ///     &[("ip", IpParams::new(Bandwidth::gbps(10.0)).with_queue_capacity(64))],
@@ -52,11 +52,11 @@ pub fn rate_sweep(
     base: &TrafficProfile,
     reference: Bandwidth,
     fractions: &[f64],
-) -> Result<Vec<SweepPoint>> {
+) -> LogNicResult<Vec<SweepPoint>> {
     let mut out = Vec::with_capacity(fractions.len());
     for f in fractions {
         let traffic = base.at_rate(reference.scaled(*f));
-        let est = Estimator::new(graph, hw, &traffic).estimate()?;
+        let est = Estimator::new(graph, hw, &traffic).request().evaluate()?;
         let peak_utilization = est
             .latency
             .per_node()

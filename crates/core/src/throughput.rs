@@ -11,7 +11,7 @@
 //!
 //! The component realizing the minimum is the program's bottleneck.
 
-use crate::error::Result;
+use crate::error::LogNicResult;
 use crate::graph::{EdgeId, ExecutionGraph, NodeId, NodeKind};
 use crate::params::{HardwareModel, TrafficProfile};
 use crate::units::Bandwidth;
@@ -120,7 +120,7 @@ impl ThroughputEstimate {
 /// use lognic_model::throughput::estimate_throughput;
 /// use lognic_model::units::{Bandwidth, Bytes};
 ///
-/// # fn main() -> Result<(), lognic_model::error::ModelError> {
+/// # fn main() -> lognic_model::error::LogNicResult<()> {
 /// let g = ExecutionGraph::chain("echo", &[("core", IpParams::new(Bandwidth::gbps(10.0)))])?;
 /// let hw = HardwareModel::default();
 /// let t = TrafficProfile::fixed(Bandwidth::gbps(25.0), Bytes::new(1500));
@@ -134,7 +134,7 @@ pub fn estimate_throughput(
     graph: &ExecutionGraph,
     hw: &HardwareModel,
     traffic: &TrafficProfile,
-) -> Result<ThroughputEstimate> {
+) -> LogNicResult<ThroughputEstimate> {
     let mut bounds = Vec::new();
 
     // Per-node computing bounds: P_vi / Σ δ_in (Eq. 1).

@@ -12,7 +12,7 @@
 //!   are modeled by splicing a rate-limiter pseudo-IP in front of
 //!   them — [`insert_rate_limiter`].
 
-use crate::error::{ModelError, Result};
+use crate::error::{LogNicError, LogNicResult};
 use crate::graph::{ExecutionGraph, NodeId, NodeKind};
 use crate::params::EdgeParams;
 use crate::units::Bandwidth;
@@ -23,29 +23,29 @@ use crate::units::Bandwidth;
 ///
 /// # Errors
 ///
-/// * [`ModelError::UnknownNode`] if `node` is out of range.
-/// * [`ModelError::InvalidParameter`] if `passes` is zero, or `node`
+/// * [`LogNicError::NodeIndexOutOfRange`] if `node` is out of range.
+/// * [`LogNicError::InvalidParameter`] if `passes` is zero, or `node`
 ///   is an ingress/egress engine (only IPs recirculate).
 pub fn unroll_recirculation(
     graph: &ExecutionGraph,
     node: NodeId,
     passes: u32,
-) -> Result<ExecutionGraph> {
+) -> LogNicResult<ExecutionGraph> {
     if passes == 0 {
-        return Err(ModelError::InvalidParameter {
+        return Err(LogNicError::InvalidParameter {
             parameter: "passes",
             value: 0.0,
             constraint: "must be at least 1",
         });
     }
     if node.index() >= graph.nodes().len() {
-        return Err(ModelError::UnknownNode {
+        return Err(LogNicError::NodeIndexOutOfRange {
             index: node.index(),
         });
     }
     let target = graph.node(node);
     if !matches!(target.kind(), NodeKind::Ip | NodeKind::RateLimiter) {
-        return Err(ModelError::InvalidParameter {
+        return Err(LogNicError::InvalidParameter {
             parameter: "node",
             value: node.index() as f64,
             constraint: "only IP vertices can recirculate",
@@ -110,10 +110,10 @@ pub fn unroll_recirculation(
 ///
 /// # Errors
 ///
-/// Returns [`ModelError::InvalidParameter`] if `fraction` ∉ `[0, 1)`.
-pub fn with_bypass(graph: &ExecutionGraph, fraction: f64) -> Result<ExecutionGraph> {
+/// Returns [`LogNicError::InvalidParameter`] if `fraction` ∉ `[0, 1)`.
+pub fn with_bypass(graph: &ExecutionGraph, fraction: f64) -> LogNicResult<ExecutionGraph> {
     if !(0.0..1.0).contains(&fraction) {
-        return Err(ModelError::InvalidParameter {
+        return Err(LogNicError::InvalidParameter {
             parameter: "fraction",
             value: fraction,
             constraint: "must lie in [0, 1)",
@@ -163,21 +163,21 @@ pub fn with_bypass(graph: &ExecutionGraph, fraction: f64) -> Result<ExecutionGra
 ///
 /// # Errors
 ///
-/// * [`ModelError::UnknownNode`] if `node` is out of range.
-/// * [`ModelError::InvalidParameter`] if `node` is the ingress vertex.
+/// * [`LogNicError::NodeIndexOutOfRange`] if `node` is out of range.
+/// * [`LogNicError::InvalidParameter`] if `node` is the ingress vertex.
 pub fn insert_rate_limiter(
     graph: &ExecutionGraph,
     node: NodeId,
     rate: Bandwidth,
     queue_capacity: u32,
-) -> Result<ExecutionGraph> {
+) -> LogNicResult<ExecutionGraph> {
     if node.index() >= graph.nodes().len() {
-        return Err(ModelError::UnknownNode {
+        return Err(LogNicError::NodeIndexOutOfRange {
             index: node.index(),
         });
     }
     if graph.node(node).kind() == NodeKind::Ingress {
-        return Err(ModelError::InvalidParameter {
+        return Err(LogNicError::InvalidParameter {
             parameter: "node",
             value: node.index() as f64,
             constraint: "cannot shape in front of the ingress engine",

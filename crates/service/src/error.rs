@@ -263,12 +263,6 @@ impl From<LogNicError> for ServiceError {
     }
 }
 
-impl From<lognic_model::error::ModelError> for ServiceError {
-    fn from(e: lognic_model::error::ModelError) -> Self {
-        ServiceError::Evaluation(LogNicError::Model(e))
-    }
-}
-
 /// Renders a full error response envelope:
 /// `{"id":…,"ok":false,"error":{…}}`.
 pub fn render_error_response(id: Option<&Json>, err: &ServiceError) -> String {

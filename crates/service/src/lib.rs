@@ -2,7 +2,7 @@
 //! `lognic serve`.
 //!
 //! A JSON-lines request/response loop over arbitrary `BufRead`/
-//! `Write` streams (stdin/stdout in the binaries), evaluating
+//! `Write` streams (stdin/stdout in `lognic serve`), evaluating
 //! estimate, degraded-estimate, analysis, sweep and simulation
 //! queries against the named workload registry — wrapped in a
 //! robustness envelope:
@@ -39,8 +39,7 @@ pub use service::{serve, ServeConfig, ServeSummary, Service};
 pub use shed::LoadGauge;
 pub use stats::ServiceStats;
 
-/// Command-line options shared by the `lognic serve` subcommand and
-/// the standalone `lognic-serve` binary.
+/// Command-line options of the `lognic serve` subcommand.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeOptions {
     /// The resulting service configuration.
@@ -82,7 +81,7 @@ impl ServeOptions {
             .map_err(|_| format!("{flag} needs an unsigned integer, got `{value}`"))
     }
 
-    /// The usage text both binaries print.
+    /// The usage text `lognic serve` prints.
     pub fn usage() -> &'static str {
         "usage: lognic serve [--deterministic] [--threads N] [--high-water N] \
          [--drain N] [--max-line-bytes N] [--allow-debug-panic]\n\

@@ -20,7 +20,6 @@ use std::io::{BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use lognic_model::analyze::{AnalysisConfig, Analyzer, Severity};
-use lognic_model::error::LogNicError;
 use lognic_model::estimate::Estimate;
 use lognic_model::fault::FaultPlan;
 use lognic_model::sweep::{knee_of, rate_sweep};
@@ -371,20 +370,22 @@ impl Service {
             None => entry.scenario.clone(),
         };
         let analysis_config = AnalysisConfig::new().deny_warnings(req.deny_warnings);
-        let report = Analyzer::new(&scenario.graph)
+        let analyzer = Analyzer::new(&scenario.graph)
             .with_hardware(&scenario.hardware)
-            .with_traffic(&scenario.traffic)
-            .run(&analysis_config);
+            .with_traffic(&scenario.traffic);
         if req.kind == RequestKind::Analyze {
-            return Ok(render_analysis(&report));
+            // An analysis also lints the request's inline fault plan
+            // (L0601–L0604).
+            let inline = req.fault_plan();
+            let analyzer = match &inline {
+                Some(plan) => analyzer.with_fault_plan(plan),
+                None => analyzer,
+            };
+            return Ok(render_analysis(&analyzer.run(&analysis_config)));
         }
         // The admission gate proper: any Deny-level finding refuses
         // the request before model math or simulation runs.
-        if report.is_rejected() {
-            return Err(ServiceError::Evaluation(LogNicError::AnalysisRejected {
-                diagnostics: report.diagnostics().to_vec(),
-            }));
-        }
+        analyzer.run(&analysis_config).check()?;
         match req.kind {
             RequestKind::Estimate => {
                 let est = scenario.estimator().request().evaluate()?;

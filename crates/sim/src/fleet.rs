@@ -25,7 +25,7 @@
 //! [`Topology::single`] reproduces `SimulationBuilder` exactly.
 
 use lognic_model::analyze::{AnalysisConfig, Diagnostic};
-use lognic_model::error::{LogNicError, LogNicResult};
+use lognic_model::error::LogNicResult;
 use lognic_model::topology::Topology;
 use lognic_model::units::{Bandwidth, Bytes, Seconds};
 
@@ -152,14 +152,13 @@ impl FleetBuilder {
     /// a `Deny`-level finding — a traffic-carrying zero-latency link
     /// (`L0701`) is denied by default because it collapses the
     /// conservative lookahead — and any per-NIC build error as-is.
+    ///
+    /// [`LogNicError::InvalidConfig`]: lognic_model::error::LogNicError::InvalidConfig
+    /// [`LogNicError::AnalysisRejected`]: lognic_model::error::LogNicError::AnalysisRejected
     pub fn build(self) -> LogNicResult<FleetSim> {
         self.topology.validate()?;
         let fleet_report = self.topology.analyze(&self.analysis);
-        if fleet_report.is_rejected() {
-            return Err(LogNicError::AnalysisRejected {
-                diagnostics: fleet_report.diagnostics().to_vec(),
-            });
-        }
+        fleet_report.check()?;
         let mut warnings: Vec<Diagnostic> = fleet_report.diagnostics().to_vec();
 
         let mut sims = Vec::with_capacity(self.topology.nics().len());

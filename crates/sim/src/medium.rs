@@ -41,34 +41,19 @@ impl Medium {
         self.bandwidth
     }
 
-    /// Reserves the medium for `bytes` starting no earlier than `now`;
-    /// returns the completion time. Zero-byte transfers complete
-    /// immediately and zero-bandwidth media block forever
-    /// ([`SimTime::MAX`]).
-    pub fn acquire(&mut self, now: SimTime, bytes: Bytes) -> SimTime {
-        self.try_acquire(now, bytes, SimTime::MAX)
-            .expect("unbounded acquire cannot fail")
-    }
-
-    /// Like [`Self::acquire`], but refuses the transfer (returning
-    /// `None`) when the medium's reservation backlog already extends
-    /// more than `max_backlog` past `now`. This models the finite
-    /// buffering in front of a saturated interconnect: without it, an
-    /// overdriven medium would accumulate an unbounded queue and
-    /// starve later pipeline stages of their share.
-    pub fn try_acquire(
-        &mut self,
-        now: SimTime,
-        bytes: Bytes,
-        max_backlog: SimTime,
-    ) -> Option<SimTime> {
-        let duration = transfer_duration(self.bandwidth, bytes);
-        self.try_reserve(now, bytes, duration, max_backlog)
-    }
-
-    /// [`Self::try_acquire`] with the transfer's `duration` already
-    /// computed by [`transfer_duration`] at this medium's bandwidth, so
-    /// the engine can keep durations per packet size.
+    /// Reserves the medium for `bytes` starting no earlier than `now`
+    /// and returns the completion time. `duration` is the transfer's
+    /// [`transfer_duration`] at this medium's bandwidth, computed by
+    /// the caller so the engine can keep durations per packet size.
+    /// Zero-byte transfers complete immediately and zero-bandwidth
+    /// media block forever ([`SimTime::MAX`]).
+    ///
+    /// The transfer is refused (`None`) when the medium's reservation
+    /// backlog already extends more than `max_backlog` past `now`.
+    /// This models the finite buffering in front of a saturated
+    /// interconnect: without it, an overdriven medium would accumulate
+    /// an unbounded queue and starve later pipeline stages of their
+    /// share.
     pub(crate) fn try_reserve(
         &mut self,
         now: SimTime,
@@ -125,11 +110,27 @@ pub(crate) fn transfer_duration(bandwidth: Bandwidth, bytes: Bytes) -> SimTime {
 mod tests {
     use super::*;
 
+    /// Reserves `bytes` at the duration the engine computes for them.
+    fn reserve(
+        m: &mut Medium,
+        now: SimTime,
+        bytes: Bytes,
+        max_backlog: SimTime,
+    ) -> Option<SimTime> {
+        let duration = transfer_duration(m.bandwidth(), bytes);
+        m.try_reserve(now, bytes, duration, max_backlog)
+    }
+
+    /// An unbounded reservation, which is never refused.
+    fn reserve_unbounded(m: &mut Medium, now: SimTime, bytes: Bytes) -> SimTime {
+        reserve(m, now, bytes, SimTime::MAX).expect("an unbounded reservation is never refused")
+    }
+
     #[test]
     fn transfer_time_at_bandwidth() {
         let mut m = Medium::new("intf", Bandwidth::gbps(8.0));
         // 1000 B at 8 Gb/s = 1 µs.
-        let end = m.acquire(SimTime::ZERO, Bytes::new(1000));
+        let end = reserve_unbounded(&mut m, SimTime::ZERO, Bytes::new(1000));
         assert_eq!(end, SimTime::from_micros(1.0));
         assert_eq!(m.transferred(), Bytes::new(1000));
         assert_eq!(m.name(), "intf");
@@ -138,9 +139,9 @@ mod tests {
     #[test]
     fn back_to_back_transfers_serialize() {
         let mut m = Medium::new("intf", Bandwidth::gbps(8.0));
-        let e1 = m.acquire(SimTime::ZERO, Bytes::new(1000));
+        let e1 = reserve_unbounded(&mut m, SimTime::ZERO, Bytes::new(1000));
         // Second transfer issued at t=0 must wait for the first.
-        let e2 = m.acquire(SimTime::ZERO, Bytes::new(1000));
+        let e2 = reserve_unbounded(&mut m, SimTime::ZERO, Bytes::new(1000));
         assert_eq!(e1, SimTime::from_micros(1.0));
         assert_eq!(e2, SimTime::from_micros(2.0));
     }
@@ -148,9 +149,9 @@ mod tests {
     #[test]
     fn idle_gap_is_not_charged() {
         let mut m = Medium::new("intf", Bandwidth::gbps(8.0));
-        let _ = m.acquire(SimTime::ZERO, Bytes::new(1000));
+        let _ = reserve_unbounded(&mut m, SimTime::ZERO, Bytes::new(1000));
         // Issued long after the medium went idle.
-        let e2 = m.acquire(SimTime::from_micros(10.0), Bytes::new(1000));
+        let e2 = reserve_unbounded(&mut m, SimTime::from_micros(10.0), Bytes::new(1000));
         assert_eq!(e2, SimTime::from_micros(11.0));
         // Busy time is 2 µs over 11 µs elapsed.
         assert!((m.utilization(SimTime::from_micros(11.0)) - 2.0 / 11.0).abs() < 1e-9);
@@ -160,7 +161,7 @@ mod tests {
     fn zero_bytes_complete_instantly() {
         let mut m = Medium::new("intf", Bandwidth::gbps(1.0));
         assert_eq!(
-            m.acquire(SimTime::from_nanos(5.0), Bytes::new(0)),
+            reserve_unbounded(&mut m, SimTime::from_nanos(5.0), Bytes::new(0)),
             SimTime::from_nanos(5.0)
         );
         assert_eq!(m.transferred(), Bytes::new(0));
@@ -169,7 +170,10 @@ mod tests {
     #[test]
     fn zero_bandwidth_blocks_forever() {
         let mut m = Medium::new("dead", Bandwidth::ZERO);
-        assert_eq!(m.acquire(SimTime::ZERO, Bytes::new(1)), SimTime::MAX);
+        assert_eq!(
+            reserve_unbounded(&mut m, SimTime::ZERO, Bytes::new(1)),
+            SimTime::MAX
+        );
     }
 
     #[test]
@@ -192,17 +196,26 @@ mod tests {
     }
 
     #[test]
-    fn try_acquire_refuses_when_backlogged() {
+    fn reservation_refused_when_backlogged() {
         let mut m = Medium::new("intf", Bandwidth::gbps(8.0));
         // Fill 3 µs of backlog.
         for _ in 0..3 {
-            let _ = m.acquire(SimTime::ZERO, Bytes::new(1000));
+            let _ = reserve_unbounded(&mut m, SimTime::ZERO, Bytes::new(1000));
         }
         // A cap of 2 µs refuses; a cap of 5 µs admits.
-        assert!(m
-            .try_acquire(SimTime::ZERO, Bytes::new(1000), SimTime::from_micros(2.0))
-            .is_none());
-        let end = m.try_acquire(SimTime::ZERO, Bytes::new(1000), SimTime::from_micros(5.0));
+        assert!(reserve(
+            &mut m,
+            SimTime::ZERO,
+            Bytes::new(1000),
+            SimTime::from_micros(2.0)
+        )
+        .is_none());
+        let end = reserve(
+            &mut m,
+            SimTime::ZERO,
+            Bytes::new(1000),
+            SimTime::from_micros(5.0),
+        );
         assert_eq!(end, Some(SimTime::from_micros(4.0)));
         // Refusal did not consume bandwidth.
         assert_eq!(m.transferred(), Bytes::new(4000));
@@ -212,7 +225,7 @@ mod tests {
     fn utilization_capped_at_one() {
         let mut m = Medium::new("intf", Bandwidth::gbps(1.0));
         for _ in 0..10 {
-            let _ = m.acquire(SimTime::ZERO, Bytes::new(1000));
+            let _ = reserve_unbounded(&mut m, SimTime::ZERO, Bytes::new(1000));
         }
         assert_eq!(m.utilization(SimTime::from_micros(1.0)), 1.0);
         assert_eq!(m.utilization(SimTime::ZERO), 0.0);

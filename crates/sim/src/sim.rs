@@ -481,11 +481,7 @@ impl<'a> SimulationBuilder<'a> {
             .with_traffic(self.traffic)
             .with_fault_plan(plan)
             .run(&self.analysis);
-        if report.is_rejected() {
-            return Err(LogNicError::AnalysisRejected {
-                diagnostics: report.diagnostics().to_vec(),
-            });
-        }
+        report.check()?;
         let analysis_warnings: Vec<Diagnostic> = report.warnings().into_iter().cloned().collect();
 
         let cfg = self.config;
@@ -2868,7 +2864,7 @@ mod engine_tests {
         assert_eq!(empty.memory, Bytes::new(0));
         assert_eq!(empty.memory_time, SimTime::ZERO);
         assert_eq!(empty.dedicated_time, SimTime::ZERO);
-        // The media answer the cached costs as they answer `try_acquire`.
+        // The media accept the cached costs as `try_reserve` durations.
         let now = SimTime::from_micros(3.0);
         let mut interface = Medium::new("interface", transfer.interface_bw);
         let mut memory = Medium::new("memory", transfer.memory_bw);

@@ -2,7 +2,7 @@
 //! drives both the analytical estimate and the simulation, and pairs
 //! the two results for validation.
 
-use lognic_model::error::{LogNicResult, Result};
+use lognic_model::error::LogNicResult;
 use lognic_model::estimate::{Estimate, Estimator};
 use lognic_model::graph::ExecutionGraph;
 use lognic_model::params::{HardwareModel, TrafficProfile};
@@ -56,8 +56,8 @@ impl Scenario {
     /// # Errors
     ///
     /// Propagates model-evaluation errors.
-    pub fn estimate(&self) -> Result<Estimate> {
-        self.estimator().estimate()
+    pub fn estimate(&self) -> LogNicResult<Estimate> {
+        self.estimator().request().evaluate()
     }
 
     /// Runs the simulator with the given configuration.
@@ -91,7 +91,7 @@ impl Scenario {
     /// # Errors
     ///
     /// Propagates model-evaluation errors.
-    pub fn compare(&self, config: SimConfig) -> Result<Comparison> {
+    pub fn compare(&self, config: SimConfig) -> LogNicResult<Comparison> {
         let est = self.estimate()?;
         let sim = self.simulate(config);
         Ok(Comparison {

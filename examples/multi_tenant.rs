@@ -10,7 +10,7 @@
 
 use lognic::prelude::*;
 
-fn crypto_pipeline() -> lognic::model::error::Result<ExecutionGraph> {
+fn crypto_pipeline() -> lognic::model::error::LogNicResult<ExecutionGraph> {
     let mut b = ExecutionGraph::builder("tenant-crypto");
     let ing = b.ingress("rx");
     // The crypto tenant holds 60% of the shared core complex.
@@ -31,7 +31,7 @@ fn crypto_pipeline() -> lognic::model::error::Result<ExecutionGraph> {
     b.build()
 }
 
-fn kv_cache() -> lognic::model::error::Result<ExecutionGraph> {
+fn kv_cache() -> lognic::model::error::LogNicResult<ExecutionGraph> {
     let mut b = ExecutionGraph::builder("tenant-kv");
     let ing = b.ingress("rx");
     // The KV tenant holds the remaining 40% of the cores and hits DRAM.
@@ -53,7 +53,7 @@ fn kv_cache() -> lognic::model::error::Result<ExecutionGraph> {
     b.build()
 }
 
-fn main() -> lognic::model::error::Result<()> {
+fn main() -> lognic::model::error::LogNicResult<()> {
     let hw = HardwareModel::new(Bandwidth::gbps(50.0), Bandwidth::gbps(60.0));
     let aggregate = TrafficProfile::fixed(Bandwidth::gbps(60.0), Bytes::new(1024));
 

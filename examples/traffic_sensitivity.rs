@@ -8,7 +8,7 @@
 
 use lognic::prelude::*;
 
-fn offload() -> lognic::model::error::Result<ExecutionGraph> {
+fn offload() -> lognic::model::error::LogNicResult<ExecutionGraph> {
     // A per-packet-cost-heavy offload: great at MTU, terrible at 64 B.
     let mut b = ExecutionGraph::builder("per-packet-heavy");
     let ing = b.ingress("rx");

@@ -249,13 +249,21 @@ fn cmd_suggest() {
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     use lognic::service::{serve, ServeOptions, Service};
+    use std::io::Write as _;
     let options = ServeOptions::parse(args.iter().cloned())?;
     let mut service = Service::new(options.config);
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
     let mut input = std::io::BufReader::new(stdin.lock());
     let mut output = std::io::BufWriter::new(stdout.lock());
-    serve(&mut service, &mut input, &mut output).map_err(|e| format!("I/O error: {e}"))?;
+    let summary =
+        serve(&mut service, &mut input, &mut output).map_err(|e| format!("I/O error: {e}"))?;
+    let _ = output.flush();
+    let stats = service.stats();
+    eprintln!(
+        "lognic serve: {} responses ({} shed, {} failed, {} isolated panics)",
+        summary.responses, stats.shed, stats.failed, stats.isolated_panics
+    );
     Ok(())
 }
 

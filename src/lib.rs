@@ -26,14 +26,14 @@
 //! ```
 //! use lognic::model::prelude::*;
 //!
-//! # fn main() -> lognic::model::error::Result<()> {
+//! # fn main() -> lognic::model::error::LogNicResult<()> {
 //! let graph = ExecutionGraph::chain(
 //!     "udp-echo",
 //!     &[("nic-cores", IpParams::new(Bandwidth::gbps(18.0)).with_parallelism(8))],
 //! )?;
 //! let hw = HardwareModel::new(Bandwidth::gbps(50.0), Bandwidth::gbps(40.0));
 //! let traffic = TrafficProfile::fixed(Bandwidth::gbps(25.0), Bytes::new(1500));
-//! let estimate = Estimator::new(&graph, &hw, &traffic).estimate()?;
+//! let estimate = Estimator::new(&graph, &hw, &traffic).request().evaluate()?;
 //! assert_eq!(estimate.throughput.attainable(), Bandwidth::gbps(18.0));
 //! # Ok(())
 //! # }

@@ -384,7 +384,8 @@ fn captured_trace_feeds_the_empirical_size_mixture() {
     // And the chaos graph estimates under it.
     let chaos = small_brownout();
     let est = Estimator::new(&chaos.scenario.graph, &chaos.scenario.hardware, &profile)
-        .estimate()
+        .request()
+        .evaluate()
         .expect("empirical profile estimates");
     assert!(est.delivered.as_bps() > 0.0);
 }

@@ -167,7 +167,7 @@ fn fanout_split_agreement() {
     let g = b.build().unwrap();
     let t = TrafficProfile::fixed(Bandwidth::gbps(20.0), Bytes::new(1000));
     // Bounds: x at 30/0.7 = 42.9, y at 10/0.3 = 33.3, offered 20.
-    let model = Estimator::new(&g, &hw(), &t).estimate().unwrap();
+    let model = Estimator::new(&g, &hw(), &t).request().evaluate().unwrap();
     assert!(model.throughput.bottleneck().component.is_offered_load());
     let sim = run(&g, &hw(), &t, 11);
     let err = (model.delivered.as_bps() - sim.throughput.as_bps()).abs() / sim.throughput.as_bps();

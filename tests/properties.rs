@@ -60,7 +60,10 @@ fn delivered_between_zero_and_attainable() {
             let offered = g.f64(0.1..200.0);
             let hw = HardwareModel::default();
             let t = TrafficProfile::fixed(Bandwidth::gbps(offered), Bytes::new(1500));
-            let est = Estimator::new(&graph, &hw, &t).estimate().unwrap();
+            let est = Estimator::new(&graph, &hw, &t)
+                .request()
+                .evaluate()
+                .unwrap();
             ensure!(est.delivered.as_bps() >= 0.0);
             ensure!(est.delivered.as_bps() <= est.throughput.attainable().as_bps() + 1e-6);
             Ok(())

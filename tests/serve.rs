@@ -5,7 +5,7 @@
 //!
 //! The committed corpus under `tests/golden/serve/` pins the exact
 //! request/response transcript the CI `serve-smoke` job replays
-//! through the `lognic-serve` binary. A deliberate protocol change is
+//! through `lognic serve`. A deliberate protocol change is
 //! recorded by regenerating it:
 //!
 //! ```text
@@ -27,8 +27,8 @@ fn golden_path(name: &str) -> PathBuf {
 }
 
 /// A service in transcript mode: logical clocks only, defaults
-/// otherwise — exactly what the CI smoke job starts the binary with
-/// (`lognic-serve --deterministic`).
+/// otherwise — exactly what the CI smoke job starts the service with
+/// (`lognic serve --deterministic`).
 fn det_service(threads: usize) -> Service {
     Service::new(ServeConfig {
         deterministic: true,
@@ -374,4 +374,43 @@ fn partial_replication_failure_surfaces_through_serve() {
     // And the service keeps serving.
     let health = service.handle_line("{\"kind\":\"health\"}");
     assert!(health.contains("\"ok\":true"), "{health}");
+}
+
+/// An `analyze` request lints its inline fault plan: a window on a
+/// node the graph lacks reports `L0601`, the same plan `simulate` and
+/// `estimate_degraded` refuse with an unknown-node error.
+#[test]
+fn analyze_lints_the_inline_fault_plan() {
+    let mut service = det_service(1);
+    let codes = |service: &mut Service, line: &str| -> Vec<String> {
+        let out = service.handle_line(line);
+        let doc = lognic::service::json::parse(&out).expect("valid JSON");
+        assert_eq!(doc.get("ok").and_then(|v| v.as_bool()), Some(true), "{out}");
+        doc.get("diagnostics")
+            .and_then(|v| v.as_arr())
+            .expect("a diagnostics array")
+            .iter()
+            .map(|d| {
+                d.get("code")
+                    .and_then(|c| c.as_str())
+                    .unwrap_or_default()
+                    .to_owned()
+            })
+            .collect()
+    };
+    let faulted = codes(
+        &mut service,
+        r#"{"kind":"analyze","graph":"nvmeof","faults":[{"node":"nope","kind":"outage"}]}"#,
+    );
+    assert!(faulted.iter().any(|c| c == "L0601"), "{faulted:?}");
+    let plain = codes(&mut service, r#"{"kind":"analyze","graph":"nvmeof"}"#);
+    assert!(plain.is_empty(), "{plain:?}");
+
+    let refused = service.handle_line(
+        r#"{"kind":"estimate_degraded","graph":"nvmeof","faults":[{"node":"nope","kind":"outage"}]}"#,
+    );
+    assert!(
+        refused.contains("fault window references unknown node `nope`"),
+        "{refused}"
+    );
 }
