@@ -28,7 +28,7 @@
 //! override any code and can escalate all warnings to errors
 //! (`deny_warnings`, the CI posture). `Deny` findings reject the
 //! scenario — `SimulationBuilder::build`[^sim] and
-//! [`crate::estimate::Estimator::request`]'s checked evaluation surface them as
+//! [`AnalysisReport::check`] surface them as
 //! [`crate::error::LogNicError::AnalysisRejected`] — while `Warn` findings
 //! are reported but do not gate, and `Allow` findings are recorded for
 //! audit only.

@@ -113,24 +113,21 @@ impl<'a> Estimator<'a> {
     }
 
     /// Starts a unified evaluation request: the builder form behind
-    /// which plain, checked and fault-degraded evaluation converge
-    /// (compose with [`EstimateRequest::with_faults`] and
-    /// [`EstimateRequest::checked`], then call
+    /// which plain and fault-degraded evaluation converge (compose
+    /// with [`EstimateRequest::with_faults`], then call
     /// [`EstimateRequest::evaluate`]).
     pub fn request(&self) -> EstimateRequest<'a> {
         EstimateRequest {
             estimator: *self,
             faults: None,
-            analysis: None,
         }
     }
 
     /// Runs the static analyzer over the estimator's three inputs.
     ///
-    /// This is the read-only form: every finding is returned
-    /// regardless of severity, and nothing is rejected. Use
-    /// [`EstimateRequest::checked`] (via [`Estimator::request`]) to
-    /// gate the evaluation on the report.
+    /// Every finding is returned regardless of severity, and nothing
+    /// is rejected; gate an evaluation on the report with
+    /// [`AnalysisReport::check`].
     pub fn analyze(&self, config: &AnalysisConfig) -> AnalysisReport {
         Analyzer::new(self.graph)
             .with_hardware(self.hw)
@@ -139,12 +136,11 @@ impl<'a> Estimator<'a> {
     }
 }
 
-/// A unified evaluation request: one builder behind which the plain,
-/// analyzer-gated and fault-degraded evaluations converge, returning
-/// one [`Estimate`] shape for all of them.
+/// A unified evaluation request: one builder behind which the plain
+/// and fault-degraded evaluations converge, returning one [`Estimate`]
+/// shape for both.
 ///
 /// Built by [`Estimator::request`]; configured with
-/// [`EstimateRequest::checked`] (gate on the static analyzer) and
 /// [`EstimateRequest::with_faults`] (availability-adjusted evaluation,
 /// folding the bookkeeping into [`Estimate::degraded`]).
 ///
@@ -163,11 +159,9 @@ impl<'a> Estimator<'a> {
 /// let plain = Estimator::new(&g, &hw, &traffic).request().evaluate()?;
 /// assert!(plain.degraded.is_none());
 ///
-/// let under_faults = Estimator::new(&g, &hw, &traffic)
-///     .request()
-///     .checked(AnalysisConfig::default())
-///     .with_faults(&plan, horizon)
-///     .evaluate()?;
+/// let estimator = Estimator::new(&g, &hw, &traffic);
+/// estimator.analyze(&AnalysisConfig::default()).check()?;
+/// let under_faults = estimator.request().with_faults(&plan, horizon).evaluate()?;
 /// let deg = under_faults.degraded.expect("fault bookkeeping attached");
 /// assert_eq!(deg.availability, 1.0, "degradation without drops loses nothing");
 /// assert!(under_faults.throughput.attainable() <= plain.throughput.attainable());
@@ -178,7 +172,6 @@ impl<'a> Estimator<'a> {
 pub struct EstimateRequest<'a> {
     estimator: Estimator<'a>,
     faults: Option<(&'a FaultPlan, Seconds)>,
-    analysis: Option<AnalysisConfig>,
 }
 
 impl<'a> EstimateRequest<'a> {
@@ -203,26 +196,12 @@ impl<'a> EstimateRequest<'a> {
         self
     }
 
-    /// Gates the evaluation on the static analyzer under `config`:
-    /// `Deny`-level findings reject the request before any model math
-    /// runs.
-    pub fn checked(mut self, config: AnalysisConfig) -> Self {
-        self.analysis = Some(config);
-        self
-    }
-
     /// Runs the configured evaluation.
     ///
     /// # Errors
     ///
-    /// Returns [`crate::error::LogNicError::AnalysisRejected`] when a
-    /// [`EstimateRequest::checked`] analysis denies the scenario;
-    /// otherwise propagates fault-plan validation and
-    /// model-evaluation errors.
+    /// Propagates fault-plan validation and model-evaluation errors.
     pub fn evaluate(self) -> LogNicResult<Estimate> {
-        if let Some(config) = &self.analysis {
-            self.estimator.analyze(config).check()?;
-        }
         let Estimator { graph, hw, traffic } = self.estimator;
         match self.faults {
             None => Ok(Estimate {
@@ -459,22 +438,22 @@ mod tests {
     }
 
     #[test]
-    fn checked_request_gates_on_denied_diagnostics() {
+    fn analysis_check_gates_on_denied_diagnostics() {
         use crate::error::LogNicError;
         let g =
             ExecutionGraph::chain("t", &[("ip", IpParams::new(Bandwidth::gbps(10.0)))]).unwrap();
         let hw = HardwareModel::default();
         // Saturating load: ρ = 2.5 on the compute bound — Warn by
-        // default, so the checked request still succeeds...
+        // default, so the check still passes...
         let traffic = TrafficProfile::fixed(Bandwidth::gbps(25.0), Bytes::new(1500));
         let e = Estimator::new(&g, &hw, &traffic);
         let cfg = AnalysisConfig::default();
         assert!(!e.analyze(&cfg).is_clean());
-        assert!(e.request().checked(cfg).evaluate().is_ok());
-        // ...and is rejected once warnings are denied, carrying the
+        assert!(e.analyze(&cfg).check().is_ok());
+        // ...and rejects once warnings are denied, carrying the
         // saturation finding in the error.
         let strict = AnalysisConfig::default().deny_warnings(true);
-        let err = e.request().checked(strict.clone()).evaluate().unwrap_err();
+        let err = e.analyze(&strict).check().unwrap_err();
         let LogNicError::AnalysisRejected { diagnostics } = err else {
             panic!("expected AnalysisRejected, got {err}");
         };
@@ -484,12 +463,11 @@ mod tests {
         // A clean scenario passes under the strict policy too.
         let calm = traffic.at_rate(Bandwidth::gbps(4.0));
         let e = Estimator::new(&g, &hw, &calm);
-        assert!(e.request().checked(strict).evaluate().is_ok());
+        assert!(e.analyze(&strict).check().is_ok());
     }
 
     #[test]
-    fn request_composes_gate_and_faults_in_order() {
-        use crate::error::LogNicError;
+    fn plain_request_is_the_three_model_parts() {
         let g = ExecutionGraph::chain(
             "t",
             &[(
@@ -514,29 +492,10 @@ mod tests {
             req.delivered,
             delivered_throughput(&g, &hw, &traffic).unwrap()
         );
-
-        // A strict policy rejects a saturated scenario...
-        let h = Seconds::millis(10.0);
-        let plan = FaultPlan::new()
-            .drop_packets("ip", 0.2, Seconds::ZERO, h)
-            .with_retry(crate::fault::RetryPolicy::new(3, Seconds::micros(1.0)));
+        // The request itself never gates: a saturated scenario that a
+        // strict analysis rejects still evaluates.
         let hot = TrafficProfile::fixed(Bandwidth::gbps(25.0), Bytes::new(1500));
-        let hot_e = Estimator::new(&g, &hw, &hot);
-        let strict = AnalysisConfig::default().deny_warnings(true);
-        assert!(matches!(
-            hot_e.request().checked(strict.clone()).evaluate(),
-            Err(LogNicError::AnalysisRejected { .. })
-        ));
-        assert!(hot_e.request().evaluate().is_ok(), "ungated still passes");
-        // ...and the gate runs before any fault math.
-        assert!(matches!(
-            hot_e
-                .request()
-                .checked(strict)
-                .with_faults(&plan, h)
-                .evaluate(),
-            Err(LogNicError::AnalysisRejected { .. })
-        ));
+        assert!(Estimator::new(&g, &hw, &hot).request().evaluate().is_ok());
     }
 
     #[test]

@@ -126,11 +126,14 @@ impl fmt::Display for Json {
     }
 }
 
-/// Renders a finite `f64` deterministically: integral values within
-/// the exactly-representable range print as integers.
+/// Renders an `f64` deterministically: integral values within the
+/// exactly-representable range print as integers, and non-finite
+/// values (which JSON cannot spell) as `null`.
 pub fn render_number(n: f64, out: &mut String) {
     use core::fmt::Write as _;
-    if n.fract() == 0.0 && n.abs() < 9.0e15 {
+    if !n.is_finite() {
+        out.push_str("null");
+    } else if n.fract() == 0.0 && n.abs() < 9.0e15 {
         let _ = write!(out, "{}", n as i64);
     } else {
         let _ = write!(out, "{n}");
@@ -435,6 +438,16 @@ mod tests {
         let mut out = String::new();
         v.render(&mut out);
         assert_eq!(out, src, "compact render is the identity on compact input");
+        // Non-finite numbers have no JSON spelling: they render as
+        // `null` and parse back as one.
+        for n in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let rendered = Json::Arr(vec![Json::Num(n), Json::Num(1.5)]).to_string();
+            assert_eq!(rendered, "[null,1.5]", "{n}");
+            assert_eq!(
+                parse(&rendered).unwrap(),
+                Json::Arr(vec![Json::Null, Json::Num(1.5)])
+            );
+        }
     }
 
     #[test]

@@ -24,9 +24,10 @@ use lognic_model::estimate::Estimate;
 use lognic_model::fault::FaultPlan;
 use lognic_model::sweep::{knee_of, rate_sweep};
 use lognic_model::units::{Bandwidth, Seconds};
+use lognic_sim::faults::CompiledFaultPlan;
 use lognic_sim::fleet::FleetBuilder;
 use lognic_sim::replicate::Replication;
-use lognic_sim::sim::SimConfig;
+use lognic_sim::sim::{SimConfig, Simulation};
 use lognic_sim::stats::MetricSummary;
 use lognic_workloads::rack;
 use lognic_workloads::registry;
@@ -369,37 +370,36 @@ impl Service {
             Some(r) => entry.scenario.at_rate(Bandwidth::gbps(r)),
             None => entry.scenario.clone(),
         };
-        let analysis_config = AnalysisConfig::new().deny_warnings(req.deny_warnings);
+        // One analysis per request, over the plan the request runs
+        // under: its inline `faults`, else the graph's bundled plan.
+        let inline = req.fault_plan();
+        let plan = inline.as_ref().or(entry.plan.as_ref());
+        let analysis = AnalysisConfig::new().deny_warnings(req.deny_warnings);
         let analyzer = Analyzer::new(&scenario.graph)
             .with_hardware(&scenario.hardware)
             .with_traffic(&scenario.traffic);
+        let report = match plan {
+            Some(p) => analyzer.with_fault_plan(p),
+            None => analyzer,
+        }
+        .run(&analysis);
         if req.kind == RequestKind::Analyze {
-            // An analysis also lints the request's inline fault plan
-            // (L0601–L0604).
-            let inline = req.fault_plan();
-            let analyzer = match &inline {
-                Some(plan) => analyzer.with_fault_plan(plan),
-                None => analyzer,
-            };
-            return Ok(render_analysis(&analyzer.run(&analysis_config)));
+            return Ok(render_analysis(&report));
         }
         // The admission gate proper: any Deny-level finding refuses
         // the request before model math or simulation runs.
-        analyzer.run(&analysis_config).check()?;
+        report.check()?;
         match req.kind {
             RequestKind::Estimate => {
                 let est = scenario.estimator().request().evaluate()?;
                 Ok(render_estimate("estimate", &entry.name, &est))
             }
             RequestKind::EstimateDegraded => {
-                let inline = req.fault_plan();
-                let plan = inline.as_ref().or(entry.plan.as_ref()).ok_or_else(|| {
-                    ServiceError::InvalidRequest {
-                        reason: format!(
-                            "`{}` declares no `faults` and ships no bundled fault plan",
-                            entry.name
-                        ),
-                    }
+                let plan = plan.ok_or_else(|| ServiceError::InvalidRequest {
+                    reason: format!(
+                        "`{}` declares no `faults` and ships no bundled fault plan",
+                        entry.name
+                    ),
                 })?;
                 let est = scenario
                     .estimator()
@@ -442,7 +442,9 @@ impl Service {
                 }
                 Ok(out)
             }
-            RequestKind::Simulate => self.evaluate_simulate(req, entry, &scenario),
+            RequestKind::Simulate => {
+                self.evaluate_simulate(req, &entry.name, &scenario, plan, analysis)
+            }
             RequestKind::Analyze
             | RequestKind::FleetSimulate
             | RequestKind::Health
@@ -518,33 +520,34 @@ impl Service {
         Ok(out)
     }
 
+    /// Replicates `scenario` under `plan` (compiled once and shared
+    /// by every seed) and the request's analysis policy.
     fn evaluate_simulate(
         &self,
         req: &Request,
-        entry: &GraphEntry,
+        graph: &str,
         scenario: &Scenario,
+        plan: Option<&FaultPlan>,
+        analysis: AnalysisConfig,
     ) -> Result<String, ServiceError> {
         let config = self.sim_config(req);
-        let replication = Replication::new(req.seeds).threads(self.config.threads);
-        let inline = req.fault_plan();
-        let plan = inline.as_ref().or(entry.plan.as_ref());
-        let report = match plan {
-            Some(p) => replication.run_sim_faulted(
-                &scenario.graph,
-                &scenario.hardware,
-                &scenario.traffic,
-                config,
-                p,
-            )?,
-            None => replication.run_sim(
-                &scenario.graph,
-                &scenario.hardware,
-                &scenario.traffic,
-                config,
-            )?,
-        };
+        let compiled = plan
+            .map(|p| CompiledFaultPlan::compile(p, &scenario.graph))
+            .transpose()?;
+        let report = Replication::new(req.seeds)
+            .threads(self.config.threads)
+            .run(|| {
+                let sim =
+                    Simulation::builder(&scenario.graph, &scenario.hardware, &scenario.traffic)
+                        .config(config)
+                        .analysis(analysis.clone());
+                match &compiled {
+                    Some(c) => sim.with_compiled_faults(c),
+                    None => sim,
+                }
+            })?;
         let mut out = String::with_capacity(256);
-        push_kind(&mut out, "simulate", &entry.name);
+        push_kind(&mut out, "simulate", graph);
         use core::fmt::Write as _;
         let _ = write!(out, ",\"seeds\":{}", report.seeds.len());
         out.push_str(",\"latency_s\":");

@@ -10,6 +10,14 @@
 //! falls *inside the interval* — a statistically sound claim that
 //! tightens automatically as N grows.
 //!
+//! What a replication runs is a recipe: [`Replication::run`] takes a
+//! closure returning a [`SimulationBuilder`] and runs one build of it
+//! per seed, so every builder option reaches every replica.
+//! Observers are per run, not per replication: to trace replica `i`,
+//! run `recipe().seed(rep.seeds[i]).run_with(&mut observer)` — a
+//! replica is a pure function of its seed, so that traced report
+//! equals `rep.reports[i]`.
+//!
 //! Determinism: each replica is fully determined by its seed, and the
 //! aggregation folds results in seed order regardless of which worker
 //! finished first — so the same seed set produces bit-identical
@@ -19,16 +27,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use lognic_model::error::{LogNicError, LogNicResult};
-use lognic_model::fault::FaultPlan;
-use lognic_model::graph::ExecutionGraph;
-use lognic_model::params::{HardwareModel, TrafficProfile};
 
-use crate::faults::CompiledFaultPlan;
 use crate::metrics::SimReport;
 use crate::rng::SimRng;
-use crate::sim::{SimConfig, Simulation};
+use crate::sim::SimulationBuilder;
 use crate::stats::{MetricSummary, Welford};
-use crate::trace::SimObserver;
 
 /// The default base seed replications derive their seed sets from.
 pub const DEFAULT_BASE_SEED: u64 = 0x4C6F_674E_4943_5253; // "LogNICRS"
@@ -51,7 +54,7 @@ pub const DEFAULT_BASE_SEED: u64 = 0x4C6F_674E_4943_5253; // "LogNICRS"
 ///     warmup: Seconds::micros(400.0),
 ///     ..SimConfig::default()
 /// };
-/// let rep = Replication::new(4).run_sim(&g, &hw, &t, cfg)?;
+/// let rep = Replication::new(4).run(|| Simulation::builder(&g, &hw, &t).config(cfg))?;
 /// assert_eq!(rep.n(), 4);
 /// assert!(rep.throughput_gbps.contains(rep.throughput_gbps.mean));
 /// # Ok(())
@@ -125,37 +128,6 @@ impl Replication {
     }
 
     /// Runs `run_one` once per seed across scoped worker threads and
-    /// returns the outcomes in seed order, whatever order the workers
-    /// finished in.
-    fn map_seeds<T, F>(&self, run_one: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(u64) -> T + Sync,
-    {
-        let slots: Mutex<Vec<Option<T>>> =
-            Mutex::new((0..self.seeds.len()).map(|_| None).collect());
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..self.worker_count() {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&seed) = self.seeds.get(i) else {
-                        break;
-                    };
-                    let outcome = run_one(seed);
-                    slots.lock().expect("no poisoned workers")[i] = Some(outcome);
-                });
-            }
-        });
-        slots
-            .into_inner()
-            .expect("scope joined all workers")
-            .into_iter()
-            .map(|r| r.expect("every seed index was claimed exactly once"))
-            .collect()
-    }
-
-    /// Runs `run_one` once per seed across scoped worker threads and
     /// aggregates the reports in seed order, reporting failures *in
     /// seed order* too (not in completion order, which would make the
     /// reported error depend on the thread schedule). `run_one` must
@@ -174,7 +146,30 @@ impl Replication {
     where
         F: Fn(u64) -> LogNicResult<SimReport> + Sync,
     {
-        let outcomes = self.map_seeds(run_one);
+        // Workers claim seed indices in turn and file each outcome in
+        // its seed's slot, so `outcomes` is in seed order whatever
+        // order the workers finished in.
+        let slots: Mutex<Vec<Option<LogNicResult<SimReport>>>> =
+            Mutex::new((0..self.seeds.len()).map(|_| None).collect());
+        let next = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..self.worker_count() {
+                scope.spawn(|| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(&seed) = self.seeds.get(i) else {
+                        break;
+                    };
+                    let outcome = run_one(seed);
+                    slots.lock().expect("no poisoned workers")[i] = Some(outcome);
+                });
+            }
+        });
+        let outcomes: Vec<_> = slots
+            .into_inner()
+            .expect("scope joined all workers")
+            .into_iter()
+            .map(|r| r.expect("every seed index was claimed exactly once"))
+            .collect();
         if outcomes.iter().all(|r| r.is_ok()) {
             let reports = outcomes
                 .into_iter()
@@ -200,105 +195,21 @@ impl Replication {
         Err(LogNicError::ReplicationPartial { completed, failed })
     }
 
-    /// Convenience: replicates a plain [`Simulation`] built from the
-    /// three model inputs, overriding only the seed per replica.
-    pub fn run_sim(
+    /// Replicates the simulation `sim` describes: `sim()` is called
+    /// once per seed, and the builder it returns runs under that seed.
+    /// Every other builder option reaches every replica — analysis
+    /// policy, fault plan (install a [`CompiledFaultPlan`] with
+    /// [`SimulationBuilder::with_compiled_faults`] to share its tables
+    /// across seeds), queue plans, traces and service overrides, each
+    /// replica getting a fresh stateful model from its own `sim()`
+    /// call. Failures follow [`Replication::try_run`].
+    ///
+    /// [`CompiledFaultPlan`]: crate::faults::CompiledFaultPlan
+    pub fn run<'a>(
         &self,
-        graph: &ExecutionGraph,
-        hw: &HardwareModel,
-        traffic: &TrafficProfile,
-        config: SimConfig,
+        sim: impl Fn() -> SimulationBuilder<'a> + Sync,
     ) -> LogNicResult<ReplicatedReport> {
-        self.try_run(|seed| {
-            Simulation::builder(graph, hw, traffic)
-                .config(SimConfig { seed, ..config })
-                .run()
-        })
-    }
-
-    /// Convenience: like [`Replication::run_sim`] with a
-    /// [`FaultPlan`] installed on every replica. Fault outcomes are a
-    /// pure function of each replica's seed, so the aggregate is as
-    /// deterministic as a fault-free replication.
-    ///
-    /// The plan is validated and compiled **once**; every replica
-    /// shares the compiled per-node fault tables by reference
-    /// (`Arc`-cloned) instead of cloning the whole plan per seed.
-    pub fn run_sim_faulted(
-        &self,
-        graph: &ExecutionGraph,
-        hw: &HardwareModel,
-        traffic: &TrafficProfile,
-        config: SimConfig,
-        plan: &FaultPlan,
-    ) -> LogNicResult<ReplicatedReport> {
-        let compiled = CompiledFaultPlan::compile(plan, graph)?;
-        self.try_run(|seed| {
-            Simulation::builder(graph, hw, traffic)
-                .config(SimConfig { seed, ..config })
-                .with_compiled_faults(&compiled)
-                .run()
-        })
-    }
-
-    /// Replicates a simulation with a per-seed trace observer
-    /// attached: `make_observer(seed)` constructs one sink per
-    /// replica (e.g. a [`RingLog`] or [`ChromeTrace`]), each replica
-    /// runs under its own sink, and the sinks are returned *in seed
-    /// order* alongside the aggregate.
-    ///
-    /// Observers are passive and each replica is a pure function of
-    /// its seed, so both the aggregate and every returned sink are
-    /// bit-identical across invocations and thread counts (the trace
-    /// suite asserts [`RingLog::records`] equality between 1-thread and
-    /// N-thread replications). An optional [`FaultPlan`] is compiled
-    /// once and shared across replicas, as in
-    /// [`Replication::run_sim_faulted`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates plan compilation errors, then the first replica
-    /// error in seed order.
-    ///
-    /// [`RingLog`]: crate::trace::RingLog
-    /// [`RingLog::records`]: crate::trace::RingLog::records
-    /// [`ChromeTrace`]: crate::trace::ChromeTrace
-    pub fn run_sim_observed<O, F>(
-        &self,
-        graph: &ExecutionGraph,
-        hw: &HardwareModel,
-        traffic: &TrafficProfile,
-        config: SimConfig,
-        plan: Option<&FaultPlan>,
-        make_observer: F,
-    ) -> LogNicResult<(ReplicatedReport, Vec<O>)>
-    where
-        O: SimObserver + Send,
-        F: Fn(u64) -> O + Sync,
-    {
-        let compiled = plan
-            .map(|p| CompiledFaultPlan::compile(p, graph))
-            .transpose()?;
-        let outcomes = self.map_seeds(|seed| {
-            let mut obs = make_observer(seed);
-            let mut builder =
-                Simulation::builder(graph, hw, traffic).config(SimConfig { seed, ..config });
-            if let Some(c) = compiled.as_ref() {
-                builder = builder.with_compiled_faults(c);
-            }
-            builder.run_with(&mut obs).map(|report| (report, obs))
-        });
-        let mut reports = Vec::with_capacity(self.seeds.len());
-        let mut observers = Vec::with_capacity(self.seeds.len());
-        for outcome in outcomes {
-            let (report, obs) = outcome?;
-            reports.push(report);
-            observers.push(obs);
-        }
-        Ok((
-            ReplicatedReport::aggregate(self.seeds.clone(), reports),
-            observers,
-        ))
+        self.try_run(|seed| sim().seed(seed).run())
     }
 }
 
@@ -367,7 +278,9 @@ impl ReplicatedReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lognic_model::params::IpParams;
+    use crate::sim::{SimConfig, Simulation};
+    use lognic_model::graph::ExecutionGraph;
+    use lognic_model::params::{HardwareModel, IpParams, TrafficProfile};
     use lognic_model::units::{Bandwidth, Bytes, Seconds};
 
     fn chain(gbps: f64) -> ExecutionGraph {
@@ -413,32 +326,27 @@ mod tests {
         let g = chain(10.0);
         let hw = fast_hw();
         let t = TrafficProfile::fixed(Bandwidth::gbps(6.0), Bytes::new(1000));
-        let wide = Replication::new(6).run_sim(&g, &hw, &t, cfg(2.0)).unwrap();
-        let narrow = Replication::new(6)
-            .threads(1)
-            .run_sim(&g, &hw, &t, cfg(2.0))
-            .unwrap();
+        let sim = || Simulation::builder(&g, &hw, &t).config(cfg(2.0));
+        let wide = Replication::new(6).run(sim).unwrap();
+        let narrow = Replication::new(6).threads(1).run(sim).unwrap();
         assert_eq!(wide, narrow, "thread schedule must not leak into results");
-        let again = Replication::new(6).run_sim(&g, &hw, &t, cfg(2.0)).unwrap();
+        let again = Replication::new(6).run(sim).unwrap();
         assert_eq!(wide, again, "same seed set, same bits");
     }
 
     #[test]
-    fn per_seed_reports_match_single_runs() {
+    fn per_seed_reports_match_single_runs_traced_or_not() {
+        use crate::trace::RingLog;
         let g = chain(10.0);
         let hw = fast_hw();
         let t = TrafficProfile::fixed(Bandwidth::gbps(5.0), Bytes::new(800));
-        let rep = Replication::from_seeds(vec![3, 99])
-            .run_sim(&g, &hw, &t, cfg(2.0))
-            .unwrap();
-        let direct = Simulation::builder(&g, &hw, &t)
-            .config(SimConfig {
-                seed: 99,
-                ..cfg(2.0)
-            })
-            .run()
-            .unwrap();
-        assert_eq!(rep.reports[1], direct);
+        let sim = || Simulation::builder(&g, &hw, &t).config(cfg(2.0));
+        let rep = Replication::from_seeds(vec![3, 99]).run(sim).unwrap();
+        assert_eq!(rep.reports[1], sim().seed(99).run().unwrap());
+        // Tracing one replica is a standalone run of its seed.
+        let mut log = RingLog::with_capacity(4096);
+        assert_eq!(rep.reports[0], sim().seed(3).run_with(&mut log).unwrap());
+        assert!(log.written() > 0, "the trace captured events");
         assert_eq!(rep.seeds, vec![3, 99]);
         assert_eq!(rep.n(), 2);
     }
@@ -448,7 +356,9 @@ mod tests {
         let g = chain(10.0);
         let hw = fast_hw();
         let t = TrafficProfile::fixed(Bandwidth::gbps(2.0), Bytes::new(1000));
-        let rep = Replication::new(8).run_sim(&g, &hw, &t, cfg(4.0)).unwrap();
+        let rep = Replication::new(8)
+            .run(|| Simulation::builder(&g, &hw, &t).config(cfg(4.0)))
+            .unwrap();
         // Offered 2 Gb/s, no overload: the CI must cover it.
         assert!(
             rep.throughput_gbps.contains(2.0),
@@ -464,42 +374,12 @@ mod tests {
         let g = chain(10.0);
         let hw = fast_hw();
         let t = TrafficProfile::fixed(Bandwidth::gbps(4.0), Bytes::new(1000));
-        let rep = Replication::new(4).run_sim(&g, &hw, &t, cfg(2.0)).unwrap();
+        let rep = Replication::new(4)
+            .run(|| Simulation::builder(&g, &hw, &t).config(cfg(2.0)))
+            .unwrap();
         let util = rep.summarize(|r| r.node("ip").unwrap().utilization);
         assert_eq!(util.n, 4);
         assert!(util.mean > 0.0 && util.mean < 1.0, "util {util}");
-    }
-
-    #[test]
-    fn observed_replication_matches_unobserved_and_is_thread_invariant() {
-        use crate::trace::RingLog;
-        let g = chain(10.0);
-        let hw = fast_hw();
-        let t = TrafficProfile::fixed(Bandwidth::gbps(6.0), Bytes::new(1000));
-        let rep = Replication::new(4);
-        let plain = rep.run_sim(&g, &hw, &t, cfg(2.0)).unwrap();
-        let (wide, wide_logs) = rep
-            .run_sim_observed(&g, &hw, &t, cfg(2.0), None, |_| {
-                RingLog::with_capacity(4096)
-            })
-            .unwrap();
-        let (narrow, narrow_logs) = rep
-            .threads(1)
-            .run_sim_observed(&g, &hw, &t, cfg(2.0), None, |_| {
-                RingLog::with_capacity(4096)
-            })
-            .unwrap();
-        assert_eq!(plain, wide, "observers must not perturb the aggregate");
-        assert_eq!(wide, narrow);
-        assert_eq!(wide_logs.len(), 4);
-        for (w, n) in wide_logs.iter().zip(&narrow_logs) {
-            assert!(w.written() > 0, "traces captured events");
-            assert_eq!(
-                w.records(),
-                n.records(),
-                "per-seed traces are identical across thread counts"
-            );
-        }
     }
 
     #[test]

@@ -346,12 +346,10 @@ pub fn differential_check(spec: &ScenarioSpec) -> FuzzOutcome {
     };
     let egress_fraction = scenario.graph.delta_in_sum(scenario.graph.egress());
     let predicted = estimate.delivered.as_gbps() * egress_fraction;
-    let rep = match Replication::new(5).run_sim(
-        &scenario.graph,
-        &scenario.hardware,
-        &scenario.traffic,
-        fuzz_config(spec.seed),
-    ) {
+    let rep = match Replication::new(5).run(|| {
+        Simulation::builder(&scenario.graph, &scenario.hardware, &scenario.traffic)
+            .config(fuzz_config(spec.seed))
+    }) {
         Ok(r) => r,
         Err(e) => return FuzzOutcome::Fail(format!("replication failed: {e}")),
     };

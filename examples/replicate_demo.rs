@@ -23,12 +23,11 @@ fn main() {
         warmup: Seconds::millis(2.0),
         ..SimConfig::default()
     };
-    let a = Replication::new(8)
-        .run_sim(&g, &hw, &t, cfg)
-        .expect("valid scenario");
+    let sim = || Simulation::builder(&g, &hw, &t).config(cfg);
+    let a = Replication::new(8).run(sim).expect("valid scenario");
     let b = Replication::new(8)
         .threads(1)
-        .run_sim(&g, &hw, &t, cfg)
+        .run(sim)
         .expect("valid scenario");
     println!("seeds            = {:x?}", &a.seeds[..3]);
     println!("latency mean     = {}", a.latency_mean);

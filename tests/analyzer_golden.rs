@@ -147,7 +147,7 @@ fn static_saturation_verdict_agrees_with_simulator() {
             .as_gbps()
             * egress_fraction;
         let sim = Replication::new(5)
-            .run_sim(&hot.graph, &hot.hardware, &hot.traffic, config)
+            .run(|| Simulation::builder(&hot.graph, &hot.hardware, &hot.traffic).config(config))
             .expect("saturated scenario still simulates");
         let offered = hot.traffic.ingress_bandwidth().as_gbps() * egress_fraction;
         assert!(
@@ -180,7 +180,7 @@ fn static_saturation_verdict_agrees_with_simulator() {
             base.name
         );
         let sim = Replication::new(5)
-            .run_sim(&calm.graph, &calm.hardware, &calm.traffic, config)
+            .run(|| Simulation::builder(&calm.graph, &calm.hardware, &calm.traffic).config(config))
             .expect("calm scenario simulates");
         let expected = calm.traffic.ingress_bandwidth().as_gbps() * egress_fraction;
         let slack = expected * 0.03;

@@ -28,6 +28,24 @@ fn cfg(ms: f64) -> SimConfig {
     }
 }
 
+/// Replicates `g` under `plan`, compiled once and shared by every
+/// seed.
+fn replicate_faulted(
+    rep: Replication,
+    g: &ExecutionGraph,
+    t: &TrafficProfile,
+    config: SimConfig,
+    plan: &FaultPlan,
+) -> LogNicResult<ReplicatedReport> {
+    let hw = hw();
+    let compiled = CompiledFaultPlan::compile(plan, g)?;
+    rep.run(|| {
+        Simulation::builder(g, &hw, t)
+            .config(config)
+            .with_compiled_faults(&compiled)
+    })
+}
+
 /// The tentpole recovery claim: a mid-run outage must not leave any
 /// residue once its window closes. We measure throughput only *after*
 /// the outage (warmup cutoff past the window) and require the faulted
@@ -43,12 +61,12 @@ fn post_outage_throughput_recovers_to_baseline_ci() {
         warmup: Seconds::millis(4.0),
         ..SimConfig::default()
     };
+    let hw = hw();
     let baseline = Replication::new(8)
-        .run_sim(&g, &hw(), &t, config)
+        .run(|| Simulation::builder(&g, &hw, &t).config(config))
         .expect("valid baseline");
     let plan = FaultPlan::new().outage("ip", Seconds::millis(1.0), Seconds::millis(3.0));
-    let faulted = Replication::new(8)
-        .run_sim_faulted(&g, &hw(), &t, config, &plan)
+    let faulted = replicate_faulted(Replication::new(8), &g, &t, config, &plan)
         .expect("valid faulted scenario");
     assert!(
         baseline
@@ -91,8 +109,7 @@ fn degraded_model_inside_sim_ci_under_rate_degradation() {
         warmup: Seconds::millis(4.0),
         ..SimConfig::default()
     };
-    let rep = Replication::new(8)
-        .run_sim_faulted(&g, &hw(), &t, config, &plan)
+    let rep = replicate_faulted(Replication::new(8), &g, &t, config, &plan)
         .expect("valid faulted scenario");
     let predicted = est.delivered.as_gbps();
     // Loose containment: CI half-widths at N=8 are sub-percent, so
@@ -116,13 +133,9 @@ fn faulted_replication_is_bit_deterministic() {
         .outage("ip", Seconds::millis(1.0), Seconds::millis(2.0))
         .drop_packets("ip", 0.2, Seconds::millis(3.0), Seconds::millis(6.0))
         .with_retry(RetryPolicy::new(3, Seconds::micros(100.0)));
-    let wide = Replication::new(6)
-        .run_sim_faulted(&g, &hw(), &t, cfg(8.0), &plan)
-        .expect("valid");
-    let narrow = Replication::new(6)
-        .threads(1)
-        .run_sim_faulted(&g, &hw(), &t, cfg(8.0), &plan)
-        .expect("valid");
+    let wide = replicate_faulted(Replication::new(6), &g, &t, cfg(8.0), &plan).expect("valid");
+    let narrow =
+        replicate_faulted(Replication::new(6).threads(1), &g, &t, cfg(8.0), &plan).expect("valid");
     assert_eq!(wide, narrow, "thread schedule must not leak into results");
 }
 
@@ -139,20 +152,17 @@ fn retries_improve_delivery_under_probabilistic_drops() {
         warmup: Seconds::millis(4.0),
         ..SimConfig::default()
     };
-    let without = Replication::new(6)
-        .run_sim_faulted(&g, &hw(), &t, config, &lossy)
-        .expect("valid");
-    let with = Replication::new(6)
-        .run_sim_faulted(
-            &g,
-            &hw(),
-            &t,
-            config,
-            &lossy
-                .clone()
-                .with_retry(RetryPolicy::new(5, Seconds::micros(20.0))),
-        )
-        .expect("valid");
+    let without = replicate_faulted(Replication::new(6), &g, &t, config, &lossy).expect("valid");
+    let with = replicate_faulted(
+        Replication::new(6),
+        &g,
+        &t,
+        config,
+        &lossy
+            .clone()
+            .with_retry(RetryPolicy::new(5, Seconds::micros(20.0))),
+    )
+    .expect("valid");
     assert!(
         with.loss_rate.mean < without.loss_rate.mean * 0.05,
         "5 retries at p=0.3 leave ~0.24% residual: {} vs {}",
@@ -185,12 +195,21 @@ fn typed_errors_on_every_entry_point() {
         .unwrap_err();
     assert!(matches!(err, LogNicError::UnknownNode { .. }), "{err}");
 
+    let err = replicate_faulted(Replication::new(2), &g, &t, cfg(2.0), &ghost).unwrap_err();
+    assert!(matches!(err, LogNicError::UnknownNode { .. }), "{err}");
+    // Uncompiled, every replica fails alike: the bare error, not a
+    // partial report.
+    let hw = hw();
     let err = Replication::new(2)
-        .run_sim_faulted(&g, &hw(), &t, cfg(2.0), &ghost)
+        .run(|| {
+            Simulation::builder(&g, &hw, &t)
+                .config(cfg(2.0))
+                .with_fault_plan(ghost.clone())
+        })
         .unwrap_err();
     assert!(matches!(err, LogNicError::UnknownNode { .. }), "{err}");
 
-    let err = Estimator::new(&g, &hw(), &t)
+    let err = Estimator::new(&g, &hw, &t)
         .request()
         .with_faults(&ghost, Seconds::millis(2.0))
         .evaluate()
@@ -198,7 +217,7 @@ fn typed_errors_on_every_entry_point() {
     assert!(matches!(err, LogNicError::UnknownNode { .. }), "{err}");
 
     let bad_factor = FaultPlan::new().degrade_rate("ip", 0.0, Seconds::ZERO, Seconds::millis(1.0));
-    let err = lognic::sim::sim::Simulation::builder(&g, &hw(), &t)
+    let err = lognic::sim::sim::Simulation::builder(&g, &hw, &t)
         .with_fault_plan(bad_factor)
         .build()
         .unwrap_err();

@@ -42,8 +42,9 @@ fn mm1_latency_agreement_across_loads() {
     for load in [0.3, 0.5, 0.7, 0.85] {
         let t = TrafficProfile::fixed(Bandwidth::gbps(10.0 * load), Bytes::new(1250));
         let model = estimate_latency(&g, &hw(), &t).unwrap().mean().as_secs();
+        let hw = hw();
         let rep = Replication::new(12)
-            .run_sim(&g, &hw(), &t, cfg)
+            .run(|| Simulation::builder(&g, &hw, &t).config(cfg))
             .expect("valid scenario");
         assert!(
             rep.latency_mean.contains(model),

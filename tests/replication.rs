@@ -28,27 +28,48 @@ fn cfg(ms: f64) -> SimConfig {
 }
 
 /// The acceptance-criteria contract: two invocations of
-/// `Replication::run_sim` over the same seed set produce bit-identical
+/// `Replication::run` over the same seed set produce bit-identical
 /// aggregates — every mean, stddev and CI bound, and every per-seed
-/// report, compares equal.
+/// report, compares equal — at any thread count, and each per-seed
+/// report is a standalone run of its seed.
+fn assert_replication_is_deterministic<'a>(n: u32, sim: impl Fn() -> SimulationBuilder<'a> + Sync) {
+    let first = Replication::new(n).run(&sim).expect("valid scenario");
+    let second = Replication::new(n).run(&sim).expect("valid scenario");
+    assert_eq!(first, second, "replication must be invocation-stable");
+    for threads in [1, 4] {
+        let again = Replication::new(n)
+            .threads(threads)
+            .run(&sim)
+            .expect("valid scenario");
+        assert_eq!(first, again, "thread schedule must not leak into bits");
+    }
+    for (&seed, report) in first.seeds.iter().zip(&first.reports) {
+        let standalone = sim().seed(seed).build().and_then(|s| s.run());
+        assert_eq!(Ok(report), standalone.as_ref(), "seed {seed}");
+    }
+}
+
 #[test]
 fn same_seed_set_gives_bit_identical_aggregates() {
     let g = mm1_chain(64);
     let hw = hw();
     let t = TrafficProfile::fixed(Bandwidth::gbps(7.0), Bytes::new(1250));
-    let first = Replication::new(8)
-        .run_sim(&g, &hw, &t, cfg(4.0))
-        .expect("valid scenario");
-    let second = Replication::new(8)
-        .run_sim(&g, &hw, &t, cfg(4.0))
-        .expect("valid scenario");
-    assert_eq!(first, second, "replication must be invocation-stable");
-    // And independent of the worker-thread count.
-    let serial = Replication::new(8)
-        .threads(1)
-        .run_sim(&g, &hw, &t, cfg(4.0))
-        .expect("valid scenario");
-    assert_eq!(first, serial, "thread schedule must not leak into bits");
+    assert_replication_is_deterministic(8, || Simulation::builder(&g, &hw, &t).config(cfg(4.0)));
+    // A stateful service override (an SSD with garbage collection):
+    // every replica builds its own fresh model from the recipe.
+    use lognic::devices::stingray::{IoPattern, SsdProfile};
+    use lognic::workloads::nvmeof::{nvmeof, rate_for_iops};
+    let pattern = IoPattern::MixedRand4k { read_ratio: 0.7 };
+    let profile = SsdProfile::for_pattern(pattern);
+    let ssd = nvmeof(pattern, rate_for_iops(pattern, 0.5 * profile.peak_iops()));
+    assert_replication_is_deterministic(3, || {
+        Simulation::builder(&ssd.graph, &ssd.hardware, &ssd.traffic)
+            .config(cfg(2.0))
+            .override_service(
+                "ssd",
+                Box::new(profile.service_model(ServiceDist::Exponential, true)),
+            )
+    });
 }
 
 /// Distinct seed sets genuinely explore different randomness.
@@ -58,10 +79,10 @@ fn different_base_seeds_give_different_samples() {
     let hw = hw();
     let t = TrafficProfile::fixed(Bandwidth::gbps(7.0), Bytes::new(1250));
     let a = Replication::with_base_seed(1, 4)
-        .run_sim(&g, &hw, &t, cfg(2.0))
+        .run(|| Simulation::builder(&g, &hw, &t).config(cfg(2.0)))
         .expect("valid scenario");
     let b = Replication::with_base_seed(2, 4)
-        .run_sim(&g, &hw, &t, cfg(2.0))
+        .run(|| Simulation::builder(&g, &hw, &t).config(cfg(2.0)))
         .expect("valid scenario");
     assert_ne!(
         a.latency_mean.mean, b.latency_mean.mean,
@@ -78,10 +99,10 @@ fn confidence_interval_shrinks_with_more_replicas() {
     let hw = hw();
     let t = TrafficProfile::fixed(Bandwidth::gbps(7.0), Bytes::new(1250));
     let small = Replication::new(4)
-        .run_sim(&g, &hw, &t, cfg(3.0))
+        .run(|| Simulation::builder(&g, &hw, &t).config(cfg(3.0)))
         .expect("valid scenario");
     let large = Replication::new(16)
-        .run_sim(&g, &hw, &t, cfg(3.0))
+        .run(|| Simulation::builder(&g, &hw, &t).config(cfg(3.0)))
         .expect("valid scenario");
     let hw_small = small.latency_mean.half_width();
     let hw_large = large.latency_mean.half_width();
@@ -108,7 +129,7 @@ fn replicated_ci_brackets_analytical_mean_latency() {
     // (in-flight packets at the cut-off are unobserved) stays well
     // inside the across-seed noise; 40 ms ≈ 19k packets per replica.
     let rep = Replication::new(12)
-        .run_sim(&g, &hw, &t, cfg(40.0))
+        .run(|| Simulation::builder(&g, &hw, &t).config(cfg(40.0)))
         .expect("valid scenario");
     assert!(
         rep.latency_mean.contains(model),
@@ -184,6 +205,27 @@ fn partial_watchdog_failure_names_completed_and_aborted_seeds() {
         })
         .expect_err("every replica aborts");
     assert!(matches!(all, LogNicError::WatchdogAbort { .. }), "{all}");
+    // So does a strict analysis policy on a warn-only (saturated)
+    // scenario: every replica is rejected alike, at any thread count.
+    let hot = TrafficProfile::fixed(Bandwidth::gbps(25.0), Bytes::new(1250));
+    assert!(
+        Simulation::builder(&g, &hw, &hot).build().is_ok(),
+        "the default policy only warns"
+    );
+    for threads in [1, 4] {
+        let err = Replication::new(4)
+            .threads(threads)
+            .run(|| {
+                Simulation::builder(&g, &hw, &hot)
+                    .config(cfg(2.0))
+                    .analysis(AnalysisConfig::new().deny_warnings(true))
+            })
+            .expect_err("warnings are denied");
+        assert!(
+            matches!(err, LogNicError::AnalysisRejected { .. }),
+            "{threads} threads: {err}"
+        );
+    }
 }
 
 /// Custom metrics aggregate through the same machinery.
@@ -193,7 +235,7 @@ fn summarize_custom_metric_is_deterministic() {
     let hw = hw();
     let t = TrafficProfile::fixed(Bandwidth::gbps(5.0), Bytes::new(1000));
     let rep = Replication::new(6)
-        .run_sim(&g, &hw, &t, cfg(2.0))
+        .run(|| Simulation::builder(&g, &hw, &t).config(cfg(2.0)))
         .expect("valid scenario");
     let util_a = rep.summarize(|r| r.node("ip").unwrap().utilization);
     let util_b = rep.summarize(|r| r.node("ip").unwrap().utilization);

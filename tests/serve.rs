@@ -76,6 +76,12 @@ fn curated_corpus_matches_golden_transcript() {
             path.display()
         )
     });
+    // The CI smoke job diffs the binary's output against this file,
+    // so every committed line must itself be valid JSON.
+    for (i, line) in expected.lines().enumerate() {
+        lognic::service::json::parse(line)
+            .unwrap_or_else(|e| panic!("golden line {} is not JSON ({e}): {line}", i + 1));
+    }
     assert_eq!(
         transcript,
         expected,
@@ -413,4 +419,103 @@ fn analyze_lints_the_inline_fault_plan() {
         refused.contains("fault window references unknown node `nope`"),
         "{refused}"
     );
+}
+
+/// A one-seed `simulate` has an unbounded confidence interval; its
+/// non-finite bounds render as `null`, so the response stays JSON.
+#[test]
+fn one_seed_simulate_answers_valid_json() {
+    let mut service = det_service(1);
+    let out =
+        service.handle_line(r#"{"kind":"simulate","graph":"chaos","seeds":1,"duration_ms":1}"#);
+    let doc =
+        lognic::service::json::parse(&out).unwrap_or_else(|e| panic!("not JSON ({e}): {out}"));
+    assert_eq!(doc.get("ok").and_then(|v| v.as_bool()), Some(true), "{out}");
+    for metric in ["latency_s", "throughput_gbps", "loss_rate"] {
+        let summary = doc.get(metric).expect("a summary per metric");
+        assert!(
+            summary.get("mean").and_then(|v| v.as_f64()).is_some(),
+            "{out}"
+        );
+        assert_eq!(
+            summary.get("ci_lo"),
+            Some(&lognic::service::Json::Null),
+            "{out}"
+        );
+        assert_eq!(
+            summary.get("ci_hi"),
+            Some(&lognic::service::Json::Null),
+            "{out}"
+        );
+    }
+}
+
+/// `deny_warnings` reaches the lints of the fault plan a request runs
+/// under. Two overlapping drop windows on one node are an `L0602`
+/// warning: with the strict posture, `analyze` reports the scenario
+/// rejected and `estimate_degraded` and `simulate` refuse it with
+/// `analysis_rejected`; without it, all three answer.
+#[test]
+fn deny_warnings_reaches_fault_plan_lints() {
+    let faults = r#""faults":[{"node":"accelerator","kind":"drop","probability":0.1,"from_ms":0,"until_ms":0.4},{"node":"accelerator","kind":"drop","probability":0.2,"from_ms":0.2,"until_ms":0.6}]"#;
+    let requests = |posture: &str| {
+        [
+            format!(r#"{{"kind":"analyze","graph":"chaos",{faults}{posture}}}"#),
+            format!(
+                r#"{{"kind":"estimate_degraded","graph":"chaos","horizon_ms":1,{faults}{posture}}}"#
+            ),
+            format!(
+                r#"{{"kind":"simulate","graph":"chaos","seeds":2,"duration_ms":1,{faults}{posture}}}"#
+            ),
+        ]
+        .join("\n")
+    };
+    let answers = |posture: &str| -> Vec<lognic::service::Json> {
+        run_transcript(&requests(posture), 1)
+            .lines()
+            .map(|line| lognic::service::json::parse(line).expect("valid JSON"))
+            .collect()
+    };
+    let ok = |doc: &lognic::service::Json| doc.get("ok").and_then(|v| v.as_bool());
+    let l0602 = |doc: &lognic::service::Json| {
+        doc.get("diagnostics")
+            .and_then(|v| v.as_arr())
+            .and_then(|d| {
+                d.iter()
+                    .find(|d| d.get("code").and_then(|c| c.as_str()) == Some("L0602"))
+            })
+            .and_then(|d| d.get("severity"))
+            .and_then(|s| s.as_str())
+            .map(str::to_owned)
+    };
+
+    let strict = answers(r#","deny_warnings":true"#);
+    assert_eq!(strict.len(), 3);
+    assert_eq!(ok(&strict[0]), Some(true));
+    assert_eq!(
+        strict[0].get("rejected").and_then(|v| v.as_bool()),
+        Some(true)
+    );
+    assert_eq!(l0602(&strict[0]).as_deref(), Some("error"));
+    for refused in &strict[1..] {
+        assert_eq!(ok(refused), Some(false), "{refused}");
+        let error = refused.get("error").expect("an error body");
+        assert_eq!(
+            error.get("code").and_then(|c| c.as_str()),
+            Some("analysis_rejected"),
+            "{refused}"
+        );
+        assert_eq!(l0602(error).as_deref(), Some("error"), "{refused}");
+    }
+
+    let lenient = answers("");
+    assert_eq!(lenient.len(), 3);
+    assert_eq!(
+        lenient[0].get("rejected").and_then(|v| v.as_bool()),
+        Some(false)
+    );
+    assert_eq!(l0602(&lenient[0]).as_deref(), Some("warning"));
+    for answered in &lenient {
+        assert_eq!(ok(answered), Some(true), "{answered}");
+    }
 }
