@@ -99,12 +99,11 @@ fn parse_args() -> Options {
     opts
 }
 
-/// Resolves the workload name into a typed [`registry::ScenarioId`]
-/// at the CLI boundary — the only string-to-id crossing; new corpus
+/// Resolves the workload name through the registry, so new corpus
 /// entries are exportable here without touching this binary.
 fn workload(name: &str) -> (Scenario, Option<FaultPlan>) {
-    match registry::ScenarioId::parse(name) {
-        Some(id) => id.build(),
+    match registry::find(name) {
+        Some(entry) => entry.build(),
         None => {
             eprintln!("trace_dump: unknown workload {name}");
             usage()

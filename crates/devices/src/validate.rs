@@ -1,21 +1,16 @@
 //! Profile validation: every calibrated device profile, checked
-//! through the model's typed validators and the static analyzer's
-//! diagnostic framework.
+//! through the static analyzer's diagnostic framework.
 //!
 //! Device numbers are hand-calibrated against the paper's anchors; a
-//! typo'd bandwidth (zero, negative via a bad formula, a unit slip)
-//! would otherwise surface only as a confusing downstream estimate.
-//! [`validate_all_profiles`] runs each device's [`HardwareModel`]
-//! through [`HardwareModel::validate`] and reports **every** offender
-//! at once — one broken calibration no longer hides the next — both as
-//! an aggregated typed error and as [`Diagnostic`]s
+//! typo'd bandwidth (zero via a bad formula, a unit slip) would
+//! otherwise surface only as a confusing downstream estimate.
+//! [`all_profile_diagnostics`] checks each device's [`HardwareModel`]
+//! and reports **every** offender at once — one broken calibration
+//! does not hide the next — as [`Diagnostic`]s
 //! ([`profile_diagnostics`]) that render alongside the analyzer's
 //! findings.
-//!
-//! [`LogNicError::InvalidProfile`]: lognic_model::error::LogNicError
 
 use lognic_model::analyze::{Code, Diagnostic, Span};
-use lognic_model::error::{LogNicError, LogNicResult};
 use lognic_model::params::HardwareModel;
 
 use crate::bluefield::BlueField2;
@@ -33,24 +28,6 @@ pub fn all_profiles() -> Vec<(&'static str, HardwareModel)> {
         ("panic", Panic::hardware()),
         ("rmt-switch", RmtSwitch::hardware()),
     ]
-}
-
-/// Validates one named hardware profile, attributing any failure to
-/// the device.
-///
-/// # Errors
-///
-/// Returns [`lognic_model::error::LogNicError::InvalidProfile`] with
-/// the device name folded into the reason when the profile is
-/// degenerate.
-pub fn validate_profile(name: &str, hw: &HardwareModel) -> LogNicResult<()> {
-    hw.validate().map_err(|e| match e {
-        LogNicError::InvalidProfile { component, reason } => LogNicError::InvalidProfile {
-            component,
-            reason: format!("device `{name}`: {reason}"),
-        },
-        other => other,
-    })
 }
 
 /// The diagnostics a named hardware profile raises: one `L0401
@@ -85,42 +62,6 @@ pub fn all_profile_diagnostics() -> Vec<Diagnostic> {
         .collect()
 }
 
-/// Validates every calibrated device profile, collecting **all**
-/// findings instead of stopping at the first.
-///
-/// # Errors
-///
-/// One invalid profile returns its attributed
-/// [`LogNicError::InvalidProfile`]; several are aggregated into a
-/// single [`LogNicError::InvalidProfile`] whose reason lists every
-/// offender, so a broken calibration sweep surfaces the full damage in
-/// one round trip.
-pub fn validate_all_profiles() -> LogNicResult<()> {
-    let mut failures: Vec<LogNicError> = Vec::new();
-    for (name, hw) in all_profiles() {
-        if let Err(e) = validate_profile(name, &hw) {
-            failures.push(e);
-        }
-    }
-    match failures.len() {
-        0 => Ok(()),
-        1 => Err(failures.remove(0)),
-        n => {
-            let reasons: Vec<String> = failures
-                .iter()
-                .map(|e| match e {
-                    LogNicError::InvalidProfile { reason, .. } => reason.clone(),
-                    other => other.to_string(),
-                })
-                .collect();
-            Err(LogNicError::InvalidProfile {
-                component: "device profiles".to_owned(),
-                reason: format!("{n} invalid profiles: {}", reasons.join("; ")),
-            })
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,21 +69,12 @@ mod tests {
 
     #[test]
     fn all_calibrated_profiles_are_valid() {
-        validate_all_profiles().expect("calibrated profiles must validate");
         assert_eq!(all_profiles().len(), 5);
-        assert!(all_profile_diagnostics().is_empty());
-    }
-
-    #[test]
-    fn degenerate_profile_is_attributed_to_the_device() {
-        let broken = HardwareModel::new(Bandwidth::ZERO, Bandwidth::gbps(10.0));
-        let err = validate_profile("broken-nic", &broken).unwrap_err();
-        match err {
-            LogNicError::InvalidProfile { reason, .. } => {
-                assert!(reason.contains("broken-nic"), "{reason}");
-            }
-            other => panic!("expected InvalidProfile, got {other}"),
-        }
+        let diags = all_profile_diagnostics();
+        assert!(
+            diags.is_empty(),
+            "calibrated profiles must be sound: {diags:?}"
+        );
     }
 
     #[test]

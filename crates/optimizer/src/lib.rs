@@ -5,33 +5,17 @@
 //! degrees, traffic splits, queue credits, placements — search for the
 //! configuration satisfying the stipulated performance goals.
 //!
-//! * [`problem`] — the generic constrained-optimization facade:
-//!   objective + box bounds + weighted constraints, solved by
-//!   penalized Nelder–Mead (the paper uses SciPy's SLSQP; all its
-//!   studies are low-dimensional, where the simplex method with
-//!   penalties is equally effective and dependency-free).
-//! * [`nelder_mead`], [`search`] — the underlying primitives
-//!   (simplex descent, golden-section, discrete arg-min/arg-max,
-//!   minimal-satisfying scans).
 //! * [`suggest`] — per-case-study entry points reproducing the
 //!   paper's suggestions: core allocations (§4.4), NF placements
 //!   (§4.5), credits, steering splits and parallel degrees (§4.6).
+//! * [`search`] — the two search primitives they run on the model:
+//!   golden-section minimization for a continuous knob (the steering
+//!   split) and a minimal-satisfying scan for a discrete one (credits,
+//!   parallel degrees, cores). The paper solves these with SciPy's
+//!   SLSQP; every study is one-dimensional, so a direct search finds
+//!   the same answer.
 
 #![warn(missing_docs)]
 
-pub mod nelder_mead;
-pub mod problem;
 pub mod search;
 pub mod suggest;
-
-pub use nelder_mead::{minimize, minimize_multistart, NelderMeadOptions, Solution};
-pub use problem::{Goal, Outcome, Problem};
-
-/// The workspace-wide blessed surface (`lognic_model::prelude`) plus
-/// this crate's optimization entry points.
-pub mod prelude {
-    pub use lognic_model::prelude::*;
-
-    pub use crate::nelder_mead::{minimize, minimize_multistart, NelderMeadOptions, Solution};
-    pub use crate::problem::{Goal, Outcome, Problem};
-}

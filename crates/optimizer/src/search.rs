@@ -36,33 +36,6 @@ where
     (a + b) / 2.0
 }
 
-/// The argument in `candidates` minimizing `f` (first winner on ties).
-///
-/// Returns `None` for an empty candidate list.
-pub fn argmin_over<T: Copy, F>(candidates: impl IntoIterator<Item = T>, mut f: F) -> Option<T>
-where
-    F: FnMut(T) -> f64,
-{
-    let mut best: Option<(T, f64)> = None;
-    for c in candidates {
-        let v = f(c);
-        if best.as_ref().is_none_or(|(_, bv)| v < *bv) {
-            best = Some((c, v));
-        }
-    }
-    best.map(|(c, _)| c)
-}
-
-/// The argument in `candidates` maximizing `f` (first winner on ties).
-///
-/// Returns `None` for an empty candidate list.
-pub fn argmax_over<T: Copy, F>(candidates: impl IntoIterator<Item = T>, mut f: F) -> Option<T>
-where
-    F: FnMut(T) -> f64,
-{
-    argmin_over(candidates, |c| -f(c))
-}
-
 /// The smallest integer in `lo..=hi` satisfying a monotone predicate,
 /// found by linear scan (`hi` when none satisfies it). Used for
 /// minimal-resource questions: credits, parallel degrees.
@@ -98,21 +71,6 @@ mod tests {
     #[should_panic(expected = "invalid interval")]
     fn golden_rejects_inverted_interval() {
         let _ = golden_section(|x| x, 5.0, 2.0, 1e-9);
-    }
-
-    #[test]
-    fn argmin_and_argmax() {
-        assert_eq!(argmin_over(1..=10, |x| ((x as f64) - 7.2).abs()), Some(7));
-        assert_eq!(
-            argmax_over(1..=10, |x| -((x as f64) - 3.0).powi(2)),
-            Some(3)
-        );
-        assert_eq!(argmin_over(std::iter::empty::<u32>(), |_| 0.0), None);
-    }
-
-    #[test]
-    fn argmin_first_wins_ties() {
-        assert_eq!(argmin_over([3u32, 1, 2, 1], |_| 1.0), Some(3));
     }
 
     #[test]

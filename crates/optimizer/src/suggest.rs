@@ -2,7 +2,7 @@
 //! studies: each wraps a workload's scenario builder with the generic
 //! search primitives and returns the configuration LogNIC suggests.
 
-use crate::search::{argmax_over, golden_section, min_satisfying};
+use crate::search::{golden_section, min_satisfying};
 use lognic_model::units::{Bandwidth, Bytes, Seconds};
 use lognic_workloads::microservices::{optimal_allocation, App, TOTAL_CORES};
 use lognic_workloads::nf_placement::{self, Placement};
@@ -106,14 +106,6 @@ pub fn suggest_inline_cores(accel: lognic_devices::liquidio::Accelerator, size: 
     })
 }
 
-/// A generic helper: the placement (from an explicit candidate list)
-/// with the highest model capacity at a packet size.
-pub fn best_placement_of(candidates: &[Placement], size: Bytes) -> Option<Placement> {
-    argmax_over(candidates.iter().copied(), |p| {
-        nf_placement::capacity(p, size).as_bps()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,19 +172,5 @@ mod tests {
                 accel.name()
             );
         }
-    }
-
-    #[test]
-    fn best_placement_of_candidates() {
-        let c = [Placement::arm_only(), Placement::accel_only()];
-        assert_eq!(
-            best_placement_of(&c, Bytes::new(64)),
-            Some(Placement::arm_only())
-        );
-        assert_eq!(
-            best_placement_of(&c, Bytes::new(1500)),
-            Some(Placement::accel_only())
-        );
-        assert_eq!(best_placement_of(&[], Bytes::new(64)), None);
     }
 }

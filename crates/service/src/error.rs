@@ -9,6 +9,7 @@
 
 use core::fmt;
 
+use lognic_model::analyze::{Diagnostic, Severity};
 use lognic_model::error::LogNicError;
 
 use crate::json::{escape, render_number, Json};
@@ -159,14 +160,7 @@ impl ServiceError {
                 let _ = write!(out, ",\"cost\":{cost},\"limit\":{limit}");
             }
             ServiceError::Evaluation(LogNicError::AnalysisRejected { diagnostics }) => {
-                out.push_str(",\"diagnostics\":[");
-                for (i, d) in diagnostics.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&d.render_json());
-                }
-                out.push(']');
+                render_diagnostics(diagnostics, out);
             }
             ServiceError::Evaluation(LogNicError::WatchdogAbort {
                 events,
@@ -277,6 +271,23 @@ pub fn render_error_response(id: Option<&Json>, err: &ServiceError) -> String {
     err.render(&mut out);
     out.push('}');
     out
+}
+
+/// Writes the `,"diagnostics":[…]` field of a response: the one wire
+/// rule for findings, shared by `analyze` responses and
+/// `analysis_rejected` errors. Only findings at `Warn` and above are
+/// shown; `Allow`-level (audit-only) findings stay in the library's
+/// report.
+pub(crate) fn render_diagnostics(diagnostics: &[Diagnostic], out: &mut String) {
+    out.push_str(",\"diagnostics\":[");
+    let shown = diagnostics.iter().filter(|d| d.severity >= Severity::Warn);
+    for (i, d) in shown.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&d.render_json());
+    }
+    out.push(']');
 }
 
 #[cfg(test)]

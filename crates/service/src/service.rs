@@ -19,7 +19,7 @@
 use std::io::{BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use lognic_model::analyze::{AnalysisConfig, Analyzer, Severity};
+use lognic_model::analyze::{AnalysisConfig, Analyzer};
 use lognic_model::estimate::Estimate;
 use lognic_model::fault::FaultPlan;
 use lognic_model::sweep::{knee_of, rate_sweep};
@@ -33,7 +33,7 @@ use lognic_workloads::rack;
 use lognic_workloads::registry;
 use lognic_workloads::scenario::Scenario;
 
-use crate::error::{render_error_response, ServiceError};
+use crate::error::{render_diagnostics, render_error_response, ServiceError};
 use crate::json::{escape, parse, render_number};
 use crate::request::{Request, RequestKind};
 use crate::shed::LoadGauge;
@@ -112,7 +112,7 @@ impl Default for ServeConfig {
 
 /// One registered, pre-built graph the service can evaluate.
 struct GraphEntry {
-    name: String,
+    name: &'static str,
     scenario: Scenario,
     plan: Option<FaultPlan>,
 }
@@ -136,32 +136,12 @@ impl Service {
             .map(|e| {
                 let (scenario, plan) = e.build();
                 GraphEntry {
-                    name: e.name.to_owned(),
+                    name: e.name,
                     scenario,
                     plan,
                 }
             })
             .collect();
-        Service::with_graphs(config, graphs)
-    }
-
-    /// A service over an explicit `(name, scenario, plan)` catalog.
-    pub fn with_scenarios(
-        config: ServeConfig,
-        catalog: Vec<(String, Scenario, Option<FaultPlan>)>,
-    ) -> Self {
-        let graphs = catalog
-            .into_iter()
-            .map(|(name, scenario, plan)| GraphEntry {
-                name,
-                scenario,
-                plan,
-            })
-            .collect();
-        Service::with_graphs(config, graphs)
-    }
-
-    fn with_graphs(config: ServeConfig, graphs: Vec<GraphEntry>) -> Self {
         let gauge = LoadGauge::new(config.high_water, config.drain_per_request);
         Service {
             config,
@@ -175,11 +155,6 @@ impl Service {
     /// The service's counters so far.
     pub fn stats(&self) -> &ServiceStats {
         &self.stats
-    }
-
-    /// Registered graph names, in catalog order.
-    pub fn graph_names(&self) -> Vec<&str> {
-        self.graphs.iter().map(|g| g.name.as_str()).collect()
     }
 
     /// Answers one request line with exactly one response line
@@ -392,7 +367,7 @@ impl Service {
         match req.kind {
             RequestKind::Estimate => {
                 let est = scenario.estimator().request().evaluate()?;
-                Ok(render_estimate("estimate", &entry.name, &est))
+                Ok(render_estimate("estimate", entry.name, &est))
             }
             RequestKind::EstimateDegraded => {
                 let plan = plan.ok_or_else(|| ServiceError::InvalidRequest {
@@ -406,7 +381,7 @@ impl Service {
                     .request()
                     .with_faults(plan, Seconds::millis(req.horizon_ms))
                     .evaluate()?;
-                Ok(render_estimate("estimate_degraded", &entry.name, &est))
+                Ok(render_estimate("estimate_degraded", entry.name, &est))
             }
             RequestKind::Sweep => {
                 let reference = scenario.traffic.ingress_bandwidth();
@@ -419,7 +394,7 @@ impl Service {
                 )?;
                 let knee = knee_of(&points, 0.01);
                 let mut out = String::with_capacity(64 + points.len() * 96);
-                push_kind(&mut out, "sweep", &entry.name);
+                push_kind(&mut out, "sweep", entry.name);
                 out.push_str(",\"points\":[");
                 for (i, p) in points.iter().enumerate() {
                     if i > 0 {
@@ -443,7 +418,7 @@ impl Service {
                 Ok(out)
             }
             RequestKind::Simulate => {
-                self.evaluate_simulate(req, &entry.name, &scenario, plan, analysis)
+                self.evaluate_simulate(req, entry.name, &scenario, plan, analysis)
             }
             RequestKind::Analyze
             | RequestKind::FleetSimulate
@@ -658,19 +633,7 @@ fn render_analysis(report: &lognic_model::analyze::AnalysisReport) -> String {
         "\"kind\":\"analyze\",\"rejected\":{}",
         report.is_rejected()
     );
-    out.push_str(",\"diagnostics\":[");
-    let mut first = true;
-    for d in report.diagnostics() {
-        if d.severity < Severity::Warn {
-            continue;
-        }
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&d.render_json());
-    }
-    out.push(']');
+    render_diagnostics(report.diagnostics(), &mut out);
     out
 }
 

@@ -57,7 +57,7 @@ pub mod prelude {
     };
     pub use crate::doorbell::{doorbell_burst, BurstPlan};
     pub use crate::rack;
-    pub use crate::registry::{self, RegistryEntry, ScenarioId};
+    pub use crate::registry::{self, RegistryEntry};
     pub use crate::scenario::{Comparison, Scenario};
     pub use crate::witness::{synthesize, ConfirmedWitness, WitnessParams};
 }

@@ -22,119 +22,6 @@ use lognic_devices::stingray::IoPattern;
 use lognic_model::fault::FaultPlan;
 use lognic_model::units::{Bandwidth, Bytes, Seconds};
 
-/// A typed handle to one registered workload.
-///
-/// The registry's consumers fall into two camps: boundaries that
-/// receive *strings* (`trace_dump --workload <name>`, the `graph`
-/// field of a serve request) and internal code that wants a scenario
-/// it already knows exists. Boundaries parse once via
-/// [`ScenarioId::parse`] and get a typed handle or a typed miss;
-/// everything past the parse moves `Copy`able ids around instead of
-/// re-validating strings, so an unknown workload can only be reported
-/// at the edge, never deep inside a sweep.
-///
-/// Variants are declared in registry display order — the same order
-/// as [`ALL`] — which a test pins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ScenarioId {
-    /// §4.2 inline-accel pipeline under an accelerator brownout.
-    Chaos,
-    /// §4.4 E3 NFV-FIN microservice chain.
-    Microservices,
-    /// §4.3 Stingray NVMe-oF target.
-    Nvmeof,
-    /// §5.3 NetCache-style in-network KV cache.
-    SwitchKv,
-    /// §4.2 LiquidIO-II inline ZIP offload.
-    Compression,
-    /// §4.5 BlueField-2 NF chain.
-    NfPlacement,
-    /// §4.6 PANIC pipelined accelerator chain.
-    PanicChain,
-    /// Protocol corpus: TLS 1.3 handshake records.
-    TlsHandshake,
-    /// Protocol corpus: DNS/KV request-response.
-    DnsKv,
-    /// Protocol corpus: NVMe/SMB storage RPC.
-    StorageRpc,
-    /// Protocol corpus: HTTP/2 multiplexed streams.
-    Http2Mux,
-}
-
-impl ScenarioId {
-    /// Every id, in registry display order.
-    pub const ALL: [ScenarioId; 11] = [
-        ScenarioId::Chaos,
-        ScenarioId::Microservices,
-        ScenarioId::Nvmeof,
-        ScenarioId::SwitchKv,
-        ScenarioId::Compression,
-        ScenarioId::NfPlacement,
-        ScenarioId::PanicChain,
-        ScenarioId::TlsHandshake,
-        ScenarioId::DnsKv,
-        ScenarioId::StorageRpc,
-        ScenarioId::Http2Mux,
-    ];
-
-    /// The stable registry name (the wire/CLI spelling).
-    pub const fn name(self) -> &'static str {
-        match self {
-            ScenarioId::Chaos => "chaos",
-            ScenarioId::Microservices => "microservices",
-            ScenarioId::Nvmeof => "nvmeof",
-            ScenarioId::SwitchKv => "switch-kv",
-            ScenarioId::Compression => "compression",
-            ScenarioId::NfPlacement => "nf-placement",
-            ScenarioId::PanicChain => "panic-chain",
-            ScenarioId::TlsHandshake => "tls-handshake",
-            ScenarioId::DnsKv => "dns-kv",
-            ScenarioId::StorageRpc => "storage-rpc",
-            ScenarioId::Http2Mux => "http2-mux",
-        }
-    }
-
-    /// Resolves a registry name to its typed id. This is the *only*
-    /// string-to-id crossing; boundary code calls it exactly once.
-    pub fn parse(name: &str) -> Option<ScenarioId> {
-        ScenarioId::ALL.into_iter().find(|id| id.name() == name)
-    }
-
-    /// The registry row behind this id.
-    pub fn entry(self) -> &'static RegistryEntry {
-        &ALL[self as usize]
-    }
-
-    /// Builds the scenario and its bundled fault plan (if any).
-    pub fn build(self) -> (Scenario, Option<FaultPlan>) {
-        self.entry().build()
-    }
-
-    /// Builds just the scenario.
-    pub fn scenario(self) -> Scenario {
-        self.entry().scenario()
-    }
-}
-
-impl core::fmt::Display for ScenarioId {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl core::str::FromStr for ScenarioId {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        ScenarioId::parse(s).ok_or_else(|| {
-            format!(
-                "unknown workload {s:?} (expected one of: {})",
-                names().join(", ")
-            )
-        })
-    }
-}
-
 /// One registered workload: a named constructor plus provenance.
 #[derive(Debug, Clone, Copy)]
 pub struct RegistryEntry {
@@ -293,10 +180,9 @@ pub const ALL: &[RegistryEntry] = &[
     },
 ];
 
-/// Looks a workload up by its registry name (string boundary;
-/// internal code should hold a [`ScenarioId`] instead).
+/// Looks a workload up by its registry name.
 pub fn find(name: &str) -> Option<&'static RegistryEntry> {
-    ScenarioId::parse(name).map(ScenarioId::entry)
+    ALL.iter().find(|e| e.name == name)
 }
 
 /// The registered names, in display order.
@@ -337,21 +223,6 @@ mod tests {
         assert!(find("http2-mux").is_some());
         assert!(find("no-such-workload").is_none());
         assert_eq!(names().len(), ALL.len());
-    }
-
-    #[test]
-    fn scenario_ids_mirror_the_registry_in_order() {
-        assert_eq!(ScenarioId::ALL.len(), ALL.len());
-        for (i, id) in ScenarioId::ALL.into_iter().enumerate() {
-            assert_eq!(id as usize, i, "{id:?} out of declaration order");
-            assert_eq!(id.name(), ALL[i].name, "id/registry order mismatch");
-            assert_eq!(ScenarioId::parse(id.name()), Some(id));
-            assert_eq!(id.to_string(), id.name());
-            assert_eq!(id.entry().name, ALL[i].name);
-        }
-        assert_eq!(ScenarioId::parse("no-such-workload"), None);
-        let err = "bogus".parse::<ScenarioId>().unwrap_err();
-        assert!(err.contains("chaos"), "error lists valid names: {err}");
     }
 
     #[test]

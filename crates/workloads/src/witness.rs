@@ -9,7 +9,7 @@
 //! and (b) *exhibits* the code's dynamic contract — its
 //! [`WitnessExpectation`] — in a simulation run whose sanitizer ledger
 //! closes cleanly. The [`crate::corpus::gen`]-style shrink harness
-//! ([`Fuzz`]) then minimizes the witness: the reported parameters are
+//! ([`Fuzz`]) then shrinks the witness: the reported parameters are
 //! a local minimum that still both trips and exhibits.
 //!
 //! The sanitizer is what promotes the measured counters from "the
@@ -955,7 +955,7 @@ fn node<'a>(r: &'a SimReport, name: &str) -> Result<&'a lognic_sim::metrics::Nod
 /// witness.
 ///
 /// The harness treats "witness exhibited" as the fuzz *failure* so the
-/// shrink loop minimizes it: generated members that do not trip the
+/// shrink loop reduces it: generated members that do not trip the
 /// analyzer or do not exhibit the expectation are skipped, the first
 /// exhibiting member is shrunk knob-by-knob toward the domain floors,
 /// and the shrunk member is returned with the measured signature.

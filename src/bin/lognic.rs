@@ -33,22 +33,49 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut value = |name: &str| -> Result<f64, String> {
-            it.next()
-                .ok_or_else(|| format!("{name} needs a value"))?
-                .parse::<f64>()
-                .map_err(|e| format!("{name}: {e}"))
-        };
-        match arg.as_str() {
-            "--rate-gbps" => flags.rate_gbps = Some(value("--rate-gbps")?),
-            "--size" => flags.size = Some(value("--size")? as u64),
-            "--cores" => flags.cores = Some(value("--cores")? as u32),
-            "--seed" => flags.seed = value("--seed")? as u64,
-            "--ms" => flags.ms = value("--ms")?,
+        let name = arg.as_str();
+        let mut value = || it.next().ok_or_else(|| format!("{name} needs a value"));
+        match name {
+            "--rate-gbps" => flags.rate_gbps = Some(positive(name, value()?)?),
+            "--size" => match integer(name, value()?)? {
+                0 => return Err("--size must be at least 1 byte".to_owned()),
+                size => flags.size = Some(size),
+            },
+            "--cores" => match integer(name, value()?)? {
+                cores @ 1..=LiquidIo::CORES => flags.cores = Some(cores),
+                cores => {
+                    return Err(format!(
+                        "--cores {cores} is outside 1..={}",
+                        LiquidIo::CORES
+                    ))
+                }
+            },
+            "--seed" => flags.seed = integer(name, value()?)?,
+            "--ms" => flags.ms = positive(name, value()?)?,
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
     Ok(flags)
+}
+
+/// An unsigned integer flag value.
+fn integer<T: std::str::FromStr<Err = std::num::ParseIntError>>(
+    name: &str,
+    value: &str,
+) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|e| format!("{name} `{value}`: {e} (expected an unsigned integer)"))
+}
+
+/// A finite, strictly positive number flag value.
+fn positive(name: &str, value: &str) -> Result<f64, String> {
+    match value.parse::<f64>() {
+        Ok(v) if v.is_finite() && v > 0.0 => Ok(v),
+        _ => Err(format!(
+            "{name} `{value}`: expected a finite positive number"
+        )),
+    }
 }
 
 const SCENARIOS: [(&str, &str); 10] = [

@@ -15,8 +15,8 @@
 //! * [`workloads`] — the five case-study scenarios (inline
 //!   acceleration, NVMe-oF target, E3 microservices, NF placement,
 //!   PANIC design exploration).
-//! * [`optimizer`] — the optimizer mode: constrained search over the
-//!   model's configurable parameters.
+//! * [`optimizer`] — the optimizer mode: one suggestion per case
+//!   study, searched over the model's configurable parameters.
 //! * [`service`] — the hardened `lognic serve` JSON-lines loop:
 //!   admission control, deadlines, budgets and load shedding around
 //!   the model and simulator.
@@ -50,9 +50,9 @@ pub use lognic_workloads as workloads;
 
 /// The blessed API surface of the whole workspace, aggregated: the
 /// analytical model ([`model::prelude`]), the simulator and its trace
-/// observers ([`sim::prelude`]), the calibrated scenarios
-/// ([`workloads::prelude`]) and the optimizer
-/// ([`optimizer::prelude`]) behind one glob import.
+/// observers ([`sim::prelude`]) and the calibrated scenarios
+/// ([`workloads::prelude`]) behind one glob import. The optimizer's
+/// suggestions are reached by path, [`optimizer::suggest`].
 ///
 /// ```
 /// use lognic::prelude::*;
@@ -69,7 +69,6 @@ pub use lognic_workloads as workloads;
 /// ```
 pub mod prelude {
     pub use lognic_model::prelude::*;
-    pub use lognic_optimizer::prelude::*;
     pub use lognic_sim::prelude::*;
     pub use lognic_workloads::prelude::*;
 

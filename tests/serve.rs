@@ -489,6 +489,15 @@ fn deny_warnings_reaches_fault_plan_lints() {
             .map(str::to_owned)
     };
 
+    let codes = |doc: &lognic::service::Json| -> Vec<String> {
+        doc.get("diagnostics")
+            .and_then(|v| v.as_arr())
+            .expect("a diagnostics array")
+            .iter()
+            .filter_map(|d| d.get("code").and_then(|c| c.as_str()).map(str::to_owned))
+            .collect()
+    };
+
     let strict = answers(r#","deny_warnings":true"#);
     assert_eq!(strict.len(), 3);
     assert_eq!(ok(&strict[0]), Some(true));
@@ -506,6 +515,8 @@ fn deny_warnings_reaches_fault_plan_lints() {
             "{refused}"
         );
         assert_eq!(l0602(error).as_deref(), Some("error"), "{refused}");
+        // A refusal shows the same findings `analyze` shows.
+        assert_eq!(codes(error), codes(&strict[0]), "{refused}");
     }
 
     let lenient = answers("");
