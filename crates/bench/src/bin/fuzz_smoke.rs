@@ -1,95 +1,82 @@
 //! `fuzz_smoke`: the standing differential fuzz harness as a CI job.
 //!
 //! Generates seeded random scenarios (`lognic_workloads::corpus::gen`)
-//! and drives each through the full correctness pipeline — static
-//! analyzer, simulator, and the analytical model against a replicated
-//! simulation:
+//! and drives each analyzer-clean one through the one oracle,
+//! `differential_check`, stage by stage:
 //!
-//! * analyzer-clean scenarios must simulate **without watchdog
-//!   aborts** and deliver packets;
-//! * the model's delivered throughput must land inside the
+//! * **run** — the simulation finishes **without a watchdog abort**
+//!   and delivers packets;
+//! * **sanitizer** — two reruns under the runtime sanitizer hold every
+//!   engine invariant, report the plain run's bytes, and reproduce
+//!   their audited event and RNG draw counts;
+//! * **model** — the model's delivered throughput lands inside the
 //!   simulation's replicated 95 % confidence interval (±3 % slack).
 //!
 //! Everything is deterministic and offline: a fixed default seed, no
 //! wall-clock, no network. On failure the shrunk minimal
 //! counterexample is written as a JSON artifact (replayable by hand
-//! from its spec) and the process exits 1.
-//!
-//! With `--sanitize` the oracle swaps to the sanitized check: each
-//! scenario runs under the runtime sanitizer with zero invariant
-//! violations, its report byte-identical to a plain run, and its
-//! audited event and RNG draw counts reproducible. (The
-//! model-vs-replication CI stage is skipped in this mode — it gates
-//! engine mechanics, not model fidelity.)
+//! from its spec; each message starts with its stage) and the process
+//! exits 1.
 //!
 //! ```text
-//! fuzz_smoke [--cases N] [--seed S] [--artifact FILE] [--sanitize]
+//! fuzz_smoke [--cases N] [--seed S] [--artifact FILE]
 //! ```
 
 use std::process::ExitCode;
 
 use lognic_model::json;
 use lognic_testkit::fuzz::{Counterexample, Fuzz};
-use lognic_workloads::corpus::gen::{
-    differential_check, sanitized_differential_check, ScenarioSpec,
-};
+use lognic_workloads::corpus::gen::{differential_check, ScenarioSpec};
 
+const HARNESS: &str = "differential_scenario_fuzz";
+const USAGE: &str = "usage: fuzz_smoke [--cases N] [--seed S] [--artifact FILE]";
+
+#[derive(Debug, PartialEq)]
 struct Options {
     cases: u32,
     seed: u64,
     artifact: String,
-    sanitize: bool,
 }
 
-fn usage() -> ! {
-    eprintln!("usage: fuzz_smoke [--cases N] [--seed S] [--artifact FILE] [--sanitize]");
-    std::process::exit(2);
-}
-
-fn parse_args() -> Options {
+/// Parses the flags after the program name. `--cases` must be at
+/// least 1: a sweep that checks nothing must not report a pass.
+fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         cases: 32,
         // Fixed default so CI runs are reproducible run-to-run; any
         // historical failure replays with --seed + the logged case.
         seed: 0x10_621C_F022,
         artifact: "fuzz-failure.json".to_owned(),
-        sanitize: false,
     };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let value = |i: usize| -> &str {
-            args.get(i + 1).map(String::as_str).unwrap_or_else(|| {
-                eprintln!("fuzz_smoke: {} needs a value", args[i]);
-                usage()
-            })
-        };
-        // Value-taking flags consume two slots; boolean flags one.
-        let mut took_value = true;
-        match args[i].as_str() {
-            "--cases" => opts.cases = value(i).parse().unwrap_or_else(|_| usage()),
-            "--seed" => opts.seed = value(i).parse().unwrap_or_else(|_| usage()),
-            "--artifact" => opts.artifact = value(i).to_owned(),
-            "--sanitize" => {
-                opts.sanitize = true;
-                took_value = false;
+    let mut it = args.iter();
+    while let Some(flag) = it.next() {
+        let mut value = || it.next().ok_or_else(|| format!("{flag} needs a value"));
+        match flag.as_str() {
+            "--cases" => {
+                opts.cases = value()?
+                    .parse()
+                    .ok()
+                    .filter(|&n| n > 0)
+                    .ok_or("--cases needs a positive integer")?;
             }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("fuzz_smoke: unknown flag {other}");
-                usage()
+            "--seed" => {
+                opts.seed = value()?
+                    .parse()
+                    .map_err(|_| "--seed needs an unsigned integer")?;
             }
+            "--artifact" => opts.artifact = value()?.clone(),
+            "--help" | "-h" => return Err(USAGE.to_owned()),
+            other => return Err(format!("unknown flag {other}")),
         }
-        i += if took_value { 2 } else { 1 };
     }
-    opts
+    Ok(opts)
 }
 
 /// The failure artifact: one JSON object naming the harness, the seeds
 /// that replay the failure, both failure messages and the shrunk spec.
-fn artifact(harness: &str, base_seed: u64, cx: &Counterexample<ScenarioSpec>) -> String {
+fn artifact(base_seed: u64, cx: &Counterexample<ScenarioSpec>) -> String {
     format!(
-        "{{\"harness\":\"{harness}\",\"base_seed\":{base_seed},\
+        "{{\"harness\":\"{HARNESS}\",\"base_seed\":{base_seed},\
          \"case\":{},\"case_seed\":{},\"shrink_steps\":{},\
          \"original_message\":\"{}\",\"message\":\"{}\",\"minimal_spec\":{}}}\n",
         cx.case,
@@ -102,16 +89,18 @@ fn artifact(harness: &str, base_seed: u64, cx: &Counterexample<ScenarioSpec>) ->
 }
 
 fn main() -> ExitCode {
-    let opts = parse_args();
-    let (harness, oracle): (&str, fn(&ScenarioSpec) -> _) = if opts.sanitize {
-        ("sanitized_scenario_fuzz", sanitized_differential_check)
-    } else {
-        ("differential_scenario_fuzz", differential_check)
-    };
-    let report = Fuzz::new(harness).cases(opts.cases).seed(opts.seed).run(
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let opts = parse_args(&args).unwrap_or_else(|e| {
+        if e != USAGE {
+            eprintln!("fuzz_smoke: {e}");
+        }
+        eprintln!("{USAGE}");
+        std::process::exit(2);
+    });
+    let report = Fuzz::new(HARNESS).cases(opts.cases).seed(opts.seed).run(
         ScenarioSpec::arbitrary,
         ScenarioSpec::shrink,
-        oracle,
+        differential_check,
     );
 
     match &report.counterexample {
@@ -127,20 +116,16 @@ fn main() -> ExitCode {
                 );
                 return ExitCode::FAILURE;
             }
-            let verdict = if opts.sanitize {
-                "sanitizer-clean, passive and reproducible"
-            } else {
-                "no watchdog aborts, model inside replicated 95% CIs"
-            };
             println!(
                 "fuzz_smoke: {} scenarios checked ({} skipped as analyzer-flagged, \
-                 {} attempts, seed {:#x}) — {verdict}",
+                 {} attempts, seed {:#x}) — no watchdog aborts, sanitizer-clean and \
+                 reproducible, model inside replicated 95% CIs",
                 report.checked, report.skipped, report.attempts, opts.seed
             );
             ExitCode::SUCCESS
         }
         Some(cx) => {
-            if let Err(e) = std::fs::write(&opts.artifact, artifact(harness, opts.seed, cx)) {
+            if let Err(e) = std::fs::write(&opts.artifact, artifact(opts.seed, cx)) {
                 eprintln!("fuzz_smoke: cannot write {}: {e}", opts.artifact);
             } else {
                 eprintln!("fuzz_smoke: wrote failing scenario to {}", opts.artifact);
@@ -177,10 +162,10 @@ mod tests {
             message: tricky.to_owned(),
             shrink_steps: 2,
         };
-        let text = artifact("differential_scenario_fuzz", 11, &cx);
+        let text = artifact(11, &cx);
         let doc = json::parse(&text).expect("the artifact parses");
         let field = |key| doc.get(key).and_then(json::Json::as_str);
-        assert_eq!(field("harness"), Some("differential_scenario_fuzz"));
+        assert_eq!(field("harness"), Some(HARNESS));
         assert_eq!(
             field("original_message"),
             Some(cx.original_message.as_str())
@@ -188,5 +173,32 @@ mod tests {
         assert_eq!(field("message"), Some(tricky));
         let spec = doc.get("minimal_spec").expect("the spec rides along");
         assert_eq!(spec, &json::parse(&cx.minimal.to_json()).unwrap());
+    }
+
+    fn parse(args: &[&str]) -> Result<Options, String> {
+        parse_args(&args.iter().map(|s| (*s).to_owned()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn flags_parse_and_bad_lines_are_refused() {
+        let opts = parse(&["--cases", "8", "--seed", "7", "--artifact", "x.json"]).unwrap();
+        assert_eq!(
+            opts,
+            Options {
+                cases: 8,
+                seed: 7,
+                artifact: "x.json".to_owned(),
+            }
+        );
+        assert_eq!(parse(&[]).unwrap().cases, 32);
+        assert!(parse(&["--cases", "0"]).unwrap_err().contains("--cases"));
+        assert!(parse(&["--cases", "-1"]).is_err());
+        assert!(parse(&["--cases"]).unwrap_err().contains("needs a value"));
+        // The retired sanitizer-only mode's flag is unknown now.
+        let retired = concat!("--", "sanitize");
+        assert_eq!(
+            parse(&[retired]).unwrap_err(),
+            format!("unknown flag {retired}")
+        );
     }
 }

@@ -83,10 +83,16 @@ fn parse_args() -> Options {
             "--workload" => opts.workload = value(i).to_owned(),
             "--format" => opts.format = value(i).to_owned(),
             "--seed" => opts.seed = value(i).parse().unwrap_or_else(|_| usage()),
-            "--millis" => opts.millis = value(i).parse().unwrap_or_else(|_| usage()),
-            "--dt-us" => opts.dt_us = value(i).parse().unwrap_or_else(|_| usage()),
+            "--millis" => opts.millis = positive(value(i)),
+            "--dt-us" => opts.dt_us = positive(value(i)),
             "--limit" => opts.limit = value(i).parse().unwrap_or_else(|_| usage()),
-            "--ring-kib" => opts.ring_kib = value(i).parse().unwrap_or_else(|_| usage()),
+            "--ring-kib" => {
+                opts.ring_kib = value(i)
+                    .parse()
+                    .ok()
+                    .filter(|&kib| kib > 0)
+                    .unwrap_or_else(|| usage());
+            }
             "--out" => opts.out = Some(value(i).to_owned()),
             "--help" | "-h" => usage(),
             other => {
@@ -97,6 +103,16 @@ fn parse_args() -> Options {
         i += 2;
     }
     opts
+}
+
+/// A finite, strictly positive number; anything else is a usage
+/// error (a zero or negative horizon or sampling step has no run to
+/// export).
+fn positive(text: &str) -> f64 {
+    text.parse()
+        .ok()
+        .filter(|v: &f64| v.is_finite() && *v > 0.0)
+        .unwrap_or_else(|| usage())
 }
 
 /// Resolves the workload name through the registry, so new corpus

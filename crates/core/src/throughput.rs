@@ -102,10 +102,15 @@ impl ThroughputEstimate {
 /// Estimates the attainable throughput of `graph` on `hw` under
 /// `traffic` (Eq. 4), evaluated at the mean ingress granularity.
 ///
-/// Mixed packet-size profiles should be evaluated per size class and
-/// combined with [`crate::extensions::estimate_mixed`]; this function uses
-/// the profile as-is (its `δ`/`α`/`β` parameters are assumed to match
-/// the profile).
+/// This function uses the profile as-is (its `δ`/`α`/`β` parameters
+/// are assumed to match the profile). For a size mixture, use
+/// [`Estimator::request`](crate::estimate::Estimator::request) and
+/// [`evaluate`](crate::estimate::EstimateRequest::evaluate): the
+/// latency walks the mixture class by class
+/// ([`estimate_latency`](crate::latency::estimate_latency)) and
+/// [`delivered_throughput`](crate::extensions::delivered_throughput)
+/// charges the queue losses. [`crate::extensions::estimate_mixed`] is
+/// the variant for classes that each run on their own graph.
 ///
 /// # Errors
 ///

@@ -148,8 +148,10 @@ pub struct Fuzz {
     name: String,
     cases: u32,
     seed: u64,
-    max_shrink_steps: u32,
 }
+
+/// Accepted shrink steps per failure before the walk stops.
+const MAX_SHRINK_STEPS: u32 = 256;
 
 impl Fuzz {
     /// Creates a harness: 32 checked cases from a seed derived from
@@ -159,7 +161,6 @@ impl Fuzz {
             name: name.to_owned(),
             cases: 32,
             seed: fnv1a(name.as_bytes()),
-            max_shrink_steps: 256,
         }
     }
 
@@ -172,12 +173,6 @@ impl Fuzz {
     /// Overrides the base seed (the default derives from the name).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Caps the number of accepted shrink steps per failure.
-    pub fn max_shrink_steps(mut self, steps: u32) -> Self {
-        self.max_shrink_steps = steps;
         self
     }
 
@@ -207,7 +202,7 @@ impl Fuzz {
                 FuzzOutcome::Skip(_) => skipped += 1,
                 FuzzOutcome::Fail(original_message) => {
                     let (minimal, message, shrink_steps) =
-                        self.shrink_failure(value, original_message.clone(), &shrink, &check);
+                        Self::shrink_failure(value, original_message.clone(), &shrink, &check);
                     return FuzzReport {
                         name: self.name.clone(),
                         checked,
@@ -237,14 +232,13 @@ impl Fuzz {
     /// Greedy descent: adopt the first still-failing shrink candidate,
     /// repeat from there.
     fn shrink_failure<T>(
-        &self,
         mut current: T,
         mut message: String,
         shrink: &impl Fn(&T) -> Vec<T>,
         check: &impl Fn(&T) -> FuzzOutcome,
     ) -> (T, String, u32) {
         let mut steps = 0u32;
-        while steps < self.max_shrink_steps {
+        while steps < MAX_SHRINK_STEPS {
             let mut advanced = false;
             for candidate in shrink(&current) {
                 if let FuzzOutcome::Fail(m) = check(&candidate) {
@@ -474,13 +468,18 @@ mod tests {
 
     #[test]
     fn shrink_step_cap_is_respected() {
-        let report = Fuzz::new("capped").cases(4).max_shrink_steps(3).run(
-            |g| g.u64(500..1000),
-            |&v| if v > 0 { vec![v - 1] } else { vec![] },
+        // Every value fails and can always step down by one, so only
+        // the cap stops the walk.
+        let report = Fuzz::new("capped").cases(4).run(
+            |g| g.u64(1000..2000),
+            |&v| vec![v - 1],
             |&v| FuzzOutcome::Fail(format!("{v}")),
         );
         let cx = report.counterexample.expect("always fails");
-        assert_eq!(cx.shrink_steps, 3);
+        assert_eq!(cx.shrink_steps, MAX_SHRINK_STEPS);
+        let original = cx.minimal + u64::from(MAX_SHRINK_STEPS);
+        assert!((1000..2000).contains(&original), "{original}");
+        assert_eq!(cx.message, cx.minimal.to_string());
     }
 
     #[test]

@@ -11,12 +11,21 @@
 //!    analyzer flags are **skipped** (out of domain — the harness
 //!    generates replacements), because the pipeline's contract is
 //!    only claimed for analyzer-clean inputs.
-//! 2. Simulate once with the spec's seed. The run must terminate
-//!    without a watchdog abort and complete packets.
-//! 3. Replicate the run across 5 seeds and require the analytical
-//!    model's delivered throughput to land inside the replicated 95 %
-//!    confidence interval (±3 % slack for finite-horizon noise) — the
-//!    PR-1 agreement discipline, applied to generated scenarios.
+//! 2. **run** — simulate once with the spec's seed. The run must
+//!    terminate without a watchdog abort and complete packets.
+//! 3. **sanitizer** — rerun the same recipe twice under
+//!    `Simulation::run_sanitized`. Each run must hold every engine
+//!    invariant and report the plain run's bytes (the sanitizer is
+//!    passive); the first audit's event count must equal the report's,
+//!    and draws and events must match across the two audits.
+//! 4. **model** — replicate the run across 5 seeds and require the
+//!    analytical model's delivered throughput to land inside the
+//!    replicated 95 % confidence interval (±3 % slack for
+//!    finite-horizon noise).
+//!
+//! A failure message starts with the stage that caught it (`run:`,
+//! `sanitizer:` or `model:`), so a shrink that drifts to another stage
+//! shows it.
 //!
 //! Loads are expressed as a fraction of the realized scenario's
 //! saturation bound (the `lognic-lint` derating discipline), so
@@ -305,11 +314,11 @@ pub fn fuzz_config(seed: u64) -> SimConfig {
     }
 }
 
-/// The standing oracle over one generated spec — analyzer gate, then
-/// a watchdog-free run, then model-vs-replicated-sim CI agreement.
-/// Returns [`FuzzOutcome::Skip`] for analyzer-flagged specs and
-/// [`FuzzOutcome::Fail`] with a replay-ready description for every
-/// violated invariant.
+/// The standing oracle over one generated spec: the analyzer gate,
+/// then the run, sanitizer and model stages of the module docs, in
+/// that order. Returns [`FuzzOutcome::Skip`] for analyzer-flagged
+/// specs and [`FuzzOutcome::Fail`] with a stage-prefixed, replay-ready
+/// description for the first violated invariant.
 pub fn differential_check(spec: &ScenarioSpec) -> FuzzOutcome {
     let scenario = spec.realize();
 
@@ -324,114 +333,71 @@ pub fn differential_check(spec: &ScenarioSpec) -> FuzzOutcome {
             .collect();
         return FuzzOutcome::Skip(format!("analyzer flagged: {}", codes.join(",")));
     }
-
-    // Invariant 1: the run terminates (no watchdog abort) and
-    // delivers packets.
-    let run = Simulation::builder(&scenario.graph, &scenario.hardware, &scenario.traffic)
-        .config(fuzz_config(spec.seed))
-        .run();
-    let report = match run {
-        Ok(r) => r,
-        Err(e) => return FuzzOutcome::Fail(format!("simulation failed: {e}")),
+    let builder = || {
+        Simulation::builder(&scenario.graph, &scenario.hardware, &scenario.traffic)
+            .config(fuzz_config(spec.seed))
     };
-    if report.completed == 0 {
-        return FuzzOutcome::Fail("clean scenario completed no packets".into());
+
+    // Run: the simulation terminates (no watchdog abort) and delivers
+    // packets.
+    let plain = match builder().run() {
+        Ok(r) => r,
+        Err(e) => return FuzzOutcome::Fail(format!("run: simulation failed: {e}")),
+    };
+    if plain.completed == 0 {
+        return FuzzOutcome::Fail("run: clean scenario completed no packets".into());
     }
 
-    // Invariant 2: the model's delivered throughput lands inside the
-    // replicated 95 % CI (±3 % slack), converted to egress volume.
+    // Sanitizer: two sanitized runs hold every engine invariant, report
+    // the plain run's bytes, and reproduce their audits.
+    let mut audits = Vec::with_capacity(2);
+    for _ in 0..2 {
+        match builder().build().and_then(Simulation::run_sanitized) {
+            Ok((report, audit)) => {
+                if report != plain || format!("{report:?}") != format!("{plain:?}") {
+                    return FuzzOutcome::Fail(format!(
+                        "sanitizer: perturbed the run: plain {plain:?} vs sanitized {report:?}"
+                    ));
+                }
+                audits.push(audit);
+            }
+            Err(e) => return FuzzOutcome::Fail(format!("sanitizer: {e}")),
+        }
+    }
+    let (first, second) = (&audits[0], &audits[1]);
+    if first.events != plain.events {
+        return FuzzOutcome::Fail(format!(
+            "sanitizer: event audit disagrees with the report: audited {} vs reported {}",
+            first.events, plain.events
+        ));
+    }
+    if (first.rng_draws, first.events) != (second.rng_draws, second.events) {
+        return FuzzOutcome::Fail(format!(
+            "sanitizer: audit not reproducible: {} draws / {} events vs {} / {}",
+            first.rng_draws, first.events, second.rng_draws, second.events
+        ));
+    }
+
+    // Model: the delivered throughput lands inside the replicated 95 %
+    // CI (±3 % slack), converted to egress volume.
     let estimate = match scenario.estimate() {
         Ok(e) => e,
-        Err(e) => return FuzzOutcome::Fail(format!("model failed to estimate: {e}")),
+        Err(e) => return FuzzOutcome::Fail(format!("model: failed to estimate: {e}")),
     };
     let egress_fraction = scenario.graph.delta_in_sum(scenario.graph.egress());
     let predicted = estimate.delivered.as_gbps() * egress_fraction;
-    let rep = match Replication::new(5).run(|| {
-        Simulation::builder(&scenario.graph, &scenario.hardware, &scenario.traffic)
-            .config(fuzz_config(spec.seed))
-    }) {
+    let rep = match Replication::new(5).run(builder) {
         Ok(r) => r,
-        Err(e) => return FuzzOutcome::Fail(format!("replication failed: {e}")),
+        Err(e) => return FuzzOutcome::Fail(format!("model: replication failed: {e}")),
     };
     let slack = predicted * 0.03;
     if rep.throughput_gbps.ci_lo - slack > predicted
         || predicted > rep.throughput_gbps.ci_hi + slack
     {
         return FuzzOutcome::Fail(format!(
-            "model-vs-sim disagreement: predicted {predicted:.4} Gb/s outside \
-             replicated CI [{:.4}, {:.4}] (±3% slack)",
+            "model: predicted {predicted:.4} Gb/s outside replicated CI [{:.4}, {:.4}] \
+             (±3% slack)",
             rep.throughput_gbps.ci_lo, rep.throughput_gbps.ci_hi
-        ));
-    }
-    FuzzOutcome::Pass
-}
-
-/// The sanitized oracle — `differential_check`'s run, upgraded with
-/// the runtime sanitizer. The spec runs under
-/// [`Simulation::run_sanitized`] and must hold every engine invariant
-/// (conservation ledger, credit balance, occupancy cross-checks, arena
-/// leaks, monotonicity). The sanitizer must be passive — the report
-/// byte-identical to a plain run — and its audit must agree with the
-/// report's event count and reproduce, RNG draws included, on a second
-/// sanitized run. The model-vs-replication CI stage is deliberately
-/// omitted: this oracle gates engine mechanics, not model fidelity,
-/// and the lighter body buys a bigger `--sanitize` case budget.
-pub fn sanitized_differential_check(spec: &ScenarioSpec) -> FuzzOutcome {
-    let scenario = spec.realize();
-
-    // Same domain gate as the plain oracle: invariants are claimed
-    // for analyzer-clean scenarios only.
-    let report = scenario.estimator().analyze(&AnalysisConfig::default());
-    if !report.is_clean() {
-        let codes: Vec<&str> = report
-            .diagnostics()
-            .iter()
-            .map(|d| d.code.as_str())
-            .collect();
-        return FuzzOutcome::Skip(format!("analyzer flagged: {}", codes.join(",")));
-    }
-
-    let builder = || {
-        Simulation::builder(&scenario.graph, &scenario.hardware, &scenario.traffic)
-            .config(fuzz_config(spec.seed))
-    };
-    let plain = match builder().run() {
-        Ok(r) => r,
-        Err(e) => return FuzzOutcome::Fail(format!("plain run failed: {e}")),
-    };
-    let mut audits = Vec::with_capacity(2);
-    for _ in 0..2 {
-        let sim = match builder().build() {
-            Ok(s) => s,
-            Err(e) => return FuzzOutcome::Fail(format!("failed to build: {e}")),
-        };
-        match sim.run_sanitized() {
-            Ok((report, audit)) => {
-                if report != plain || format!("{report:?}") != format!("{plain:?}") {
-                    return FuzzOutcome::Fail(format!(
-                        "sanitizer perturbed the run: plain {plain:?} vs sanitized {report:?}"
-                    ));
-                }
-                audits.push(audit);
-            }
-            Err(e) => return FuzzOutcome::Fail(format!("sanitizer/run failure: {e}")),
-        }
-    }
-
-    if plain.completed == 0 {
-        return FuzzOutcome::Fail("clean scenario completed no packets".into());
-    }
-    let (first, second) = (&audits[0], &audits[1]);
-    if first.events != plain.events {
-        return FuzzOutcome::Fail(format!(
-            "event audit disagrees with the report: audited {} vs reported {}",
-            first.events, plain.events
-        ));
-    }
-    if (first.rng_draws, first.events) != (second.rng_draws, second.events) {
-        return FuzzOutcome::Fail(format!(
-            "audit not reproducible: {} draws / {} events vs {} / {}",
-            first.rng_draws, first.events, second.rng_draws, second.events
         ));
     }
     FuzzOutcome::Pass
@@ -507,38 +473,10 @@ mod tests {
     }
 
     #[test]
-    fn sanitized_check_passes_a_known_good_spec() {
-        let spec = ScenarioSpec {
-            nodes: vec![NodeSpec {
-                peak_gbps: 10.0,
-                parallelism: 2,
-                queue_capacity: 64,
-            }],
-            shape: Shape::Chain,
-            load: 0.5,
-            alpha: 0.02,
-            sizes: vec![(1500, 1.0)],
-            seed: 42,
-        };
-        assert_eq!(sanitized_differential_check(&spec), FuzzOutcome::Pass);
-    }
-
-    #[test]
-    fn sanitized_smoke_runs_a_small_budget() {
-        Fuzz::new("gen_sanitized_smoke")
-            .cases(4)
-            .run(
-                ScenarioSpec::arbitrary,
-                ScenarioSpec::shrink,
-                sanitized_differential_check,
-            )
-            .assert_ok(ScenarioSpec::to_json);
-    }
-
-    #[test]
     fn differential_smoke_runs_a_small_budget() {
-        // A fast in-crate smoke of the full harness; the 32-case run
-        // lives in tests/properties.rs and the fuzz_smoke CI binary.
+        // A fast in-crate smoke of the full harness, sanitizer stage
+        // included; the 32-case run lives in tests/properties.rs and
+        // the fuzz_smoke CI binary.
         Fuzz::new("gen_differential_smoke")
             .cases(4)
             .run(

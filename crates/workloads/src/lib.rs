@@ -52,9 +52,7 @@ pub mod prelude {
     pub use lognic_sim::prelude::*;
 
     pub use crate::chaos::{accelerator_brownout, duty_cycle_sweep, ChaosPoint, ChaosScenario};
-    pub use crate::corpus::gen::{
-        differential_check, fuzz_config, sanitized_differential_check, ScenarioSpec,
-    };
+    pub use crate::corpus::gen::{differential_check, fuzz_config, ScenarioSpec};
     pub use crate::doorbell::{doorbell_burst, BurstPlan};
     pub use crate::rack;
     pub use crate::registry::{self, RegistryEntry};

@@ -260,17 +260,17 @@ fn acceleration_knob_never_hurts() {
 }
 
 mod differential_fuzz {
-    use lognic::prelude::*;
-    use lognic::workloads::corpus::gen::{differential_check, fuzz_config, ScenarioSpec};
-    use lognic_testkit::{Fuzz, FuzzOutcome};
+    use lognic::workloads::corpus::gen::{differential_check, ScenarioSpec};
+    use lognic_testkit::Fuzz;
 
     /// The tentpole property, run at the CI budget: 32 seeded random
-    /// scenarios through analyzer → simulator → model. Every
-    /// analyzer-clean case must simulate without a watchdog abort, and
-    /// the model's delivered throughput must land inside the
-    /// replicated simulation's 95 % confidence interval. On failure
-    /// the harness shrinks to a minimal counterexample and panics with
-    /// its JSON spec.
+    /// scenarios through analyzer → simulator → sanitizer → model.
+    /// Every analyzer-clean case must simulate without a watchdog
+    /// abort, run sanitizer-clean, passive and reproducible, and the
+    /// model's delivered throughput must land inside the replicated
+    /// simulation's 95 % confidence interval. On failure the harness
+    /// shrinks to a minimal counterexample and panics with its JSON
+    /// spec.
     #[test]
     fn seeded_scenarios_agree_with_the_model() {
         let report = Fuzz::new("properties::differential_scenario_fuzz")
@@ -289,36 +289,6 @@ mod differential_fuzz {
             report.skipped
         );
         report.assert_ok(ScenarioSpec::to_json);
-    }
-
-    /// Analyzer-clean ⇒ no watchdog abort, stated directly (not via
-    /// the bundled differential check): for seeded specs that the
-    /// static analyzer passes, the simulation finishes its run — a
-    /// `WatchdogAbort` here means the lint passes under-approximate
-    /// the unstable region.
-    #[test]
-    fn analyzer_clean_scenarios_never_trip_the_watchdog() {
-        Fuzz::new("properties::analyzer_clean_no_watchdog")
-            .cases(16)
-            .run(ScenarioSpec::arbitrary, ScenarioSpec::shrink, |spec| {
-                let scenario = spec.realize();
-                let analysis = scenario.estimator().analyze(&AnalysisConfig::default());
-                if !analysis.is_clean() {
-                    return FuzzOutcome::Skip("analyzer flagged".to_owned());
-                }
-                let run =
-                    Simulation::builder(&scenario.graph, &scenario.hardware, &scenario.traffic)
-                        .config(fuzz_config(spec.seed))
-                        .run();
-                match run {
-                    Ok(_) => FuzzOutcome::Pass,
-                    Err(LogNicError::WatchdogAbort { .. }) => {
-                        FuzzOutcome::Fail("watchdog abort on an analyzer-clean scenario".to_owned())
-                    }
-                    Err(e) => FuzzOutcome::Fail(e.to_string()),
-                }
-            })
-            .assert_ok(ScenarioSpec::to_json);
     }
 }
 
