@@ -12,6 +12,7 @@
 
 use crate::sim_cfg;
 use crate::table::{pct_err, Fidelity, FigureTable};
+use lognic_model::extensions::{estimate_mixed, TrafficClass};
 use lognic_model::graph::ExecutionGraph;
 use lognic_model::latency::estimate_latency;
 use lognic_model::params::{HardwareModel, IpParams, PacketSizeDist, TrafficProfile};
@@ -115,18 +116,21 @@ pub fn mixture_ablation(f: Fidelity) -> FigureTable {
             .expect("valid scenario")
             .mean()
             .as_secs();
-        // Naive: weighted average of independent fixed-size estimates.
-        let naive: f64 = dist
+        // Naive: the §3.7 interleaved-traffic combination, one
+        // independent fixed-size class per size at the full rate.
+        let classes: Vec<TrafficClass> = dist
             .entries()
             .iter()
-            .map(|(size, w)| {
-                let fixed = TrafficProfile::fixed(peak.scaled(load), *size);
-                w * estimate_latency(&g, &fast_hw(), &fixed)
-                    .expect("valid scenario")
-                    .mean()
-                    .as_secs()
+            .map(|&(size, weight)| TrafficClass {
+                graph: g.clone(),
+                traffic: TrafficProfile::fixed(peak.scaled(load), size),
+                weight,
             })
-            .sum();
+            .collect();
+        let naive = estimate_mixed(&classes, &fast_hw())
+            .expect("valid scenario")
+            .latency
+            .as_secs();
         let sim = Simulation::builder(&g, &fast_hw(), &traffic)
             .config(sim_cfg(f, 100.0, 79))
             .run()

@@ -83,8 +83,8 @@ fn parse_args() -> Options {
             "--workload" => opts.workload = value(i).to_owned(),
             "--format" => opts.format = value(i).to_owned(),
             "--seed" => opts.seed = value(i).parse().unwrap_or_else(|_| usage()),
-            "--millis" => opts.millis = positive(value(i)),
-            "--dt-us" => opts.dt_us = positive(value(i)),
+            "--millis" => opts.millis = clock_span(value(i), Seconds::millis),
+            "--dt-us" => opts.dt_us = clock_span(value(i), Seconds::micros),
             "--limit" => opts.limit = value(i).parse().unwrap_or_else(|_| usage()),
             "--ring-kib" => {
                 opts.ring_kib = value(i)
@@ -105,13 +105,15 @@ fn parse_args() -> Options {
     opts
 }
 
-/// A finite, strictly positive number; anything else is a usage
-/// error (a zero or negative horizon or sampling step has no run to
-/// export).
-fn positive(text: &str) -> f64 {
+/// A span the picosecond clock can hold, in the unit `unit` reads:
+/// finite, at least 1 ps once rounded, and at most `SimTime::MAX`.
+/// Anything else is a usage error (a zero horizon or sampling step
+/// has no run to export, and an overflowing one no clock to run on).
+fn clock_span(text: &str, unit: fn(f64) -> Seconds) -> f64 {
     text.parse()
         .ok()
         .filter(|v: &f64| v.is_finite() && *v > 0.0)
+        .filter(|&v| SimTime::try_from_secs(unit(v).as_secs()).is_some_and(|t| t > SimTime::ZERO))
         .unwrap_or_else(|| usage())
 }
 

@@ -1,7 +1,8 @@
 //! `trace_dump` refuses numbers it cannot run with: a non-finite,
-//! zero or negative `--millis` or `--dt-us`, and a zero `--ring-kib`,
-//! each take the usage path (exit 2) instead of panicking or exporting
-//! an empty run.
+//! zero or negative `--millis` or `--dt-us`, one that rounds to 0 ps
+//! or overflows the picosecond clock, and a zero `--ring-kib`, each
+//! take the usage path (exit 2) instead of panicking or exporting an
+//! empty run.
 
 use std::process::{Command, Output};
 
@@ -19,6 +20,10 @@ fn bad_numbers_take_the_usage_path() {
         &["--millis", "nan"],
         &["--millis", "inf"],
         &["--millis", "0"],
+        &["--millis", "1e-10"],
+        &["--millis", "1e300"],
+        &["--format", "csv", "--dt-us", "1e-9"],
+        &["--format", "csv", "--dt-us", "1e300"],
         &["--format", "csv", "--dt-us", "0"],
         &["--format", "json", "--dt-us", "-1"],
         &["--format", "ring", "--ring-kib", "0"],

@@ -119,9 +119,9 @@ pub enum LogNicError {
         /// least one is at `Deny` level.
         diagnostics: Vec<crate::analyze::Diagnostic>,
     },
-    /// A recorded packet trace is malformed: truncated or mislabeled
-    /// binary framing, an unparsable CSV field, a zero-byte packet, or
-    /// arrival timestamps that run backwards. Trace ingest reports the
+    /// A recorded packet trace is malformed: a missing CSV header, a
+    /// CSV field that is not an integer in range, a zero-byte packet,
+    /// or arrival timestamps that run backwards. Trace ingest reports the
     /// defect as a diagnostic instead of panicking so that corrupt
     /// capture files surface like any other bad input.
     InvalidTrace {

@@ -160,11 +160,6 @@ impl Bandwidth {
         Self::bps(gb * 8e9)
     }
 
-    /// Creates a bandwidth from megabytes per second.
-    pub fn mbytes_per_sec(mb: f64) -> Self {
-        Self::bps(mb * 8e6)
-    }
-
     /// Returns the rate in bits per second.
     pub fn as_bps(self) -> f64 {
         self.0
@@ -173,11 +168,6 @@ impl Bandwidth {
     /// Returns the rate in gigabits per second.
     pub fn as_gbps(self) -> f64 {
         self.0 / 1e9
-    }
-
-    /// Returns the rate in megabytes per second.
-    pub fn as_mbytes_per_sec(self) -> f64 {
-        self.0 / 8e6
     }
 
     /// Returns the rate in bytes per second.
@@ -585,7 +575,6 @@ mod tests {
         assert_eq!(bw.as_gbps(), 25.0);
         assert_eq!(Bandwidth::mbps(1.0).as_bps(), 1e6);
         assert_eq!(Bandwidth::gbytes_per_sec(1.0).as_bps(), 8e9);
-        assert_eq!(Bandwidth::mbytes_per_sec(1.0).as_bps(), 8e6);
         assert_eq!(bw.as_bytes_per_sec(), 25e9 / 8.0);
     }
 

@@ -46,8 +46,12 @@ impl ServiceStats {
 
     /// Records one completed request's latency sample, in
     /// milliseconds (logical in deterministic mode, wall otherwise).
+    /// Negative samples clamp to zero; a sample past the picosecond
+    /// clock (a refused request's logical cost can be) saturates at
+    /// [`SimTime::MAX`].
     pub fn record_latency_ms(&mut self, ms: f64) {
-        self.latency.record(SimTime::from_secs(ms.max(0.0) / 1e3));
+        self.latency
+            .record(SimTime::try_from_secs(ms.max(0.0) / 1e3).unwrap_or(SimTime::MAX));
     }
 
     /// Mean recorded latency, milliseconds.
@@ -93,5 +97,14 @@ mod tests {
         s.record_latency_ms(-5.0);
         assert_eq!(s.latency_count(), 1);
         assert_eq!(s.latency_mean_ms(), 0.0);
+    }
+
+    #[test]
+    fn samples_past_the_clock_saturate_not_panicking() {
+        let mut s = ServiceStats::new();
+        s.record_latency_ms(2e10);
+        s.record_latency_ms(f64::INFINITY);
+        assert_eq!(s.latency_count(), 2);
+        assert_eq!(s.latency_quantile_ms(1.0), SimTime::MAX.as_secs() * 1e3);
     }
 }

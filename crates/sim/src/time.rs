@@ -54,22 +54,26 @@ impl SimTime {
         Self::from_nanos(us * 1e3)
     }
 
-    /// Creates a time from (fractional) seconds.
+    /// Creates a time from (fractional) seconds, rounding to the
+    /// nearest picosecond.
     ///
     /// # Panics
     ///
-    /// Panics if `secs` is negative, NaN, or too large to represent.
+    /// Panics if `secs` is negative, NaN, or too large to represent;
+    /// [`SimTime::try_from_secs`] is the fallible form for untrusted
+    /// input.
     pub fn from_secs(secs: f64) -> Self {
-        assert!(
-            secs.is_finite() && secs >= 0.0,
-            "time must be finite and non-negative"
-        );
+        Self::try_from_secs(secs)
+            .expect("time must be finite, non-negative and fit the picosecond clock")
+    }
+
+    /// Creates a time from (fractional) seconds, rounding to the
+    /// nearest picosecond, or `None` when `secs` is negative, NaN,
+    /// infinite, or past [`SimTime::MAX`] (about 1.8·10⁷ s).
+    pub fn try_from_secs(secs: f64) -> Option<Self> {
         let ps = secs * 1e12;
-        assert!(
-            ps <= u64::MAX as f64,
-            "time {secs}s overflows simulation clock"
-        );
-        SimTime(ps.round() as u64)
+        (secs.is_finite() && secs >= 0.0 && ps <= u64::MAX as f64)
+            .then(|| SimTime(ps.round() as u64))
     }
 
     /// The raw picosecond count.
@@ -207,6 +211,28 @@ mod tests {
         let t: SimTime = s.into();
         assert_eq!(t, SimTime::from_micros(3.0));
         assert!((t.to_seconds().as_micros() - 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn try_from_secs_refuses_what_the_clock_cannot_hold() {
+        assert_eq!(SimTime::try_from_secs(0.0), Some(SimTime::ZERO));
+        assert_eq!(
+            SimTime::try_from_secs(1e-6),
+            Some(SimTime::from_micros(1.0))
+        );
+        assert_eq!(
+            SimTime::try_from_secs(u64::MAX as f64 / 1e12),
+            Some(SimTime::MAX)
+        );
+        for bad in [-1e-12, f64::NAN, f64::INFINITY, 1.9e7, 1e300] {
+            assert_eq!(SimTime::try_from_secs(bad), None, "{bad}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "fit the picosecond clock")]
+    fn from_secs_panics_past_the_clock() {
+        let _ = SimTime::from_secs(1e300);
     }
 
     #[test]

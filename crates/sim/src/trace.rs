@@ -988,9 +988,8 @@ impl SimObserver for ChromeTrace {
 /// An observer that records every injection as a corpus
 /// [`TraceEntry`], turning a live run into a replayable
 /// [`PacketTrace`] file. This closes the round-trip loop: a synthetic
-/// scenario's arrival stream is captured here, persisted via
-/// [`PacketTrace::to_binary`] or [`PacketTrace::to_csv`], and
-/// replayed as a regression input by
+/// scenario's arrival stream is captured here, persisted as CSV via
+/// [`PacketTrace::to_csv`], and replayed as a regression input by
 /// [`SimulationBuilder::with_trace`].
 ///
 /// The simulator keys behaviour on traffic class, so the recorded
@@ -998,7 +997,6 @@ impl SimObserver for ChromeTrace {
 /// finer flow structure.
 ///
 /// [`PacketTrace`]: crate::traffic::PacketTrace
-/// [`PacketTrace::to_binary`]: crate::traffic::PacketTrace::to_binary
 /// [`PacketTrace::to_csv`]: crate::traffic::PacketTrace::to_csv
 /// [`TraceEntry`]: crate::traffic::TraceEntry
 /// [`SimulationBuilder::with_trace`]: crate::sim::SimulationBuilder::with_trace

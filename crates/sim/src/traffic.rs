@@ -8,7 +8,6 @@
 use crate::rng::SimRng;
 use crate::time::SimTime;
 use lognic_model::error::{LogNicError, LogNicResult};
-use lognic_model::json::{self, Json};
 use lognic_model::params::{PacketSizeDist, TrafficProfile};
 use lognic_model::units::{Bandwidth, Bytes};
 
@@ -153,20 +152,11 @@ impl TraceEntry {
     }
 }
 
-/// Size of one encoded [`TraceEntry`] in the binary framing.
-const RECORD_BYTES: usize = 20;
-
-/// The latest arrival [`PacketTrace::from_chrome_trace`] recovers,
-/// 2^50 ps. Parsing the microsecond `ts` and scaling it by 10^6 each
-/// err by at most 2^-53 relative, so up to here the product lies
-/// within 0.25 ps of the whole picosecond and rounding recovers it.
-const MAX_CHROME_TS_PS: f64 = (1u64 << 50) as f64;
-
 /// A validated packet-trace corpus: the empirical counterpart of a
 /// synthetic [`TrafficProfile`]. Traces are recorded from live runs
 /// (via [`crate::trace::ArrivalRecorder`]) or written by external
-/// tools, persisted in a compact binary or CSV framing, and replayed
-/// as-is by [`SimulationBuilder::with_trace`] — or fed through
+/// tools, persisted as CSV, and replayed as-is by
+/// [`SimulationBuilder::with_trace`] — or fed through
 /// [`PacketTrace::empirical_profile`] to the analytical model's
 /// size-mixture machinery.
 ///
@@ -175,18 +165,12 @@ const MAX_CHROME_TS_PS: f64 = (1u64 << 50) as f64;
 /// [`LogNicError::InvalidTrace`] values, never panics — a corrupt
 /// capture file is user input, not a programming error.
 ///
-/// # Binary framing
+/// # File format
 ///
-/// ```text
-/// magic "LNTR" (4 B) | version 0x01 (1 B) | record count (u64 LE)
-/// then per record (20 B each):
-///   arrival_ps (u64 LE) | size_bytes (u32 LE) | flow (u32 LE) | class (u32 LE)
-/// ```
-///
-/// # CSV framing
-///
-/// A header line `arrival_ps,size_bytes,flow,class` followed by one
-/// integer row per record; blank lines and `#` comments are ignored.
+/// CSV is the one persisted framing: a header line
+/// `arrival_ps,size_bytes,flow,class` followed by one integer row per
+/// record; blank lines and `#` comments are ignored. `flow` and
+/// `class` must fit in a `u32`.
 ///
 /// [`SimulationBuilder::with_trace`]: crate::sim::SimulationBuilder::with_trace
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -195,10 +179,6 @@ pub struct PacketTrace {
 }
 
 impl PacketTrace {
-    /// The binary framing's magic bytes.
-    pub const MAGIC: [u8; 4] = *b"LNTR";
-    /// The binary framing's current version byte.
-    pub const VERSION: u8 = 1;
     /// The CSV header line.
     pub const CSV_HEADER: &'static str = "arrival_ps,size_bytes,flow,class";
 
@@ -260,14 +240,6 @@ impl PacketTrace {
             .unwrap_or(SimTime::ZERO)
     }
 
-    /// Number of distinct flow tags.
-    pub fn flow_count(&self) -> usize {
-        let mut flows: Vec<u32> = self.entries.iter().map(|e| e.flow).collect();
-        flows.sort_unstable();
-        flows.dedup();
-        flows.len()
-    }
-
     /// Mean byte rate over the trace span, in bits per second (zero
     /// for traces spanning no time).
     pub fn mean_rate_bps(&self) -> f64 {
@@ -276,79 +248,6 @@ impl PacketTrace {
             return 0.0;
         }
         self.total_bytes() as f64 * 8.0 / span
-    }
-
-    /// Encodes the trace in the compact binary framing.
-    pub fn to_binary(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(13 + self.entries.len() * RECORD_BYTES);
-        out.extend_from_slice(&Self::MAGIC);
-        out.push(Self::VERSION);
-        out.extend_from_slice(&(self.entries.len() as u64).to_le_bytes());
-        for e in &self.entries {
-            out.extend_from_slice(&e.arrival.as_picos().to_le_bytes());
-            out.extend_from_slice(&(e.size.get() as u32).to_le_bytes());
-            out.extend_from_slice(&e.flow.to_le_bytes());
-            out.extend_from_slice(&e.class.to_le_bytes());
-        }
-        out
-    }
-
-    /// Decodes a binary-framed trace.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LogNicError::InvalidTrace`] on a bad magic or
-    /// version, a truncated header or record section, trailing bytes,
-    /// or any record that fails [`PacketTrace::new`] validation.
-    pub fn from_binary(bytes: &[u8]) -> LogNicResult<Self> {
-        let framing = |reason: String| LogNicError::InvalidTrace {
-            reason,
-            record: None,
-        };
-        if bytes.len() < 13 {
-            return Err(framing(format!(
-                "truncated header: {} bytes, need at least 13",
-                bytes.len()
-            )));
-        }
-        if bytes[..4] != Self::MAGIC {
-            return Err(framing(format!(
-                "bad magic {:02x?}, expected \"LNTR\"",
-                &bytes[..4]
-            )));
-        }
-        if bytes[4] != Self::VERSION {
-            return Err(framing(format!(
-                "unsupported version {}, expected {}",
-                bytes[4],
-                Self::VERSION
-            )));
-        }
-        let count = u64::from_le_bytes(bytes[5..13].try_into().expect("8-byte slice"));
-        let body = &bytes[13..];
-        let expected = (count as usize)
-            .checked_mul(RECORD_BYTES)
-            .ok_or_else(|| framing(format!("record count {count} overflows the file size")))?;
-        if body.len() != expected {
-            return Err(framing(format!(
-                "truncated records: {} bytes for {count} records, expected {expected}",
-                body.len()
-            )));
-        }
-        let mut entries = Vec::with_capacity(count as usize);
-        for rec in body.chunks_exact(RECORD_BYTES) {
-            let arrival = u64::from_le_bytes(rec[0..8].try_into().expect("8-byte slice"));
-            let size = u32::from_le_bytes(rec[8..12].try_into().expect("4-byte slice"));
-            let flow = u32::from_le_bytes(rec[12..16].try_into().expect("4-byte slice"));
-            let class = u32::from_le_bytes(rec[16..20].try_into().expect("4-byte slice"));
-            entries.push(TraceEntry::new(
-                SimTime::from_picos(arrival),
-                Bytes::new(size as u64),
-                flow,
-                class,
-            ));
-        }
-        PacketTrace::new(entries)
     }
 
     /// Renders the trace as CSV (header + one row per record).
@@ -374,9 +273,9 @@ impl PacketTrace {
     /// # Errors
     ///
     /// Returns [`LogNicError::InvalidTrace`] on a missing or wrong
-    /// header, a row with the wrong field count or an unparsable
-    /// integer, or any record that fails [`PacketTrace::new`]
-    /// validation.
+    /// header, a row with the wrong field count, a field that is not an
+    /// unsigned integer, a `flow` or `class` above `u32::MAX`, or any
+    /// record that fails [`PacketTrace::new`] validation.
     pub fn from_csv(text: &str) -> LogNicResult<Self> {
         let mut rows = text
             .lines()
@@ -403,99 +302,22 @@ impl PacketTrace {
                     record: Some(i as u64),
                 });
             }
-            let field = |idx: usize, name: &str| -> LogNicResult<u64> {
-                fields[idx]
-                    .trim()
-                    .parse()
-                    .map_err(|_| LogNicError::InvalidTrace {
-                        reason: format!("unparsable {name} `{}`", fields[idx].trim()),
+            let field = |idx: usize, name: &str, max: u64| -> LogNicResult<u64> {
+                let text = fields[idx].trim();
+                text.parse()
+                    .ok()
+                    .filter(|&v| v <= max)
+                    .ok_or_else(|| LogNicError::InvalidTrace {
+                        reason: format!("{name} `{text}` is not an integer in [0, {max}]"),
                         record: Some(i as u64),
                     })
             };
+            let tag = |idx: usize, name: &str| field(idx, name, u32::MAX.into()).map(|v| v as u32);
             entries.push(TraceEntry::new(
-                SimTime::from_picos(field(0, "arrival_ps")?),
-                Bytes::new(field(1, "size_bytes")?),
-                field(2, "flow")? as u32,
-                field(3, "class")? as u32,
-            ));
-        }
-        PacketTrace::new(entries)
-    }
-
-    /// Re-ingests a Chrome `trace_event` export produced by
-    /// [`crate::trace::ChromeTrace`]: the `inject` instants (`ph` `"i"`
-    /// on `tid` 0) of its `traceEvents` carry the full arrival stream,
-    /// which closes the loop between the observability layer's output
-    /// and the corpus ingest path — an exported trace is a valid
-    /// regression input. The document is parsed as JSON, so a
-    /// reformatted or pretty-printed export ingests too.
-    ///
-    /// Timestamps are microseconds at picosecond precision, recovered
-    /// losslessly up to 2⁵⁰ ps (about 18.8 simulated minutes); a later
-    /// `ts` is an error, never a silently rounded arrival.
-    ///
-    /// The simulator keys on traffic class, so the recovered flow tag
-    /// mirrors the class tag (as [`crate::trace::ArrivalRecorder`]
-    /// records it).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LogNicError::InvalidTrace`] when the input is not a
-    /// JSON document with a `traceEvents` array, when an `inject`
-    /// event lacks a `ts`, `args.size` or `args.class` in range, or
-    /// when the recovered records fail [`PacketTrace::new`]
-    /// validation.
-    pub fn from_chrome_trace(text: &str) -> LogNicResult<Self> {
-        let invalid = |reason: String, record| LogNicError::InvalidTrace { reason, record };
-        let doc =
-            json::parse(text).map_err(|e| invalid(format!("not a JSON document: {e}"), None))?;
-        let events = doc
-            .get("traceEvents")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| invalid("no `traceEvents` array".into(), None))?;
-        let mut entries = Vec::new();
-        for event in events {
-            let text_of = |key| event.get(key).and_then(Json::as_str);
-            if text_of("ph") != Some("i")
-                || text_of("name") != Some("inject")
-                || event.get("tid").and_then(Json::as_f64) != Some(0.0)
-            {
-                continue;
-            }
-            let record = Some(entries.len() as u64);
-            let number = |value: Option<&Json>, key: &str| {
-                value
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| invalid(format!("inject event lacks a numeric `{key}`"), record))
-            };
-            let ts = number(event.get("ts"), "ts")?;
-            let arrival_ps = (ts * 1e6).round();
-            if !(0.0..=MAX_CHROME_TS_PS).contains(&arrival_ps) {
-                return Err(invalid(
-                    format!("timestamp {ts} µs lies outside [0, 2^50 ps]"),
-                    record,
-                ));
-            }
-            let args = event.get("args");
-            let whole = |key: &str, max: f64| {
-                let n = number(args.and_then(|a| a.get(key)), key)?;
-                if n.fract() == 0.0 && (0.0..=max).contains(&n) {
-                    Ok(n as u64)
-                } else {
-                    Err(invalid(
-                        format!("`{key}` {n} is not a whole number in [0, {max}]"),
-                        record,
-                    ))
-                }
-            };
-            // Every whole f64 up to 2^53 is an exact integer.
-            let size = whole("size", (1u64 << 53) as f64)?;
-            let class = whole("class", f64::from(u32::MAX))? as u32;
-            entries.push(TraceEntry::new(
-                SimTime::from_picos(arrival_ps as u64),
-                Bytes::new(size),
-                class,
-                class,
+                SimTime::from_picos(field(0, "arrival_ps", u64::MAX)?),
+                Bytes::new(field(1, "size_bytes", u64::MAX)?),
+                tag(2, "flow")?,
+                tag(3, "class")?,
             ));
         }
         PacketTrace::new(entries)
@@ -720,19 +542,6 @@ mod tests {
     }
 
     #[test]
-    fn packet_trace_binary_round_trips() {
-        let trace = sample_trace();
-        let bytes = trace.to_binary();
-        assert_eq!(&bytes[..4], b"LNTR");
-        let back = PacketTrace::from_binary(&bytes).expect("round trip");
-        assert_eq!(trace, back);
-        assert_eq!(back.len(), 4);
-        assert_eq!(back.flow_count(), 3);
-        assert_eq!(back.total_bytes(), 64 + 1500 + 64 + 512);
-        assert_eq!(back.span(), SimTime::from_picos(9_500));
-    }
-
-    #[test]
     fn packet_trace_csv_round_trips() {
         let trace = sample_trace();
         let csv = trace.to_csv();
@@ -765,16 +574,6 @@ mod tests {
                 ..
             })
         ));
-        // Truncated binary bodies and bad framing are typed errors.
-        let bytes = sample_trace().to_binary();
-        assert!(PacketTrace::from_binary(&bytes[..bytes.len() - 1]).is_err());
-        assert!(PacketTrace::from_binary(&bytes[..7]).is_err());
-        let mut bad_magic = bytes.clone();
-        bad_magic[0] = b'X';
-        assert!(PacketTrace::from_binary(&bad_magic).is_err());
-        let mut bad_version = bytes;
-        bad_version[4] = 99;
-        assert!(PacketTrace::from_binary(&bad_version).is_err());
         // CSV defects.
         assert!(PacketTrace::from_csv("").is_err());
         assert!(PacketTrace::from_csv("wrong,header\n1,2,3,4\n").is_err());
@@ -790,8 +589,6 @@ mod tests {
         assert!(empty.is_empty());
         assert_eq!(empty.span(), SimTime::ZERO);
         assert_eq!(empty.mean_rate_bps(), 0.0);
-        let back = PacketTrace::from_binary(&empty.to_binary()).expect("binary");
-        assert!(back.is_empty());
         let back = PacketTrace::from_csv(&empty.to_csv()).expect("csv");
         assert!(back.is_empty());
         // But its mean rate is undefined, so no empirical profile.
@@ -818,67 +615,5 @@ mod tests {
             .map(|(_, w)| *w)
             .expect("64 B bucket");
         assert!((w64 - 0.5).abs() < 1e-12, "weight {w64}");
-    }
-
-    /// One `inject` instant, in the exporter's layout.
-    fn chrome_doc(ts: &str) -> String {
-        format!(
-            "{{\"traceEvents\":[{{\"ph\":\"i\",\"pid\":1,\"tid\":0,\"ts\":{ts},\
-             \"name\":\"inject\",\"args\":{{\"pkt\":0,\"size\":64,\"class\":1}}}}]}}"
-        )
-    }
-
-    /// `ts` rendered as the exporter renders it: whole microseconds and
-    /// six fractional digits.
-    fn ts_us(ps: u64) -> String {
-        format!("{}.{:06}", ps / 1_000_000, ps % 1_000_000)
-    }
-
-    #[test]
-    fn chrome_timestamps_recover_exactly_up_to_2_pow_50_ps() {
-        let max = 1u64 << 50;
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        let seeded = (0..10_000).map(|_| {
-            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            (z ^ (z >> 31)) % (max + 1)
-        });
-        let edges = [0, 1, 999_999, 1_000_001, max - 1, max];
-        for ps in edges.into_iter().chain(seeded) {
-            let trace = PacketTrace::from_chrome_trace(&chrome_doc(&ts_us(ps))).unwrap();
-            assert_eq!(
-                trace.entries()[0].arrival,
-                SimTime::from_picos(ps),
-                "{ps} ps"
-            );
-        }
-        for ts in [ts_us(max + 1), ts_us(u64::MAX), "-1.000000".to_owned()] {
-            let err = PacketTrace::from_chrome_trace(&chrome_doc(&ts)).unwrap_err();
-            assert!(
-                matches!(&err, LogNicError::InvalidTrace { record: Some(0), reason }
-                    if reason.contains("2^50 ps")),
-                "{ts}: {err:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn malformed_chrome_documents_are_typed_errors() {
-        let no_size = chrome_doc("1.000000").replace("\"size\":64,", "");
-        let fractional = chrome_doc("1.000000").replace("\"class\":1", "\"class\":1.5");
-        for (doc, want) in [
-            ("{\"traceEvents\":".to_owned(), "not a JSON document"),
-            ("{}".to_owned(), "no `traceEvents` array"),
-            (chrome_doc("\"1\""), "numeric `ts`"),
-            (no_size, "numeric `size`"),
-            (fractional, "`class` 1.5 is not a whole number"),
-        ] {
-            let err = PacketTrace::from_chrome_trace(&doc).unwrap_err();
-            assert!(
-                matches!(&err, LogNicError::InvalidTrace { reason, .. } if reason.contains(want)),
-                "{doc}: {err:?}"
-            );
-        }
     }
 }

@@ -51,7 +51,7 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                 }
             },
             "--seed" => flags.seed = integer(name, value()?)?,
-            "--ms" => flags.ms = positive(name, value()?)?,
+            "--ms" => flags.ms = horizon_ms(name, value()?)?,
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
@@ -66,6 +66,19 @@ fn integer<T: std::str::FromStr<Err = std::num::ParseIntError>>(
     value
         .parse()
         .map_err(|e| format!("{name} `{value}`: {e} (expected an unsigned integer)"))
+}
+
+/// A simulated horizon in milliseconds that the picosecond clock can
+/// hold: at least 1 ps once rounded, and at most `SimTime::MAX`.
+fn horizon_ms(name: &str, value: &str) -> Result<f64, String> {
+    let ms = positive(name, value)?;
+    match SimTime::try_from_secs(Seconds::millis(ms).as_secs()) {
+        Some(t) if t > SimTime::ZERO => Ok(ms),
+        _ => Err(format!(
+            "{name} `{value}`: expected a horizon of 1 ps to {:.4e} ms",
+            SimTime::MAX.as_secs() * 1e3
+        )),
+    }
 }
 
 /// A finite, strictly positive number flag value.

@@ -1,6 +1,7 @@
 //! The `lognic` command line refuses malformed numeric flags with an
 //! `error: …` line and exit status 1, instead of panicking or casting
-//! them into a different scenario.
+//! them into a different scenario. (`trace_dump`'s flags are pinned
+//! beside its binary, in `crates/bench/tests/trace_dump_cli.rs`.)
 
 use std::process::{Command, Output};
 
@@ -21,6 +22,9 @@ fn malformed_numeric_flags_are_refused() {
         ["estimate", "inline-md5", "--size", "-5"],
         ["estimate", "inline-md5", "--size", "0"],
         ["simulate", "nvmeof-rrd4k", "--ms", "-5"],
+        // Horizons past the picosecond clock, or under one tick of it.
+        ["simulate", "nvmeof-rrd4k", "--ms", "1e300"],
+        ["simulate", "nvmeof-rrd4k", "--ms", "1e-12"],
     ] {
         let out = lognic(&args);
         let stderr = String::from_utf8_lossy(&out.stderr);

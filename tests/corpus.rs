@@ -4,22 +4,21 @@
 //! Three guarantees are pinned here:
 //!
 //! 1. **Round trip** — the arrival stream of a live chaos run,
-//!    captured by the `ArrivalRecorder` (and, losslessly, by the
-//!    Chrome exporter), survives the binary and CSV trace framings
-//!    byte-for-byte, and re-ingesting it drives a deterministic
-//!    replay whose report is pinned as a byte-golden under
-//!    `tests/golden/corpus/`. A doorbell-burst replay, whose trace
-//!    records tie on time by the dozens, and a size-mix scenario,
-//!    whose packets reach stages at many sizes per class, are pinned
-//!    the same way:
+//!    captured by the `ArrivalRecorder`, survives the CSV trace
+//!    framing (the one persisted format) byte-for-byte, and
+//!    re-ingesting it drives a deterministic replay whose report is
+//!    pinned as a byte-golden under `tests/golden/corpus/`. A
+//!    doorbell-burst replay, whose trace records tie on time by the
+//!    dozens, and a size-mix scenario, whose packets reach stages at
+//!    many sizes per class, are pinned the same way:
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test --test corpus
 //! ```
 //!
 //! 2. **Typed rejection** — corrupt capture files (zero-byte packets,
-//!    backwards timestamps, truncated binaries, mangled CSV) surface
-//!    as `LogNicError::InvalidTrace`, never as panics.
+//!    backwards timestamps, mangled CSV rows, out-of-range tags)
+//!    surface as `LogNicError::InvalidTrace`, never as panics.
 //! 3. **Registry coverage** — the protocol corpus is registered in
 //!    the single scenario registry the CLI fixture sets resolve
 //!    through.
@@ -112,9 +111,8 @@ fn replay(trace: &PacketTrace) -> SimReport {
         .expect("replayed trace simulates")
 }
 
-/// The tentpole round trip: capture → binary/CSV framing → re-ingest
-/// → replay, with the arrivals file and the replayed report pinned
-/// byte-for-byte.
+/// The round trip: capture → CSV → re-ingest → replay, with the
+/// arrivals file and the replayed report pinned byte-for-byte.
 #[test]
 fn captured_arrivals_round_trip_to_golden_report() {
     let (trace, original) = captured_chaos_trace();
@@ -129,12 +127,7 @@ fn captured_arrivals_round_trip_to_golden_report() {
         "recorder must see every injection"
     );
 
-    // Both framings reproduce the capture byte-for-byte.
-    let binary = trace.to_binary();
-    assert_eq!(
-        PacketTrace::from_binary(&binary).expect("binary round trip"),
-        trace
-    );
+    // The CSV framing reproduces the capture byte-for-byte.
     let csv = trace.to_csv();
     assert_eq!(PacketTrace::from_csv(&csv).expect("csv round trip"), trace);
 
@@ -155,62 +148,6 @@ fn captured_arrivals_round_trip_to_golden_report() {
         "replay not deterministic"
     );
     assert_golden("chaos.replay.report.txt", &format!("{first:#?}\n"));
-}
-
-/// The Chrome `trace_event` export carries the arrival stream at full
-/// picosecond precision: re-ingesting our own observability output
-/// recovers exactly the trace the recorder captured, and replaying it
-/// reproduces the pinned golden report.
-#[test]
-fn chrome_export_reingests_losslessly() {
-    let chaos = small_brownout();
-    let mut obs = (ArrivalRecorder::new(), ChromeTrace::new());
-    chaos
-        .simulate_with(small_config(7), &mut obs)
-        .expect("chaos capture run");
-    let (recorder, chrome) = obs;
-    assert_eq!(chrome.truncated(), 0, "fixture must not truncate");
-
-    let recovered = PacketTrace::from_chrome_trace(&chrome.into_json()).expect("chrome ingest");
-    let direct = recorder.into_trace().expect("engine arrivals validate");
-    assert_eq!(
-        recovered, direct,
-        "chrome round trip must be lossless against the direct capture"
-    );
-
-    // The chrome-derived trace replays to the same pinned report.
-    let report = replay(&recovered);
-    assert_golden("chaos.replay.report.txt", &format!("{report:#?}\n"));
-}
-
-/// A node may be named `inject`. Its thread-name metadata record is not
-/// an injection, so the export still re-ingests to the direct capture,
-/// and so does the same export pretty-printed across lines.
-#[test]
-fn chrome_export_with_a_node_named_inject_reingests() {
-    let graph = ExecutionGraph::chain(
-        "inject-node",
-        &[("inject", IpParams::new(Bandwidth::gbps(20.0)))],
-    )
-    .expect("valid chain");
-    let hw = HardwareModel::new(Bandwidth::gbps(50.0), Bandwidth::gbps(40.0));
-    let traffic = TrafficProfile::fixed(Bandwidth::gbps(8.0), Bytes::new(512));
-    let mut obs = (ArrivalRecorder::new(), ChromeTrace::new());
-    Simulation::builder(&graph, &hw, &traffic)
-        .config(small_config(3))
-        .run_with(&mut obs)
-        .expect("capture run");
-    let (recorder, chrome) = obs;
-    let json = chrome.into_json();
-    assert!(json.contains("\"args\":{\"name\":\"inject\"}"), "{json}");
-    let direct = recorder.into_trace().expect("engine arrivals validate");
-    assert!(direct.len() > 10, "the fixture injects packets");
-
-    let recovered = PacketTrace::from_chrome_trace(&json).expect("chrome ingest");
-    assert_eq!(recovered, direct);
-    let pretty = json.replace(',', ",\n    ").replace('{', "{\n  ");
-    let recovered = PacketTrace::from_chrome_trace(&pretty).expect("pretty ingest");
-    assert_eq!(recovered, direct);
 }
 
 /// Zero-gap trace records tie on time by the dozens at every doorbell
@@ -476,32 +413,39 @@ fn out_of_order_timestamps_are_a_typed_error() {
     ));
 }
 
+/// Every mangled CSV row is a typed error naming its record (the
+/// header is not a record), never a panic or a silently wrapped value.
 #[test]
-fn truncated_and_mangled_binaries_are_typed_errors() {
-    let (trace, _) = captured_chaos_trace();
-    let bytes = trace.to_binary();
-    // Truncations at every interesting boundary.
-    for cut in [0, 4, 8, 12, bytes.len() - 1, bytes.len() - 19] {
-        let err =
-            PacketTrace::from_binary(&bytes[..cut]).expect_err("truncated binary must be rejected");
+fn mangled_csv_rows_are_typed_errors() {
+    for row in [
+        "1,2,3",
+        "1,2,3,4,5",
+        "1,nope,3,4",
+        "-1,64,0,0",
+        "10,64,0,1.5",
+        "18446744073709551616,64,0,0",
+        // Flow 2^32 + 1 and class 2^32 would wrap to 1 and 0 in a `u32`.
+        "10,64,4294967297,4294967296",
+        "10,64,0,4294967296",
+    ] {
+        let csv = format!("{}\n# capture\n0,64,0,0\n{row}\n", PacketTrace::CSV_HEADER);
+        let err = PacketTrace::from_csv(&csv).expect_err(row);
         assert!(
-            matches!(err, LogNicError::InvalidTrace { .. }),
-            "cut at {cut}: unexpected error {err:?}"
+            matches!(
+                err,
+                LogNicError::InvalidTrace {
+                    record: Some(1),
+                    ..
+                }
+            ),
+            "{row}: unexpected error {err:?}"
         );
     }
-    // Wrong magic and unsupported version.
-    let mut bad = bytes.clone();
-    bad[0] ^= 0xFF;
-    assert!(matches!(
-        PacketTrace::from_binary(&bad),
-        Err(LogNicError::InvalidTrace { record: None, .. })
-    ));
-    let mut bad = bytes;
-    bad[4] = 0xFE;
-    assert!(matches!(
-        PacketTrace::from_binary(&bad),
-        Err(LogNicError::InvalidTrace { record: None, .. })
-    ));
+    // The largest tags still parse.
+    let csv = format!("{}\n10,64,4294967295,4294967295\n", PacketTrace::CSV_HEADER);
+    let trace = PacketTrace::from_csv(&csv).expect("u32::MAX tags are valid");
+    assert_eq!(trace.entries()[0].flow, u32::MAX);
+    assert_eq!(trace.entries()[0].class, u32::MAX);
 }
 
 // ---------------------------------------------------------------------------

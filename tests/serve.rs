@@ -421,6 +421,40 @@ fn analyze_lints_the_inline_fault_plan() {
     );
 }
 
+/// A refused request whose logical cost passes the picosecond clock
+/// (about 1.8e10 ms) still gets its `invalid_parameter` answer in
+/// deterministic mode, and the stream goes on to answer the next line.
+#[test]
+fn refused_requests_past_the_clock_are_answered() {
+    let input = concat!(
+        r#"{"id":1,"kind":"simulate","graph":"chaos","seeds":2,"duration_ms":1e10}"#,
+        "\n",
+        r#"{"id":2,"kind":"fleet_simulate","nics":8,"duration_ms":1e10}"#,
+        "\n",
+        r#"{"id":3,"kind":"health"}"#,
+        "\n",
+    );
+    let transcript = run_transcript(input, 1);
+    let lines: Vec<&str> = transcript.lines().collect();
+    assert_eq!(lines.len(), 3, "{transcript}");
+    for line in &lines[..2] {
+        let doc =
+            lognic::service::json::parse(line).unwrap_or_else(|e| panic!("not JSON ({e}): {line}"));
+        assert_eq!(
+            doc.get("ok").and_then(|v| v.as_bool()),
+            Some(false),
+            "{line}"
+        );
+        let code = doc.get("error").and_then(|e| e.get("code"));
+        assert_eq!(
+            code.and_then(|c| c.as_str()),
+            Some("invalid_parameter"),
+            "{line}"
+        );
+    }
+    assert!(lines[2].starts_with(r#"{"id":3,"ok":true"#), "{}", lines[2]);
+}
+
 /// A one-seed `simulate` has an unbounded confidence interval; its
 /// non-finite bounds render as `null`, so the response stays JSON.
 #[test]
