@@ -6,7 +6,7 @@
 //! one call.
 
 use crate::analyze::{AnalysisConfig, AnalysisReport, Analyzer};
-use crate::error::LogNicResult;
+use crate::error::{LogNicError, LogNicResult};
 use crate::extensions::delivered_throughput;
 use crate::fault::FaultPlan;
 use crate::graph::ExecutionGraph;
@@ -226,39 +226,20 @@ impl<'a> EstimateRequest<'a> {
         estimator.hw.validate()?;
         estimator.traffic.validate()?;
 
-        // Service side: degrade each computing node's effective rate
-        // and queue capacity by the plan's time-averaged fault effect.
-        let mut degraded = estimator.graph.clone();
-        for (i, node) in estimator.graph.nodes().iter().enumerate() {
-            let Some(p) = node.params() else { continue };
-            let factor = plan.rate_factor(node.name(), horizon);
-            let credit_loss = plan.mean_credit_loss(node.name(), horizon);
-            if factor >= 1.0 && credit_loss <= 0.0 {
-                continue;
-            }
-            // A fully-out node keeps an epsilon of capacity so the
-            // queueing formulas stay finite; its latency still
-            // explodes, which is the right signal.
-            let scaled = IpParams::new(p.peak().scaled(factor.max(1e-6)))
-                .with_parallelism(p.parallelism())
-                .with_queue_capacity(
-                    ((p.queue_capacity() as f64 - credit_loss).floor() as u32).max(1),
-                )
-                .with_overhead(p.overhead())
-                .with_partition(p.partition())
-                .with_acceleration(p.acceleration())
-                .with_work_factor(p.work_factor());
-            degraded.set_ip_params(crate::graph::NodeId(i), scaled)?;
-        }
+        let degraded = degraded_graph(estimator.graph, plan, horizon)?;
 
         // Arrival side: retries inflate the offered rate.
         let retry_inflation = plan.retry_inflation(estimator.graph, horizon);
-        let traffic = estimator.traffic.at_rate(
-            estimator
-                .traffic
-                .ingress_bandwidth()
-                .scaled(retry_inflation),
-        );
+        let offered = estimator.traffic.ingress_bandwidth();
+        let inflated = offered.as_bps() * retry_inflation;
+        if !inflated.is_finite() {
+            return Err(LogNicError::InvalidParameter {
+                parameter: "retry-inflated ingress rate",
+                value: inflated,
+                constraint: "must be a finite bit rate",
+            });
+        }
+        let traffic = estimator.traffic.at_rate(offered.scaled(retry_inflation));
 
         let mut estimate = Estimator::new(&degraded, estimator.hw, &traffic)
             .request()
@@ -286,6 +267,45 @@ impl<'a> EstimateRequest<'a> {
         });
         Ok(estimate)
     }
+}
+
+/// The service side of a fault-degraded evaluation
+/// ([`EstimateRequest::with_faults`]): `graph` with each computing
+/// node's effective rate and queue capacity degraded by the plan's
+/// time-averaged fault effect over `[0, horizon]`. The evaluation runs
+/// the standard estimate on this graph at the retry-inflated rate
+/// ([`FaultPlan::retry_inflation`]).
+///
+/// # Errors
+///
+/// Propagates [`ExecutionGraph::set_ip_params`] errors (none for a
+/// graph the plan validated against).
+pub fn degraded_graph(
+    graph: &ExecutionGraph,
+    plan: &FaultPlan,
+    horizon: Seconds,
+) -> LogNicResult<ExecutionGraph> {
+    let mut degraded = graph.clone();
+    for (i, node) in graph.nodes().iter().enumerate() {
+        let Some(p) = node.params() else { continue };
+        let factor = plan.rate_factor(node.name(), horizon);
+        let credit_loss = plan.mean_credit_loss(node.name(), horizon);
+        if factor >= 1.0 && credit_loss <= 0.0 {
+            continue;
+        }
+        // A fully-out node keeps an epsilon of capacity so the
+        // queueing formulas stay finite; its latency still explodes,
+        // which is the right signal.
+        let scaled = IpParams::new(p.peak().scaled(factor.max(1e-6)))
+            .with_parallelism(p.parallelism())
+            .with_queue_capacity(((p.queue_capacity() as f64 - credit_loss).floor() as u32).max(1))
+            .with_overhead(p.overhead())
+            .with_partition(p.partition())
+            .with_acceleration(p.acceleration())
+            .with_work_factor(p.work_factor());
+        degraded.set_ip_params(crate::graph::NodeId(i), scaled)?;
+    }
+    Ok(degraded)
 }
 
 #[cfg(test)]

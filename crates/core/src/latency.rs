@@ -221,6 +221,23 @@ pub fn estimate_latency_at(
         .map(|i| node_timing(graph, NodeId(i), traffic, granularity))
         .collect();
 
+    // Adds `Q + C` of `node` at the walk's current size. At the
+    // ingress granularity that is the timing already built above; only
+    // a resized request (compression edges) needs a fresh one.
+    let add_stage = |latency: &mut Seconds, node: NodeId, g_cur: Bytes| {
+        let resized;
+        let timing = if g_cur == granularity {
+            timings[node.index()].as_ref()
+        } else {
+            resized = node_timing(graph, node, traffic, g_cur);
+            resized.as_ref()
+        };
+        if let Some(t) = timing {
+            *latency += t.queueing_delay;
+            *latency += t.service;
+        }
+    };
+
     let paths = graph.paths()?;
     let mut per_path = Vec::with_capacity(paths.len());
     let mut mean = Seconds::ZERO;
@@ -232,10 +249,7 @@ pub fn estimate_latency_at(
         // Σ over edges: Q_src + C_src + O_src + transfer  (Eq. 6).
         for eid in &path.edges {
             let src = graph.edge(*eid).src();
-            if let Some(t) = node_timing(graph, src, traffic, g_cur) {
-                latency += t.queueing_delay;
-                latency += t.service;
-            }
+            add_stage(&mut latency, src, g_cur);
             if let Some(p) = graph.node(src).params() {
                 latency += p.overhead();
             }
@@ -244,10 +258,7 @@ pub fn estimate_latency_at(
         }
         // Terminal vertex: Q + C (egress engines without params add 0).
         let last = *path.nodes.last().expect("paths have at least one node");
-        if let Some(t) = node_timing(graph, last, traffic, g_cur) {
-            latency += t.queueing_delay;
-            latency += t.service;
-        }
+        add_stage(&mut latency, last, g_cur);
         mean += latency.scaled(path.weight);
         per_path.push(PathLatency { path, latency });
     }
@@ -358,8 +369,8 @@ pub fn estimate_latency(
                 let src = graph.edge(*eid).src();
                 if let Some(t) = &timings[src.index()] {
                     class_latency += t.queueing_delay;
-                    if let Some(ct) = node_timing(graph, src, traffic, g_cur) {
-                        class_latency += ct.service;
+                    if let Some(service) = node_service(graph, src, g_cur) {
+                        class_latency += service;
                     }
                 }
                 if let Some(p) = graph.node(src).params() {
@@ -372,8 +383,8 @@ pub fn estimate_latency(
             let last = *path.nodes.last().expect("paths have at least one node");
             if let Some(t) = &timings[last.index()] {
                 class_latency += t.queueing_delay;
-                if let Some(ct) = node_timing(graph, last, traffic, g_cur) {
-                    class_latency += ct.service;
+                if let Some(service) = node_service(graph, last, g_cur) {
+                    class_latency += service;
                 }
             }
             latency += class_latency.scaled(*weight);

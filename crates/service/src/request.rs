@@ -248,7 +248,18 @@ impl Request {
 
         let rate_gbps = doc
             .get("rate_gbps")
-            .map(|v| finite_positive(v, "rate_gbps"))
+            .map(|v| {
+                let n = finite_positive(v, "rate_gbps")?;
+                // The model works in bits per second; 1e300 Gb/s is
+                // finite, its bit rate is not.
+                if !(n * 1e9).is_finite() {
+                    return Err(ServiceError::InvalidParameter {
+                        parameter: "rate_gbps".into(),
+                        reason: format!("{n} Gb/s is past any finite bit rate"),
+                    });
+                }
+                Ok(n)
+            })
             .transpose()?;
 
         let deadline_ms = match doc.get("deadline_ms") {
@@ -565,6 +576,7 @@ mod tests {
             r#"{"kind":"estimate","graph":"x","rate_gbps":-5}"#,
             r#"{"kind":"estimate","graph":"x","rate_gbps":0}"#,
             r#"{"kind":"estimate","graph":"x","rate_gbps":"fast"}"#,
+            r#"{"kind":"estimate","graph":"x","rate_gbps":1e300}"#,
             r#"{"kind":"simulate","graph":"x","seeds":2.5}"#,
             r#"{"kind":"sweep","graph":"x","fractions":[0.5,-1]}"#,
             r#"{"kind":"estimate","graph":"x","deadline_ms":-1}"#,

@@ -86,15 +86,16 @@ impl TrafficSource {
         let class = rng.pick_cumulative(&self.cumulative) as u32;
         let size = self.sizes[class as usize];
         let mean_gap_secs = size.as_f64() / self.byte_rate;
+        // A mean gap past the clock (a vanishing rate) saturates: that
+        // packet never arrives inside any horizon.
         let gap = match self.process {
             // A true (marked) Poisson process: inter-arrival gaps are
             // iid at the mean packet rate, independent of the size
             // just drawn. Size-correlated gaps would cluster small
             // packets and break the model's M/M/1 assumption.
-            ArrivalProcess::Poisson => {
-                rng.exponential(SimTime::from_secs(self.mean_size / self.byte_rate))
-            }
-            ArrivalProcess::Paced => SimTime::from_secs(mean_gap_secs),
+            ArrivalProcess::Poisson => SimTime::try_from_secs(self.mean_size / self.byte_rate)
+                .map_or(SimTime::MAX, |mean| rng.exponential(mean)),
+            ArrivalProcess::Paced => SimTime::try_from_secs(mean_gap_secs).unwrap_or(SimTime::MAX),
             ArrivalProcess::Bursty { burst } => {
                 let burst = burst.max(1);
                 if self.burst_left > 0 {
@@ -102,7 +103,7 @@ impl TrafficSource {
                     SimTime::ZERO
                 } else {
                     self.burst_left = burst - 1;
-                    SimTime::from_secs(mean_gap_secs * burst as f64)
+                    SimTime::try_from_secs(mean_gap_secs * burst as f64).unwrap_or(SimTime::MAX)
                 }
             }
         };
@@ -529,6 +530,24 @@ mod tests {
         let src = TrafficSource::new(&t, ArrivalProcess::Poisson);
         assert!(src.is_silent());
         assert!(!TrafficSource::new(&profile(1.0, 64), ArrivalProcess::Poisson).is_silent());
+    }
+
+    #[test]
+    fn gap_past_the_clock_saturates() {
+        let t = profile(1e-300, 1500);
+        let mut rng = SimRng::seed_from(3);
+        for process in [
+            ArrivalProcess::Poisson,
+            ArrivalProcess::Paced,
+            ArrivalProcess::Bursty { burst: 1 },
+        ] {
+            let mut src = TrafficSource::new(&t, process);
+            assert_eq!(
+                src.next_injection(&mut rng).gap,
+                SimTime::MAX,
+                "{process:?}"
+            );
+        }
     }
 
     fn sample_trace() -> PacketTrace {

@@ -366,3 +366,282 @@ mod sim_properties {
         });
     }
 }
+
+/// The latency walks reuse the timings an evaluation has already
+/// built. This module keeps the walks as they were before that reuse
+/// — a fresh [`node_timing`] for every stage a path visits — as a
+/// test-only oracle, and holds every registry graph and random
+/// resizing chains to it bit for bit.
+mod latency_oracle {
+    use lognic::model::estimate::degraded_graph;
+    use lognic::model::graph::NodeId;
+    use lognic::model::latency::{
+        edge_transfer_time, mixture_node_timing, node_timing, NodeTiming,
+    };
+    use lognic::prelude::*;
+    use lognic::workloads::registry;
+    use lognic_testkit::{ensure, CaseResult, Property};
+
+    /// What the oracle computes of a [`LatencyEstimate`].
+    struct Walk {
+        mean: Seconds,
+        per_path: Vec<Seconds>,
+        per_node: Vec<NodeTiming>,
+    }
+
+    /// Eq. 6–8 the direct way, one walk per profile shape.
+    fn oracle(graph: &ExecutionGraph, hw: &HardwareModel, traffic: &TrafficProfile) -> Walk {
+        let ids: Vec<NodeId> = graph
+            .nodes()
+            .iter()
+            .map(|n| graph.node_by_name(n.name()).expect("names resolve"))
+            .collect();
+        let entries = traffic.sizes().entries();
+        if entries.len() == 1 {
+            single_class(
+                graph,
+                hw,
+                traffic,
+                &ids,
+                traffic.granularity_for(entries[0].0),
+            )
+        } else {
+            mixture(graph, hw, traffic, &ids)
+        }
+    }
+
+    /// One size: every stage builds its timing at the size it sees.
+    fn single_class(
+        graph: &ExecutionGraph,
+        hw: &HardwareModel,
+        traffic: &TrafficProfile,
+        ids: &[NodeId],
+        granularity: Bytes,
+    ) -> Walk {
+        let mut per_path = Vec::new();
+        let mut mean = Seconds::ZERO;
+        for path in graph.paths().expect("built graphs have paths") {
+            let mut latency = Seconds::ZERO;
+            let mut g_cur = granularity;
+            for eid in &path.edges {
+                let src = graph.edge(*eid).src();
+                if let Some(t) = node_timing(graph, src, traffic, g_cur) {
+                    latency += t.queueing_delay;
+                    latency += t.service;
+                }
+                if let Some(p) = graph.node(src).params() {
+                    latency += p.overhead();
+                }
+                g_cur = g_cur.scaled(graph.edge(*eid).params().size_factor());
+                latency += edge_transfer_time(graph, *eid, hw, g_cur);
+            }
+            let last = *path.nodes.last().expect("paths have at least one node");
+            if let Some(t) = node_timing(graph, last, traffic, g_cur) {
+                latency += t.queueing_delay;
+                latency += t.service;
+            }
+            mean += latency.scaled(path.weight);
+            per_path.push(latency);
+        }
+        let per_node = ids
+            .iter()
+            .filter_map(|&id| node_timing(graph, id, traffic, granularity))
+            .collect();
+        Walk {
+            mean,
+            per_path,
+            per_node,
+        }
+    }
+
+    /// A size mixture: each class queues behind the mixture and reads
+    /// its service from a fresh timing at its own size.
+    fn mixture(
+        graph: &ExecutionGraph,
+        hw: &HardwareModel,
+        traffic: &TrafficProfile,
+        ids: &[NodeId],
+    ) -> Walk {
+        let timings: Vec<Option<NodeTiming>> = ids
+            .iter()
+            .map(|&id| mixture_node_timing(graph, id, traffic))
+            .collect();
+        let mut per_path = Vec::new();
+        let mut mean = Seconds::ZERO;
+        for path in graph.paths().expect("built graphs have paths") {
+            let mut latency = Seconds::ZERO;
+            for (size, weight) in traffic.sizes().entries() {
+                let mut g_cur = traffic.granularity_for(*size);
+                let mut class_latency = Seconds::ZERO;
+                for eid in &path.edges {
+                    let src = graph.edge(*eid).src();
+                    if let Some(t) = &timings[src.index()] {
+                        class_latency += t.queueing_delay;
+                        if let Some(ct) = node_timing(graph, src, traffic, g_cur) {
+                            class_latency += ct.service;
+                        }
+                    }
+                    if let Some(p) = graph.node(src).params() {
+                        class_latency += p.overhead();
+                    }
+                    g_cur = g_cur.scaled(graph.edge(*eid).params().size_factor());
+                    class_latency += edge_transfer_time(graph, *eid, hw, g_cur);
+                }
+                let last = *path.nodes.last().expect("paths have at least one node");
+                if let Some(t) = &timings[last.index()] {
+                    class_latency += t.queueing_delay;
+                    if let Some(ct) = node_timing(graph, last, traffic, g_cur) {
+                        class_latency += ct.service;
+                    }
+                }
+                latency += class_latency.scaled(*weight);
+            }
+            mean += latency.scaled(path.weight);
+            per_path.push(latency);
+        }
+        Walk {
+            mean,
+            per_path,
+            per_node: timings.into_iter().flatten().collect(),
+        }
+    }
+
+    fn bits(s: Seconds) -> u64 {
+        s.as_secs().to_bits()
+    }
+
+    /// Holds `got` to the oracle's walk on the same inputs, bit for bit.
+    fn same_bits(got: &LatencyEstimate, want: &Walk) -> CaseResult {
+        ensure!(bits(got.mean()) == bits(want.mean), "mean");
+        ensure!(got.per_path().len() == want.per_path.len(), "path count");
+        for (i, (g, w)) in got.per_path().iter().zip(&want.per_path).enumerate() {
+            ensure!(bits(g.latency) == bits(*w), "path {i}");
+        }
+        ensure!(got.per_node().len() == want.per_node.len(), "node count");
+        for (g, w) in got.per_node().iter().zip(&want.per_node) {
+            let at = w.node.index();
+            ensure!(g.node == w.node, "node {at}: id");
+            ensure!(bits(g.service) == bits(w.service), "node {at}: service");
+            ensure!(
+                g.utilization.to_bits() == w.utilization.to_bits(),
+                "node {at}: utilization"
+            );
+            ensure!(
+                bits(g.queueing_delay) == bits(w.queueing_delay),
+                "node {at}: queueing delay"
+            );
+            ensure!(
+                g.drop_probability.to_bits() == w.drop_probability.to_bits(),
+                "node {at}: drop probability"
+            );
+        }
+        Ok(())
+    }
+
+    /// The plan a graph's degraded estimate runs under: its bundled
+    /// plan, else a rate dip, a credit loss and a drop window with
+    /// retries on its first computing vertex.
+    fn plan_for(entry: &registry::RegistryEntry, graph: &ExecutionGraph) -> FaultPlan {
+        if let Some(plan) = entry.build().1 {
+            return plan;
+        }
+        let node = graph
+            .nodes()
+            .iter()
+            .find(|n| n.params().is_some())
+            .expect("registry graphs compute")
+            .name();
+        let ms = Seconds::millis;
+        FaultPlan::new()
+            .degrade_rate(node, 0.5, ms(0.0), ms(4.0))
+            .lose_credits(node, 4, ms(4.0), ms(5.0))
+            .drop_packets(node, 0.1, ms(5.0), ms(10.0))
+            .with_retry(RetryPolicy::new(3, Seconds::micros(10.0)))
+    }
+
+    /// Every registry graph at the 11 load fractions 0.2–1.2 of its
+    /// capacity, plain and under its degraded plan. `http2-mux` carries
+    /// a size mixture and `compression` resizes requests, so both walks
+    /// run.
+    #[test]
+    fn latency_walks_match_the_oracle_bit_for_bit() {
+        let horizon = Seconds::millis(10.0);
+        let (mut resized, mut mixed) = (false, false);
+        for entry in registry::ALL {
+            let base = entry.scenario();
+            let capacity = base
+                .estimator()
+                .throughput()
+                .expect("registry graphs evaluate")
+                .saturation_bound()
+                .expect("registry graphs saturate")
+                .limit;
+            let plan = plan_for(entry, &base.graph);
+            for step in 2..=12 {
+                let load = step as f64 / 10.0;
+                let s = base.at_rate(capacity.scaled(load));
+                let (graph, hw, traffic) = (&s.graph, &s.hardware, &s.traffic);
+                let what = format!("{} at {load}", entry.name);
+                let plain = s.estimate().expect("plain estimate");
+                same_bits(&plain.latency, &oracle(graph, hw, traffic))
+                    .unwrap_or_else(|e| panic!("{what}: {e}"));
+
+                let degraded = s
+                    .estimator()
+                    .request()
+                    .with_faults(&plan, horizon)
+                    .evaluate()
+                    .expect("degraded estimate");
+                let inflation = degraded
+                    .degraded
+                    .as_ref()
+                    .expect("fault bookkeeping")
+                    .retry_inflation;
+                let d_graph = degraded_graph(graph, &plan, horizon).expect("plan validates");
+                let d_traffic = traffic.at_rate(traffic.ingress_bandwidth().scaled(inflation));
+                same_bits(&degraded.latency, &oracle(&d_graph, hw, &d_traffic))
+                    .unwrap_or_else(|e| panic!("{what}, degraded: {e}"));
+            }
+            mixed |= base.traffic.sizes().entries().len() > 1;
+            resized |= base.graph.paths().expect("paths").iter().any(|p| {
+                p.edges
+                    .iter()
+                    .any(|e| base.graph.edge(*e).params().size_factor() != 1.0)
+            });
+        }
+        assert!(mixed, "some registry graph must carry a size mixture");
+        assert!(resized, "some registry graph must resize requests");
+    }
+
+    /// No registry graph computes after a resizing edge (`compression`
+    /// resizes on its way to egress), so random chains with resizing
+    /// edges, at one size or a mixture, hold the walk's fresh-timing
+    /// fallback to the oracle.
+    #[test]
+    fn resized_chains_match_the_oracle_bit_for_bit() {
+        Property::new("resized_chains_match_the_oracle_bit_for_bit")
+            .cases(128)
+            .check(|g| {
+                let mut b = ExecutionGraph::builder("resize");
+                let mut prev = b.ingress("in");
+                for i in 0..g.usize(1..5) {
+                    let params = IpParams::new(Bandwidth::gbps(g.f64(1.0..100.0)))
+                        .with_parallelism(g.u32(1..9))
+                        .with_queue_capacity(g.u32(1..129));
+                    let ip = b.ip(&format!("s{i}"), params);
+                    let factor = *g.pick(&[1.0, 1.0, 0.5, 2.0, 0.3]);
+                    b.edge(prev, ip, EdgeParams::full().with_size_factor(factor));
+                    prev = ip;
+                }
+                let out = b.egress("out");
+                b.edge(prev, out, EdgeParams::full());
+                let graph = b.build().expect("chains are valid");
+                let sizes = g.vec(1..4, |g| (Bytes::new(g.u64(64..9000)), g.f64(0.1..1.0)));
+                let dist = PacketSizeDist::mix(sizes).expect("positive weights");
+                let traffic = TrafficProfile::new(Bandwidth::gbps(g.f64(0.1..120.0)), dist);
+                let hw = HardwareModel::default();
+                let got = estimate_latency(&graph, &hw, &traffic).expect("chains evaluate");
+                same_bits(&got, &oracle(&graph, &hw, &traffic))
+            });
+    }
+}

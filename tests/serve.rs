@@ -455,6 +455,57 @@ fn refused_requests_past_the_clock_are_answered() {
     assert!(lines[2].starts_with(r#"{"id":3,"ok":true"#), "{}", lines[2]);
 }
 
+/// A rate whose bit rate overflows is refused as `invalid_parameter`,
+/// one that overflows only once retries inflate it fails its degraded
+/// evaluation, and a rate so small that the first packet's gap passes
+/// the clock simulates a run in which nothing arrives, in both modes.
+#[test]
+fn extreme_rates_are_answered_in_both_modes() {
+    let field = |doc: &lognic::service::Json, path: &[&str]| {
+        path.iter()
+            .try_fold(doc, |d, k| d.get(k))
+            .cloned()
+            .unwrap_or_else(|| panic!("no {path:?}"))
+    };
+    for deterministic in [true, false] {
+        let mut service = Service::new(ServeConfig {
+            deterministic,
+            threads: 2,
+            ..ServeConfig::default()
+        });
+        for line in [
+            r#"{"kind":"estimate","graph":"nvmeof","rate_gbps":1e300}"#,
+            r#"{"kind":"simulate","graph":"nvmeof","seeds":2,"duration_ms":1,"rate_gbps":1e300}"#,
+        ] {
+            let out = service.handle_line(line);
+            let doc = lognic::service::json::parse(&out).expect("JSON");
+            assert_eq!(
+                field(&doc, &["error", "code"]).as_str(),
+                Some("invalid_parameter"),
+                "{out}"
+            );
+        }
+        let out = service
+            .handle_line(r#"{"kind":"estimate_degraded","graph":"chaos","rate_gbps":1.7e299}"#);
+        let doc = lognic::service::json::parse(&out).expect("JSON");
+        assert_eq!(
+            field(&doc, &["error", "code"]).as_str(),
+            Some("evaluation_error"),
+            "{out}"
+        );
+        let out = service.handle_line(
+            r#"{"kind":"simulate","graph":"nvmeof","seeds":2,"duration_ms":1,"rate_gbps":1e-300}"#,
+        );
+        let doc = lognic::service::json::parse(&out).expect("JSON");
+        assert_eq!(field(&doc, &["ok"]).as_bool(), Some(true), "{out}");
+        assert_eq!(
+            field(&doc, &["throughput_gbps", "mean"]).as_f64(),
+            Some(0.0),
+            "{out}"
+        );
+    }
+}
+
 /// A one-seed `simulate` has an unbounded confidence interval; its
 /// non-finite bounds render as `null`, so the response stays JSON.
 #[test]
