@@ -80,7 +80,6 @@ use lognic_model::units::{Bandwidth, Bytes, Seconds};
 use lognic_optimizer::suggest;
 use lognic_sim::calendar::CalendarQueue;
 use lognic_sim::prelude::*;
-use lognic_workloads::chaos::accelerator_brownout;
 use lognic_workloads::doorbell::{doorbell_burst, BurstPlan};
 use lognic_workloads::microservices::{self, scenario, AllocationScheme, App};
 use lognic_workloads::nvmeof::{self, nvmeof};
@@ -249,39 +248,24 @@ struct Workload {
 }
 
 fn workloads() -> Vec<Workload> {
-    let chaos = accelerator_brownout(
-        Bandwidth::gbps(8.0),
-        Seconds::millis(4.0),
-        Seconds::millis(2.0),
-        Seconds::millis(3.0),
-    );
+    let registered = |name: &'static str, row: &'static str, millis: f64| {
+        let (scenario, plan) = registry::find(name)
+            .unwrap_or_else(|| panic!("{name} is registered"))
+            .build();
+        Workload {
+            name: row,
+            scenario,
+            plan,
+            trace: None,
+            millis,
+        }
+    };
     let (burst, burst_trace) =
         doorbell_burst(&BurstPlan::default()).expect("the default burst plan is valid");
-    let (dns_kv, dns_kv_plan) = registry::find("dns-kv")
-        .expect("dns-kv is registered")
-        .build();
     vec![
-        Workload {
-            name: "microservices",
-            scenario: scenario(App::NfvFin, AllocationScheme::RoundRobin, 2.0e6),
-            plan: None,
-            trace: None,
-            millis: 60.0,
-        },
-        Workload {
-            name: "nvmeof",
-            scenario: nvmeof(IoPattern::RandRead4k, Bandwidth::gbps(5.0)),
-            plan: None,
-            trace: None,
-            millis: 60.0,
-        },
-        Workload {
-            name: "chaos",
-            scenario: chaos.scenario,
-            plan: Some(chaos.plan),
-            trace: None,
-            millis: 40.0,
-        },
+        registered("microservices", "microservices", 60.0),
+        registered("nvmeof", "nvmeof", 60.0),
+        registered("chaos", "chaos", 40.0),
         Workload {
             name: "doorbell_burst",
             scenario: burst,
@@ -289,13 +273,7 @@ fn workloads() -> Vec<Workload> {
             trace: Some(burst_trace),
             millis: 60.0,
         },
-        Workload {
-            name: "dns_kv",
-            scenario: dns_kv,
-            plan: dns_kv_plan,
-            trace: None,
-            millis: 25.0,
-        },
+        registered("dns-kv", "dns_kv", 25.0),
     ]
 }
 

@@ -57,7 +57,6 @@ pub mod estimate;
 pub mod extensions;
 pub mod fault;
 pub mod graph;
-pub mod intern;
 pub mod json;
 pub mod latency;
 pub mod params;

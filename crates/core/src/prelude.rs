@@ -19,7 +19,6 @@ pub use crate::estimate::{Degradation, Estimate, EstimateRequest, Estimator};
 pub use crate::extensions::{consolidate, delivered_throughput, estimate_mixed, Tenant};
 pub use crate::fault::{FaultKind, FaultPlan, FaultWindow, RetryPolicy};
 pub use crate::graph::{EdgeId, ExecutionGraph, NodeId, NodeKind};
-pub use crate::intern::NameTable;
 pub use crate::latency::{estimate_latency, LatencyEstimate};
 pub use crate::params::{EdgeParams, HardwareModel, IpParams, PacketSizeDist, TrafficProfile};
 pub use crate::queueing::Mm1n;

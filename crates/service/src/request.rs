@@ -167,6 +167,18 @@ const KNOWN_FIELDS: &[&str] = &[
     "shards",
 ];
 
+/// A number as a refusal message prints it: plainly inside
+/// `[1e-6, 1e15)` (or zero), and in `{:e}` form outside, so `1e300`
+/// stays five bytes instead of its 301-digit expansion.
+pub(crate) fn shown(n: f64) -> String {
+    let magnitude = n.abs();
+    if magnitude == 0.0 || (1e-6..1e15).contains(&magnitude) {
+        n.to_string()
+    } else {
+        format!("{n:e}")
+    }
+}
+
 fn finite_positive(v: &Json, field: &str) -> Result<f64, ServiceError> {
     let n = v.as_f64().ok_or_else(|| ServiceError::InvalidParameter {
         parameter: field.to_owned(),
@@ -175,7 +187,7 @@ fn finite_positive(v: &Json, field: &str) -> Result<f64, ServiceError> {
     if !n.is_finite() || n <= 0.0 {
         return Err(ServiceError::InvalidParameter {
             parameter: field.to_owned(),
-            reason: format!("{n} is not finite and positive"),
+            reason: format!("{} is not finite and positive", shown(n)),
         });
     }
     Ok(n)
@@ -189,7 +201,7 @@ fn probability(v: &Json, field: &str) -> Result<f64, ServiceError> {
     if !n.is_finite() || !(0.0..=1.0).contains(&n) {
         return Err(ServiceError::InvalidParameter {
             parameter: field.to_owned(),
-            reason: format!("{n} is not in [0, 1]"),
+            reason: format!("{} is not in [0, 1]", shown(n)),
         });
     }
     Ok(n)
@@ -255,7 +267,7 @@ impl Request {
                 if !(n * 1e9).is_finite() {
                     return Err(ServiceError::InvalidParameter {
                         parameter: "rate_gbps".into(),
-                        reason: format!("{n} Gb/s is past any finite bit rate"),
+                        reason: format!("{} Gb/s is past any finite bit rate", shown(n)),
                     });
                 }
                 Ok(n)
@@ -272,7 +284,7 @@ impl Request {
                 if !n.is_finite() || n < 0.0 {
                     return Err(ServiceError::InvalidParameter {
                         parameter: "deadline_ms".into(),
-                        reason: format!("{n} is not finite and non-negative"),
+                        reason: format!("{} is not finite and non-negative", shown(n)),
                     });
                 }
                 Some(n)
@@ -342,7 +354,10 @@ impl Request {
                         if n > 16.0 {
                             return Err(ServiceError::InvalidParameter {
                                 parameter: "fractions".into(),
-                                reason: format!("{n}× the reference rate is past any bound"),
+                                reason: format!(
+                                    "{}× the reference rate is past any bound",
+                                    shown(n)
+                                ),
                             });
                         }
                         Ok(n)
@@ -518,7 +533,7 @@ impl FaultSpec {
                 if !n.is_finite() || n < 0.0 {
                     return Err(ServiceError::InvalidParameter {
                         parameter: "faults.from_ms".into(),
-                        reason: format!("{n} is not finite and non-negative"),
+                        reason: format!("{} is not finite and non-negative", shown(n)),
                     });
                 }
                 n
@@ -583,6 +598,19 @@ mod tests {
         ] {
             let err = decode(src).unwrap_err();
             assert_eq!(err.code(), "invalid_parameter", "{src}");
+        }
+        // Extreme magnitudes print in `{:e}` form, not as their
+        // 301-digit decimal expansion.
+        for src in [
+            r#"{"kind":"estimate","graph":"x","rate_gbps":1e300}"#,
+            r#"{"kind":"estimate","graph":"x","rate_gbps":-1e300}"#,
+            r#"{"kind":"simulate","graph":"x","duration_ms":-1e300}"#,
+            r#"{"kind":"estimate","graph":"x","deadline_ms":-1e300}"#,
+            r#"{"kind":"sweep","graph":"x","fractions":[1e300]}"#,
+        ] {
+            let message = decode(src).unwrap_err().to_string();
+            assert!(message.len() <= 80, "{src}: {message}");
+            assert!(message.contains("e300"), "{src}: {message}");
         }
     }
 

@@ -35,7 +35,7 @@ use lognic_workloads::scenario::Scenario;
 
 use crate::error::{render_diagnostics, render_error_response, ServiceError};
 use crate::json::{escape, parse, render_number};
-use crate::request::{Request, RequestKind};
+use crate::request::{shown, Request, RequestKind};
 use crate::shed::LoadGauge;
 use crate::stats::ServiceStats;
 
@@ -284,7 +284,8 @@ impl Service {
                     parameter: "duration_ms".into(),
                     reason: format!(
                         "{} exceeds the {}ms horizon limit",
-                        req.duration_ms, self.config.max_sim_ms
+                        shown(req.duration_ms),
+                        self.config.max_sim_ms
                     ),
                 });
             }
@@ -304,7 +305,8 @@ impl Service {
                     parameter: "duration_ms".into(),
                     reason: format!(
                         "{} exceeds the {}ms horizon limit",
-                        req.duration_ms, self.config.max_sim_ms
+                        shown(req.duration_ms),
+                        self.config.max_sim_ms
                     ),
                 });
             }
@@ -525,8 +527,14 @@ impl Service {
         push_kind(&mut out, "simulate", graph);
         use core::fmt::Write as _;
         let _ = write!(out, ",\"seeds\":{}", report.seeds.len());
+        // A replica in which no packet completed measured no latency;
+        // its zero would read as a zero-latency device.
         out.push_str(",\"latency_s\":");
-        render_summary(&report.latency_mean, &mut out);
+        if report.reports.iter().any(|r| r.latency.count == 0) {
+            out.push_str("null");
+        } else {
+            render_summary(&report.latency_mean, &mut out);
+        }
         out.push_str(",\"throughput_gbps\":");
         render_summary(&report.throughput_gbps, &mut out);
         out.push_str(",\"loss_rate\":");

@@ -20,7 +20,6 @@ use std::sync::Arc;
 
 use lognic_model::error::LogNicResult;
 use lognic_model::graph::ExecutionGraph;
-use lognic_model::intern::NameTable;
 
 use crate::time::SimTime;
 
@@ -173,11 +172,10 @@ impl CompiledFaultPlan {
     /// fault parameters.
     pub fn compile(plan: &FaultPlan, graph: &ExecutionGraph) -> LogNicResult<Self> {
         plan.validate(graph)?;
-        let table = NameTable::for_graph(graph);
         let mut per_node: Vec<NodeFaults> = vec![NodeFaults::default(); graph.nodes().len()];
         for w in plan.windows() {
-            let id = table
-                .resolve(w.node())
+            let id = graph
+                .node_by_name(w.node())
                 .expect("validated plan only names graph nodes");
             per_node[id.index()].push(
                 SimTime::from_secs(w.from().as_secs()),

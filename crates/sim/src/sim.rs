@@ -41,7 +41,6 @@ use lognic_model::analyze::{AnalysisConfig, Analyzer, Diagnostic};
 use lognic_model::error::{LogNicError, LogNicResult};
 use lognic_model::fault::{FaultPlan, RetryPolicy};
 use lognic_model::graph::ExecutionGraph;
-use lognic_model::intern::NameTable;
 use lognic_model::params::{HardwareModel, TrafficProfile};
 use lognic_model::units::{Bandwidth, Bytes, Seconds};
 
@@ -499,17 +498,14 @@ impl<'a> SimulationBuilder<'a> {
             });
         }
 
-        // One resolve pass over the interned name table replaces the
-        // old per-node linear scans through every override list, and
-        // collects *all* dangling names instead of failing on the
-        // first.
+        // One resolve pass over every name-keyed option, collecting
+        // *all* dangling names instead of failing on the first.
         let n = self.graph.nodes().len();
-        let table = NameTable::for_graph(self.graph);
         let mut svc_over: Vec<Option<Box<dyn ServiceModel>>> = (0..n).map(|_| None).collect();
         let mut plan_over: Vec<Option<QueuePlan>> = vec![None; n];
         let mut unknown: Vec<(&'static str, String)> = Vec::new();
         for (name, model) in self.overrides {
-            match table.resolve(&name) {
+            match self.graph.node_by_name(&name) {
                 // First override wins, matching the old scan order.
                 Some(id) => {
                     let slot = &mut svc_over[id.index()];
@@ -521,7 +517,7 @@ impl<'a> SimulationBuilder<'a> {
             }
         }
         for (name, plan) in self.queue_plans {
-            match table.resolve(&name) {
+            match self.graph.node_by_name(&name) {
                 Some(id) => {
                     let slot = &mut plan_over[id.index()];
                     if slot.is_none() {
@@ -532,7 +528,7 @@ impl<'a> SimulationBuilder<'a> {
             }
         }
         for w in self.plan.windows() {
-            if table.resolve(w.node()).is_none() {
+            if self.graph.node_by_name(w.node()).is_none() {
                 unknown.push(("fault window", w.node().to_owned()));
             }
         }

@@ -1,10 +1,11 @@
 //! The single scenario registry: every named workload the tooling
 //! exposes, in one place.
 //!
-//! `trace_dump --workload <name>` and the `lognic-lint` clean fixture
-//! set used to hardcode their own scenario lists, which silently
-//! drifted apart as workloads were added. Both now resolve through
-//! this registry, so a new corpus entry automatically appears in the
+//! `trace_dump --workload <name>`, the `lognic-lint` clean fixture set
+//! and the `lognic` CLI used to hardcode their own scenario lists,
+//! which silently drifted apart as workloads were added. All of them,
+//! and `lognic serve`, now resolve through this registry, so a new
+//! corpus entry automatically appears in the CLI, the service, the
 //! trace exporter, the lint clean set, the README corpus table and
 //! the corpus round-trip tests.
 //!

@@ -1,33 +1,36 @@
-//! `lognic` — a command-line explorer for the built-in case-study
-//! scenarios.
+//! `lognic` — a command-line explorer for the workload registry
+//! (`lognic::workloads::registry`), the one catalog `lognic serve`,
+//! `trace_dump` and `lognic-lint` also resolve names through.
 //!
 //! ```text
 //! lognic list
-//! lognic estimate inline-md5 [--rate-gbps 25] [--cores 9]
-//! lognic simulate nvmeof-rrd4k [--rate-gbps 15] [--seed 7] [--ms 100]
-//! lognic dot nf-opt
-//! lognic suggest all
+//! lognic estimate dns-kv [--rate-gbps 2]
+//! lognic simulate chaos [--rate-gbps 4] [--seed 7] [--ms 10]
+//! lognic dot nvmeof
+//! lognic suggest
+//! lognic serve [--threads N] [--deterministic] ...
 //! ```
+//!
+//! `--rate-gbps` re-offers any workload at another rate
+//! (`Scenario::at_rate`), and `simulate` runs a workload under its
+//! bundled fault plan, if it has one. The case-study configurations
+//! behind the paper's figures are reproduced by the `figures` binary
+//! and the examples.
 
-use lognic::devices::liquidio::{Accelerator, LiquidIo};
-use lognic::devices::stingray::IoPattern;
+use lognic::devices::liquidio::Accelerator;
 use lognic::optimizer::suggest;
 use lognic::prelude::*;
-use lognic::workloads::{inline_accel, microservices, nf_placement, nvmeof, panic_scenarios};
+use lognic::workloads::{microservices, panic_scenarios};
 
 struct Flags {
-    rate_gbps: Option<f64>,
-    size: Option<u64>,
-    cores: Option<u32>,
+    rate: Option<Bandwidth>,
     seed: u64,
     ms: f64,
 }
 
 fn parse_flags(args: &[String]) -> Result<Flags, String> {
     let mut flags = Flags {
-        rate_gbps: None,
-        size: None,
-        cores: None,
+        rate: None,
         seed: 42,
         ms: 40.0,
     };
@@ -36,20 +39,7 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         let name = arg.as_str();
         let mut value = || it.next().ok_or_else(|| format!("{name} needs a value"));
         match name {
-            "--rate-gbps" => flags.rate_gbps = Some(positive(name, value()?)?),
-            "--size" => match integer(name, value()?)? {
-                0 => return Err("--size must be at least 1 byte".to_owned()),
-                size => flags.size = Some(size),
-            },
-            "--cores" => match integer(name, value()?)? {
-                cores @ 1..=LiquidIo::CORES => flags.cores = Some(cores),
-                cores => {
-                    return Err(format!(
-                        "--cores {cores} is outside 1..={}",
-                        LiquidIo::CORES
-                    ))
-                }
-            },
+            "--rate-gbps" => flags.rate = Some(rate(name, value()?)?),
             "--seed" => flags.seed = integer(name, value()?)?,
             "--ms" => flags.ms = horizon_ms(name, value()?)?,
             other => return Err(format!("unknown flag `{other}`")),
@@ -66,6 +56,18 @@ fn integer<T: std::str::FromStr<Err = std::num::ParseIntError>>(
     value
         .parse()
         .map_err(|e| format!("{name} `{value}`: {e} (expected an unsigned integer)"))
+}
+
+/// An offered rate in Gb/s whose bit rate is finite: `1e300` Gb/s is
+/// a finite number of gigabits, but not of bits.
+fn rate(name: &str, value: &str) -> Result<Bandwidth, String> {
+    let gbps = positive(name, value)?;
+    if !(gbps * 1e9).is_finite() {
+        return Err(format!(
+            "{name} `{value}`: {gbps:e} Gb/s is past any finite bit rate"
+        ));
+    }
+    Ok(Bandwidth::gbps(gbps))
 }
 
 /// A simulated horizon in milliseconds that the picosecond clock can
@@ -89,93 +91,6 @@ fn positive(name: &str, value: &str) -> Result<f64, String> {
             "{name} `{value}`: expected a finite positive number"
         )),
     }
-}
-
-const SCENARIOS: [(&str, &str); 10] = [
-    (
-        "inline-md5",
-        "LiquidIO inline MD5 at MTU line rate (case study 1)",
-    ),
-    ("inline-crc", "LiquidIO inline CRC at MTU line rate"),
-    ("inline-hfa", "LiquidIO inline HFA (off-chip regex engine)"),
-    (
-        "nvmeof-rrd4k",
-        "Stingray NVMe-oF target, 4KB random reads (case study 2)",
-    ),
-    (
-        "nvmeof-swr4k",
-        "Stingray NVMe-oF target, 4KB sequential writes",
-    ),
-    (
-        "e3-nfvdin-opt",
-        "E3 intrusion detection, LogNIC-opt cores (case study 3)",
-    ),
-    (
-        "e3-nfvdin-rr",
-        "E3 intrusion detection, round-robin baseline",
-    ),
-    (
-        "nf-opt",
-        "BlueField-2 NF chain, optimal placement (case study 4)",
-    ),
-    (
-        "panic-credits",
-        "PANIC pipelined chain, default credits (case study 5)",
-    ),
-    (
-        "panic-steering",
-        "PANIC parallelized chain, LogNIC steering split",
-    ),
-];
-
-fn build(name: &str, flags: &Flags) -> Option<Scenario> {
-    let size = Bytes::new(flags.size.unwrap_or(1500));
-    let rate = |default: f64| Bandwidth::gbps(flags.rate_gbps.unwrap_or(default));
-    Some(match name {
-        "inline-md5" => inline_accel::inline(
-            Accelerator::Md5,
-            flags.cores.unwrap_or(LiquidIo::CORES),
-            size,
-            rate(25.0),
-        ),
-        "inline-crc" => inline_accel::inline(
-            Accelerator::Crc,
-            flags.cores.unwrap_or(LiquidIo::CORES),
-            size,
-            rate(25.0),
-        ),
-        "inline-hfa" => inline_accel::inline(
-            Accelerator::Hfa,
-            flags.cores.unwrap_or(LiquidIo::CORES),
-            size,
-            rate(25.0),
-        ),
-        "nvmeof-rrd4k" => nvmeof::nvmeof(IoPattern::RandRead4k, rate(15.0)),
-        "nvmeof-swr4k" => nvmeof::nvmeof(IoPattern::SeqWrite4k, rate(7.0)),
-        "e3-nfvdin-opt" => {
-            let app = microservices::App::NfvDin;
-            let rps =
-                0.85 * microservices::capacity(app, microservices::AllocationScheme::LogNicOpt);
-            microservices::scenario(app, microservices::AllocationScheme::LogNicOpt, rps)
-        }
-        "e3-nfvdin-rr" => {
-            let app = microservices::App::NfvDin;
-            let rps =
-                0.85 * microservices::capacity(app, microservices::AllocationScheme::LogNicOpt);
-            microservices::scenario(app, microservices::AllocationScheme::RoundRobin, rps)
-        }
-        "nf-opt" => {
-            let placement = nf_placement::optimal_for(size);
-            nf_placement::scenario(placement, size, rate(60.0))
-        }
-        "panic-credits" => {
-            panic_scenarios::pipelined_chain(8, panic_scenarios::CREDIT_PROFILES[0], rate(100.0))
-        }
-        "panic-steering" => {
-            panic_scenarios::steering(panic_scenarios::lognic_steering_split(), size, rate(80.0))
-        }
-        _ => return None,
-    })
 }
 
 fn cmd_estimate(s: &Scenario) -> Result<(), String> {
@@ -206,14 +121,19 @@ fn cmd_estimate(s: &Scenario) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_simulate(s: &Scenario, flags: &Flags) {
+fn cmd_simulate(s: &Scenario, plan: Option<FaultPlan>, flags: &Flags) -> Result<(), String> {
     let cfg = SimConfig {
         seed: flags.seed,
         duration: Seconds::millis(flags.ms),
         warmup: Seconds::millis(flags.ms * 0.2),
         ..SimConfig::default()
     };
-    let r = s.simulate(cfg);
+    let mut builder = Simulation::builder(&s.graph, &s.hardware, &s.traffic).config(cfg);
+    let windows = plan.as_ref().map(|p| p.windows().len());
+    if let Some(plan) = plan {
+        builder = builder.with_fault_plan(plan);
+    }
+    let r = builder.run().map_err(|e| e.to_string())?;
     println!("scenario  : {}", s.name);
     println!("offered   : {}", r.offered);
     println!("throughput: {}", r.throughput);
@@ -223,10 +143,20 @@ fn cmd_simulate(s: &Scenario, flags: &Flags) {
         r.dropped,
         r.loss_rate() * 100.0
     );
-    println!(
-        "latency   : mean {}  p50 {}  p99 {}  max {}",
-        r.latency.mean, r.latency.p50, r.latency.p99, r.latency.max
-    );
+    if r.latency.count == 0 {
+        println!("latency   : no packet measured");
+    } else {
+        println!(
+            "latency   : mean {}  p50 {}  p99 {}  max {}",
+            r.latency.mean, r.latency.p50, r.latency.p99, r.latency.max
+        );
+    }
+    if let Some(windows) = windows {
+        println!(
+            "faults    : {windows} windows, {} retries, {} timed out",
+            r.retries, r.timed_out
+        );
+    }
     println!();
     println!("nodes:");
     for n in &r.nodes {
@@ -244,6 +174,7 @@ fn cmd_simulate(s: &Scenario, flags: &Flags) {
             m.utilization
         );
     }
+    Ok(())
 }
 
 fn cmd_suggest() {
@@ -310,12 +241,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let usage = || {
-        eprintln!("usage: lognic (list | estimate <scenario> | simulate <scenario> | dot <scenario> | suggest | serve) [flags]");
-        eprintln!("flags: --rate-gbps N  --size BYTES  --cores N  --seed N  --ms N");
-        eprintln!("scenarios:");
-        for (name, desc) in SCENARIOS {
-            eprintln!("  {name:<16} {desc}");
-        }
+        eprintln!("usage: lognic (list | estimate <workload> | simulate <workload> | dot <workload> | suggest | serve) [flags]");
+        eprintln!("flags: --rate-gbps N  --seed N  --ms N");
+        eprintln!("workloads: {}", registry::names().join(" "));
     };
     if args.is_empty() {
         usage();
@@ -323,8 +251,8 @@ fn main() {
     }
     let result: Result<(), String> = match args[0].as_str() {
         "list" => {
-            for (name, desc) in SCENARIOS {
-                println!("{name:<16} {desc}");
+            for entry in registry::ALL {
+                println!("{:<16} {}", entry.name, entry.provenance);
             }
             Ok(())
         }
@@ -338,23 +266,22 @@ fn main() {
                 usage();
                 std::process::exit(2);
             };
-            match parse_flags(&args[2..]) {
-                Err(e) => Err(e),
-                Ok(flags) => match build(name, &flags) {
-                    None => Err(format!("unknown scenario `{name}` (try `lognic list`)")),
-                    Some(s) => match cmd {
-                        "estimate" => cmd_estimate(&s),
-                        "simulate" => {
-                            cmd_simulate(&s, &flags);
-                            Ok(())
-                        }
-                        _ => {
-                            print!("{}", s.graph.to_dot());
-                            Ok(())
-                        }
-                    },
-                },
-            }
+            parse_flags(&args[2..]).and_then(|flags| {
+                let entry = registry::find(name)
+                    .ok_or_else(|| format!("unknown workload `{name}` (try `lognic list`)"))?;
+                let (mut scenario, plan) = entry.build();
+                if let Some(rate) = flags.rate {
+                    scenario = scenario.at_rate(rate);
+                }
+                match cmd {
+                    "estimate" => cmd_estimate(&scenario),
+                    "simulate" => cmd_simulate(&scenario, plan, &flags),
+                    _ => {
+                        print!("{}", scenario.graph.to_dot());
+                        Ok(())
+                    }
+                }
+            })
         }
         other => Err(format!("unknown command `{other}`")),
     };

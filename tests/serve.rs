@@ -459,6 +459,8 @@ fn refused_requests_past_the_clock_are_answered() {
 /// one that overflows only once retries inflate it fails its degraded
 /// evaluation, and a rate so small that the first packet's gap passes
 /// the clock simulates a run in which nothing arrives, in both modes.
+/// That run measured no latency, so it reports none rather than zero,
+/// and a refused extreme horizon is named in a few bytes.
 #[test]
 fn extreme_rates_are_answered_in_both_modes() {
     let field = |doc: &lognic::service::Json, path: &[&str]| {
@@ -503,6 +505,19 @@ fn extreme_rates_are_answered_in_both_modes() {
             Some(0.0),
             "{out}"
         );
+        assert_eq!(
+            field(&doc, &["latency_s"]),
+            lognic::service::Json::Null,
+            "{out}"
+        );
+        for line in [
+            r#"{"kind":"simulate","graph":"nvmeof","duration_ms":1e300}"#,
+            r#"{"kind":"simulate","graph":"nvmeof","duration_ms":-1e300}"#,
+        ] {
+            let out = service.handle_line(line);
+            assert!(out.len() <= 160, "{line}: {out}");
+            assert!(out.contains("invalid_parameter"), "{line}: {out}");
+        }
     }
 }
 
