@@ -278,6 +278,9 @@ fn workloads() -> Vec<Workload> {
 }
 
 fn builder_for(w: &Workload, millis: f64) -> Simulation {
+    let faults = w.plan.as_ref().map(|p| {
+        CompiledFaultPlan::compile(p, &w.scenario.graph).expect("workload fault plans are valid")
+    });
     let mut b = Simulation::builder(&w.scenario.graph, &w.scenario.hardware, &w.scenario.traffic)
         .config(SimConfig {
             seed: 42,
@@ -285,8 +288,8 @@ fn builder_for(w: &Workload, millis: f64) -> Simulation {
             warmup: Seconds::millis(millis * 0.2),
             ..SimConfig::default()
         });
-    if let Some(plan) = &w.plan {
-        b = b.with_fault_plan(plan.clone());
+    if let Some(faults) = &faults {
+        b = b.with_compiled_faults(faults);
     }
     if let Some(trace) = &w.trace {
         b = b.with_trace(trace.clone());

@@ -131,15 +131,15 @@ fn workload(name: &str) -> (Scenario, Option<FaultPlan>) {
 
 fn builder<'a>(
     scenario: &'a Scenario,
-    plan: &Option<FaultPlan>,
+    faults: Option<&'a CompiledFaultPlan>,
     opts: &Options,
 ) -> SimulationBuilder<'a> {
     let mut b = Simulation::builder(&scenario.graph, &scenario.hardware, &scenario.traffic)
         .seed(opts.seed)
         .duration(Seconds::millis(opts.millis))
         .warmup(Seconds::millis(opts.millis * 0.1));
-    if let Some(plan) = plan {
-        b = b.with_fault_plan(plan.clone());
+    if let Some(faults) = faults {
+        b = b.with_compiled_faults(faults);
     }
     b
 }
@@ -160,11 +160,14 @@ fn emit(out: &Option<String>, text: &str) {
 fn main() {
     let opts = parse_args();
     let (scenario, plan) = workload(&opts.workload);
+    let faults = plan.map(|p| {
+        CompiledFaultPlan::compile(&p, &scenario.graph).expect("registry fault plans are valid")
+    });
 
     let (report, text) = match opts.format.as_str() {
         "chrome" => {
             let mut trace = ChromeTrace::new().with_limit(opts.limit);
-            let report = builder(&scenario, &plan, &opts)
+            let report = builder(&scenario, faults.as_ref(), &opts)
                 .run_with(&mut trace)
                 .expect("trace workloads are valid");
             if trace.truncated() > 0 {
@@ -179,7 +182,7 @@ fn main() {
         }
         "csv" | "json" => {
             let mut sampler = TimeSeriesSampler::new(Seconds::micros(opts.dt_us));
-            let report = builder(&scenario, &plan, &opts)
+            let report = builder(&scenario, faults.as_ref(), &opts)
                 .run_with(&mut sampler)
                 .expect("trace workloads are valid");
             let timeline = sampler.into_timeline();
@@ -194,7 +197,7 @@ fn main() {
             // --ring-kib sizes the buffer of typed records.
             let record = std::mem::size_of::<(SimTime, SimEvent)>();
             let mut ring = RingLog::with_capacity(opts.ring_kib * 1024 / record);
-            let report = builder(&scenario, &plan, &opts)
+            let report = builder(&scenario, faults.as_ref(), &opts)
                 .run_with(&mut ring)
                 .expect("trace workloads are valid");
             let records = ring.records();

@@ -25,7 +25,6 @@ use crate::units::Seconds;
 /// What a fault does to the node it targets while its window is
 /// active.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[non_exhaustive]
 pub enum FaultKind {
     /// Engines crashed / firmware reset: every arriving packet is
     /// refused. Packets already in service complete normally.
@@ -64,14 +63,87 @@ impl FaultKind {
 
     /// True when this fault can cause packet loss at the node.
     pub fn is_lossy(self) -> bool {
-        matches!(
-            self,
-            FaultKind::Outage | FaultKind::PacketDrop { .. } | FaultKind::CreditLoss { .. }
-        )
+        match self {
+            FaultKind::Outage | FaultKind::PacketDrop { .. } | FaultKind::CreditLoss { .. } => true,
+            FaultKind::RateDegradation { .. } | FaultKind::PacketCorruption { .. } => false,
+        }
     }
 
-    fn validate(self, node: &str) -> LogNicResult<()> {
-        let _ = node;
+    /// A short stable label.
+    pub fn label(self) -> &'static str {
+        match self {
+            FaultKind::Outage => "outage",
+            FaultKind::RateDegradation { .. } => "rate_degradation",
+            FaultKind::PacketDrop { .. } => "packet_drop",
+            FaultKind::PacketCorruption { .. } => "packet_corruption",
+            FaultKind::CreditLoss { .. } => "credit_loss",
+        }
+    }
+
+    /// The window's scalar parameter (1.0 for outages).
+    pub fn parameter(self) -> f64 {
+        match self {
+            FaultKind::Outage => 1.0,
+            FaultKind::RateDegradation { factor } => factor,
+            FaultKind::PacketDrop { probability } => probability,
+            FaultKind::PacketCorruption { probability } => probability,
+            FaultKind::CreditLoss { credits } => credits as f64,
+        }
+    }
+
+    /// The fraction of the nominal service rate the node keeps while
+    /// the window is open: `factor` under rate degradation, 1 for
+    /// every other kind (an outage refuses arrivals rather than
+    /// slowing service).
+    pub fn rate_factor(self) -> f64 {
+        match self {
+            FaultKind::RateDegradation { factor } => factor,
+            FaultKind::Outage
+            | FaultKind::PacketDrop { .. }
+            | FaultKind::PacketCorruption { .. }
+            | FaultKind::CreditLoss { .. } => 1.0,
+        }
+    }
+
+    /// The probability an arrival is dropped while the window is
+    /// open: `probability` for a packet-drop window, 0 for every other
+    /// kind (an outage's refusal is its own effect).
+    pub fn drop_probability(self) -> f64 {
+        match self {
+            FaultKind::PacketDrop { probability } => probability,
+            FaultKind::Outage
+            | FaultKind::RateDegradation { .. }
+            | FaultKind::PacketCorruption { .. }
+            | FaultKind::CreditLoss { .. } => 0.0,
+        }
+    }
+
+    /// The probability an arrival is corrupted while the window is
+    /// open: `probability` for a corruption window, 0 otherwise.
+    pub fn corruption_probability(self) -> f64 {
+        match self {
+            FaultKind::PacketCorruption { probability } => probability,
+            FaultKind::Outage
+            | FaultKind::RateDegradation { .. }
+            | FaultKind::PacketDrop { .. }
+            | FaultKind::CreditLoss { .. } => 0.0,
+        }
+    }
+
+    /// The credits removed from the node's bounded queue while the
+    /// window is open: `credits` for a credit-loss window, 0
+    /// otherwise.
+    pub fn credits_lost(self) -> u32 {
+        match self {
+            FaultKind::CreditLoss { credits } => credits,
+            FaultKind::Outage
+            | FaultKind::RateDegradation { .. }
+            | FaultKind::PacketDrop { .. }
+            | FaultKind::PacketCorruption { .. } => 0,
+        }
+    }
+
+    fn validate(self) -> LogNicResult<()> {
         match self {
             FaultKind::Outage => Ok(()),
             FaultKind::RateDegradation { factor } => {
@@ -299,8 +371,9 @@ impl RetryPolicy {
 ///
 /// Windows accumulate via the builder-style methods; recovery
 /// semantics (retry, deadline) apply plan-wide. The plan is inert
-/// until handed to a simulation (`SimulationBuilder::with_fault_plan`)
-/// or the degraded-mode estimator.
+/// until compiled for a simulation (`CompiledFaultPlan::compile`, then
+/// `SimulationBuilder::with_compiled_faults`) or handed to the
+/// degraded-mode estimator.
 ///
 /// # Examples
 ///
@@ -413,12 +486,6 @@ impl FaultPlan {
         self.deadline
     }
 
-    /// True when the plan schedules no faults and installs no
-    /// recovery semantics.
-    pub fn is_empty(&self) -> bool {
-        self.windows.is_empty() && self.retry.is_none() && self.deadline.is_none()
-    }
-
     /// Validates the plan against an execution graph: every window
     /// must target an existing node, carry in-range parameters, and
     /// span a non-empty time range.
@@ -434,7 +501,7 @@ impl FaultPlan {
                     node: w.node.clone(),
                 });
             }
-            w.kind.validate(&w.node)?;
+            w.kind.validate()?;
             let (from, until) = (w.from.as_secs(), w.until.as_secs());
             if !(from.is_finite() && until.is_finite()) || until <= from {
                 return Err(LogNicError::InvalidFaultWindow {
@@ -487,17 +554,6 @@ impl FaultPlan {
     // over the horizon (Poisson), so a window's effect is weighted by
     // its duty cycle.
 
-    /// The fraction of `[0, horizon]` during which `node` is fully
-    /// out.
-    pub fn outage_fraction(&self, node: &str, horizon: Seconds) -> f64 {
-        self.windows
-            .iter()
-            .filter(|w| w.node == node && matches!(w.kind, FaultKind::Outage))
-            .map(|w| w.duty_cycle(horizon))
-            .sum::<f64>()
-            .min(1.0)
-    }
-
     /// The time-averaged service-rate multiplier of `node` over the
     /// horizon: 1 outside fault windows, `factor` under rate
     /// degradation, 0 during an outage.
@@ -505,11 +561,11 @@ impl FaultPlan {
         let mut factor = 1.0;
         for w in self.windows.iter().filter(|w| w.node == node) {
             let duty = w.duty_cycle(horizon);
-            match w.kind {
-                FaultKind::Outage => factor -= duty,
-                FaultKind::RateDegradation { factor: f } => factor -= duty * (1.0 - f),
-                _ => {}
-            }
+            factor -= if w.kind == FaultKind::Outage {
+                duty
+            } else {
+                duty * (1.0 - w.kind.rate_factor())
+            };
         }
         factor.clamp(0.0, 1.0)
     }
@@ -521,11 +577,11 @@ impl FaultPlan {
         let mut p = 0.0;
         for w in self.windows.iter().filter(|w| w.node == node) {
             let duty = w.duty_cycle(horizon);
-            match w.kind {
-                FaultKind::Outage => p += duty,
-                FaultKind::PacketDrop { probability } => p += duty * probability,
-                _ => {}
-            }
+            p += if w.kind == FaultKind::Outage {
+                duty
+            } else {
+                duty * w.kind.drop_probability()
+            };
         }
         p.min(1.0)
     }
@@ -535,10 +591,7 @@ impl FaultPlan {
         self.windows
             .iter()
             .filter(|w| w.node == node)
-            .map(|w| match w.kind {
-                FaultKind::PacketCorruption { probability } => w.duty_cycle(horizon) * probability,
-                _ => 0.0,
-            })
+            .map(|w| w.duty_cycle(horizon) * w.kind.corruption_probability())
             .sum::<f64>()
             .min(1.0)
     }
@@ -548,10 +601,7 @@ impl FaultPlan {
         self.windows
             .iter()
             .filter(|w| w.node == node)
-            .map(|w| match w.kind {
-                FaultKind::CreditLoss { credits } => w.duty_cycle(horizon) * credits as f64,
-                _ => 0.0,
-            })
+            .map(|w| w.duty_cycle(horizon) * w.kind.credits_lost() as f64)
             .sum()
     }
 
@@ -617,7 +667,6 @@ mod tests {
     #[test]
     fn empty_plan_is_identity() {
         let p = FaultPlan::new();
-        assert!(p.is_empty());
         let h = Seconds::millis(10.0);
         assert_eq!(p.rate_factor("a", h), 1.0);
         assert_eq!(p.drop_probability("a", h), 0.0);
@@ -643,7 +692,6 @@ mod tests {
                                                                                   // 1 − 0.2 − 0.5·0.5 = 0.55
         assert!((p.rate_factor("a", h) - 0.55).abs() < 1e-12);
         assert_eq!(p.rate_factor("b", h), 1.0);
-        assert!((p.outage_fraction("a", h) - 0.2).abs() < 1e-12);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! deterministic *cost* the admission layer charges it with — the
 //! quantity both the deadline check and the load gauge operate on.
 
-use lognic_model::fault::{FaultPlan, RetryPolicy};
+use lognic_model::fault::{FaultKind, FaultPlan, RetryPolicy};
 use lognic_model::units::Seconds;
 
 use crate::error::ServiceError;
@@ -86,30 +86,6 @@ impl RequestKind {
     }
 }
 
-/// One inline fault window of an `estimate_degraded` request.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultSpec {
-    /// Target node name.
-    pub node: String,
-    /// What the fault does.
-    pub effect: FaultEffect,
-    /// Window start, milliseconds.
-    pub from_ms: f64,
-    /// Window end, milliseconds.
-    pub until_ms: f64,
-}
-
-/// The effect of an inline fault window.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FaultEffect {
-    /// Full outage.
-    Outage,
-    /// Serve at this fraction of nominal rate.
-    Degrade(f64),
-    /// Drop each packet with this probability.
-    Drop(f64),
-}
-
 /// A fully decoded, domain-validated request.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Request {
@@ -127,10 +103,10 @@ pub struct Request {
     pub deny_warnings: bool,
     /// Fault horizon for `estimate_degraded`, milliseconds.
     pub horizon_ms: f64,
-    /// Inline fault windows (empty = use the workload's bundled plan).
-    pub faults: Vec<FaultSpec>,
-    /// Retry policy `(budget, base_backoff_us)` for inline faults.
-    pub retry: Option<(u32, f64)>,
+    /// The inline fault plan: the `faults` windows under the `retry`
+    /// policy, or `None` when the request declares no window (the
+    /// workload's bundled plan applies instead).
+    pub faults: Option<FaultPlan>,
     /// Sweep fractions of the offered rate.
     pub fractions: Vec<f64>,
     /// Replication width for `simulate`.
@@ -179,32 +155,38 @@ pub(crate) fn shown(n: f64) -> String {
     }
 }
 
-fn finite_positive(v: &Json, field: &str) -> Result<f64, ServiceError> {
-    let n = v.as_f64().ok_or_else(|| ServiceError::InvalidParameter {
+/// `v` as a number for which `accept` holds; otherwise an
+/// `invalid_parameter` refusal saying the number "is not {what}".
+fn checked(
+    v: &Json,
+    field: &str,
+    what: &str,
+    accept: impl Fn(f64) -> bool,
+) -> Result<f64, ServiceError> {
+    let refuse = |reason| ServiceError::InvalidParameter {
         parameter: field.to_owned(),
-        reason: "must be a number".into(),
-    })?;
-    if !n.is_finite() || n <= 0.0 {
-        return Err(ServiceError::InvalidParameter {
-            parameter: field.to_owned(),
-            reason: format!("{} is not finite and positive", shown(n)),
-        });
+        reason,
+    };
+    let n = v
+        .as_f64()
+        .ok_or_else(|| refuse("must be a number".into()))?;
+    if n.is_finite() && accept(n) {
+        Ok(n)
+    } else {
+        Err(refuse(format!("{} is not {what}", shown(n))))
     }
-    Ok(n)
+}
+
+fn finite_positive(v: &Json, field: &str) -> Result<f64, ServiceError> {
+    checked(v, field, "finite and positive", |n| n > 0.0)
+}
+
+fn finite_non_negative(v: &Json, field: &str) -> Result<f64, ServiceError> {
+    checked(v, field, "finite and non-negative", |n| n >= 0.0)
 }
 
 fn probability(v: &Json, field: &str) -> Result<f64, ServiceError> {
-    let n = v.as_f64().ok_or_else(|| ServiceError::InvalidParameter {
-        parameter: field.to_owned(),
-        reason: "must be a number".into(),
-    })?;
-    if !n.is_finite() || !(0.0..=1.0).contains(&n) {
-        return Err(ServiceError::InvalidParameter {
-            parameter: field.to_owned(),
-            reason: format!("{} is not in [0, 1]", shown(n)),
-        });
-    }
-    Ok(n)
+    checked(v, field, "in [0, 1]", |n| (0.0..=1.0).contains(&n))
 }
 
 /// Extracts the `id` field from a request line if one is decodable,
@@ -274,22 +256,10 @@ impl Request {
             })
             .transpose()?;
 
-        let deadline_ms = match doc.get("deadline_ms") {
-            None => None,
-            Some(v) => {
-                let n = v.as_f64().ok_or_else(|| ServiceError::InvalidParameter {
-                    parameter: "deadline_ms".into(),
-                    reason: "must be a number".into(),
-                })?;
-                if !n.is_finite() || n < 0.0 {
-                    return Err(ServiceError::InvalidParameter {
-                        parameter: "deadline_ms".into(),
-                        reason: format!("{} is not finite and non-negative", shown(n)),
-                    });
-                }
-                Some(n)
-            }
-        };
+        let deadline_ms = doc
+            .get("deadline_ms")
+            .map(|v| finite_non_negative(v, "deadline_ms"))
+            .transpose()?;
 
         let deny_warnings = match doc.get("deny_warnings") {
             None => false,
@@ -304,16 +274,15 @@ impl Request {
             .transpose()?
             .unwrap_or(10.0);
 
-        let faults = match doc.get("faults") {
-            None => Vec::new(),
+        let windows = match doc.get("faults") {
+            None => FaultPlan::new(),
             Some(v) => {
                 let items = v.as_arr().ok_or_else(|| ServiceError::InvalidRequest {
                     reason: "`faults` must be an array".into(),
                 })?;
-                items
-                    .iter()
-                    .map(|f| FaultSpec::decode(f, horizon_ms))
-                    .collect::<Result<Vec<_>, _>>()?
+                items.iter().try_fold(FaultPlan::new(), |plan, f| {
+                    decode_fault(plan, f, horizon_ms)
+                })?
             }
         };
 
@@ -337,9 +306,15 @@ impl Request {
                     .map(|b| finite_positive(b, "retry.backoff_us"))
                     .transpose()?
                     .unwrap_or(10.0);
-                Some((budget as u32, backoff_us))
+                Some(RetryPolicy::new(budget as u32, Seconds::micros(backoff_us)))
             }
         };
+        // A retry policy without windows has nothing to retry: the
+        // bundled plan, if any, applies unchanged.
+        let faults = (!windows.windows().is_empty()).then(|| match retry {
+            Some(rp) => windows.with_retry(rp),
+            None => windows,
+        });
 
         let fractions = match doc.get("fractions") {
             None => Vec::new(),
@@ -371,19 +346,22 @@ impl Request {
             });
         }
 
-        let seeds = match doc.get("seeds") {
-            None => 3,
-            Some(v) => {
-                let n = finite_positive(v, "seeds")?;
-                if n.fract() != 0.0 || n > u32::MAX as f64 {
-                    return Err(ServiceError::InvalidParameter {
-                        parameter: "seeds".into(),
-                        reason: "must be a whole number".into(),
-                    });
+        let whole_u32 = |field: &'static str, default: u32| -> Result<u32, ServiceError> {
+            match doc.get(field) {
+                None => Ok(default),
+                Some(v) => {
+                    let n = finite_positive(v, field)?;
+                    if n.fract() != 0.0 || n > u32::MAX as f64 {
+                        return Err(ServiceError::InvalidParameter {
+                            parameter: field.into(),
+                            reason: "must be a whole number".into(),
+                        });
+                    }
+                    Ok(n as u32)
                 }
-                n as u32
             }
         };
+        let seeds = whole_u32("seeds", 3)?;
 
         let duration_ms = doc
             .get("duration_ms")
@@ -405,21 +383,6 @@ impl Request {
             }
         };
 
-        let whole_u32 = |field: &'static str, default: u32| -> Result<u32, ServiceError> {
-            match doc.get(field) {
-                None => Ok(default),
-                Some(v) => {
-                    let n = finite_positive(v, field)?;
-                    if n.fract() != 0.0 || n > u32::MAX as f64 {
-                        return Err(ServiceError::InvalidParameter {
-                            parameter: field.into(),
-                            reason: "must be a whole number".into(),
-                        });
-                    }
-                    Ok(n as u32)
-                }
-            }
-        };
         let nics = whole_u32("nics", 4)?;
         let shards = whole_u32("shards", 1)?;
 
@@ -432,7 +395,6 @@ impl Request {
             deny_warnings,
             horizon_ms,
             faults,
-            retry,
             fractions,
             seeds,
             duration_ms,
@@ -462,95 +424,74 @@ impl Request {
         }
     }
 
-    /// Builds the [`FaultPlan`] for an `estimate_degraded` request
-    /// from its inline windows, or `None` when the request declares
-    /// none (the workload's bundled plan applies instead).
+    /// The inline fault plan, cloned: `None` when the request
+    /// declares no window (the workload's bundled plan applies
+    /// instead).
     pub fn fault_plan(&self) -> Option<FaultPlan> {
-        if self.faults.is_empty() {
-            return None;
-        }
-        let mut plan = FaultPlan::new();
-        for f in &self.faults {
-            let from = Seconds::millis(f.from_ms);
-            let until = Seconds::millis(f.until_ms);
-            plan = match f.effect {
-                FaultEffect::Outage => plan.outage(&f.node, from, until),
-                FaultEffect::Degrade(factor) => plan.degrade_rate(&f.node, factor, from, until),
-                FaultEffect::Drop(p) => plan.drop_packets(&f.node, p, from, until),
-            };
-        }
-        if let Some((budget, backoff_us)) = self.retry {
-            plan = plan.with_retry(RetryPolicy::new(budget, Seconds::micros(backoff_us)));
-        }
-        Some(plan)
+        self.faults.clone()
     }
 }
 
-impl FaultSpec {
-    fn decode(v: &Json, default_until_ms: f64) -> Result<FaultSpec, ServiceError> {
-        let node = v
-            .get("node")
+/// Decodes one inline fault window onto `plan`.
+fn decode_fault(
+    plan: FaultPlan,
+    v: &Json,
+    default_until_ms: f64,
+) -> Result<FaultPlan, ServiceError> {
+    let node =
+        v.get("node")
             .and_then(Json::as_str)
             .ok_or_else(|| ServiceError::InvalidRequest {
                 reason: "each fault needs a string `node`".into(),
-            })?
-            .to_owned();
-        let kind =
-            v.get("kind")
-                .and_then(Json::as_str)
-                .ok_or_else(|| ServiceError::InvalidRequest {
-                    reason: "each fault needs a string `kind`".into(),
-                })?;
-        let effect = match kind {
-            "outage" => FaultEffect::Outage,
-            "degrade" => FaultEffect::Degrade(finite_positive(
+            })?;
+    let kind =
+        v.get("kind")
+            .and_then(Json::as_str)
+            .ok_or_else(|| ServiceError::InvalidRequest {
+                reason: "each fault needs a string `kind`".into(),
+            })?;
+    let kind = match kind {
+        "outage" => FaultKind::Outage,
+        "degrade" => FaultKind::RateDegradation {
+            factor: finite_positive(
                 v.get("factor")
                     .ok_or_else(|| ServiceError::InvalidRequest {
                         reason: "`degrade` fault needs a `factor`".into(),
                     })?,
                 "faults.factor",
-            )?),
-            "drop" => FaultEffect::Drop(probability(
+            )?,
+        },
+        "drop" => FaultKind::PacketDrop {
+            probability: probability(
                 v.get("probability")
                     .ok_or_else(|| ServiceError::InvalidRequest {
                         reason: "`drop` fault needs a `probability`".into(),
                     })?,
                 "faults.probability",
-            )?),
-            other => {
-                return Err(ServiceError::InvalidRequest {
-                    reason: format!("unknown fault kind `{other}` (outage, degrade, drop)"),
-                })
-            }
-        };
-        let from_ms = match v.get("from_ms") {
-            None => 0.0,
-            Some(n) => {
-                let n = n.as_f64().ok_or_else(|| ServiceError::InvalidParameter {
-                    parameter: "faults.from_ms".into(),
-                    reason: "must be a number".into(),
-                })?;
-                if !n.is_finite() || n < 0.0 {
-                    return Err(ServiceError::InvalidParameter {
-                        parameter: "faults.from_ms".into(),
-                        reason: format!("{} is not finite and non-negative", shown(n)),
-                    });
-                }
-                n
-            }
-        };
-        let until_ms = v
-            .get("until_ms")
-            .map(|n| finite_positive(n, "faults.until_ms"))
-            .transpose()?
-            .unwrap_or(default_until_ms);
-        Ok(FaultSpec {
-            node,
-            effect,
-            from_ms,
-            until_ms,
-        })
-    }
+            )?,
+        },
+        other => {
+            return Err(ServiceError::InvalidRequest {
+                reason: format!("unknown fault kind `{other}` (outage, degrade, drop)"),
+            })
+        }
+    };
+    let from_ms = v
+        .get("from_ms")
+        .map(|n| finite_non_negative(n, "faults.from_ms"))
+        .transpose()?
+        .unwrap_or(0.0);
+    let until_ms = v
+        .get("until_ms")
+        .map(|n| finite_positive(n, "faults.until_ms"))
+        .transpose()?
+        .unwrap_or(default_until_ms);
+    Ok(plan.with_fault(
+        node,
+        kind,
+        Seconds::millis(from_ms),
+        Seconds::millis(until_ms),
+    ))
 }
 
 #[cfg(test)]
@@ -631,8 +572,20 @@ mod tests {
         )
         .unwrap();
         let plan = r.fault_plan().expect("two windows declared");
+        let kinds: Vec<FaultKind> = plan.windows().iter().map(|w| w.kind()).collect();
+        assert_eq!(
+            kinds,
+            [
+                FaultKind::PacketDrop { probability: 0.2 },
+                FaultKind::Outage
+            ]
+        );
+        assert_eq!(plan.windows()[0].until(), Seconds::millis(8.0), "horizon");
         assert_eq!(plan.retry().map(|rp| rp.budget()), Some(3));
         assert_eq!(r.cost(), 2);
+        // A retry policy alone declares no plan.
+        let r = decode(r#"{"kind":"simulate","graph":"x","retry":{"budget":3}}"#).unwrap();
+        assert_eq!(r.fault_plan(), None);
     }
 
     #[test]

@@ -349,8 +349,7 @@ impl Service {
         };
         // One analysis per request, over the plan the request runs
         // under: its inline `faults`, else the graph's bundled plan.
-        let inline = req.fault_plan();
-        let plan = inline.as_ref().or(entry.plan.as_ref());
+        let plan = req.faults.as_ref().or(entry.plan.as_ref());
         let analysis = AnalysisConfig::new().deny_warnings(req.deny_warnings);
         let analyzer = Analyzer::new(&scenario.graph)
             .with_hardware(&scenario.hardware)

@@ -1,11 +1,13 @@
 //! Fault injection for the discrete-event simulator.
 //!
-//! The declarative side — [`FaultPlan`], [`FaultKind`],
+//! The fault vocabulary — [`FaultPlan`], [`FaultKind`],
 //! [`FaultWindow`], [`RetryPolicy`] — lives in
-//! [`lognic_model::fault`] so the analytical model can evaluate the
-//! same plan; this module re-exports it and adds the runtime side:
-//! the per-node compiled schedule the event loop consults on every
-//! arrival.
+//! [`lognic_model::fault`] so the analytical model, the service
+//! decoder and the trace sinks all speak it; this module re-exports
+//! it and adds the runtime side: the per-node compiled schedule the
+//! event loop consults on every arrival. A compiled window keeps its
+//! declarative [`FaultKind`]; only its bounds change units, from
+//! seconds to the picosecond clock.
 //!
 //! Compiled schedules are deliberately simple (a linear scan of a
 //! node's windows): plans hold a handful of windows, and the scan is
@@ -20,32 +22,18 @@ use std::sync::Arc;
 
 use lognic_model::error::LogNicResult;
 use lognic_model::graph::ExecutionGraph;
+use lognic_model::units::Seconds;
 
 use crate::time::SimTime;
-
-/// A fault effect compiled to simulator time.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum CompiledKind {
-    /// Refuse every arrival.
-    Outage,
-    /// Serve at this fraction of the nominal rate.
-    Rate(f64),
-    /// Refuse each arrival with this probability.
-    Drop(f64),
-    /// Corrupt each arrival with this probability.
-    Corrupt(f64),
-    /// Remove this many credits from the node's bounded queue.
-    CreditLoss(u32),
-}
 
 /// One node's compiled fault schedule.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct NodeFaults {
-    windows: Vec<(SimTime, SimTime, CompiledKind)>,
+    windows: Vec<(SimTime, SimTime, FaultKind)>,
 }
 
 impl NodeFaults {
-    pub(crate) fn push(&mut self, from: SimTime, until: SimTime, kind: CompiledKind) {
+    pub(crate) fn push(&mut self, from: SimTime, until: SimTime, kind: FaultKind) {
         self.windows.push((from, until, kind));
     }
 
@@ -58,11 +46,11 @@ impl NodeFaults {
 
     /// The compiled window schedule, for trace observers reporting
     /// fault windows at run start.
-    pub(crate) fn windows(&self) -> &[(SimTime, SimTime, CompiledKind)] {
+    pub(crate) fn windows(&self) -> &[(SimTime, SimTime, FaultKind)] {
         &self.windows
     }
 
-    fn active(&self, now: SimTime) -> impl Iterator<Item = CompiledKind> + '_ {
+    fn active(&self, now: SimTime) -> impl Iterator<Item = FaultKind> + '_ {
         self.windows
             .iter()
             .filter(move |(from, until, _)| now >= *from && now < *until)
@@ -71,18 +59,13 @@ impl NodeFaults {
 
     /// True when an outage window covers `now`.
     pub(crate) fn outage_at(&self, now: SimTime) -> bool {
-        self.active(now).any(|k| matches!(k, CompiledKind::Outage))
+        self.active(now).any(|k| k == FaultKind::Outage)
     }
 
     /// The product of all active rate-degradation factors (1.0 when
     /// none are active). Outages are handled separately.
     pub(crate) fn rate_factor_at(&self, now: SimTime) -> f64 {
-        self.active(now)
-            .filter_map(|k| match k {
-                CompiledKind::Rate(f) => Some(f),
-                _ => None,
-            })
-            .product()
+        self.active(now).map(FaultKind::rate_factor).product()
     }
 
     /// The combined drop probability of all active drop windows:
@@ -90,10 +73,7 @@ impl NodeFaults {
     pub(crate) fn drop_prob_at(&self, now: SimTime) -> f64 {
         1.0 - self
             .active(now)
-            .filter_map(|k| match k {
-                CompiledKind::Drop(p) => Some(1.0 - p),
-                _ => None,
-            })
+            .map(|k| 1.0 - k.drop_probability())
             .product::<f64>()
     }
 
@@ -102,23 +82,22 @@ impl NodeFaults {
     pub(crate) fn corrupt_prob_at(&self, now: SimTime) -> f64 {
         1.0 - self
             .active(now)
-            .filter_map(|k| match k {
-                CompiledKind::Corrupt(p) => Some(1.0 - p),
-                _ => None,
-            })
+            .map(|k| 1.0 - k.corruption_probability())
             .product::<f64>()
     }
 
     /// The total credits removed from the node's bounded queue at
     /// `now`.
     pub(crate) fn credit_loss_at(&self, now: SimTime) -> u32 {
-        self.active(now)
-            .map(|k| match k {
-                CompiledKind::CreditLoss(c) => c,
-                _ => 0,
-            })
-            .sum()
+        self.active(now).map(FaultKind::credits_lost).sum()
     }
+}
+
+/// A time on the picosecond clock, saturated at [`SimTime::MAX`]: a
+/// window bound or deadline past the clock is one that a run never
+/// reaches. Validated plans hold only finite, non-negative times.
+fn saturating(t: Seconds) -> SimTime {
+    SimTime::try_from_secs(t.as_secs()).unwrap_or(SimTime::MAX)
 }
 
 /// A [`FaultPlan`] compiled against one execution graph: per-node
@@ -126,11 +105,17 @@ impl NodeFaults {
 /// the plan-wide retry policy and deadline.
 ///
 /// Compilation validates the plan and resolves node names exactly
-/// once. The per-node tables are held behind [`Arc`]s, so cloning a
-/// compiled plan (or installing it on a builder) is a few reference
-/// bumps — the replication engine compiles a plan once and shares it
-/// across all worker threads instead of cloning and re-validating the
-/// declarative plan per seed.
+/// once. Window bounds and the deadline saturate at [`SimTime::MAX`],
+/// so a window past the clock never opens (or never closes) inside a
+/// run instead of failing the conversion. The per-node tables are
+/// held behind [`Arc`]s, so cloning a compiled plan (or installing it
+/// on a builder) is a few reference bumps — the replication engine
+/// compiles a plan once and shares it across all worker threads
+/// instead of cloning and re-validating the declarative plan per
+/// seed. This is the simulator's only way in for a fault plan
+/// ([`SimulationBuilder::with_compiled_faults`]).
+///
+/// [`SimulationBuilder::with_compiled_faults`]: crate::sim::SimulationBuilder::with_compiled_faults
 ///
 /// # Examples
 ///
@@ -177,11 +162,7 @@ impl CompiledFaultPlan {
             let id = graph
                 .node_by_name(w.node())
                 .expect("validated plan only names graph nodes");
-            per_node[id.index()].push(
-                SimTime::from_secs(w.from().as_secs()),
-                SimTime::from_secs(w.until().as_secs()),
-                compile_kind(w.kind()),
-            );
+            per_node[id.index()].push(saturating(w.from()), saturating(w.until()), w.kind());
         }
         let empty = Arc::new(NodeFaults::default());
         Ok(CompiledFaultPlan {
@@ -196,29 +177,9 @@ impl CompiledFaultPlan {
                 })
                 .collect(),
             retry: plan.retry().copied(),
-            deadline: plan.deadline().map(|d| SimTime::from_secs(d.as_secs())),
+            deadline: plan.deadline().map(saturating),
             plan: plan.clone(),
         })
-    }
-
-    /// True when no node has a scheduled fault window.
-    pub fn is_fault_free(&self) -> bool {
-        self.per_node.iter().all(|f| f.is_empty())
-    }
-}
-
-/// Compiles a declarative fault kind to simulator time.
-pub(crate) fn compile_kind(kind: FaultKind) -> CompiledKind {
-    match kind {
-        FaultKind::Outage => CompiledKind::Outage,
-        FaultKind::RateDegradation { factor } => CompiledKind::Rate(factor),
-        FaultKind::PacketDrop { probability } => CompiledKind::Drop(probability),
-        FaultKind::PacketCorruption { probability } => CompiledKind::Corrupt(probability),
-        FaultKind::CreditLoss { credits } => CompiledKind::CreditLoss(credits),
-        // FaultKind is #[non_exhaustive]; unknown future kinds are
-        // rejected by FaultPlan::validate before compilation.
-        #[allow(unreachable_patterns)]
-        _ => unreachable!("unvalidated fault kind reached the compiler"),
     }
 }
 
@@ -244,7 +205,7 @@ mod tests {
     #[test]
     fn windows_are_half_open() {
         let mut f = NodeFaults::default();
-        f.push(t(2.0), t(4.0), CompiledKind::Outage);
+        f.push(t(2.0), t(4.0), FaultKind::Outage);
         assert!(!f.outage_at(t(1.9)));
         assert!(f.outage_at(t(2.0)), "start is inclusive");
         assert!(f.outage_at(t(3.9)));
@@ -254,12 +215,12 @@ mod tests {
     #[test]
     fn active_effects_compose() {
         let mut f = NodeFaults::default();
-        f.push(t(0.0), t(10.0), CompiledKind::Rate(0.5));
-        f.push(t(5.0), t(10.0), CompiledKind::Rate(0.5));
-        f.push(t(0.0), t(10.0), CompiledKind::Drop(0.5));
-        f.push(t(0.0), t(10.0), CompiledKind::Drop(0.5));
-        f.push(t(0.0), t(10.0), CompiledKind::CreditLoss(3));
-        f.push(t(0.0), t(10.0), CompiledKind::CreditLoss(4));
+        f.push(t(0.0), t(10.0), FaultKind::RateDegradation { factor: 0.5 });
+        f.push(t(5.0), t(10.0), FaultKind::RateDegradation { factor: 0.5 });
+        f.push(t(0.0), t(10.0), FaultKind::PacketDrop { probability: 0.5 });
+        f.push(t(0.0), t(10.0), FaultKind::PacketDrop { probability: 0.5 });
+        f.push(t(0.0), t(10.0), FaultKind::CreditLoss { credits: 3 });
+        f.push(t(0.0), t(10.0), FaultKind::CreditLoss { credits: 4 });
         assert_eq!(f.rate_factor_at(t(1.0)), 0.5);
         assert_eq!(f.rate_factor_at(t(6.0)), 0.25, "factors multiply");
         assert!((f.drop_prob_at(t(1.0)) - 0.75).abs() < 1e-12, "1-(1-p)^2");
@@ -284,7 +245,7 @@ mod tests {
             .with_deadline(Seconds::millis(5.0));
         let compiled = CompiledFaultPlan::compile(&plan, &g).unwrap();
         assert_eq!(compiled.per_node.len(), g.nodes().len());
-        assert!(!compiled.is_fault_free());
+        assert!(!compiled.per_node[g.node_by_name("a").unwrap().index()].is_empty());
         assert!(compiled.retry.is_some());
         assert_eq!(compiled.deadline, Some(SimTime::from_secs(5e-3)));
         // Cloning shares every per-node table.
@@ -297,28 +258,35 @@ mod tests {
         assert!(CompiledFaultPlan::compile(&bad, &g).is_err());
         // Fault-free plans share one empty table across all nodes.
         let free = CompiledFaultPlan::compile(&FaultPlan::new(), &g).unwrap();
-        assert!(free.is_fault_free());
+        assert!(free.per_node.iter().all(|f| f.is_empty()));
         assert!(Arc::ptr_eq(&free.per_node[0], &free.per_node[1]));
     }
 
     #[test]
-    fn compile_maps_every_declarative_kind() {
-        assert_eq!(compile_kind(FaultKind::Outage), CompiledKind::Outage);
+    fn bounds_past_the_clock_saturate() {
+        use lognic_model::params::IpParams;
+        use lognic_model::units::Bandwidth;
+        let g = ExecutionGraph::chain("c", &[("a", IpParams::new(Bandwidth::gbps(1.0)))]).unwrap();
+        let plan = FaultPlan::new()
+            .outage("a", Seconds::micros(100.0), Seconds::millis(1e300))
+            .drop_packets("a", 0.5, Seconds::millis(1e300), Seconds::millis(1e301))
+            .with_deadline(Seconds::millis(1e300));
+        let compiled = CompiledFaultPlan::compile(&plan, &g).unwrap();
+        let a = &compiled.per_node[g.node_by_name("a").unwrap().index()];
         assert_eq!(
-            compile_kind(FaultKind::RateDegradation { factor: 0.3 }),
-            CompiledKind::Rate(0.3)
+            a.windows(),
+            [
+                (t(100.0), SimTime::MAX, FaultKind::Outage),
+                (
+                    SimTime::MAX,
+                    SimTime::MAX,
+                    FaultKind::PacketDrop { probability: 0.5 }
+                ),
+            ]
         );
-        assert_eq!(
-            compile_kind(FaultKind::PacketDrop { probability: 0.1 }),
-            CompiledKind::Drop(0.1)
-        );
-        assert_eq!(
-            compile_kind(FaultKind::PacketCorruption { probability: 0.2 }),
-            CompiledKind::Corrupt(0.2)
-        );
-        assert_eq!(
-            compile_kind(FaultKind::CreditLoss { credits: 5 }),
-            CompiledKind::CreditLoss(5)
-        );
+        assert_eq!(compiled.deadline, Some(SimTime::MAX));
+        // The outage never closes; the drop window never opens.
+        assert!(a.outage_at(SimTime::from_picos(u64::MAX - 1)));
+        assert_eq!(a.drop_prob_at(SimTime::MAX), 0.0);
     }
 }

@@ -46,8 +46,9 @@
 //! Runs degrade gracefully under a [`faults::FaultPlan`]: outages,
 //! rate degradation, probabilistic drop/corruption and credit loss
 //! are scheduled per node, while a [`faults::RetryPolicy`] re-submits
-//! refused packets with exponential backoff. See
-//! [`sim::SimulationBuilder::with_fault_plan`].
+//! refused packets with exponential backoff. A plan is compiled once
+//! against its graph ([`faults::CompiledFaultPlan::compile`]) and
+//! installed with [`sim::SimulationBuilder::with_compiled_faults`].
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
@@ -94,9 +95,8 @@ pub mod prelude {
     pub use crate::stats::{MetricSummary, Welford};
     pub use crate::time::SimTime;
     pub use crate::trace::{
-        ArrivalRecorder, ChromeTrace, DropReason, FaultWindowKind, NodeAudit, NodeMeta,
-        NoopObserver, RingLog, RunAudit, RunMeta, Sample, SimEvent, SimObserver, TimeSeriesSampler,
-        Timeline,
+        ArrivalRecorder, ChromeTrace, DropReason, NodeAudit, NodeMeta, NoopObserver, RingLog,
+        RunAudit, RunMeta, Sample, SimEvent, SimObserver, TimeSeriesSampler, Timeline,
     };
     pub use crate::traffic::{ArrivalProcess, Injection, PacketTrace, TraceEntry, TrafficSource};
     pub use crate::wrr::{QueuePlan, QueueSpec};

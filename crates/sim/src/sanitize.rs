@@ -39,8 +39,9 @@
 use std::collections::{HashMap, HashSet};
 
 use crate::time::SimTime;
-use crate::trace::{FaultWindowKind, RunAudit, RunMeta, SimEvent, SimObserver};
+use crate::trace::{RunAudit, RunMeta, SimEvent, SimObserver};
 use lognic_model::error::{LogNicError, LogNicResult};
+use lognic_model::fault::FaultKind;
 
 /// Cap on recorded violations; a single broken invariant usually
 /// cascades, and the first few entries carry all the signal.
@@ -306,13 +307,12 @@ impl Sanitizer {
         }
     }
 
-    fn fault_window(&mut self, node: u32, kind: FaultWindowKind, from: SimTime, until: SimTime) {
-        if let FaultWindowKind::CreditLoss { credits } = kind {
-            if self.check_node(node) {
-                self.nodes[node as usize]
-                    .credit_windows
-                    .push((from, until, credits));
-            }
+    fn fault_window(&mut self, node: u32, kind: FaultKind, from: SimTime, until: SimTime) {
+        let credits = kind.credits_lost();
+        if credits > 0 && self.check_node(node) {
+            self.nodes[node as usize]
+                .credit_windows
+                .push((from, until, credits));
         }
     }
 
@@ -859,7 +859,7 @@ mod tests {
             t(0.0),
             SimEvent::FaultWindow {
                 node: 1,
-                kind: FaultWindowKind::CreditLoss { credits: 3 },
+                kind: FaultKind::CreditLoss { credits: 3 },
                 until: t(50.0),
             },
         );
@@ -892,7 +892,7 @@ mod tests {
             t(0.0),
             SimEvent::FaultWindow {
                 node: 1,
-                kind: FaultWindowKind::CreditLoss { credits: 3 },
+                kind: FaultKind::CreditLoss { credits: 3 },
                 until: t(5.0),
             },
         );

@@ -46,7 +46,7 @@ use lognic_model::units::{Bandwidth, Bytes, Seconds};
 
 use crate::arena::{PacketArena, PacketHandle, NO_PACKET};
 use crate::calendar::CalendarQueue;
-use crate::faults::{CompiledFaultPlan, CompiledKind, NodeFaults};
+use crate::faults::{CompiledFaultPlan, NodeFaults};
 use crate::histogram::LatencyRecorder;
 use crate::medium::{transfer_duration, Medium};
 use crate::metrics::{ClassReport, LatencySummary, MediumReport, NodeReport, SimReport};
@@ -57,8 +57,7 @@ use crate::service::{RateService, ServiceDist, ServiceModel};
 use crate::size_table::SizeTable;
 use crate::time::SimTime;
 use crate::trace::{
-    DropReason, FaultWindowKind, NodeAudit, NodeMeta, NoopObserver, RunAudit, RunMeta, SimEvent,
-    SimObserver,
+    DropReason, NodeAudit, NodeMeta, NoopObserver, RunAudit, RunMeta, SimEvent, SimObserver,
 };
 use crate::traffic::{ArrivalProcess, PacketTrace, TraceCursor, TrafficSource};
 use crate::wrr::{QueuePlan, WrrQueues};
@@ -220,17 +219,6 @@ impl QueueState {
     }
 }
 
-/// Maps a compiled fault effect to the public trace-facing kind.
-fn observed_kind(kind: CompiledKind) -> FaultWindowKind {
-    match kind {
-        CompiledKind::Outage => FaultWindowKind::Outage,
-        CompiledKind::Rate(factor) => FaultWindowKind::RateDegradation { factor },
-        CompiledKind::Drop(probability) => FaultWindowKind::PacketDrop { probability },
-        CompiledKind::Corrupt(probability) => FaultWindowKind::PacketCorruption { probability },
-        CompiledKind::CreditLoss(credits) => FaultWindowKind::CreditLoss { credits },
-    }
-}
-
 /// A node's engine model.
 enum NodeService {
     /// The default rate model: the mean service time depends on the
@@ -345,8 +333,7 @@ pub struct SimulationBuilder<'a> {
     overrides: Vec<(String, Box<dyn ServiceModel>)>,
     queue_plans: Vec<(String, QueuePlan)>,
     trace: Option<PacketTrace>,
-    plan: FaultPlan,
-    compiled: Option<&'a CompiledFaultPlan>,
+    faults: Option<&'a CompiledFaultPlan>,
     analysis: AnalysisConfig,
 }
 
@@ -422,15 +409,6 @@ impl<'a> SimulationBuilder<'a> {
         self
     }
 
-    /// Installs a composable fault-injection plan: scheduled fault
-    /// windows plus plan-wide retry/backoff and deadline semantics.
-    /// The plan is validated against the graph by
-    /// [`SimulationBuilder::build`].
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.plan = plan;
-        self
-    }
-
     /// Replaces the static-analysis severity policy the builder
     /// applies before constructing the runtime (the default policy
     /// denies hard errors — degenerate quantities, credit cycles —
@@ -440,16 +418,15 @@ impl<'a> SimulationBuilder<'a> {
         self
     }
 
-    /// Installs an already-compiled fault plan, sharing its per-node
-    /// tables by reference. Replicated runs compile a [`FaultPlan`]
-    /// once and hand the same [`CompiledFaultPlan`] to every seed.
-    ///
-    /// Takes precedence over [`SimulationBuilder::with_fault_plan`]:
-    /// when a compiled plan is installed, the declarative plan is
-    /// ignored (its node names are still validated), and the static
-    /// analysis lints the plan the tables were compiled from.
+    /// Installs a fault-injection plan — scheduled fault windows plus
+    /// plan-wide retry/backoff and deadline semantics — compiled once
+    /// against this builder's graph by [`CompiledFaultPlan::compile`],
+    /// which validates it. The builder shares the plan's per-node
+    /// tables by reference, so replicated runs hand the same compiled
+    /// plan to every seed, and the static analysis lints the
+    /// [`FaultPlan`] the tables were compiled from.
     pub fn with_compiled_faults(mut self, compiled: &'a CompiledFaultPlan) -> Self {
-        self.compiled = Some(compiled);
+        self.faults = Some(compiled);
         self
     }
 
@@ -458,27 +435,26 @@ impl<'a> SimulationBuilder<'a> {
     /// # Errors
     ///
     /// Returns a typed [`LogNicError`] instead of panicking when the
-    /// inputs are malformed: a service override, queue plan or fault
-    /// window naming a node absent from the graph (one dangling
-    /// name yields [`LogNicError::UnknownNode`]; several are
-    /// aggregated into [`LogNicError::UnknownNodes`] so a misconfigured
-    /// scenario surfaces every bad reference at once); an empty or
-    /// inverted fault window; an out-of-range fault parameter; or an
-    /// unusable run configuration (warmup beyond the horizon, zero
-    /// packet budget). The static analyzer runs over the scenario
-    /// first: findings the active [`AnalysisConfig`] puts at `Deny`
-    /// level reject the build with
+    /// inputs are malformed: a service override or queue plan naming
+    /// a node absent from the graph (one dangling name yields
+    /// [`LogNicError::UnknownNode`]; several are aggregated into
+    /// [`LogNicError::UnknownNodes`] so a misconfigured scenario
+    /// surfaces every bad reference at once), or an unusable run
+    /// configuration (warmup beyond the horizon, zero packet budget).
+    /// Fault plans were validated when they were compiled. The static
+    /// analyzer runs over the scenario first: findings the active
+    /// [`AnalysisConfig`] puts at `Deny` level reject the build with
     /// [`LogNicError::AnalysisRejected`]; `Warn`-level findings are
     /// retained on the built simulation
     /// ([`Simulation::analysis_warnings`]).
     pub fn build(self) -> LogNicResult<Simulation> {
         // A compiled plan carries the declarative plan it came from, so
-        // its windows are linted like a plan installed directly.
-        let plan = self.compiled.map_or(&self.plan, |c| &c.plan);
+        // its windows are linted.
+        let no_faults = FaultPlan::new();
         let report = Analyzer::new(self.graph)
             .with_hardware(self.hw)
             .with_traffic(self.traffic)
-            .with_fault_plan(plan)
+            .with_fault_plan(self.faults.map_or(&no_faults, |c| &c.plan))
             .run(&self.analysis);
         report.check()?;
         let analysis_warnings: Vec<Diagnostic> = report.warnings().into_iter().cloned().collect();
@@ -527,11 +503,6 @@ impl<'a> SimulationBuilder<'a> {
                 None => unknown.push(("queue plan", name)),
             }
         }
-        for w in self.plan.windows() {
-            if self.graph.node_by_name(w.node()).is_none() {
-                unknown.push(("fault window", w.node().to_owned()));
-            }
-        }
         match unknown.len() {
             0 => {}
             1 => {
@@ -545,15 +516,13 @@ impl<'a> SimulationBuilder<'a> {
             }
         }
 
-        // Fault compilation: a pre-compiled plan is shared by
-        // reference (Arc-cloned tables); otherwise the declarative
-        // plan is compiled here. Both paths validate window/parameter
-        // domains.
-        let (per_node, retry, deadline) = match self.compiled {
+        // The compiled plan's tables are shared by reference (Arc
+        // bumps); without one, every node gets the shared empty table.
+        let (per_node, retry, deadline) = match self.faults {
             Some(c) => (c.per_node.clone(), c.retry, c.deadline),
             None => {
-                let c = CompiledFaultPlan::compile(&self.plan, self.graph)?;
-                (c.per_node, c.retry, c.deadline)
+                let empty = Arc::new(NodeFaults::default());
+                (vec![empty; n], None, None)
             }
         };
 
@@ -917,8 +886,7 @@ impl Simulation {
             overrides: Vec::new(),
             queue_plans: Vec::new(),
             trace: None,
-            plan: FaultPlan::new(),
-            compiled: None,
+            faults: None,
             analysis: AnalysisConfig::default(),
         }
     }
@@ -1102,7 +1070,6 @@ impl PacedRun {
             for (i, n) in sim.nodes.iter().enumerate() {
                 if let Some(rt) = n.runtime.as_ref() {
                     for &(from, until, kind) in rt.faults.windows() {
-                        let kind = observed_kind(kind);
                         obs.on(
                             from,
                             SimEvent::FaultWindow {
@@ -1953,6 +1920,11 @@ mod tests {
         HardwareModel::new(Bandwidth::gbps(10_000.0), Bandwidth::gbps(10_000.0))
     }
 
+    /// Compiles `plan` against `g`, as every faulted run does once.
+    fn compiled(plan: &FaultPlan, g: &ExecutionGraph) -> CompiledFaultPlan {
+        CompiledFaultPlan::compile(plan, g).unwrap()
+    }
+
     fn run(g: &ExecutionGraph, hw: &HardwareModel, t: &TrafficProfile) -> SimReport {
         Simulation::builder(g, hw, t)
             .duration(Seconds::millis(10.0))
@@ -2184,7 +2156,7 @@ mod tests {
     }
 
     #[test]
-    fn compiled_fault_plans_are_linted_like_declarative_ones() {
+    fn compiled_fault_plans_are_linted() {
         use lognic_model::analyze::Code;
         let g = chain(10.0, 64);
         let t = TrafficProfile::fixed(Bandwidth::gbps(2.0), Bytes::new(1500));
@@ -2196,12 +2168,13 @@ mod tests {
             sim.analysis_warnings().iter().map(|d| d.code).collect()
         };
         let hw = fast_hw();
-        let builder = || Simulation::builder(&g, &hw, &t).duration(Seconds::millis(5.0));
-        let declarative = builder().with_fault_plan(plan.clone()).build().unwrap();
-        assert_eq!(codes(declarative), [Code::FaultOverlappingWindows]);
         let compiled = CompiledFaultPlan::compile(&plan, &g).unwrap();
-        let shared = builder().with_compiled_faults(&compiled).build().unwrap();
-        assert_eq!(codes(shared), [Code::FaultOverlappingWindows]);
+        let sim = Simulation::builder(&g, &hw, &t)
+            .duration(Seconds::millis(5.0))
+            .with_compiled_faults(&compiled)
+            .build()
+            .unwrap();
+        assert_eq!(codes(sim), [Code::FaultOverlappingWindows]);
     }
 
     #[test]
@@ -2394,10 +2367,9 @@ mod tests {
         let faulty = Simulation::builder(&g, &fast_hw(), &t)
             .duration(Seconds::millis(10.0))
             .warmup(Seconds::ZERO)
-            .with_fault_plan(FaultPlan::new().outage(
-                "ip",
-                Seconds::millis(2.0),
-                Seconds::millis(6.0),
+            .with_compiled_faults(&compiled(
+                &FaultPlan::new().outage("ip", Seconds::millis(2.0), Seconds::millis(6.0)),
+                &g,
             ))
             .run()
             .unwrap();
@@ -2416,10 +2388,9 @@ mod tests {
         let r = Simulation::builder(&g, &fast_hw(), &t)
             .duration(Seconds::millis(5.0))
             .warmup(Seconds::ZERO)
-            .with_fault_plan(FaultPlan::new().outage(
-                "ip",
-                Seconds::millis(50.0),
-                Seconds::millis(60.0),
+            .with_compiled_faults(&compiled(
+                &FaultPlan::new().outage("ip", Seconds::millis(50.0), Seconds::millis(60.0)),
+                &g,
             ))
             .run()
             .unwrap();
@@ -2447,7 +2418,7 @@ mod tests {
         let r = Simulation::builder(&g, &fast_hw(), &t)
             .duration(Seconds::millis(10.0))
             .warmup(Seconds::ZERO)
-            .with_fault_plan(plan)
+            .with_compiled_faults(&compiled(&plan, &g))
             .run()
             .unwrap();
         // A 1 ms outage refuses ~10 % of arrivals, but exponential
@@ -2472,7 +2443,7 @@ mod tests {
             Simulation::builder(&g, &fast_hw(), &t)
                 .duration(Seconds::millis(10.0))
                 .warmup(Seconds::ZERO)
-                .with_fault_plan(plan)
+                .with_compiled_faults(&compiled(&plan, &g))
                 .run()
                 .unwrap()
         };
@@ -2492,7 +2463,7 @@ mod tests {
         let r = Simulation::builder(&g, &fast_hw(), &t)
             .duration(horizon)
             .warmup(Seconds::millis(4.0))
-            .with_fault_plan(plan)
+            .with_compiled_faults(&compiled(&plan, &g))
             .run()
             .unwrap();
         // Serving at 25 % of 10 Gb/s caps delivery near 2.5 Gb/s; the
@@ -2514,7 +2485,7 @@ mod tests {
         let r = Simulation::builder(&g, &fast_hw(), &t)
             .duration(horizon)
             .warmup(Seconds::ZERO)
-            .with_fault_plan(plan)
+            .with_compiled_faults(&compiled(&plan, &g))
             .run()
             .unwrap();
         let loss = r.loss_rate();
@@ -2530,7 +2501,7 @@ mod tests {
         let r = Simulation::builder(&g, &fast_hw(), &t)
             .duration(horizon)
             .warmup(Seconds::ZERO)
-            .with_fault_plan(plan)
+            .with_compiled_faults(&compiled(&plan, &g))
             .run()
             .unwrap();
         assert_eq!(r.dropped, 0, "corruption does not drop packets");
@@ -2549,7 +2520,7 @@ mod tests {
             Simulation::builder(&g, &fast_hw(), &t)
                 .duration(horizon)
                 .warmup(Seconds::ZERO)
-                .with_fault_plan(plan)
+                .with_compiled_faults(&compiled(&plan, &g))
                 .run()
                 .unwrap()
         };
@@ -2574,7 +2545,7 @@ mod tests {
         let r = Simulation::builder(&g, &fast_hw(), &t)
             .duration(Seconds::millis(10.0))
             .warmup(Seconds::ZERO)
-            .with_fault_plan(plan)
+            .with_compiled_faults(&compiled(&plan, &g))
             .run()
             .unwrap();
         assert!(r.timed_out > 0, "overload must breach a 30 µs deadline");
@@ -2604,7 +2575,7 @@ mod tests {
                 .seed(seed)
                 .duration(Seconds::millis(8.0))
                 .warmup(Seconds::ZERO)
-                .with_fault_plan(plan)
+                .with_compiled_faults(&compiled(&plan, &g))
                 .run()
                 .unwrap()
         };
@@ -2628,9 +2599,10 @@ mod tests {
             .seed(3)
             .duration(Seconds::millis(5.0))
             .warmup(Seconds::ZERO)
-            .with_fault_plan(
-                FaultPlan::new().with_retry(RetryPolicy::new(4, Seconds::micros(10.0))),
-            )
+            .with_compiled_faults(&compiled(
+                &FaultPlan::new().with_retry(RetryPolicy::new(4, Seconds::micros(10.0))),
+                &g,
+            ))
             .run()
             .unwrap();
         assert_eq!(plain, with_empty_plan);
@@ -2668,34 +2640,28 @@ mod tests {
         let t = TrafficProfile::fixed(Bandwidth::gbps(5.0), Bytes::new(1000));
         let base = || Simulation::builder(&g, &hw, &t);
 
-        let err = base()
-            .with_fault_plan(FaultPlan::new().outage("ghost", Seconds::ZERO, Seconds::millis(1.0)))
-            .build()
-            .unwrap_err();
+        let err = CompiledFaultPlan::compile(
+            &FaultPlan::new().outage("ghost", Seconds::ZERO, Seconds::millis(1.0)),
+            &g,
+        )
+        .unwrap_err();
         assert!(matches!(err, LogNicError::UnknownNode { .. }), "{err}");
 
-        let err = base()
-            .with_fault_plan(FaultPlan::new().outage(
-                "ip",
-                Seconds::millis(2.0),
-                Seconds::millis(1.0),
-            ))
-            .build()
-            .unwrap_err();
+        let err = CompiledFaultPlan::compile(
+            &FaultPlan::new().outage("ip", Seconds::millis(2.0), Seconds::millis(1.0)),
+            &g,
+        )
+        .unwrap_err();
         assert!(
             matches!(err, LogNicError::InvalidFaultWindow { .. }),
             "{err}"
         );
 
-        let err = base()
-            .with_fault_plan(FaultPlan::new().drop_packets(
-                "ip",
-                1.5,
-                Seconds::ZERO,
-                Seconds::millis(1.0),
-            ))
-            .build()
-            .unwrap_err();
+        let err = CompiledFaultPlan::compile(
+            &FaultPlan::new().drop_packets("ip", 1.5, Seconds::ZERO, Seconds::millis(1.0)),
+            &g,
+        )
+        .unwrap_err();
         assert!(
             matches!(err, LogNicError::InvalidFaultParameter { .. }),
             "{err}"
@@ -2784,11 +2750,6 @@ mod engine_tests {
                 )),
             )
             .override_queues("ghost", QueuePlan::single(8))
-            .with_fault_plan(FaultPlan::new().outage(
-                "wraith",
-                Seconds::millis(1.0),
-                Seconds::millis(2.0),
-            ))
             .build()
             .unwrap_err();
         match err {
@@ -2797,37 +2758,10 @@ mod engine_tests {
                     references.iter().map(|(c, n)| (*c, n.as_str())).collect();
                 assert_eq!(
                     got,
-                    vec![
-                        ("service override", "phantom"),
-                        ("queue plan", "ghost"),
-                        ("fault window", "wraith"),
-                    ]
+                    vec![("service override", "phantom"), ("queue plan", "ghost")]
                 );
             }
             other => panic!("expected aggregate error, got {other}"),
-        }
-    }
-
-    #[test]
-    fn compiled_fault_plan_runs_like_declarative() {
-        let g = pipeline();
-        let t = TrafficProfile::fixed(Bandwidth::gbps(6.0), Bytes::new(1024));
-        let plan = FaultPlan::new()
-            .degrade_rate("crypto", 0.4, Seconds::millis(2.0), Seconds::millis(4.0))
-            .with_retry(RetryPolicy::new(1, Seconds::micros(25.0)));
-        let compiled = CompiledFaultPlan::compile(&plan, &g).unwrap();
-        for seed in [5, 55] {
-            let declarative = Simulation::builder(&g, &hw(), &t)
-                .seed(seed)
-                .with_fault_plan(plan.clone())
-                .run()
-                .unwrap();
-            let shared = Simulation::builder(&g, &hw(), &t)
-                .seed(seed)
-                .with_compiled_faults(&compiled)
-                .run()
-                .unwrap();
-            assert_eq!(declarative, shared, "seed {seed}");
         }
     }
 

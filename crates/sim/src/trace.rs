@@ -11,6 +11,10 @@
 //! eliminated entirely and `run()` compiles to the exact pre-trace hot
 //! loop (`run()` *is* `run_with(&mut NoopObserver)`).
 //!
+//! Fault windows arrive in the plan's own vocabulary: a
+//! [`SimEvent::FaultWindow`] carries the window's [`FaultKind`], whose
+//! `label()` and `parameter()` the sinks print.
+//!
 //! Observers are passive: they receive interned node ids and
 //! [`SimTime`] stamps but never touch the RNG or the event queue, so a
 //! traced run's [`SimReport`] is byte-identical to an untraced run of
@@ -36,6 +40,7 @@
 //! [`Sanitizer`]: crate::sanitize::Sanitizer
 
 use crate::time::SimTime;
+use lognic_model::fault::FaultKind;
 use lognic_model::json;
 use lognic_model::units::Seconds;
 
@@ -104,34 +109,6 @@ impl DropReason {
     }
 }
 
-/// The effect of one scheduled fault window, as reported by
-/// [`SimEvent::FaultWindow`] at run start.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FaultWindowKind {
-    /// The node refuses every arrival.
-    Outage,
-    /// The node serves at this fraction of its nominal rate.
-    RateDegradation {
-        /// Remaining service-rate fraction in `(0, 1)`.
-        factor: f64,
-    },
-    /// Arrivals are refused with this probability.
-    PacketDrop {
-        /// Per-arrival drop probability.
-        probability: f64,
-    },
-    /// Arrivals are corrupted with this probability.
-    PacketCorruption {
-        /// Per-arrival corruption probability.
-        probability: f64,
-    },
-    /// Credits removed from the node's bounded queue.
-    CreditLoss {
-        /// Credits removed while the window is active.
-        credits: u32,
-    },
-}
-
 /// End-of-run snapshot of the engine's internal accounting, delivered
 /// by [`SimObserver::on_run_audit`] immediately before
 /// [`SimObserver::on_run_end`]. The sanitizer cross-checks the
@@ -182,30 +159,6 @@ pub struct NodeAudit {
     pub drops: u64,
 }
 
-impl FaultWindowKind {
-    /// A short stable label.
-    pub fn label(self) -> &'static str {
-        match self {
-            FaultWindowKind::Outage => "outage",
-            FaultWindowKind::RateDegradation { .. } => "rate_degradation",
-            FaultWindowKind::PacketDrop { .. } => "packet_drop",
-            FaultWindowKind::PacketCorruption { .. } => "packet_corruption",
-            FaultWindowKind::CreditLoss { .. } => "credit_loss",
-        }
-    }
-
-    /// The window's scalar parameter (1.0 for outages).
-    pub fn parameter(self) -> f64 {
-        match self {
-            FaultWindowKind::Outage => 1.0,
-            FaultWindowKind::RateDegradation { factor } => factor,
-            FaultWindowKind::PacketDrop { probability } => probability,
-            FaultWindowKind::PacketCorruption { probability } => probability,
-            FaultWindowKind::CreditLoss { credits } => credits as f64,
-        }
-    }
-}
-
 /// One packet-level engine event, delivered by [`SimObserver::on`]
 /// together with its timestamp.
 ///
@@ -220,8 +173,8 @@ pub enum SimEvent {
     FaultWindow {
         /// Interned node id.
         node: u32,
-        /// The window's effect.
-        kind: FaultWindowKind,
+        /// The window's effect, in the plan's own vocabulary.
+        kind: FaultKind,
         /// When the window closes.
         until: SimTime,
     },
@@ -846,7 +799,7 @@ impl ChromeTrace {
             .unwrap_or("?")
     }
 
-    fn fault_window(&mut self, node: u32, kind: FaultWindowKind, from: SimTime, until: SimTime) {
+    fn fault_window(&mut self, node: u32, kind: FaultKind, from: SimTime, until: SimTime) {
         // Fault windows are structural (reported at run start); they
         // bypass the packet-event limit.
         self.events.push(format!(
@@ -1067,7 +1020,7 @@ mod tests {
                 t(0.0),
                 SimEvent::FaultWindow {
                     node: 2,
-                    kind: FaultWindowKind::RateDegradation { factor: 0.25 },
+                    kind: FaultKind::RateDegradation { factor: 0.25 },
                     until: t(20.0),
                 },
             ),

@@ -383,6 +383,116 @@ pub fn malformed_request_line(g: &mut Gen) -> String {
     }
 }
 
+/// One seeded mutant of a well-formed `lognic serve` request line: the
+/// wire arm of the fuzz harness. Where `malformed_request_line` draws
+/// hostile lines from scratch, this arm starts from a line the service
+/// answers (a golden corpus request, say) and changes one thing:
+///
+/// * one number becomes `0`, `-1`, `1e-300`, `1e300` or `1e400`;
+/// * one array becomes 10,000 copies of its first element;
+/// * one number is nested 200 arrays deep;
+/// * one `"kind":"…"` value becomes a kind no one knows.
+///
+/// A line without the chosen mutation's target is nested 200 deep
+/// whole. The testkit has no JSON parser: numbers and arrays are found
+/// by a small lexer that skips strings, and kinds by their compact
+/// `"kind":"` text. Mutants never contain a newline.
+pub fn mutate_request_line(g: &mut Gen, line: &str) -> String {
+    let (numbers, arrays) = number_and_array_spans(line);
+    let kinds: Vec<Span> = line
+        .match_indices("\"kind\":\"")
+        .filter_map(|(i, key)| {
+            let start = i + key.len() - 1;
+            let len = line[start + 1..].find('"')?;
+            Some((start, start + len + 2))
+        })
+        .collect();
+    let splice =
+        |(start, end): Span, with: &str| format!("{}{with}{}", &line[..start], &line[end..]);
+    let nest = |value: &str| format!("{}{value}{}", "[".repeat(200), "]".repeat(200));
+    match g.usize(0..4) {
+        0 if !numbers.is_empty() => {
+            let span = *g.pick(&numbers);
+            let value = *g.pick(&["0", "-1", "1e-300", "1e300", "1e400"]);
+            splice(span, value)
+        }
+        1 if !arrays.is_empty() => {
+            let (start, end) = *g.pick(&arrays);
+            let copies = vec![first_element(&line[start..end]); 10_000];
+            splice((start, end), &format!("[{}]", copies.join(",")))
+        }
+        2 if !numbers.is_empty() => {
+            let (start, end) = *g.pick(&numbers);
+            splice((start, end), &nest(&line[start..end]))
+        }
+        3 if !kinds.is_empty() => {
+            let span = *g.pick(&kinds);
+            splice(span, &format!("\"no-such-kind-{}\"", g.u64(0..1000)))
+        }
+        _ => nest(line),
+    }
+}
+
+/// A `start..end` byte span of a request line.
+type Span = (usize, usize);
+
+/// The byte spans of the numbers and of the arrays in a JSON line.
+fn number_and_array_spans(line: &str) -> (Vec<Span>, Vec<Span>) {
+    let b = line.as_bytes();
+    let (mut numbers, mut arrays, mut open) = (Vec::new(), Vec::new(), Vec::new());
+    let mut i = 0;
+    while i < b.len() {
+        let start = i;
+        match b[i] {
+            b'"' => i = string_end(b, i),
+            b'[' => open.push(i),
+            b']' => arrays.extend(open.pop().map(|s| (s, i + 1))),
+            b'-' | b'0'..=b'9' => {
+                while b
+                    .get(i + 1)
+                    .is_some_and(|c| matches!(c, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
+                {
+                    i += 1;
+                }
+                numbers.push((start, i + 1));
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    (numbers, arrays)
+}
+
+/// The first element of the JSON array `array` (brackets included),
+/// or `1` when the array is empty.
+fn first_element(array: &str) -> &str {
+    let b = array.as_bytes();
+    let (mut depth, mut i) = (0, 1);
+    while i + 1 < b.len() {
+        match b[i] {
+            b'"' => i = string_end(b, i),
+            b'[' | b'{' => depth += 1,
+            b']' | b'}' => depth -= 1,
+            b',' if depth == 0 => break,
+            _ => {}
+        }
+        i += 1;
+    }
+    match array[1..i.min(b.len() - 1)].trim() {
+        "" => "1",
+        element => element,
+    }
+}
+
+/// The index of the quote closing the string that opens at `b[i]`.
+fn string_end(b: &[u8], mut i: usize) -> usize {
+    i += 1;
+    while i < b.len() && b[i] != b'"' {
+        i += if b[i] == b'\\' { 2 } else { 1 };
+    }
+    i
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -523,6 +633,53 @@ mod tests {
              negative={negative} nonfinite={nonfinite} deadline0={zero_deadline} \
              oversized={oversized}"
         );
+    }
+
+    #[test]
+    fn wire_mutants_change_one_target() {
+        let line = r#"{"id":6,"kind":"estimate_degraded","faults":[{"node":"ssd","kind":"drop","probability":0.1}],"retry":{"budget":3}}"#;
+        let (numbers, arrays) = number_and_array_spans(line);
+        let text: Vec<&str> = numbers.iter().map(|&(a, b)| &line[a..b]).collect();
+        assert_eq!(text, ["6", "0.1", "3"]);
+        assert_eq!(arrays.len(), 1);
+        assert_eq!(
+            first_element(&line[arrays[0].0..arrays[0].1]),
+            r#"{"node":"ssd","kind":"drop","probability":0.1}"#
+        );
+        assert_eq!(first_element("[]"), "1");
+        assert_eq!(first_element("[0.2, [1,2], 3]"), "0.2");
+
+        let mutants: Vec<String> = {
+            let mut g = Gen::new(3);
+            (0..400)
+                .map(|_| mutate_request_line(&mut g, line))
+                .collect()
+        };
+        let mut g = Gen::new(3);
+        assert_eq!(
+            mutants,
+            (0..400)
+                .map(|_| mutate_request_line(&mut g, line))
+                .collect::<Vec<_>>(),
+            "deterministic in the seed"
+        );
+        assert!(mutants.iter().all(|m| !m.contains('\n') && m != line));
+        let seen = |needle: &str| mutants.iter().any(|m| m.contains(needle));
+        for value in ["\"id\":0,", ":-1}", "1e-300", "1e300", "1e400"] {
+            assert!(seen(value), "no mutant sets a number to {value}");
+        }
+        assert!(seen(&"[".repeat(200)), "no nested mutant");
+        assert!(seen("no-such-kind-"), "no unknown kind");
+        assert!(
+            mutants
+                .iter()
+                .any(|m| m.matches("\"ssd\"").count() == 10_000),
+            "no 10,000-element array"
+        );
+        // A line with no target is nested whole.
+        let mut g = Gen::new(1);
+        let nested = mutate_request_line(&mut g, "not json");
+        assert!(nested.starts_with(&"[".repeat(200)) && nested.contains("not json"));
     }
 
     #[test]

@@ -14,6 +14,7 @@ use lognic_devices::liquidio::Accelerator;
 use lognic_model::error::LogNicResult;
 use lognic_model::fault::{FaultPlan, RetryPolicy};
 use lognic_model::units::{Bandwidth, Bytes, Seconds};
+use lognic_sim::faults::CompiledFaultPlan;
 use lognic_sim::metrics::SimReport;
 use lognic_sim::sim::{SimConfig, Simulation};
 use lognic_sim::trace::{NoopObserver, SimObserver};
@@ -50,13 +51,14 @@ impl ChaosScenario {
         config: SimConfig,
         observer: &mut O,
     ) -> LogNicResult<SimReport> {
+        let faults = CompiledFaultPlan::compile(&self.plan, &self.scenario.graph)?;
         Simulation::builder(
             &self.scenario.graph,
             &self.scenario.hardware,
             &self.scenario.traffic,
         )
         .config(config)
-        .with_fault_plan(self.plan.clone())
+        .with_compiled_faults(&faults)
         .run_with(observer)
     }
 }

@@ -15,6 +15,10 @@
 //! 3. **Parallelism sizing** (Figs. 18/19, "Hybrid Chain" / Model 3):
 //!    three execution paths share IP4; LogNIC suggests its minimal
 //!    adequate parallel degree for each traffic split.
+//!
+//! This module builds the scenarios; the searches over them are
+//! `lognic_optimizer::suggest::{suggest_credits,
+//! suggest_steering_split, suggest_ip4_degree}`.
 
 use crate::scenario::Scenario;
 use lognic_devices::panic::Panic;
@@ -104,28 +108,6 @@ pub fn pipelined_chain(credits: u32, sizes: &[u64], rate: Bandwidth) -> Scenario
         Panic::hardware(),
         traffic,
     )
-}
-
-/// The smallest credit count whose model-attainable throughput matches
-/// the 8-credit (default) provision within 0.5 % — the LogNIC
-/// suggestion of scenario #1.
-pub fn min_credits_to_saturate(sizes: &[u64], rate: Bandwidth) -> u32 {
-    let reference = pipelined_chain(Panic::DEFAULT_CREDITS, sizes, rate)
-        .estimator()
-        .throughput()
-        .expect("valid scenario")
-        .attainable();
-    for credits in 1..Panic::DEFAULT_CREDITS {
-        let att = pipelined_chain(credits, sizes, rate)
-            .estimator()
-            .throughput()
-            .expect("valid scenario")
-            .attainable();
-        if att.as_bps() >= reference.as_bps() * 0.995 {
-            return credits;
-        }
-    }
-    Panic::DEFAULT_CREDITS
 }
 
 /// Scenario 2 (Figs. 16/17): the Model-2 parallelized chain. Traffic
@@ -283,27 +265,6 @@ pub fn hybrid(ip4_degree: u32, ip3_share: f64, size: Bytes, rate: Bandwidth) -> 
     )
 }
 
-/// The smallest IP4 degree whose model throughput matches degree 8
-/// within 0.5 % — the LogNIC suggestion of scenario #3.
-pub fn min_ip4_degree(ip3_share: f64, size: Bytes, rate: Bandwidth) -> u32 {
-    let reference = hybrid(8, ip3_share, size, rate)
-        .estimator()
-        .throughput()
-        .expect("valid scenario")
-        .attainable();
-    for degree in 1..8 {
-        let att = hybrid(degree, ip3_share, size, rate)
-            .estimator()
-            .throughput()
-            .expect("valid scenario")
-            .attainable();
-        if att.as_bps() >= reference.as_bps() * 0.995 {
-            return degree;
-        }
-    }
-    8
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,16 +280,6 @@ mod tests {
         // Profile 1 (64/512 equal bytes): mean packet ≈ 113.8 B.
         let t = equal_bandwidth_profile(CREDIT_PROFILES[0], Bandwidth::gbps(10.0));
         assert!((t.sizes().mean_size().as_f64() - 114.0).abs() <= 1.0);
-    }
-
-    #[test]
-    fn paper_fig15_credit_suggestions() {
-        let rate = Bandwidth::gbps(CREDIT_OFFERED);
-        let got: Vec<u32> = CREDIT_PROFILES
-            .iter()
-            .map(|sizes| min_credits_to_saturate(sizes, rate))
-            .collect();
-        assert_eq!(got, vec![5, 4, 4, 4], "LogNIC credit suggestions");
     }
 
     #[test]
@@ -390,16 +341,6 @@ mod tests {
     #[should_panic(expected = "[0, 0.8]")]
     fn steering_rejects_bad_split() {
         let _ = steering(0.9, Bytes::new(64), Bandwidth::gbps(10.0));
-    }
-
-    #[test]
-    fn paper_fig18_19_degree_suggestions() {
-        let rate = Bandwidth::gbps(OFFERED);
-        let size = Bytes::new(1024);
-        // Traffic profile 1 (50/50 split of IP1's output): degree 6.
-        assert_eq!(min_ip4_degree(0.5, size, rate), 6);
-        // Traffic profile 2 (80/20): degree 4.
-        assert_eq!(min_ip4_degree(0.8, size, rate), 4);
     }
 
     #[test]

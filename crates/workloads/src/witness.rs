@@ -30,6 +30,7 @@ use lognic_model::json;
 use lognic_model::params::{EdgeParams, HardwareModel, IpParams, TrafficProfile};
 use lognic_model::topology::Topology;
 use lognic_model::units::{Bandwidth, Bytes, Seconds};
+use lognic_sim::faults::CompiledFaultPlan;
 use lognic_sim::fleet::FleetBuilder;
 use lognic_sim::metrics::SimReport;
 use lognic_sim::sanitize::SanitizerReport;
@@ -527,11 +528,14 @@ fn confirm_run(
     scenario: &Scenario,
     plan: Option<&FaultPlan>,
 ) -> LogNicResult<(SimReport, SanitizerReport)> {
+    let faults = plan
+        .map(|p| CompiledFaultPlan::compile(p, &scenario.graph))
+        .transpose()?;
     let mut b = Simulation::builder(&scenario.graph, &scenario.hardware, &scenario.traffic)
         .analysis(AnalysisConfig::permissive())
         .config(confirm_config());
-    if let Some(plan) = plan {
-        b = b.with_fault_plan(plan.clone());
+    if let Some(faults) = &faults {
+        b = b.with_compiled_faults(faults);
     }
     b.build()?.run_sanitized()
 }

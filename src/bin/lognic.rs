@@ -13,14 +13,39 @@
 //!
 //! `--rate-gbps` re-offers any workload at another rate
 //! (`Scenario::at_rate`), and `simulate` runs a workload under its
-//! bundled fault plan, if it has one. The case-study configurations
+//! bundled fault plan, if it has one. Output goes through one fallible
+//! writer: when the reader closes early (`lognic list | head -1`), the
+//! command ends quietly with exit 0. The case-study configurations
 //! behind the paper's figures are reproduced by the `figures` binary
 //! and the examples.
+
+use std::io::{self, Write};
 
 use lognic::devices::liquidio::Accelerator;
 use lognic::optimizer::suggest;
 use lognic::prelude::*;
 use lognic::workloads::{microservices, panic_scenarios};
+
+/// Why a command stopped early.
+enum Stop {
+    /// The command refused its input or failed; the message is
+    /// printed as `error: …` with exit status 1.
+    Refused(String),
+    /// Writing the output failed.
+    Write(io::Error),
+}
+
+impl From<String> for Stop {
+    fn from(message: String) -> Self {
+        Stop::Refused(message)
+    }
+}
+
+impl From<io::Error> for Stop {
+    fn from(e: io::Error) -> Self {
+        Stop::Write(e)
+    }
+}
 
 struct Flags {
     rate: Option<Bandwidth>,
@@ -93,142 +118,164 @@ fn positive(name: &str, value: &str) -> Result<f64, String> {
     }
 }
 
-fn cmd_estimate(s: &Scenario) -> Result<(), String> {
+fn cmd_estimate(name: &str, s: &Scenario, out: &mut impl Write) -> Result<(), Stop> {
     let est = s.estimate().map_err(|e| e.to_string())?;
-    println!("scenario : {}", s.name);
-    println!("offered  : {}", s.traffic.ingress_bandwidth());
-    println!("attain   : {}", est.throughput.attainable());
-    println!("delivered: {}", est.delivered);
-    println!("latency  : {}", est.latency.mean());
-    println!("binds at : {}", est.throughput.bottleneck().component);
-    println!();
-    println!("capacity bounds:");
+    writeln!(out, "scenario : {name}")?;
+    writeln!(out, "offered  : {}", s.traffic.ingress_bandwidth())?;
+    writeln!(out, "attain   : {}", est.throughput.attainable())?;
+    writeln!(out, "delivered: {}", est.delivered)?;
+    writeln!(out, "latency  : {}", est.latency.mean())?;
+    writeln!(out, "binds at : {}", est.throughput.bottleneck().component)?;
+    writeln!(out)?;
+    writeln!(out, "capacity bounds:")?;
     for b in est.throughput.bounds() {
-        println!("  {:<28} {}", b.component.to_string(), b.limit);
+        writeln!(out, "  {:<28} {}", b.component.to_string(), b.limit)?;
     }
-    println!();
-    println!("per-node timing:");
+    writeln!(out)?;
+    writeln!(out, "per-node timing:")?;
     for t in est.latency.per_node() {
-        println!(
+        writeln!(
+            out,
             "  {:<24} service {:>10}  queue {:>10}  rho {:>5.2}  drop {:>6.3}",
             s.graph.node(t.node).name(),
             t.service.to_string(),
             t.queueing_delay.to_string(),
             t.utilization,
             t.drop_probability
-        );
+        )?;
     }
     Ok(())
 }
 
-fn cmd_simulate(s: &Scenario, plan: Option<FaultPlan>, flags: &Flags) -> Result<(), String> {
+fn cmd_simulate(
+    name: &str,
+    s: &Scenario,
+    plan: Option<FaultPlan>,
+    flags: &Flags,
+    out: &mut impl Write,
+) -> Result<(), Stop> {
     let cfg = SimConfig {
         seed: flags.seed,
         duration: Seconds::millis(flags.ms),
         warmup: Seconds::millis(flags.ms * 0.2),
         ..SimConfig::default()
     };
-    let mut builder = Simulation::builder(&s.graph, &s.hardware, &s.traffic).config(cfg);
     let windows = plan.as_ref().map(|p| p.windows().len());
-    if let Some(plan) = plan {
-        builder = builder.with_fault_plan(plan);
+    let faults = plan
+        .map(|p| CompiledFaultPlan::compile(&p, &s.graph))
+        .transpose()
+        .map_err(|e| e.to_string())?;
+    let mut builder = Simulation::builder(&s.graph, &s.hardware, &s.traffic).config(cfg);
+    if let Some(faults) = &faults {
+        builder = builder.with_compiled_faults(faults);
     }
     let r = builder.run().map_err(|e| e.to_string())?;
-    println!("scenario  : {}", s.name);
-    println!("offered   : {}", r.offered);
-    println!("throughput: {}", r.throughput);
-    println!(
+    writeln!(out, "scenario  : {name}")?;
+    writeln!(out, "offered   : {}", r.offered)?;
+    writeln!(out, "throughput: {}", r.throughput)?;
+    writeln!(
+        out,
         "packets   : {} completed, {} dropped ({:.2}% loss)",
         r.completed,
         r.dropped,
         r.loss_rate() * 100.0
-    );
+    )?;
     if r.latency.count == 0 {
-        println!("latency   : no packet measured");
+        writeln!(out, "latency   : no packet measured")?;
     } else {
-        println!(
+        writeln!(
+            out,
             "latency   : mean {}  p50 {}  p99 {}  max {}",
             r.latency.mean, r.latency.p50, r.latency.p99, r.latency.max
-        );
+        )?;
     }
     if let Some(windows) = windows {
-        println!(
+        writeln!(
+            out,
             "faults    : {windows} windows, {} retries, {} timed out",
             r.retries, r.timed_out
-        );
+        )?;
     }
-    println!();
-    println!("nodes:");
+    writeln!(out)?;
+    writeln!(out, "nodes:")?;
     for n in &r.nodes {
-        println!(
+        writeln!(
+            out,
             "  {:<24} arrivals {:>9}  drops {:>7}  util {:>5.2}  L {:>6.2}  maxq {:>4}",
             n.name, n.arrivals, n.drops, n.utilization, n.mean_occupancy, n.max_queue
-        );
+        )?;
     }
-    println!("media:");
+    writeln!(out, "media:")?;
     for m in &r.media {
-        println!(
+        writeln!(
+            out,
             "  {:<24} {:>12}  util {:>5.2}",
             m.name,
             m.transferred.to_string(),
             m.utilization
-        );
+        )?;
     }
     Ok(())
 }
 
-fn cmd_suggest() {
+fn cmd_suggest(out: &mut impl Write) -> Result<(), Stop> {
     let mtu = Bytes::new(1500);
-    println!("case study 1 — inline cores to saturate (MTU):");
+    writeln!(out, "case study 1 — inline cores to saturate (MTU):")?;
     for a in [Accelerator::Md5, Accelerator::Kasumi, Accelerator::Hfa] {
-        println!(
+        writeln!(
+            out,
             "  {:<8} {}",
             a.name(),
             suggest::suggest_inline_cores(a, mtu)
-        );
+        )?;
     }
-    println!("case study 3 — E3 core allocations:");
+    writeln!(out, "case study 3 — E3 core allocations:")?;
     for app in microservices::App::ALL {
-        println!(
+        writeln!(
+            out,
             "  {:<8} {:?}",
             app.name(),
             suggest::suggest_core_allocation(app)
-        );
+        )?;
     }
-    println!("case study 4 — NF placements by packet size:");
+    writeln!(out, "case study 4 — NF placements by packet size:")?;
     for size in [64u64, 512, 1500] {
         let p = suggest::suggest_placement(Bytes::new(size));
-        println!("  {size:>5}B  {:?}", p.0);
+        writeln!(out, "  {size:>5}B  {:?}", p.0)?;
     }
-    println!("case study 5 — PANIC:");
+    writeln!(out, "case study 5 — PANIC:")?;
     let line = Bandwidth::gbps(100.0);
     let credits: Vec<String> = panic_scenarios::CREDIT_PROFILES
         .iter()
         .map(|s| suggest::suggest_credits(s, line).to_string())
         .collect();
-    println!("  credits per profile: {}", credits.join("/"));
-    println!(
+    writeln!(out, "  credits per profile: {}", credits.join("/"))?;
+    writeln!(
+        out,
         "  steering split: {:.0}% to A2",
         suggest::suggest_steering_split(Bytes::new(512), Bandwidth::gbps(80.0)) * 100.0
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  IP4 degrees: {} / {}",
         suggest::suggest_ip4_degree(0.5, Bytes::new(1024), Bandwidth::gbps(80.0)),
         suggest::suggest_ip4_degree(0.8, Bytes::new(1024), Bandwidth::gbps(80.0))
-    );
+    )?;
+    Ok(())
 }
 
-fn cmd_serve(args: &[String]) -> Result<(), String> {
+fn cmd_serve(args: &[String]) -> Result<(), Stop> {
     use lognic::service::{serve, ServeOptions, Service};
-    use std::io::Write as _;
     let options = ServeOptions::parse(args.iter().cloned())?;
     let mut service = Service::new(options.config);
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
     let mut input = std::io::BufReader::new(stdin.lock());
     let mut output = std::io::BufWriter::new(stdout.lock());
-    let summary =
-        serve(&mut service, &mut input, &mut output).map_err(|e| format!("I/O error: {e}"))?;
+    let summary = serve(&mut service, &mut input, &mut output).map_err(|e| match e.kind() {
+        io::ErrorKind::BrokenPipe => Stop::Write(e),
+        _ => Stop::Refused(format!("I/O error: {e}")),
+    })?;
     let _ = output.flush();
     let stats = service.stats();
     eprintln!(
@@ -236,6 +283,22 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         summary.responses, stats.shed, stats.failed, stats.isolated_panics
     );
     Ok(())
+}
+
+/// `estimate`, `simulate` or `dot` on the registry entry `name`.
+fn cmd_workload(cmd: &str, name: &str, args: &[String], out: &mut impl Write) -> Result<(), Stop> {
+    let flags = parse_flags(args)?;
+    let entry = registry::find(name)
+        .ok_or_else(|| format!("unknown workload `{name}` (try `lognic list`)"))?;
+    let (mut scenario, plan) = entry.build();
+    if let Some(rate) = flags.rate {
+        scenario = scenario.at_rate(rate);
+    }
+    match cmd {
+        "estimate" => cmd_estimate(entry.name, &scenario, out),
+        "simulate" => cmd_simulate(entry.name, &scenario, plan, &flags, out),
+        _ => Ok(write!(out, "{}", scenario.graph.to_dot())?),
+    }
 }
 
 fn main() {
@@ -249,44 +312,34 @@ fn main() {
         usage();
         std::process::exit(2);
     }
-    let result: Result<(), String> = match args[0].as_str() {
-        "list" => {
-            for entry in registry::ALL {
-                println!("{:<16} {}", entry.name, entry.provenance);
-            }
-            Ok(())
-        }
-        "suggest" => {
-            cmd_suggest();
-            Ok(())
-        }
+    let stdout = io::stdout();
+    let mut out = stdout.lock();
+    let result: Result<(), Stop> = match args[0].as_str() {
+        "list" => registry::ALL.iter().try_for_each(|entry| {
+            writeln!(out, "{:<16} {}", entry.name, entry.provenance).map_err(Stop::Write)
+        }),
+        "suggest" => cmd_suggest(&mut out),
         "serve" => cmd_serve(&args[1..]),
         cmd @ ("estimate" | "simulate" | "dot") => {
             let Some(name) = args.get(1) else {
                 usage();
                 std::process::exit(2);
             };
-            parse_flags(&args[2..]).and_then(|flags| {
-                let entry = registry::find(name)
-                    .ok_or_else(|| format!("unknown workload `{name}` (try `lognic list`)"))?;
-                let (mut scenario, plan) = entry.build();
-                if let Some(rate) = flags.rate {
-                    scenario = scenario.at_rate(rate);
-                }
-                match cmd {
-                    "estimate" => cmd_estimate(&scenario),
-                    "simulate" => cmd_simulate(&scenario, plan, &flags),
-                    _ => {
-                        print!("{}", scenario.graph.to_dot());
-                        Ok(())
-                    }
-                }
-            })
+            cmd_workload(cmd, name, &args[2..], &mut out)
         }
-        other => Err(format!("unknown command `{other}`")),
+        other => Err(Stop::Refused(format!("unknown command `{other}`"))),
     };
-    if let Err(e) = result {
-        eprintln!("error: {e}");
-        std::process::exit(1);
+    match result.and_then(|()| Ok(out.flush()?)) {
+        Ok(()) => {}
+        // The reader went away: nobody is left to tell.
+        Err(Stop::Write(e)) if e.kind() == io::ErrorKind::BrokenPipe => {}
+        Err(Stop::Write(e)) => {
+            eprintln!("error: writing output: {e}");
+            std::process::exit(1);
+        }
+        Err(Stop::Refused(e)) => {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        }
     }
 }

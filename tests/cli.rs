@@ -4,7 +4,7 @@
 //! different run. (`trace_dump`'s flags are pinned beside its binary,
 //! in `crates/bench/tests/trace_dump_cli.rs`.)
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 use lognic::workloads::registry;
 
@@ -76,6 +76,41 @@ fn a_run_with_no_arrivals_measures_no_latency() {
         stdout.contains("latency   : no packet measured"),
         "{stdout}"
     );
+}
+
+/// The scenario line names the registry entry, not the name the
+/// scenario was built under, which for most entries embeds its
+/// default rate.
+#[test]
+fn the_scenario_line_names_the_registry_entry() {
+    let stdout = ok(&["estimate", "nvmeof", "--rate-gbps", "2"]);
+    assert!(
+        stdout.starts_with("scenario : nvmeof\noffered  : 2.000Gbps\n"),
+        "{stdout}"
+    );
+    let stdout = ok(&["simulate", "nvmeof", "--rate-gbps", "2", "--ms", "1"]);
+    assert!(stdout.starts_with("scenario  : nvmeof\n"), "{stdout}");
+}
+
+/// A reader that goes away before `lognic` writes ends the command
+/// quietly with exit status 0, instead of a panic on the broken pipe.
+/// The child's stdout is a pipe whose read end is closed before it
+/// starts, so its first write always fails.
+#[test]
+fn a_closed_stdout_ends_the_command_quietly() {
+    for args in [&["list"][..], &["estimate", "nvmeof"], &["suggest"]] {
+        let (reader, writer) = std::io::pipe().expect("a pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_lognic"))
+            .args(args)
+            .stdout(writer)
+            .stderr(Stdio::piped())
+            .output()
+            .expect("the lognic binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(stderr.is_empty(), "{args:?}: {stderr}");
+    }
 }
 
 #[test]

@@ -103,9 +103,10 @@ fn captured_chaos_trace() -> (PacketTrace, SimReport) {
 fn replay(trace: &PacketTrace) -> SimReport {
     let chaos = small_brownout();
     let s = &chaos.scenario;
+    let faults = CompiledFaultPlan::compile(&chaos.plan, &s.graph).expect("valid plan");
     Simulation::builder(&s.graph, &s.hardware, &s.traffic)
         .config(small_config(7))
-        .with_fault_plan(chaos.plan.clone())
+        .with_compiled_faults(&faults)
         .with_trace(trace.clone())
         .run()
         .expect("replayed trace simulates")
@@ -264,9 +265,10 @@ fn size_mix_reports_match_golden() {
         warmup: Seconds::micros(200.0),
         ..SimConfig::default()
     };
+    let faults = CompiledFaultPlan::compile(&plan, &graph).expect("valid plan");
     let synthetic = Simulation::builder(&graph, &hw, &traffic)
         .config(config)
-        .with_fault_plan(plan.clone())
+        .with_compiled_faults(&faults)
         .run()
         .expect("size-mix scenario simulates");
     assert_eq!(synthetic.classes.len(), 6, "every class completes");
@@ -293,7 +295,7 @@ fn size_mix_reports_match_golden() {
             warmup: Seconds::ZERO,
             ..config
         })
-        .with_fault_plan(plan)
+        .with_compiled_faults(&faults)
         .with_trace(trace)
         .run()
         .expect("size-mix trace replays");

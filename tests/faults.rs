@@ -182,33 +182,20 @@ fn retries_improve_delivery_under_probabilistic_drops() {
 }
 
 /// Malformed plans are rejected with typed errors at every entry
-/// point — builder, replication, and model — never with a panic.
+/// point — compilation, replication, and model — never with a panic.
 #[test]
 fn typed_errors_on_every_entry_point() {
     let g = chain(10.0, 64);
     let t = TrafficProfile::fixed(Bandwidth::gbps(4.0), Bytes::new(1000));
     let ghost = FaultPlan::new().outage("ghost", Seconds::ZERO, Seconds::millis(1.0));
 
-    let err = lognic::sim::sim::Simulation::builder(&g, &hw(), &t)
-        .with_fault_plan(ghost.clone())
-        .build()
-        .unwrap_err();
+    let err = CompiledFaultPlan::compile(&ghost, &g).unwrap_err();
     assert!(matches!(err, LogNicError::UnknownNode { .. }), "{err}");
 
     let err = replicate_faulted(Replication::new(2), &g, &t, cfg(2.0), &ghost).unwrap_err();
     assert!(matches!(err, LogNicError::UnknownNode { .. }), "{err}");
-    // Uncompiled, every replica fails alike: the bare error, not a
-    // partial report.
-    let hw = hw();
-    let err = Replication::new(2)
-        .run(|| {
-            Simulation::builder(&g, &hw, &t)
-                .config(cfg(2.0))
-                .with_fault_plan(ghost.clone())
-        })
-        .unwrap_err();
-    assert!(matches!(err, LogNicError::UnknownNode { .. }), "{err}");
 
+    let hw = hw();
     let err = Estimator::new(&g, &hw, &t)
         .request()
         .with_faults(&ghost, Seconds::millis(2.0))
@@ -217,10 +204,7 @@ fn typed_errors_on_every_entry_point() {
     assert!(matches!(err, LogNicError::UnknownNode { .. }), "{err}");
 
     let bad_factor = FaultPlan::new().degrade_rate("ip", 0.0, Seconds::ZERO, Seconds::millis(1.0));
-    let err = lognic::sim::sim::Simulation::builder(&g, &hw, &t)
-        .with_fault_plan(bad_factor)
-        .build()
-        .unwrap_err();
+    let err = CompiledFaultPlan::compile(&bad_factor, &g).unwrap_err();
     assert!(
         matches!(err, LogNicError::InvalidFaultParameter { .. }),
         "{err}"

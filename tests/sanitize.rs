@@ -139,17 +139,23 @@ fn builder<'a>(
     graph: &'a ExecutionGraph,
     hw: &'a HardwareModel,
     traffic: &'a TrafficProfile,
-    plan: &Option<FaultPlan>,
+    faults: Option<&'a CompiledFaultPlan>,
     seed: u64,
 ) -> SimulationBuilder<'a> {
     let mut b = Simulation::builder(graph, hw, traffic)
         .seed(seed)
         .duration(Seconds::millis(10.0))
         .warmup(Seconds::millis(2.0));
-    if let Some(p) = plan {
-        b = b.with_fault_plan(p.clone());
+    if let Some(c) = faults {
+        b = b.with_compiled_faults(c);
     }
     b
+}
+
+/// Compiles a generated plan once, as every faulted caller does.
+fn compile(plan: &Option<FaultPlan>, graph: &ExecutionGraph) -> Option<CompiledFaultPlan> {
+    plan.as_ref()
+        .map(|p| CompiledFaultPlan::compile(p, graph).expect("generated plans are valid"))
 }
 
 #[test]
@@ -160,15 +166,16 @@ fn sanitized_runs_are_passive_clean_and_bit_identical() {
             let graph = arb_chain(g);
             let traffic = arb_traffic(g);
             let plan = arb_plan(g, &graph);
+            let faults = compile(&plan, &graph);
             let seed = g.u64(0..u64::MAX - 1);
             let hw = HardwareModel::new(Bandwidth::gbps(400.0), Bandwidth::gbps(400.0));
 
-            let plain = builder(&graph, &hw, &traffic, &plan, seed)
+            let plain = builder(&graph, &hw, &traffic, faults.as_ref(), seed)
                 .run()
                 .expect("generated scenarios are valid");
             let mut audits: Vec<SanitizerReport> = Vec::new();
             for _ in 0..2 {
-                let (sanitized, audit) = builder(&graph, &hw, &traffic, &plan, seed)
+                let (sanitized, audit) = builder(&graph, &hw, &traffic, faults.as_ref(), seed)
                     .build()
                     .expect("generated scenarios are valid")
                     .run_sanitized()
@@ -284,11 +291,12 @@ fn traced_runs_match_untraced_on_all_paths() {
             let graph = arb_chain(g);
             let traffic = arb_traffic(g);
             let plan = arb_plan(g, &graph);
+            let faults = compile(&plan, &graph);
             let trace = g.bool(0.25).then(|| arb_burst_trace(g));
             let seed = g.u64(0..u64::MAX - 1);
             let hw = HardwareModel::new(Bandwidth::gbps(400.0), Bandwidth::gbps(400.0));
             let builder = || {
-                let b = builder(&graph, &hw, &traffic, &plan, seed);
+                let b = builder(&graph, &hw, &traffic, faults.as_ref(), seed);
                 match &trace {
                     Some(t) => b.with_trace(t.clone()),
                     None => b,
@@ -365,12 +373,13 @@ fn chaos_anchor_is_sanitizer_clean_and_identical_across_paths() {
         },
     ]);
 
+    let faults = CompiledFaultPlan::compile(&plan, &graph).unwrap();
     let builder = || {
         Simulation::builder(&graph, &hw, &traffic)
             .seed(31)
             .duration(Seconds::millis(10.0))
             .warmup(Seconds::millis(2.0))
-            .with_fault_plan(plan.clone())
+            .with_compiled_faults(&faults)
             .override_queues("crypto", queues.clone())
     };
     let plain = builder().run().unwrap();
@@ -402,12 +411,13 @@ fn chaos_anchor_is_sanitizer_clean_and_identical_across_paths() {
 fn registry_workloads_are_sanitizer_clean() {
     for entry in lognic_workloads::registry::ALL {
         let (scenario, plan) = entry.build();
+        let faults = compile(&plan, &scenario.graph);
         let mut b = Simulation::builder(&scenario.graph, &scenario.hardware, &scenario.traffic)
             .seed(7)
             .duration(Seconds::millis(5.0))
             .warmup(Seconds::millis(1.0));
-        if let Some(p) = plan {
-            b = b.with_fault_plan(p);
+        if let Some(c) = &faults {
+            b = b.with_compiled_faults(c);
         }
         let (report, audit) = b
             .build()

@@ -17,7 +17,7 @@ use std::path::PathBuf;
 use lognic::prelude::*;
 use lognic::service::{serve, ServeConfig, Service};
 use lognic::workloads::registry;
-use lognic_testkit::fuzz::malformed_request_line;
+use lognic_testkit::fuzz::{malformed_request_line, mutate_request_line};
 use lognic_testkit::Gen;
 
 fn golden_path(name: &str) -> PathBuf {
@@ -166,6 +166,70 @@ fn fuzzed_malformed_requests_all_get_typed_errors() {
         "still serving after 400 hostile lines: {}",
         lines[400]
     );
+}
+
+/// A lint-clean faulted `simulate`: an outage and a rate degradation
+/// under a retry policy, so the wire arm mutates every fault field.
+const FAULTED_SIMULATE: &str = r#"{"id":38,"kind":"simulate","graph":"nvmeof","seeds":2,"duration_ms":1,"faults":[{"node":"nic-core-submit","kind":"outage","from_ms":0.2,"until_ms":0.4},{"node":"ssd","kind":"degrade","factor":0.5,"from_ms":0.5,"until_ms":0.8}],"retry":{"budget":2,"backoff_us":20}}"#;
+
+/// Wire-arm mutants per golden corpus line, and of
+/// [`FAULTED_SIMULATE`], whose fault fields the golden lines reach only
+/// through requests the analyzer refuses.
+const MUTANTS_PER_LINE: usize = 16;
+const FAULTED_MUTANTS: usize = 400;
+
+/// The wire arm of the fuzz harness: seeded one-change mutants of the
+/// golden corpus lines and of [`FAULTED_SIMULATE`] (extreme numbers,
+/// 10,000-element arrays, 200-deep nesting, unknown kinds), streamed
+/// through `serve` at one thread in both modes. Every line gets exactly
+/// one response, each response is JSON, none is an `internal` error,
+/// and no request panicked.
+#[test]
+fn wire_mutants_are_answered_without_internal_errors() {
+    let corpus = curated_requests();
+    let bases = corpus
+        .lines()
+        .flat_map(|line| std::iter::repeat_n(line, MUTANTS_PER_LINE))
+        .chain(std::iter::repeat_n(FAULTED_SIMULATE, FAULTED_MUTANTS));
+    let mut g = Gen::new(0x3A9E_F00D);
+    let mutants: Vec<String> = bases
+        .map(|line| mutate_request_line(&mut g, line))
+        .collect();
+    let input: String = mutants.iter().map(|m| format!("{m}\n")).collect();
+    let shown = |line: &str| line.chars().take(240).collect::<String>();
+    for deterministic in [true, false] {
+        let mut service = Service::new(ServeConfig {
+            deterministic,
+            threads: 1,
+            ..ServeConfig::default()
+        });
+        let mut out = Vec::new();
+        serve(&mut service, &mut input.as_bytes(), &mut out).expect("in-memory I/O cannot fail");
+        let transcript = String::from_utf8(out).expect("responses are UTF-8");
+        let responses: Vec<&str> = transcript.lines().collect();
+        assert_eq!(responses.len(), mutants.len(), "one response per line");
+        for (line, response) in mutants.iter().zip(&responses) {
+            let doc = lognic::service::json::parse(response).unwrap_or_else(|e| {
+                panic!("not JSON ({e}): {}\n<- {}", shown(response), shown(line))
+            });
+            let code = doc
+                .get("error")
+                .and_then(|e| e.get("code"))
+                .and_then(lognic::service::Json::as_str);
+            assert_ne!(
+                code,
+                Some("internal"),
+                "deterministic={deterministic}: {}\n<- {}",
+                shown(response),
+                shown(line)
+            );
+        }
+        assert_eq!(
+            service.stats().isolated_panics,
+            0,
+            "deterministic={deterministic}"
+        );
+    }
 }
 
 /// Builds the 10k-line mixed corpus: valid, malformed,
@@ -419,6 +483,48 @@ fn analyze_lints_the_inline_fault_plan() {
         refused.contains("fault window references unknown node `nope`"),
         "{refused}"
     );
+}
+
+/// A fault window whose bounds pass the picosecond clock saturates at
+/// its end instead of panicking the replica, in both modes: an outage
+/// until `1e300` ms never closes inside the run, and a window opening
+/// at `1e300` ms never opens, so that run answers exactly like the
+/// same request without faults.
+#[test]
+fn fault_windows_past_the_clock_are_answered() {
+    let simulate = |faults: &str| {
+        format!(
+            r#"{{"id":1,"kind":"simulate","graph":"nvmeof","seeds":2,"duration_ms":1{faults}}}"#
+        )
+    };
+    let never_closes = simulate(
+        r#","faults":[{"node":"nic-core-submit","kind":"outage","from_ms":0.1,"until_ms":1e300}]"#,
+    );
+    let never_opens = simulate(
+        r#","faults":[{"node":"nic-core-submit","kind":"outage","from_ms":1e300,"until_ms":1e301}]"#,
+    );
+    for deterministic in [true, false] {
+        let mut service = Service::new(ServeConfig {
+            deterministic,
+            threads: 2,
+            ..ServeConfig::default()
+        });
+        let out = service.handle_line(&never_closes);
+        let doc = lognic::service::json::parse(&out).unwrap_or_else(|e| panic!("{e}: {out}"));
+        assert_eq!(doc.get("ok").and_then(|v| v.as_bool()), Some(true), "{out}");
+        let loss = doc
+            .get("loss_rate")
+            .and_then(|l| l.get("mean"))
+            .and_then(|m| m.as_f64())
+            .unwrap_or_else(|| panic!("no loss rate: {out}"));
+        assert!(loss > 0.5, "the outage runs to the end: {out}");
+        assert_eq!(
+            service.handle_line(&never_opens),
+            service.handle_line(&simulate("")),
+            "a window that never opens changes nothing"
+        );
+        assert_eq!(service.stats().isolated_panics, 0);
+    }
 }
 
 /// A refused request whose logical cost passes the picosecond clock

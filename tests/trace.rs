@@ -186,9 +186,10 @@ fn timeline_samples_on_the_grid_and_within_bounds() {
     let chaos = small_brownout();
     let s = &chaos.scenario;
     let mut sampler = TimeSeriesSampler::new(Seconds::micros(25.0));
+    let faults = CompiledFaultPlan::compile(&chaos.plan, &s.graph).expect("valid plan");
     let report = Simulation::builder(&s.graph, &s.hardware, &s.traffic)
         .config(small_config(7))
-        .with_fault_plan(chaos.plan.clone())
+        .with_compiled_faults(&faults)
         .run_with(&mut sampler)
         .expect("timeline run");
     let timeline = sampler.into_timeline();
