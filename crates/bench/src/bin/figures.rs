@@ -7,54 +7,60 @@
 //! figures [--quick] fig5 fig9 fig15
 //! figures list
 //! ```
+//!
+//! Exit status (`lognic_workloads::cli`): 0 on success, `help` or a
+//! closed reader; 2 with `error: …` and the usage for a command-line
+//! error (no figure, an unknown id or flag), before any figure runs.
+
+use std::io::Write;
+use std::process::ExitCode;
 
 use lognic_bench::{ablation_ids, all_figure_ids, generate, Fidelity};
+use lognic_workloads::cli::{self, Stop};
 
-fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let fidelity = if let Some(pos) = args.iter().position(|a| a == "--quick") {
-        args.remove(pos);
-        Fidelity::Quick
-    } else {
-        Fidelity::Full
-    };
-
-    if args.is_empty() || args[0] == "help" || args[0] == "--help" {
-        eprintln!("usage: figures [--quick] (all | ablations | list | <fig-id>...)");
-        eprintln!("figures: {}", all_figure_ids().join(" "));
-        eprintln!("ablations: {}", ablation_ids().join(" "));
-        std::process::exit(if args.is_empty() { 2 } else { 0 });
-    }
-    if args[0] == "list" {
-        for id in all_figure_ids().into_iter().chain(ablation_ids()) {
-            println!("{id}");
-        }
-        return;
-    }
-
-    let ids: Vec<&str> = if args[0] == "all" {
-        all_figure_ids()
-    } else if args[0] == "ablations" {
-        ablation_ids()
-    } else {
-        args.iter().map(String::as_str).collect()
-    };
-
-    let mut failed = false;
-    for id in ids {
-        let start = std::time::Instant::now();
-        match generate(id, fidelity) {
-            Some(table) => {
-                println!("{table}");
-                eprintln!("[{} done in {:.1}s]", id, start.elapsed().as_secs_f64());
-            }
-            None => {
-                eprintln!("unknown figure `{id}` (try `figures list`)");
-                failed = true;
+fn main() -> ExitCode {
+    let usage = format!(
+        "usage: figures [--quick] (all | ablations | list | <fig-id>...)\n\
+         figures: {}\n\
+         ablations: {}",
+        all_figure_ids().join(" "),
+        ablation_ids().join(" ")
+    );
+    cli::run(&usage, |flags, out| {
+        let mut fidelity = Fidelity::Full;
+        let mut args = Vec::new();
+        for arg in flags {
+            match arg.as_str() {
+                "--quick" => fidelity = Fidelity::Quick,
+                "help" | "--help" => return Err(Stop::Help),
+                flag if flag.starts_with('-') => return Err(cli::unknown(flag)),
+                _ => args.push(arg),
             }
         }
-    }
-    if failed {
-        std::process::exit(1);
-    }
+        let known: Vec<&str> = all_figure_ids().into_iter().chain(ablation_ids()).collect();
+        let ids: Vec<&str> = match args.first().map(String::as_str) {
+            None => return Err(Stop::Usage("no figure named".to_owned())),
+            Some("list") => {
+                for id in known {
+                    writeln!(out, "{id}")?;
+                }
+                return Ok(());
+            }
+            Some("all") => all_figure_ids(),
+            Some("ablations") => ablation_ids(),
+            Some(_) => args.iter().map(String::as_str).collect(),
+        };
+        if let Some(id) = ids.iter().find(|id| !known.contains(id)) {
+            return Err(Stop::Usage(format!(
+                "unknown figure `{id}` (try `figures list`)"
+            )));
+        }
+        for id in ids {
+            let start = std::time::Instant::now();
+            let table = generate(id, fidelity).expect("every listed id generates");
+            writeln!(out, "{table}")?;
+            eprintln!("[{} done in {:.1}s]", id, start.elapsed().as_secs_f64());
+        }
+        Ok(())
+    })
 }

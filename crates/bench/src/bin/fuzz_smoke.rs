@@ -21,11 +21,18 @@
 //! ```text
 //! fuzz_smoke [--cases N] [--seed S] [--artifact FILE]
 //! ```
+//!
+//! Exit status (`lognic_workloads::cli`): 0 when every case passes, on
+//! `--help` or a closed reader; 1 with `error: …` on a counterexample
+//! or a collapsed generator; 2 with `error: …` and the usage for a
+//! command-line error, such as `--cases 0`.
 
+use std::io::Write;
 use std::process::ExitCode;
 
 use lognic_model::json;
 use lognic_testkit::fuzz::{Counterexample, Fuzz};
+use lognic_workloads::cli::{self, Flags, Stop};
 use lognic_workloads::corpus::gen::{differential_check, ScenarioSpec};
 
 const HARNESS: &str = "differential_scenario_fuzz";
@@ -38,9 +45,9 @@ struct Options {
     artifact: String,
 }
 
-/// Parses the flags after the program name. `--cases` must be at
+/// Reads the flags after the program name. `--cases` must be at
 /// least 1: a sweep that checks nothing must not report a pass.
-fn parse_args(args: &[String]) -> Result<Options, String> {
+fn read_options(flags: &mut Flags) -> Result<Options, Stop> {
     let mut opts = Options {
         cases: 32,
         // Fixed default so CI runs are reproducible run-to-run; any
@@ -48,25 +55,13 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         seed: 0x10_621C_F022,
         artifact: "fuzz-failure.json".to_owned(),
     };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || it.next().ok_or_else(|| format!("{flag} needs a value"));
+    while let Some(flag) = flags.next() {
         match flag.as_str() {
-            "--cases" => {
-                opts.cases = value()?
-                    .parse()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or("--cases needs a positive integer")?;
-            }
-            "--seed" => {
-                opts.seed = value()?
-                    .parse()
-                    .map_err(|_| "--seed needs an unsigned integer")?;
-            }
-            "--artifact" => opts.artifact = value()?.clone(),
-            "--help" | "-h" => return Err(USAGE.to_owned()),
-            other => return Err(format!("unknown flag {other}")),
+            "--cases" => opts.cases = flags.nonzero(&flag)?,
+            "--seed" => opts.seed = flags.integer(&flag)?,
+            "--artifact" => opts.artifact = flags.value(&flag)?,
+            "--help" | "-h" => return Err(Stop::Help),
+            other => return Err(cli::unknown(other)),
         }
     }
     Ok(opts)
@@ -88,62 +83,54 @@ fn artifact(base_seed: u64, cx: &Counterexample<ScenarioSpec>) -> String {
     )
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = parse_args(&args).unwrap_or_else(|e| {
-        if e != USAGE {
-            eprintln!("fuzz_smoke: {e}");
-        }
-        eprintln!("{USAGE}");
-        std::process::exit(2);
-    });
+fn fuzz(flags: &mut Flags, out: &mut impl Write) -> Result<(), Stop> {
+    let opts = read_options(flags)?;
     let report = Fuzz::new(HARNESS).cases(opts.cases).seed(opts.seed).run(
         ScenarioSpec::arbitrary,
         ScenarioSpec::shrink,
         differential_check,
     );
 
-    match &report.counterexample {
-        None => {
-            if report.checked < opts.cases {
-                // The attempt cap hit before the budget was met — the
-                // generator's clean rate collapsed, which is itself a
-                // regression worth failing on.
-                eprintln!(
-                    "fuzz_smoke: only {} of {} analyzer-clean scenarios after {} attempts \
-                     ({} skipped) — generator domain regressed",
-                    report.checked, opts.cases, report.attempts, report.skipped
-                );
-                return ExitCode::FAILURE;
-            }
-            println!(
-                "fuzz_smoke: {} scenarios checked ({} skipped as analyzer-flagged, \
-                 {} attempts, seed {:#x}) — no watchdog aborts, sanitizer-clean and \
-                 reproducible, model inside replicated 95% CIs",
-                report.checked, report.skipped, report.attempts, opts.seed
-            );
-            ExitCode::SUCCESS
+    if let Some(cx) = &report.counterexample {
+        if let Err(e) = std::fs::write(&opts.artifact, artifact(opts.seed, cx)) {
+            eprintln!("fuzz_smoke: cannot write {}: {e}", opts.artifact);
+        } else {
+            eprintln!("fuzz_smoke: wrote failing scenario to {}", opts.artifact);
         }
-        Some(cx) => {
-            if let Err(e) = std::fs::write(&opts.artifact, artifact(opts.seed, cx)) {
-                eprintln!("fuzz_smoke: cannot write {}: {e}", opts.artifact);
-            } else {
-                eprintln!("fuzz_smoke: wrote failing scenario to {}", opts.artifact);
-            }
-            eprintln!(
-                "fuzz_smoke: FAILED on case #{} (seed {}): {}\n\
-                 after {} shrink step(s): {}\n\
-                 minimal spec: {}",
-                cx.case,
-                cx.seed,
-                cx.original_message,
-                cx.shrink_steps,
-                cx.message,
-                cx.minimal.to_json()
-            );
-            ExitCode::FAILURE
-        }
+        return Err(Stop::Failed(format!(
+            "case #{} (seed {}) failed: {}\n\
+             after {} shrink step(s): {}\n\
+             minimal spec: {}",
+            cx.case,
+            cx.seed,
+            cx.original_message,
+            cx.shrink_steps,
+            cx.message,
+            cx.minimal.to_json()
+        )));
     }
+    if report.checked < opts.cases {
+        // The attempt cap hit before the budget was met — the
+        // generator's clean rate collapsed, which is itself a
+        // regression worth failing on.
+        return Err(Stop::Failed(format!(
+            "only {} of {} analyzer-clean scenarios after {} attempts \
+             ({} skipped) — generator domain regressed",
+            report.checked, opts.cases, report.attempts, report.skipped
+        )));
+    }
+    writeln!(
+        out,
+        "fuzz_smoke: {} scenarios checked ({} skipped as analyzer-flagged, \
+         {} attempts, seed {:#x}) — no watchdog aborts, sanitizer-clean and \
+         reproducible, model inside replicated 95% CIs",
+        report.checked, report.skipped, report.attempts, opts.seed
+    )?;
+    Ok(())
+}
+
+fn main() -> ExitCode {
+    cli::run(USAGE, fuzz)
 }
 
 #[cfg(test)]
@@ -176,7 +163,8 @@ mod tests {
     }
 
     fn parse(args: &[&str]) -> Result<Options, String> {
-        parse_args(&args.iter().map(|s| (*s).to_owned()).collect::<Vec<_>>())
+        read_options(&mut Flags::new(args.iter().map(|s| (*s).to_owned())))
+            .map_err(|stop| stop.to_string())
     }
 
     #[test]
@@ -198,7 +186,7 @@ mod tests {
         let retired = concat!("--", "sanitize");
         assert_eq!(
             parse(&[retired]).unwrap_err(),
-            format!("unknown flag {retired}")
+            format!("unknown argument `{retired}`")
         );
     }
 }

@@ -24,16 +24,19 @@
 //! exhibits its dynamic contract under a sanitizer-clean simulation
 //! run. Findings that cannot produce a witness fail the run.
 //!
-//! Exit status: 0 when no diagnostic is at deny level (or, under
-//! `--verify`, when every deny-level code carries a confirmed
-//! witness), 1 otherwise, 2 on a usage error.
+//! Exit status (`lognic_workloads::cli`): 0 with no deny-level finding
+//! (under `--verify`: every deny-level code confirmed), on `--help` or
+//! a closed reader; 1 with `error: …` otherwise; 2 with `error: …` and
+//! the usage for a command-line error, such as an unknown code.
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 use lognic_devices::validate::all_profile_diagnostics;
 use lognic_model::analyze::{pass_names, AnalysisConfig, Code, Diagnostic, Severity};
 use lognic_model::json;
 use lognic_workloads::broken::{all_broken, BrokenCase};
+use lognic_workloads::cli::{self, Flags, Stop};
 use lognic_workloads::scenario::Scenario;
 use lognic_workloads::witness::synthesize;
 
@@ -41,44 +44,29 @@ use lognic_workloads::witness::synthesize;
 const VERIFY_SEED: u64 = 0x5EED_0B5E_55ED;
 
 struct Options {
-    set: FixtureSet,
+    set: &'static str,
     json: bool,
     color: bool,
     list: bool,
-    explain: Option<String>,
+    explain: Option<Code>,
     verify: bool,
     config: AnalysisConfig,
     deny_warnings: bool,
 }
 
-#[derive(PartialEq, Clone, Copy)]
-enum FixtureSet {
-    Clean,
-    Broken,
-    All,
+const USAGE: &str = "\
+usage: lognic-lint [--set clean|broken|all] [--json] [--no-color] [--list]
+                   [--explain <code>] [--verify]
+                   [--deny warnings|<code>|<slug>]... [--warn <code>]... [--allow <code>]...";
+
+fn parse_code(spec: &str) -> Result<Code, Stop> {
+    Code::parse(spec)
+        .ok_or_else(|| Stop::Usage(format!("unknown diagnostic code or slug `{spec}`")))
 }
 
-fn usage() -> String {
-    "usage: lognic-lint [--set clean|broken|all] [--json] [--no-color] [--list]\n\
-     \x20                  [--explain <code>] [--verify]\n\
-     \x20                  [--deny warnings|<code>|<slug>]... [--warn <code>]... [--allow <code>]...\n\
-     \n\
-     Analyzes the fixture scenarios and the calibrated device profiles.\n\
-     --explain prints the extended documentation for one diagnostic code.\n\
-     --verify confirms every deny-level finding with a shrunk witness\n\
-     scenario exhibited under a sanitizer-clean simulation run.\n\
-     Exits 1 when any diagnostic lands at deny level (under --verify:\n\
-     when any deny-level code lacks a confirmed witness), 2 on usage errors."
-        .to_owned()
-}
-
-fn parse_code(spec: &str) -> Result<Code, String> {
-    Code::parse(spec).ok_or_else(|| format!("unknown diagnostic code or slug `{spec}`"))
-}
-
-fn parse_args(args: &[String]) -> Result<Options, String> {
+fn read_options(flags: &mut Flags) -> Result<Options, Stop> {
     let mut opts = Options {
-        set: FixtureSet::Clean,
+        set: "clean",
         json: false,
         color: true,
         list: false,
@@ -87,54 +75,30 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         config: AnalysisConfig::default(),
         deny_warnings: false,
     };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--set" => {
-                let v = it.next().ok_or("--set requires a value")?;
-                opts.set = match v.as_str() {
-                    "clean" => FixtureSet::Clean,
-                    "broken" => FixtureSet::Broken,
-                    "all" => FixtureSet::All,
-                    other => return Err(format!("unknown fixture set `{other}`")),
-                };
-            }
+    while let Some(flag) = flags.next() {
+        match flag.as_str() {
+            "--set" => opts.set = flags.choice(&flag, &["clean", "broken", "all"])?,
             "--json" => opts.json = true,
             "--no-color" => opts.color = false,
             "--list" => opts.list = true,
             "--verify" => opts.verify = true,
-            "--explain" => {
-                let v = it.next().ok_or("--explain requires a code or slug")?;
-                opts.explain = Some(v.clone());
-            }
-            "--deny" => {
-                let v = it.next().ok_or("--deny requires a value")?;
-                if v == "warnings" {
+            "--explain" => opts.explain = Some(parse_code(&flags.value(&flag)?)?),
+            "--deny" | "--warn" | "--allow" => {
+                let spec = flags.value(&flag)?;
+                if flag == "--deny" && spec == "warnings" {
                     opts.deny_warnings = true;
-                    opts.config = opts.config.clone().deny_warnings(true);
-                } else {
-                    opts.config = opts
-                        .config
-                        .clone()
-                        .set_severity(parse_code(v)?, Severity::Deny);
+                    opts.config = opts.config.deny_warnings(true);
+                    continue;
                 }
+                let severity = match flag.as_str() {
+                    "--deny" => Severity::Deny,
+                    "--warn" => Severity::Warn,
+                    _ => Severity::Allow,
+                };
+                opts.config = opts.config.set_severity(parse_code(&spec)?, severity);
             }
-            "--warn" => {
-                let v = it.next().ok_or("--warn requires a value")?;
-                opts.config = opts
-                    .config
-                    .clone()
-                    .set_severity(parse_code(v)?, Severity::Warn);
-            }
-            "--allow" => {
-                let v = it.next().ok_or("--allow requires a value")?;
-                opts.config = opts
-                    .config
-                    .clone()
-                    .set_severity(parse_code(v)?, Severity::Allow);
-            }
-            "--help" | "-h" => return Err(usage()),
-            other => return Err(format!("unknown argument `{other}`\n{}", usage())),
+            "--help" | "-h" => return Err(Stop::Help),
+            other => return Err(cli::unknown(other)),
         }
     }
     Ok(opts)
@@ -177,59 +141,46 @@ fn clean_cases() -> Vec<BrokenCase> {
         .collect()
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_args(&args) {
-        Ok(o) => o,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::from(2);
-        }
-    };
+fn lint(flags: &mut Flags, out: &mut impl Write) -> Result<(), Stop> {
+    let opts = read_options(flags)?;
 
-    if let Some(spec) = &opts.explain {
+    if let Some(code) = opts.explain {
         // rustc-style extended documentation for one code.
-        match Code::parse(spec) {
-            Some(code) => {
-                println!(
-                    "{} ({}), default {}\n",
-                    code.as_str(),
-                    code.slug(),
-                    code.default_severity()
-                );
-                println!("{}", code.explain());
-                return ExitCode::SUCCESS;
-            }
-            None => {
-                eprintln!("unknown diagnostic code or slug `{spec}`; try --list");
-                return ExitCode::from(2);
-            }
-        }
+        writeln!(
+            out,
+            "{} ({}), default {}\n",
+            code.as_str(),
+            code.slug(),
+            code.default_severity()
+        )?;
+        writeln!(out, "{}", code.explain())?;
+        return Ok(());
     }
 
     if opts.list {
-        println!("passes:");
+        writeln!(out, "passes:")?;
         for name in pass_names() {
-            println!("  {name}");
+            writeln!(out, "  {name}")?;
         }
-        println!("codes (lognic-lint --explain <code> for details):");
+        writeln!(out, "codes (lognic-lint --explain <code> for details):")?;
         for code in Code::ALL {
-            println!(
+            writeln!(
+                out,
                 "  {} {:28} {:7} {}",
                 code.as_str(),
                 code.slug(),
                 code.default_severity().to_string(),
                 code.summary()
-            );
+            )?;
         }
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
 
     let mut cases = Vec::new();
-    if matches!(opts.set, FixtureSet::Clean | FixtureSet::All) {
+    if matches!(opts.set, "clean" | "all") {
         cases.extend(clean_cases());
     }
-    if matches!(opts.set, FixtureSet::Broken | FixtureSet::All) {
+    if matches!(opts.set, "broken" | "all") {
         cases.extend(all_broken());
     }
 
@@ -237,7 +188,7 @@ fn main() -> ExitCode {
     let mut warned = 0usize;
     let mut shown = 0usize;
 
-    let mut emit = |scope: &str, diags: Vec<Diagnostic>| {
+    let mut emit = |out: &mut dyn Write, scope: &str, diags: Vec<Diagnostic>| -> io::Result<()> {
         for d in diags {
             match d.severity {
                 Severity::Deny => denied += 1,
@@ -253,14 +204,16 @@ fn main() -> ExitCode {
                     json::escape(scope),
                     line.strip_prefix('{').unwrap_or(&line)
                 );
-                println!("{tagged}");
+                writeln!(out, "{tagged}")?;
             } else {
-                println!(
+                writeln!(
+                    out,
                     "{}\n  --- in scenario `{scope}`\n",
                     d.render_human(opts.color)
-                );
+                )?;
             }
         }
+        Ok(())
     };
 
     let mut deny_codes: Vec<Code> = Vec::new();
@@ -271,7 +224,7 @@ fn main() -> ExitCode {
                 deny_codes.push(d.code);
             }
         }
-        emit(&case.scenario.name, report.diagnostics().to_vec());
+        emit(out, &case.scenario.name, report.diagnostics().to_vec())?;
     }
 
     // Device calibrations ride along in every set: a broken profile
@@ -284,7 +237,7 @@ fn main() -> ExitCode {
             }
         }
     }
-    emit("device-profiles", profile_diags);
+    emit(out, "device-profiles", profile_diags)?;
 
     if !opts.json {
         eprintln!(
@@ -306,15 +259,18 @@ fn main() -> ExitCode {
             match synthesize(*code, VERIFY_SEED) {
                 Ok(w) => {
                     if opts.json {
-                        println!("{{\"witness\":{}}}", w.render_json());
+                        writeln!(out, "{{\"witness\":{}}}", w.render_json())?;
                     } else {
-                        println!("verified {}", w.render_human());
+                        writeln!(out, "verified {}", w.render_human())?;
                     }
                 }
                 Err(why) => {
                     unconfirmed += 1;
                     if opts.json {
-                        println!("{{\"witness\":{{\"code\":\"{code}\",\"confirmed\":false}}}}");
+                        writeln!(
+                            out,
+                            "{{\"witness\":{{\"code\":\"{code}\",\"confirmed\":false}}}}"
+                        )?;
                     } else {
                         eprintln!("UNCONFIRMED {code}: {why}");
                     }
@@ -328,16 +284,20 @@ fn main() -> ExitCode {
                 deny_codes.len() - unconfirmed
             );
         }
-        return if unconfirmed > 0 {
-            ExitCode::FAILURE
-        } else {
-            ExitCode::SUCCESS
+        return match unconfirmed {
+            0 => Ok(()),
+            n => Err(Stop::Failed(format!(
+                "{n} deny-level code(s) without a confirmed witness"
+            ))),
         };
     }
 
-    if denied > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
+    match denied {
+        0 => Ok(()),
+        n => Err(Stop::Failed(format!("{n} finding(s) at deny level"))),
     }
+}
+
+fn main() -> ExitCode {
+    cli::run(USAGE, lint)
 }

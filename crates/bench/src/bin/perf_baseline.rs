@@ -51,11 +51,12 @@
 //! cargo run --release -p lognic-bench --bin perf_baseline -- --out /tmp/b.json
 //! ```
 //!
-//! Any other argument prints the usage and exits 2 before anything is
-//! measured or written, and so does `--check` when `BENCH_sim.json` is
-//! missing, is not JSON, or has a `schema` other than
-//! `lognic-perf-baseline/v2`.
-//!
+//! Exit status (`lognic_workloads::cli`): 0 on success or a closed
+//! reader; 1 with `error: …` when a check fails, the ledger cannot be
+//! written, or `--check` finds `BENCH_sim.json` missing, not JSON, or
+//! not schema `lognic-perf-baseline/v2` (read before measuring); 2 with
+//! `error: …` and the usage for any other argument, before anything runs.
+
 //! Allocations are counted by a wrapping `#[global_allocator]`. For a
 //! simulation the per-event figure is a *delta between two run
 //! lengths* of the same scenario, so one-time costs (graph build,
@@ -69,6 +70,8 @@ use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::hint::black_box;
+use std::io::Write;
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -80,6 +83,7 @@ use lognic_model::units::{Bandwidth, Bytes, Seconds};
 use lognic_optimizer::suggest;
 use lognic_sim::calendar::CalendarQueue;
 use lognic_sim::prelude::*;
+use lognic_workloads::cli::{self, Flags, Stop};
 use lognic_workloads::doorbell::{doorbell_burst, BurstPlan};
 use lognic_workloads::microservices::{self, scenario, AllocationScheme, App};
 use lognic_workloads::nvmeof::{self, nvmeof};
@@ -677,50 +681,6 @@ fn compare(committed: &[Row], fresh: &[Row]) -> Vec<String> {
     failures
 }
 
-fn print_row(r: &Row) {
-    println!(
-        "{:<16} {:<15} {:>9.3} ms ±{:>5.1}%  {:>12.0} ev/s  {}",
-        r.name,
-        r.engine,
-        r.wall_secs * 1e3,
-        r.spread * 100.0,
-        r.events_per_sec(),
-        r.counters(),
-    );
-}
-
-/// Reads the committed `BENCH_sim.json` for `--check`, exiting 2 when
-/// it is missing or unreadable.
-fn committed_ledger() -> (Vec<Row>, usize) {
-    let text = std::fs::read_to_string("BENCH_sim.json").unwrap_or_else(|e| {
-        eprintln!("perf-smoke: cannot read BENCH_sim.json: {e}");
-        std::process::exit(2);
-    });
-    read_ledger(&text).unwrap_or_else(|e| {
-        eprintln!("perf-smoke: {e}");
-        std::process::exit(2);
-    })
-}
-
-/// `--check`: compares the measured rows against the committed ledger
-/// and exits non-zero on any failure.
-fn check((committed, committed_nproc): (Vec<Row>, usize), fresh: &[Row], nproc: usize) -> ! {
-    if committed_nproc != nproc {
-        println!(
-            "perf-smoke: the ledger was measured at nproc {committed_nproc}, this host has {nproc}"
-        );
-    }
-    let failures = compare(&committed, fresh);
-    for f in &failures {
-        eprintln!("perf-smoke: {f}");
-    }
-    if !failures.is_empty() {
-        std::process::exit(1);
-    }
-    println!("perf-smoke: every counter matches and every row is above its floor");
-    std::process::exit(0);
-}
-
 const USAGE: &str = "\
 usage: perf_baseline [--check] [--out PATH]
 
@@ -738,23 +698,25 @@ struct Args {
 }
 
 impl Args {
-    /// Accepts `--check` and `--out PATH`, each at most once; anything
-    /// else is an error naming the offending argument.
-    fn parse(args: &[String]) -> Result<Args, String> {
+    /// Reads `--check` and `--out PATH`, each at most once; anything
+    /// else is a usage error naming the offending argument.
+    fn read(flags: &mut Flags) -> Result<Args, Stop> {
         let mut parsed = Args {
             check: false,
             out: None,
         };
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
+        while let Some(flag) = flags.next() {
+            match flag.as_str() {
                 "--check" if !parsed.check => parsed.check = true,
-                "--out" if parsed.out.is_none() => match it.next() {
-                    Some(path) if !path.starts_with('-') => parsed.out = Some(path.clone()),
-                    _ => return Err("--out needs a file path".to_owned()),
-                },
-                "--check" | "--out" => return Err(format!("{arg} given twice")),
-                _ => return Err(format!("unknown argument {arg:?}")),
+                "--out" if parsed.out.is_none() => {
+                    let path = flags.value(&flag)?;
+                    if path.is_empty() || path.starts_with('-') {
+                        return Err(Stop::Usage(format!("--out `{path}`: expected a file path")));
+                    }
+                    parsed.out = Some(path);
+                }
+                "--check" | "--out" => return Err(Stop::Usage(format!("{flag} given twice"))),
+                other => return Err(cli::unknown(other)),
             }
         }
         Ok(parsed)
@@ -769,15 +731,19 @@ impl Args {
     }
 }
 
-fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let args = Args::parse(&raw).unwrap_or_else(|e| {
-        eprintln!("perf_baseline: {e}\n\n{USAGE}");
-        std::process::exit(2);
-    });
+fn baseline(flags: &mut Flags, out: &mut impl Write) -> Result<(), Stop> {
+    let args = Args::read(flags)?;
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     // Read the ledger before measuring, so a bad one fails at once.
-    let committed = args.check.then(committed_ledger);
+    let committed = args
+        .check
+        .then(|| {
+            std::fs::read_to_string("BENCH_sim.json")
+                .map_err(|e| format!("cannot read BENCH_sim.json: {e}"))
+                .and_then(|text| read_ledger(&text))
+        })
+        .transpose()
+        .map_err(Stop::Failed)?;
 
     let mut benches: Vec<Bench> = workloads().into_iter().map(sim_bench).collect();
     benches.extend([CALENDAR, HEAP].map(hold_bench));
@@ -786,15 +752,51 @@ fn main() {
     benches.push(model_bench("model_registry", 8, model_registry_pass()));
     benches.push(model_bench("mmcn_c64_n256", 64, mmcn_pass));
     let rows = measure(benches);
-    rows.iter().for_each(print_row);
+    for r in &rows {
+        writeln!(
+            out,
+            "{:<16} {:<15} {:>9.3} ms ±{:>5.1}%  {:>12.0} ev/s  {}",
+            r.name,
+            r.engine,
+            r.wall_secs * 1e3,
+            r.spread * 100.0,
+            r.events_per_sec(),
+            r.counters(),
+        )?;
+    }
 
     if let Some(path) = args.out_path() {
-        std::fs::write(path, render_json(&rows, nproc)).expect("write the ledger");
-        println!("wrote {path}");
+        std::fs::write(path, render_json(&rows, nproc))
+            .map_err(|e| Stop::Failed(format!("cannot write {path}: {e}")))?;
+        writeln!(out, "wrote {path}")?;
     }
-    if let Some(committed) = committed {
-        check(committed, &rows, nproc);
+    // `--check`: the measured rows against the committed ledger.
+    let Some((committed, committed_nproc)) = committed else {
+        return Ok(());
+    };
+    if committed_nproc != nproc {
+        writeln!(
+            out,
+            "perf-smoke: the ledger was measured at nproc {committed_nproc}, this host has {nproc}"
+        )?;
     }
+    let failures = compare(&committed, &rows);
+    for f in &failures {
+        eprintln!("perf-smoke: {f}");
+    }
+    if !failures.is_empty() {
+        let n = failures.len();
+        return Err(Stop::Failed(format!("{n} ledger check(s) failed")));
+    }
+    writeln!(
+        out,
+        "perf-smoke: every counter matches and every row is above its floor"
+    )?;
+    Ok(())
+}
+
+fn main() -> ExitCode {
+    cli::run(USAGE, baseline)
 }
 
 #[cfg(test)]
@@ -811,7 +813,8 @@ mod tests {
     }
 
     fn parse(args: &[&str]) -> Result<Args, String> {
-        Args::parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+        Args::read(&mut Flags::new(args.iter().map(|a| a.to_string())))
+            .map_err(|stop| stop.to_string())
     }
 
     #[test]
@@ -841,15 +844,13 @@ mod tests {
             &["--check", "extra"],
             &["--out"],
             &["--out", "--check"],
+            &["--out", ""],
             &["--check", "--check"],
             &["--out", "a.json", "--out", "b.json"],
         ] {
             assert!(parse(bad).is_err(), "{bad:?} must be refused");
         }
-        assert_eq!(
-            parse(&["--chek"]).unwrap_err(),
-            "unknown argument \"--chek\""
-        );
+        assert_eq!(parse(&["--chek"]).unwrap_err(), "unknown argument `--chek`");
     }
 
     #[test]

@@ -278,8 +278,8 @@ impl Topology {
     ///   latency, which collapses the fleet loop's conservative
     ///   lookahead.
     /// * `L0702` (warn): a NIC whose local offered load plus the
-    ///   fabric traffic routed onto it exceeds its attainable
-    ///   throughput.
+    ///   fabric traffic routed onto it exceeds its saturation bound
+    ///   (the tightest hardware bound); a NIC without one is skipped.
     /// * `L0703` (warn): a link offered more traffic than its
     ///   bandwidth carries.
     ///
@@ -352,21 +352,25 @@ impl Topology {
             if incoming <= 0.0 {
                 continue; // purely local overload is L02xx/L05xx territory
             }
-            let Ok(est) = estimate_throughput(&nic.graph, &nic.hardware, &nic.traffic) else {
+            // The hardware bound, not `attainable()`: that one includes
+            // the NIC's own offered load, so it never exceeds `local`.
+            let Some(capacity) = estimate_throughput(&nic.graph, &nic.hardware, &nic.traffic)
+                .ok()
+                .and_then(|est| est.saturation_bound().map(|b| b.limit))
+            else {
                 continue;
             };
-            let attainable = est.attainable();
             let total = Bandwidth::bps(local.as_bps() + incoming);
-            if total.as_bps() > attainable.as_bps() {
+            if total.as_bps() > capacity.as_bps() {
                 diags.push(
                     Diagnostic::new(
                         Code::FleetConsolidationOverload,
                         nic_span(NicId(v)),
                         format!(
-                            "local {} plus incoming fabric {} exceeds attainable {}",
+                            "local {} plus incoming fabric {} exceeds its saturation bound {}",
                             local,
                             Bandwidth::bps(incoming),
-                            attainable
+                            capacity
                         ),
                     )
                     .with_help(
@@ -476,6 +480,30 @@ mod tests {
             "{}",
             hits[0].primary
         );
+    }
+
+    fn consolidation_hits(topo: &Topology) -> usize {
+        topo.analyze(&AnalysisConfig::default())
+            .diagnostics()
+            .iter()
+            .filter(|d| d.code == Code::FleetConsolidationOverload)
+            .count()
+    }
+
+    /// Two 9 Gb/s NICs offered 3.5 Gb/s each and forwarding half their
+    /// egress to each other ask 5.25 Gb/s of a 9 Gb/s device: no
+    /// overload, though 5.25 Gb/s is above each NIC's own offered
+    /// load, which is what `attainable()` reports.
+    #[test]
+    fn a_pair_below_its_saturation_bound_is_not_warned() {
+        let (g, hw, t) = chain(9.0, 3.5);
+        let mut topo = Topology::new("pair");
+        let a = topo.add_nic("a", g.clone(), hw, t.clone());
+        let b = topo.add_nic("b", g, hw, t);
+        for (src, dst) in [(a, b), (b, a)] {
+            topo.link(src, dst, Bandwidth::gbps(100.0), Seconds::micros(2.0), 0.5);
+        }
+        assert_eq!(consolidation_hits(&topo), 0);
     }
 
     #[test]

@@ -39,6 +39,8 @@ pub use service::{serve, ServeConfig, ServeSummary, Service};
 pub use shed::LoadGauge;
 pub use stats::ServiceStats;
 
+use lognic_workloads::cli::{self, Flags, Stop};
+
 /// Command-line options of the `lognic serve` subcommand.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeOptions {
@@ -55,30 +57,27 @@ impl ServeOptions {
     ///
     /// Returns a human-readable message naming the offending flag.
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<ServeOptions, String> {
+        Self::read(&mut Flags::new(args)).map_err(|stop| stop.to_string())
+    }
+
+    /// Reads `serve` flags to the end of `flags`, as `lognic serve`
+    /// does: [`Stop::Help`] for `--help`, else [`Stop::Usage`] for an
+    /// unknown flag or a missing or malformed value.
+    pub fn read(flags: &mut Flags) -> Result<ServeOptions, Stop> {
         let mut config = ServeConfig::default();
-        let mut it = args.into_iter();
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
+        while let Some(flag) = flags.next() {
+            match flag.as_str() {
                 "--deterministic" => config.deterministic = true,
                 "--allow-debug-panic" => config.allow_debug_panic = true,
-                "--threads" => config.threads = Self::num(&mut it, "--threads")? as usize,
-                "--high-water" => config.high_water = Self::num(&mut it, "--high-water")?,
-                "--drain" => config.drain_per_request = Self::num(&mut it, "--drain")?,
-                "--max-line-bytes" => {
-                    config.max_line_bytes = Self::num(&mut it, "--max-line-bytes")? as usize;
-                }
-                "--help" | "-h" => return Err(Self::usage().to_owned()),
-                other => return Err(format!("unknown flag `{other}`\n{}", Self::usage())),
+                "--threads" => config.threads = flags.integer(&flag)?,
+                "--high-water" => config.high_water = flags.integer(&flag)?,
+                "--drain" => config.drain_per_request = flags.integer(&flag)?,
+                "--max-line-bytes" => config.max_line_bytes = flags.integer(&flag)?,
+                "--help" | "-h" => return Err(Stop::Help),
+                other => return Err(cli::unknown(other)),
             }
         }
         Ok(ServeOptions { config })
-    }
-
-    fn num(it: &mut dyn Iterator<Item = String>, flag: &str) -> Result<u64, String> {
-        let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
-        value
-            .parse::<u64>()
-            .map_err(|_| format!("{flag} needs an unsigned integer, got `{value}`"))
     }
 
     /// The usage text `lognic serve` prints.

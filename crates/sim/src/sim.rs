@@ -1403,7 +1403,10 @@ impl Simulation {
         if !rt.faults.is_empty() {
             let factor = rt.faults.rate_factor_at(now);
             if factor < 1.0 {
-                service = SimTime::from_secs(service.as_secs() / factor.max(1e-9));
+                // A deep enough degradation stretches the service past
+                // the clock: the packet then never finishes in the run.
+                service = SimTime::try_from_secs(service.as_secs() / factor.max(1e-9))
+                    .unwrap_or(SimTime::MAX);
             }
         }
         let occupancy = service + rt.overhead;
@@ -2474,6 +2477,25 @@ mod tests {
             r.throughput
         );
         assert!(r.loss_rate() > 0.5, "overload must shed load");
+    }
+
+    /// An 80 ms service stretched by a 1e-12 degradation lies past the
+    /// picosecond clock: it saturates at `SimTime::MAX` instead of
+    /// panicking, and the stretched packet never completes.
+    #[test]
+    fn a_degradation_past_the_clock_saturates() {
+        let g = chain(0.0001, 8);
+        let t = TrafficProfile::fixed(Bandwidth::mbps(0.05), Bytes::new(1000));
+        let horizon = Seconds::millis(1000.0);
+        let plan = FaultPlan::new().degrade_rate("ip", 1e-12, Seconds::ZERO, horizon);
+        let r = Simulation::builder(&g, &fast_hw(), &t)
+            .duration(horizon)
+            .warmup(Seconds::ZERO)
+            .with_compiled_faults(&compiled(&plan, &g))
+            .run()
+            .unwrap();
+        assert!(r.events > 0, "the run must inject packets");
+        assert_eq!(r.completed, 0, "no stretched service finishes");
     }
 
     #[test]

@@ -51,6 +51,9 @@
 //! assert!(cx.minimal.iter().sum::<u64>() >= 300);
 //! ```
 
+use std::path::Path;
+use std::process::{Command, Output, Stdio};
+
 use crate::check::fnv1a;
 use crate::gen::Gen;
 use crate::rng::splitmix64;
@@ -493,6 +496,135 @@ fn string_end(b: &[u8], mut i: usize) -> usize {
     i
 }
 
+/// The one thing an [`ArgvMutant`] changed in its base command line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ArgvEdit {
+    /// One flag's value became `0`, `-1`, `1e-300`, `1e300`, `1e400`,
+    /// `NaN` or the empty string.
+    Value,
+    /// One flag's value was dropped.
+    DropValue,
+    /// One flag, with its value if it takes one, was given again at
+    /// the end.
+    Repeat,
+    /// A flag no binary takes was added at the end.
+    Unknown,
+    /// Nothing in the arguments: the mutant runs with its standard
+    /// output closed.
+    CloseStdout,
+}
+
+/// One seeded mutant of a well-formed command line: the argv twin of
+/// [`mutate_request_line`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct ArgvMutant {
+    /// The arguments after the program name.
+    pub args: Vec<String>,
+    /// What changed.
+    pub edit: ArgvEdit,
+}
+
+/// Values a mutant gives a flag. None parses as an integer above zero,
+/// so a mutant never raises a count (`--cases`, `--threads`,
+/// `--limit`): it can only refuse work or shrink it.
+const ARGV_VALUES: &[&str] = &["0", "-1", "1e-300", "1e300", "1e400", "NaN", ""];
+
+/// One seeded mutant of the command line `args` (program name
+/// excluded), changing one [`ArgvEdit`] thing. An argument starting
+/// `-` is a flag, and a flag followed by an argument that does not
+/// start `--` takes that argument as its value. A command line without
+/// the chosen edit's target gets an unknown flag instead.
+pub fn mutate_argv(g: &mut Gen, args: &[&str]) -> ArgvMutant {
+    let flags: Vec<usize> = (0..args.len())
+        .filter(|&i| args[i].starts_with('-'))
+        .collect();
+    let valued: Vec<usize> = flags
+        .iter()
+        .copied()
+        .filter(|&i| args.get(i + 1).is_some_and(|v| !v.starts_with("--")))
+        .collect();
+    let mut out: Vec<String> = args.iter().map(|a| (*a).to_owned()).collect();
+    let edit = match g.usize(0..5) {
+        0 if !valued.is_empty() => {
+            out[*g.pick(&valued) + 1] = (*g.pick(ARGV_VALUES)).to_owned();
+            ArgvEdit::Value
+        }
+        1 if !valued.is_empty() => {
+            out.remove(*g.pick(&valued) + 1);
+            ArgvEdit::DropValue
+        }
+        2 if !flags.is_empty() => {
+            let i = *g.pick(&flags);
+            let end = if valued.contains(&i) { i + 2 } else { i + 1 };
+            out.extend_from_within(i..end);
+            ArgvEdit::Repeat
+        }
+        4 => ArgvEdit::CloseStdout,
+        _ => {
+            out.push(format!("--no-such-flag-{}", g.u64(0..1000)));
+            ArgvEdit::Unknown
+        }
+    };
+    ArgvMutant { args: out, edit }
+}
+
+/// Runs `program` on `args` in `dir`, with an empty standard input,
+/// and checks the workspace's command-line contract: the process exits
+/// 0, 1 or 2 and not by a signal, an exit 1 prints `error: `, and an
+/// exit 2 prints `error: ` and a `usage:` line. With `closed_stdout`,
+/// standard output is a pipe whose read end is closed before the
+/// program starts, and the program must exit 0 with nothing on
+/// standard error. Returns the output for further checks.
+///
+/// # Errors
+///
+/// Describes the broken rule, with the command line and its standard
+/// error.
+pub fn check_cli_contract(
+    program: &Path,
+    args: &[String],
+    dir: &Path,
+    closed_stdout: bool,
+) -> Result<Output, String> {
+    let mut command = Command::new(program);
+    command
+        .args(args)
+        .current_dir(dir)
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped());
+    if closed_stdout {
+        let (reader, writer) = std::io::pipe().map_err(|e| format!("no pipe: {e}"))?;
+        drop(reader);
+        command.stdout(writer);
+    }
+    let out = command
+        .output()
+        .map_err(|e| format!("{} does not start: {e}", program.display()))?;
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let broken = |rule: &str| {
+        Err(format!(
+            "{} {args:?} (closed stdout: {closed_stdout}): {rule}, status {}\n{stderr}",
+            program.display(),
+            out.status
+        ))
+    };
+    match out.status.code() {
+        None => return broken("ended by a signal"),
+        Some(code) if closed_stdout && (code != 0 || !stderr.is_empty()) => {
+            return broken("a closed reader must end the run quietly with exit 0")
+        }
+        Some(0) => {}
+        Some(1) if !stderr.contains("error: ") => return broken("exit 1 without `error: `"),
+        Some(2) if !(stderr.contains("error: ") && stderr.contains("usage:")) => {
+            return broken("exit 2 without `error: ` and a `usage:` line")
+        }
+        Some(1 | 2) => {}
+        Some(_) => return broken("exit status outside 0, 1 and 2"),
+    }
+    Ok(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -680,6 +812,65 @@ mod tests {
         let mut g = Gen::new(1);
         let nested = mutate_request_line(&mut g, "not json");
         assert!(nested.starts_with(&"[".repeat(200)) && nested.contains("not json"));
+    }
+
+    #[test]
+    fn argv_mutants_change_one_thing() {
+        let base = [
+            "simulate",
+            "chaos",
+            "--rate-gbps",
+            "4",
+            "--verify",
+            "--ms",
+            "10",
+        ];
+        let mut g = Gen::new(5);
+        let mutants: Vec<ArgvMutant> = (0..400).map(|_| mutate_argv(&mut g, &base)).collect();
+        let mut g = Gen::new(5);
+        assert_eq!(
+            mutants,
+            (0..400)
+                .map(|_| mutate_argv(&mut g, &base))
+                .collect::<Vec<_>>(),
+            "deterministic in the seed"
+        );
+        for m in &mutants {
+            let n = m.args.len();
+            match m.edit {
+                ArgvEdit::Value => {
+                    assert_eq!(n, base.len());
+                    let changed: Vec<usize> = (0..n).filter(|&i| m.args[i] != base[i]).collect();
+                    assert!([3, 6].contains(&changed[0]) && changed.len() == 1, "{m:?}");
+                    assert!(ARGV_VALUES.contains(&m.args[changed[0]].as_str()));
+                }
+                ArgvEdit::DropValue => assert_eq!(n, base.len() - 1),
+                ArgvEdit::Repeat => {
+                    assert!(m.args[..base.len()] == base, "{m:?}");
+                    assert!(["--rate-gbps 4", "--verify", "--ms 10"]
+                        .contains(&m.args[base.len()..].join(" ").as_str()));
+                }
+                ArgvEdit::Unknown => assert!(m.args[n - 1].starts_with("--no-such-flag-")),
+                ArgvEdit::CloseStdout => assert!(m.args == base),
+            }
+        }
+        for edit in [
+            ArgvEdit::Value,
+            ArgvEdit::DropValue,
+            ArgvEdit::Repeat,
+            ArgvEdit::Unknown,
+            ArgvEdit::CloseStdout,
+        ] {
+            assert!(mutants.iter().any(|m| m.edit == edit), "no {edit:?} mutant");
+        }
+        for value in ARGV_VALUES {
+            assert!(value.parse::<u64>().map_or(true, |n| n == 0), "{value}");
+        }
+        // Without flags, only an unknown flag or a closed stdout apply.
+        let mut g = Gen::new(1);
+        assert!((0..50)
+            .map(|_| mutate_argv(&mut g, &["list"]).edit)
+            .all(|e| matches!(e, ArgvEdit::Unknown | ArgvEdit::CloseStdout)));
     }
 
     #[test]

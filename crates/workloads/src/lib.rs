@@ -24,12 +24,16 @@
 //!   storage RPC, HTTP/2 multiplexing) plus the seeded random-scenario
 //!   generator and differential oracle ([`corpus::gen`]);
 //! * [`registry`] — the single scenario registry every CLI fixture
-//!   set (trace_dump, lognic-lint) resolves through.
+//!   set (trace_dump, lognic-lint) resolves through;
+//! * [`cli`] — the command-line contract every binary keeps: one
+//!   flag reader, one fallible stdout writer and one set of exit
+//!   codes.
 
 #![warn(missing_docs)]
 
 pub mod broken;
 pub mod chaos;
+pub mod cli;
 pub mod compression;
 pub mod corpus;
 pub mod doorbell;

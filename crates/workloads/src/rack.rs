@@ -94,6 +94,7 @@ pub fn smoke_fleet(n: usize) -> FleetBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lognic_model::analyze::AnalysisConfig;
 
     #[test]
     fn rack_topology_is_valid_and_cycles_the_registry() {
@@ -116,6 +117,22 @@ mod tests {
         let topo = topology(1);
         topo.validate().expect("valid");
         assert!(topo.links().is_empty());
+    }
+
+    /// The ring forwards a tenth of each NIC's egress, far below every
+    /// NIC's saturation bound: no rack draws a fleet warning.
+    #[test]
+    fn racks_are_free_of_fleet_warnings() {
+        for n in [16, 32] {
+            let report = topology(n).analyze(&AnalysisConfig::default());
+            let fleet: Vec<String> = report
+                .diagnostics()
+                .iter()
+                .filter(|d| d.code.as_str().starts_with("L07"))
+                .map(|d| d.message.clone())
+                .collect();
+            assert!(fleet.is_empty(), "rack-{n}: {fleet:?}");
+        }
     }
 
     #[test]

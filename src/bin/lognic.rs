@@ -13,113 +13,62 @@
 //!
 //! `--rate-gbps` re-offers any workload at another rate
 //! (`Scenario::at_rate`), and `simulate` runs a workload under its
-//! bundled fault plan, if it has one. Output goes through one fallible
-//! writer: when the reader closes early (`lognic list | head -1`), the
-//! command ends quietly with exit 0. The case-study configurations
+//! bundled fault plan, if it has one. The case-study configurations
 //! behind the paper's figures are reproduced by the `figures` binary
 //! and the examples.
+//!
+//! Exit status, as for every binary (`lognic_workloads::cli`): 0 on
+//! success or a closed reader (`lognic list | head -1`); 1 with
+//! `error: …` when a command fails; 2 with `error: …` and the usage
+//! for a command-line error.
 
 use std::io::{self, Write};
+use std::process::ExitCode;
 
 use lognic::devices::liquidio::Accelerator;
 use lognic::optimizer::suggest;
 use lognic::prelude::*;
+use lognic::service::ServeOptions;
+use lognic::workloads::cli::{self, Flags, Stop};
 use lognic::workloads::{microservices, panic_scenarios};
 
-/// Why a command stopped early.
-enum Stop {
-    /// The command refused its input or failed; the message is
-    /// printed as `error: …` with exit status 1.
-    Refused(String),
-    /// Writing the output failed.
-    Write(io::Error),
-}
-
-impl From<String> for Stop {
-    fn from(message: String) -> Self {
-        Stop::Refused(message)
-    }
-}
-
-impl From<io::Error> for Stop {
-    fn from(e: io::Error) -> Self {
-        Stop::Write(e)
-    }
-}
-
-struct Flags {
+struct Options {
     rate: Option<Bandwidth>,
     seed: u64,
     ms: f64,
 }
 
-fn parse_flags(args: &[String]) -> Result<Flags, String> {
-    let mut flags = Flags {
+fn read_options(flags: &mut Flags) -> Result<Options, Stop> {
+    let mut options = Options {
         rate: None,
         seed: 42,
         ms: 40.0,
     };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let name = arg.as_str();
-        let mut value = || it.next().ok_or_else(|| format!("{name} needs a value"));
-        match name {
-            "--rate-gbps" => flags.rate = Some(rate(name, value()?)?),
-            "--seed" => flags.seed = integer(name, value()?)?,
-            "--ms" => flags.ms = horizon_ms(name, value()?)?,
-            other => return Err(format!("unknown flag `{other}`")),
+    while let Some(flag) = flags.next() {
+        match flag.as_str() {
+            "--rate-gbps" => options.rate = Some(rate(flags, &flag)?),
+            "--seed" => options.seed = flags.integer(&flag)?,
+            "--ms" => options.ms = flags.clock_span(&flag, Seconds::millis)?,
+            other => return Err(cli::unknown(other)),
         }
     }
-    Ok(flags)
-}
-
-/// An unsigned integer flag value.
-fn integer<T: std::str::FromStr<Err = std::num::ParseIntError>>(
-    name: &str,
-    value: &str,
-) -> Result<T, String> {
-    value
-        .parse()
-        .map_err(|e| format!("{name} `{value}`: {e} (expected an unsigned integer)"))
+    Ok(options)
 }
 
 /// An offered rate in Gb/s whose bit rate is finite: `1e300` Gb/s is
 /// a finite number of gigabits, but not of bits.
-fn rate(name: &str, value: &str) -> Result<Bandwidth, String> {
-    let gbps = positive(name, value)?;
+fn rate(flags: &mut Flags, flag: &str) -> Result<Bandwidth, Stop> {
+    let gbps = flags.positive(flag)?;
     if !(gbps * 1e9).is_finite() {
-        return Err(format!(
-            "{name} `{value}`: {gbps:e} Gb/s is past any finite bit rate"
-        ));
+        return Err(Stop::Usage(format!(
+            "{flag} {gbps:e} Gb/s is past any finite bit rate"
+        )));
     }
     Ok(Bandwidth::gbps(gbps))
 }
 
-/// A simulated horizon in milliseconds that the picosecond clock can
-/// hold: at least 1 ps once rounded, and at most `SimTime::MAX`.
-fn horizon_ms(name: &str, value: &str) -> Result<f64, String> {
-    let ms = positive(name, value)?;
-    match SimTime::try_from_secs(Seconds::millis(ms).as_secs()) {
-        Some(t) if t > SimTime::ZERO => Ok(ms),
-        _ => Err(format!(
-            "{name} `{value}`: expected a horizon of 1 ps to {:.4e} ms",
-            SimTime::MAX.as_secs() * 1e3
-        )),
-    }
-}
-
-/// A finite, strictly positive number flag value.
-fn positive(name: &str, value: &str) -> Result<f64, String> {
-    match value.parse::<f64>() {
-        Ok(v) if v.is_finite() && v > 0.0 => Ok(v),
-        _ => Err(format!(
-            "{name} `{value}`: expected a finite positive number"
-        )),
-    }
-}
-
 fn cmd_estimate(name: &str, s: &Scenario, out: &mut impl Write) -> Result<(), Stop> {
-    let est = s.estimate().map_err(|e| e.to_string())?;
+    let est = s.estimate()?;
     writeln!(out, "scenario : {name}")?;
     writeln!(out, "offered  : {}", s.traffic.ingress_bandwidth())?;
     writeln!(out, "attain   : {}", est.throughput.attainable())?;
@@ -151,25 +100,24 @@ fn cmd_simulate(
     name: &str,
     s: &Scenario,
     plan: Option<FaultPlan>,
-    flags: &Flags,
+    options: &Options,
     out: &mut impl Write,
 ) -> Result<(), Stop> {
     let cfg = SimConfig {
-        seed: flags.seed,
-        duration: Seconds::millis(flags.ms),
-        warmup: Seconds::millis(flags.ms * 0.2),
+        seed: options.seed,
+        duration: Seconds::millis(options.ms),
+        warmup: Seconds::millis(options.ms * 0.2),
         ..SimConfig::default()
     };
     let windows = plan.as_ref().map(|p| p.windows().len());
     let faults = plan
         .map(|p| CompiledFaultPlan::compile(&p, &s.graph))
-        .transpose()
-        .map_err(|e| e.to_string())?;
+        .transpose()?;
     let mut builder = Simulation::builder(&s.graph, &s.hardware, &s.traffic).config(cfg);
     if let Some(faults) = &faults {
         builder = builder.with_compiled_faults(faults);
     }
-    let r = builder.run().map_err(|e| e.to_string())?;
+    let r = builder.run()?;
     writeln!(out, "scenario  : {name}")?;
     writeln!(out, "offered   : {}", r.offered)?;
     writeln!(out, "throughput: {}", r.throughput)?;
@@ -264,19 +212,15 @@ fn cmd_suggest(out: &mut impl Write) -> Result<(), Stop> {
     Ok(())
 }
 
-fn cmd_serve(args: &[String]) -> Result<(), Stop> {
-    use lognic::service::{serve, ServeOptions, Service};
-    let options = ServeOptions::parse(args.iter().cloned())?;
+fn cmd_serve(flags: &mut Flags, out: &mut impl Write) -> Result<(), Stop> {
+    use lognic::service::{serve, Service};
+    let options = ServeOptions::read(flags)?;
     let mut service = Service::new(options.config);
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    let mut input = std::io::BufReader::new(stdin.lock());
-    let mut output = std::io::BufWriter::new(stdout.lock());
-    let summary = serve(&mut service, &mut input, &mut output).map_err(|e| match e.kind() {
+    let mut input = io::stdin().lock();
+    let summary = serve(&mut service, &mut input, out).map_err(|e| match e.kind() {
         io::ErrorKind::BrokenPipe => Stop::Write(e),
-        _ => Stop::Refused(format!("I/O error: {e}")),
+        _ => Stop::Failed(format!("I/O error: {e}")),
     })?;
-    let _ = output.flush();
     let stats = service.stats();
     eprintln!(
         "lognic serve: {} responses ({} shed, {} failed, {} isolated panics)",
@@ -285,61 +229,54 @@ fn cmd_serve(args: &[String]) -> Result<(), Stop> {
     Ok(())
 }
 
-/// `estimate`, `simulate` or `dot` on the registry entry `name`.
-fn cmd_workload(cmd: &str, name: &str, args: &[String], out: &mut impl Write) -> Result<(), Stop> {
-    let flags = parse_flags(args)?;
-    let entry = registry::find(name)
-        .ok_or_else(|| format!("unknown workload `{name}` (try `lognic list`)"))?;
+/// `estimate`, `simulate` or `dot` on the registry entry named next.
+fn cmd_workload(cmd: &str, flags: &mut Flags, out: &mut impl Write) -> Result<(), Stop> {
+    let name = flags
+        .next()
+        .ok_or_else(|| Stop::Usage(format!("{cmd} needs a workload")))?;
+    let entry = cli::workload(&name)?;
+    let options = read_options(flags)?;
     let (mut scenario, plan) = entry.build();
-    if let Some(rate) = flags.rate {
+    if let Some(rate) = options.rate {
         scenario = scenario.at_rate(rate);
     }
     match cmd {
         "estimate" => cmd_estimate(entry.name, &scenario, out),
-        "simulate" => cmd_simulate(entry.name, &scenario, plan, &flags, out),
+        "simulate" => cmd_simulate(entry.name, &scenario, plan, &options, out),
         _ => Ok(write!(out, "{}", scenario.graph.to_dot())?),
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let usage = || {
-        eprintln!("usage: lognic (list | estimate <workload> | simulate <workload> | dot <workload> | suggest | serve) [flags]");
-        eprintln!("flags: --rate-gbps N  --seed N  --ms N");
-        eprintln!("workloads: {}", registry::names().join(" "));
-    };
-    if args.is_empty() {
-        usage();
-        std::process::exit(2);
-    }
-    let stdout = io::stdout();
-    let mut out = stdout.lock();
-    let result: Result<(), Stop> = match args[0].as_str() {
-        "list" => registry::ALL.iter().try_for_each(|entry| {
-            writeln!(out, "{:<16} {}", entry.name, entry.provenance).map_err(Stop::Write)
-        }),
-        "suggest" => cmd_suggest(&mut out),
-        "serve" => cmd_serve(&args[1..]),
-        cmd @ ("estimate" | "simulate" | "dot") => {
-            let Some(name) = args.get(1) else {
-                usage();
-                std::process::exit(2);
-            };
-            cmd_workload(cmd, name, &args[2..], &mut out)
+fn usage() -> String {
+    format!(
+        "usage: lognic (list | estimate <workload> | simulate <workload> | dot <workload> | suggest | serve) [flags]\n\
+         flags: --rate-gbps N  --seed N  --ms N\n\
+         workloads: {}\n{}",
+        registry::names().join(" "),
+        ServeOptions::usage()
+    )
+}
+
+fn main() -> ExitCode {
+    cli::run(&usage(), |flags, out| {
+        let cmd = flags
+            .next()
+            .ok_or_else(|| Stop::Usage("no command given".to_owned()))?;
+        match cmd.as_str() {
+            "list" => {
+                flags.end()?;
+                for entry in registry::ALL {
+                    writeln!(out, "{:<16} {}", entry.name, entry.provenance)?;
+                }
+                Ok(())
+            }
+            "suggest" => {
+                flags.end()?;
+                cmd_suggest(out)
+            }
+            "serve" => cmd_serve(flags, out),
+            "estimate" | "simulate" | "dot" => cmd_workload(&cmd, flags, out),
+            other => Err(Stop::Usage(format!("unknown command `{other}`"))),
         }
-        other => Err(Stop::Refused(format!("unknown command `{other}`"))),
-    };
-    match result.and_then(|()| Ok(out.flush()?)) {
-        Ok(()) => {}
-        // The reader went away: nobody is left to tell.
-        Err(Stop::Write(e)) if e.kind() == io::ErrorKind::BrokenPipe => {}
-        Err(Stop::Write(e)) => {
-            eprintln!("error: writing output: {e}");
-            std::process::exit(1);
-        }
-        Err(Stop::Refused(e)) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    }
+    })
 }

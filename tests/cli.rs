@@ -1,15 +1,25 @@
 //! The `lognic` command line resolves every workload through the one
-//! registry, and refuses malformed numeric flags with an `error: …`
-//! line and exit status 1, instead of panicking or casting them into a
-//! different run. (`trace_dump`'s flags are pinned beside its binary,
-//! in `crates/bench/tests/trace_dump_cli.rs`.)
+//! registry, and keeps the workspace's command-line contract
+//! (`lognic_workloads::cli`): a malformed flag is refused with an
+//! `error: …` line, the usage and exit status 2, instead of panicking
+//! or casting it into a different run, and a closed stdout ends a
+//! command quietly with exit 0. The argv fuzz arm checks that contract
+//! on seeded mutants of every documented invocation. (The bench
+//! binaries' arm is `crates/bench/tests/argv.rs`.)
 
-use std::process::{Command, Output, Stdio};
+use std::path::Path;
+use std::process::{Command, Output};
 
 use lognic::workloads::registry;
+use lognic_testkit::fuzz::{check_cli_contract, mutate_argv, ArgvEdit};
+use lognic_testkit::Gen;
+
+fn lognic_bin() -> &'static Path {
+    Path::new(env!("CARGO_BIN_EXE_lognic"))
+}
 
 fn lognic(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_lognic"))
+    Command::new(lognic_bin())
         .args(args)
         .output()
         .expect("the lognic binary runs")
@@ -99,42 +109,91 @@ fn the_scenario_line_names_the_registry_entry() {
 #[test]
 fn a_closed_stdout_ends_the_command_quietly() {
     for args in [&["list"][..], &["estimate", "nvmeof"], &["suggest"]] {
-        let (reader, writer) = std::io::pipe().expect("a pipe");
-        drop(reader);
-        let out = Command::new(env!("CARGO_BIN_EXE_lognic"))
-            .args(args)
-            .stdout(writer)
-            .stderr(Stdio::piped())
-            .output()
-            .expect("the lognic binary runs");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
-        assert!(stderr.is_empty(), "{args:?}: {stderr}");
+        let args: Vec<String> = args.iter().map(|a| (*a).to_owned()).collect();
+        check_cli_contract(lognic_bin(), &args, &std::env::temp_dir(), true)
+            .unwrap_or_else(|e| panic!("{e}"));
     }
 }
 
 #[test]
 fn malformed_numeric_flags_are_refused() {
     for args in [
-        ["estimate", "nvmeof", "--rate-gbps", "-1"],
-        ["estimate", "nvmeof", "--seed", "1.5"],
+        &["estimate", "nvmeof", "--rate-gbps", "-1"][..],
+        &["estimate", "nvmeof", "--seed", "1.5"],
         // Gigabit rates whose bit rate is past `f64`.
-        ["estimate", "chaos", "--rate-gbps", "1e300"],
-        ["simulate", "nvmeof", "--rate-gbps", "1e300"],
-        ["simulate", "nvmeof", "--ms", "-5"],
+        &["estimate", "chaos", "--rate-gbps", "1e300"],
+        &["simulate", "nvmeof", "--rate-gbps", "1e300"],
+        &["simulate", "nvmeof", "--ms", "-5"],
         // Horizons past the picosecond clock, or under one tick of it.
-        ["simulate", "nvmeof", "--ms", "1e300"],
-        ["simulate", "nvmeof", "--ms", "1e-12"],
+        &["simulate", "nvmeof", "--ms", "1e300"],
+        &["simulate", "nvmeof", "--ms", "1e-12"],
         // Flags and scenario names that no longer exist.
-        ["estimate", "chaos", "--cores", "9"],
-        ["estimate", "chaos", "--size", "1500"],
-        ["estimate", "inline-md5", "--seed", "1"],
+        &["estimate", "chaos", "--cores", "9"],
+        &["estimate", "chaos", "--size", "1500"],
+        &["estimate", "inline-md5", "--seed", "1"],
+        // A malformed `serve` flag, refused before any request is read.
+        &["serve", "--threads", "many"],
     ] {
-        let out = lognic(&args);
+        let out = lognic(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+        assert!(stderr.contains("\nusage: lognic "), "{args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?} printed a result");
+    }
+}
+
+/// Seeded mutants per documented invocation in the argv arm.
+const MUTANTS: usize = 12;
+
+/// The argv fuzz arm: seeded one-change mutants (an extreme or empty
+/// flag value, a dropped value, a repeated or unknown flag, a closed
+/// stdout) of every invocation the binary documents. Each run exits 0,
+/// 1 or 2, never by a signal; a usage error prints `error:` and the
+/// usage; a closed stdout ends quietly with exit 0. No mutant raises a
+/// count or a horizon, so no run outgrows its documented base, and
+/// `serve` reads an empty stdin.
+#[test]
+fn argv_mutants_keep_the_exit_contract() {
+    let invocations: &[&[&str]] = &[
+        &["list"],
+        &["estimate", "dns-kv", "--rate-gbps", "2"],
+        &[
+            "simulate",
+            "chaos",
+            "--rate-gbps",
+            "4",
+            "--seed",
+            "7",
+            "--ms",
+            "10",
+        ],
+        &["dot", "nvmeof"],
+        &["suggest"],
+        &["serve", "--threads", "2", "--deterministic"],
+    ];
+    let dir = std::env::temp_dir();
+    let mut g = Gen::new(0x0A46_FC11);
+    for base in invocations {
+        let args: Vec<String> = base.iter().map(|a| (*a).to_owned()).collect();
+        let out =
+            check_cli_contract(lognic_bin(), &args, &dir, false).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(out.status.code(), Some(0), "{base:?}");
+        // A run that writes nothing to stdout never meets its reader.
+        let writes = !out.stdout.is_empty();
+        // Mutants run until `MUTANTS` have, and one of them closed
+        // stdout when the run writes there.
+        let (mut ran, mut closed) = (0, !writes);
+        while ran < MUTANTS || !closed {
+            let m = mutate_argv(&mut g, base);
+            let close = m.edit == ArgvEdit::CloseStdout;
+            if close && !writes {
+                continue;
+            }
+            check_cli_contract(lognic_bin(), &m.args, &dir, close)
+                .unwrap_or_else(|e| panic!("{e}"));
+            (ran, closed) = (ran + 1, closed || close);
+        }
     }
 }
 
