@@ -122,21 +122,17 @@ fn derated(scenario: Scenario) -> Scenario {
 }
 
 /// The clean fixture set: every workload in the shared scenario
-/// registry, each derated to half its saturating rate (fault plans
-/// ride along so the L06xx hygiene passes see them). New registry
-/// entries appear here automatically — and must therefore ship
-/// warning-free at the derated rate to survive the CI `--deny
-/// warnings` gate.
+/// registry, each derated to half its saturating rate (the scenarios
+/// carry their fault plans, so the L06xx hygiene passes see them).
+/// New registry entries appear here automatically — and must
+/// therefore ship warning-free at the derated rate to survive the CI
+/// `--deny warnings` gate.
 fn clean_cases() -> Vec<BrokenCase> {
     lognic_workloads::registry::ALL
         .iter()
-        .map(|entry| {
-            let (scenario, plan) = entry.build();
-            BrokenCase {
-                scenario: derated(scenario),
-                plan,
-                expect: &[],
-            }
+        .map(|entry| BrokenCase {
+            scenario: derated(entry.scenario()),
+            expect: &[],
         })
         .collect()
 }
@@ -218,7 +214,7 @@ fn lint(flags: &mut Flags, out: &mut impl Write) -> Result<(), Stop> {
 
     let mut deny_codes: Vec<Code> = Vec::new();
     for case in &cases {
-        let report = case.analyze(&opts.config);
+        let report = case.scenario.analyze(&opts.config);
         for d in report.denied() {
             if !deny_codes.contains(&d.code) {
                 deny_codes.push(d.code);

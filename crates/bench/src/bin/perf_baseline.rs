@@ -245,7 +245,6 @@ fn measure(mut benches: Vec<Bench>) -> Vec<Row> {
 struct Workload {
     name: &'static str,
     scenario: Scenario,
-    plan: Option<FaultPlan>,
     /// Replayed trace injection (`None` = synthetic traffic).
     trace: Option<PacketTrace>,
     millis: f64,
@@ -253,13 +252,12 @@ struct Workload {
 
 fn workloads() -> Vec<Workload> {
     let registered = |name: &'static str, row: &'static str, millis: f64| {
-        let (scenario, plan) = registry::find(name)
+        let scenario = registry::find(name)
             .unwrap_or_else(|| panic!("{name} is registered"))
-            .build();
+            .scenario();
         Workload {
             name: row,
             scenario,
-            plan,
             trace: None,
             millis,
         }
@@ -273,7 +271,6 @@ fn workloads() -> Vec<Workload> {
         Workload {
             name: "doorbell_burst",
             scenario: burst,
-            plan: None,
             trace: Some(burst_trace),
             millis: 60.0,
         },
@@ -282,19 +279,16 @@ fn workloads() -> Vec<Workload> {
 }
 
 fn builder_for(w: &Workload, millis: f64) -> Simulation {
-    let faults = w.plan.as_ref().map(|p| {
-        CompiledFaultPlan::compile(p, &w.scenario.graph).expect("workload fault plans are valid")
+    let compiled = w
+        .scenario
+        .compile()
+        .expect("workload fault plans are valid");
+    let mut b = compiled.builder().config(SimConfig {
+        seed: 42,
+        duration: Seconds::millis(millis),
+        warmup: Seconds::millis(millis * 0.2),
+        ..SimConfig::default()
     });
-    let mut b = Simulation::builder(&w.scenario.graph, &w.scenario.hardware, &w.scenario.traffic)
-        .config(SimConfig {
-            seed: 42,
-            duration: Seconds::millis(millis),
-            warmup: Seconds::millis(millis * 0.2),
-            ..SimConfig::default()
-        });
-    if let Some(faults) = &faults {
-        b = b.with_compiled_faults(faults);
-    }
     if let Some(trace) = &w.trace {
         b = b.with_trace(trace.clone());
     }

@@ -91,17 +91,13 @@ fn read_options(flags: &mut Flags) -> Result<Options, Stop> {
 
 fn dump(flags: &mut Flags, out: &mut impl Write) -> Result<(), Stop> {
     let opts = read_options(flags)?;
-    let (scenario, plan) = opts.workload.build();
-    let faults = plan
-        .map(|p| CompiledFaultPlan::compile(&p, &scenario.graph))
-        .transpose()?;
-    let mut sim = Simulation::builder(&scenario.graph, &scenario.hardware, &scenario.traffic)
+    let scenario = opts.workload.scenario();
+    let compiled = scenario.compile()?;
+    let sim = compiled
+        .builder()
         .seed(opts.seed)
         .duration(Seconds::millis(opts.millis))
         .warmup(Seconds::millis(opts.millis * 0.1));
-    if let Some(faults) = &faults {
-        sim = sim.with_compiled_faults(faults);
-    }
 
     // A note on what the export left out follows the export, so a
     // closed reader ends the run before anything reaches stderr.

@@ -2,6 +2,18 @@
 
 use core::fmt;
 
+/// A number as a message prints it: plainly inside `[1e-6, 1e15)` (or
+/// zero), and in `{:e}` form outside, so `1e300` stays five bytes
+/// instead of its 301-digit expansion.
+pub fn shown(n: f64) -> String {
+    let magnitude = n.abs();
+    if magnitude == 0.0 || (1e-6..1e15).contains(&magnitude) {
+        n.to_string()
+    } else {
+        format!("{n:e}")
+    }
+}
+
 /// The workspace-wide error type: everything that can go wrong while
 /// building, validating or running a LogNIC scenario — structural
 /// graph and model-parameter errors, malformed fault plans, invalid
@@ -199,7 +211,8 @@ impl fmt::Display for LogNicError {
             } => {
                 write!(
                     f,
-                    "parameter `{parameter}` = {value} is invalid: {constraint}"
+                    "parameter `{parameter}` = {} is invalid: {constraint}",
+                    shown(*value)
                 )
             }
             LogNicError::NodeIndexOutOfRange { index } => {
@@ -227,11 +240,14 @@ impl fmt::Display for LogNicError {
                 constraint,
             } => write!(
                 f,
-                "fault parameter `{parameter}` = {value} is invalid: {constraint}"
+                "fault parameter `{parameter}` = {} is invalid: {constraint}",
+                shown(*value)
             ),
             LogNicError::InvalidFaultWindow { node, from, until } => write!(
                 f,
-                "fault window [{from}s, {until}s) on node `{node}` is empty or inverted"
+                "fault window [{}s, {}s) on node `{node}` is empty or inverted",
+                shown(*from),
+                shown(*until)
             ),
             LogNicError::InvalidConfig { reason } => {
                 write!(f, "invalid run configuration: {reason}")
@@ -336,6 +352,22 @@ mod tests {
                     constraint: "must lie in [0, 1]",
                 },
                 "parameter `delta` = 1.5 is invalid: must lie in [0, 1]",
+            ),
+            (
+                LogNicError::InvalidFaultParameter {
+                    parameter: "rate degradation factor",
+                    value: 1e300,
+                    constraint: "must lie in (0, 1]",
+                },
+                "fault parameter `rate degradation factor` = 1e300 is invalid: must lie in (0, 1]",
+            ),
+            (
+                LogNicError::InvalidFaultWindow {
+                    node: "ip".into(),
+                    from: 2e-9,
+                    until: 1e-9,
+                },
+                "fault window [2e-9s, 1e-9s) on node `ip` is empty or inverted",
             ),
             (
                 LogNicError::NodeIndexOutOfRange { index: 1000 },

@@ -355,15 +355,24 @@ impl RetryPolicy {
             return 1.0;
         }
         if (1.0 - p).abs() < 1e-12 {
-            return (self.budget + 1) as f64;
+            return f64::from(self.budget) + 1.0;
         }
-        (1.0 - p.powi(self.budget as i32 + 1)) / (1.0 - p)
+        (1.0 - self.every_attempt_fails(p)) / (1.0 - p)
     }
 
     /// The probability a packet is lost even after exhausting its
     /// retry budget: `p^(budget+1)`.
     pub fn residual_loss(&self, p_fail: f64) -> f64 {
-        p_fail.clamp(0.0, 1.0).powi(self.budget as i32 + 1)
+        self.every_attempt_fails(p_fail.clamp(0.0, 1.0))
+    }
+
+    /// `p^(budget+1)`: `powi` while the exponent fits an `i32`, `powf`
+    /// past it (a budget of `i32::MAX` or more would wrap the exponent).
+    fn every_attempt_fails(&self, p: f64) -> f64 {
+        match i32::try_from(self.budget) {
+            Ok(budget) if budget < i32::MAX => p.powi(budget + 1),
+            _ => p.powf(f64::from(self.budget) + 1.0),
+        }
     }
 }
 
@@ -749,6 +758,30 @@ mod tests {
         let capped =
             RetryPolicy::new(90, Seconds::micros(1.0)).with_max_backoff(Seconds::micros(64.0));
         assert_eq!(capped.backoff_for(64), Seconds::micros(64.0));
+    }
+
+    #[test]
+    fn retry_math_holds_for_budgets_past_the_i32_range() {
+        let budgets = [100, (1 << 31) - 2, (1 << 31) - 1, 1 << 31, u32::MAX];
+        for p in [0.5, 0.9] {
+            let mut last = (1.0, 1.0);
+            for budget in budgets {
+                let rp = RetryPolicy::new(budget, Seconds::micros(1.0));
+                let (attempts, loss) = (rp.expected_attempts(p), rp.residual_loss(p));
+                assert!(attempts.is_finite() && attempts >= 1.0, "{budget} at {p}");
+                assert!((0.0..=1.0).contains(&loss), "{budget} at {p}: {loss}");
+                assert!(attempts >= last.0, "{budget} at {p}: attempts fell");
+                assert!(loss <= last.1, "{budget} at {p}: loss rose");
+                last = (attempts, loss);
+            }
+        }
+        // Inside the i32 range the bits are `powi`'s.
+        let rp = RetryPolicy::new(100, Seconds::micros(1.0));
+        assert_eq!(rp.residual_loss(0.9).to_bits(), 0.9f64.powi(101).to_bits());
+        assert_eq!(
+            RetryPolicy::new(u32::MAX, Seconds::micros(1.0)).expected_attempts(1.0),
+            4_294_967_296.0
+        );
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! deterministic *cost* the admission layer charges it with — the
 //! quantity both the deadline check and the load gauge operate on.
 
+use lognic_model::error::shown;
 use lognic_model::fault::{FaultKind, FaultPlan, RetryPolicy};
 use lognic_model::units::Seconds;
 
@@ -142,18 +143,6 @@ const KNOWN_FIELDS: &[&str] = &[
     "nics",
     "shards",
 ];
-
-/// A number as a refusal message prints it: plainly inside
-/// `[1e-6, 1e15)` (or zero), and in `{:e}` form outside, so `1e300`
-/// stays five bytes instead of its 301-digit expansion.
-pub(crate) fn shown(n: f64) -> String {
-    let magnitude = n.abs();
-    if magnitude == 0.0 || (1e-6..1e15).contains(&magnitude) {
-        n.to_string()
-    } else {
-        format!("{n:e}")
-    }
-}
 
 /// `v` as a number for which `accept` holds; otherwise an
 /// `invalid_parameter` refusal saying the number "is not {what}".

@@ -19,15 +19,14 @@
 use std::io::{BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use lognic_model::analyze::{AnalysisConfig, Analyzer};
+use lognic_model::analyze::AnalysisConfig;
+use lognic_model::error::shown;
 use lognic_model::estimate::Estimate;
-use lognic_model::fault::FaultPlan;
 use lognic_model::sweep::{knee_of, rate_sweep};
 use lognic_model::units::{Bandwidth, Seconds};
-use lognic_sim::faults::CompiledFaultPlan;
 use lognic_sim::fleet::FleetBuilder;
 use lognic_sim::replicate::Replication;
-use lognic_sim::sim::{SimConfig, Simulation};
+use lognic_sim::sim::SimConfig;
 use lognic_sim::stats::MetricSummary;
 use lognic_workloads::rack;
 use lognic_workloads::registry;
@@ -35,7 +34,7 @@ use lognic_workloads::scenario::Scenario;
 
 use crate::error::{render_diagnostics, render_error_response, ServiceError};
 use crate::json::{escape, parse, render_number};
-use crate::request::{shown, Request, RequestKind};
+use crate::request::{Request, RequestKind};
 use crate::shed::LoadGauge;
 use crate::stats::ServiceStats;
 
@@ -110,11 +109,11 @@ impl Default for ServeConfig {
     }
 }
 
-/// One registered, pre-built graph the service can evaluate.
+/// One registered, pre-built graph the service can evaluate. Its
+/// scenario carries the workload's bundled fault plan, if any.
 struct GraphEntry {
     name: &'static str,
     scenario: Scenario,
-    plan: Option<FaultPlan>,
 }
 
 /// The capacity-planning service: a registry of named graphs plus
@@ -133,13 +132,9 @@ impl Service {
     pub fn new(config: ServeConfig) -> Self {
         let graphs = registry::ALL
             .iter()
-            .map(|e| {
-                let (scenario, plan) = e.build();
-                GraphEntry {
-                    name: e.name,
-                    scenario,
-                    plan,
-                }
+            .map(|e| GraphEntry {
+                name: e.name,
+                scenario: e.scenario(),
             })
             .collect();
         let gauge = LoadGauge::new(config.high_water, config.drain_per_request);
@@ -343,22 +338,17 @@ impl Service {
             .ok_or_else(|| ServiceError::UnknownGraph {
                 graph: graph.to_owned(),
             })?;
-        let scenario = match req.rate_gbps {
+        let mut scenario = match req.rate_gbps {
             Some(r) => entry.scenario.at_rate(Bandwidth::gbps(r)),
             None => entry.scenario.clone(),
         };
-        // One analysis per request, over the plan the request runs
-        // under: its inline `faults`, else the graph's bundled plan.
-        let plan = req.faults.as_ref().or(entry.plan.as_ref());
-        let analysis = AnalysisConfig::new().deny_warnings(req.deny_warnings);
-        let analyzer = Analyzer::new(&scenario.graph)
-            .with_hardware(&scenario.hardware)
-            .with_traffic(&scenario.traffic);
-        let report = match plan {
-            Some(p) => analyzer.with_fault_plan(p),
-            None => analyzer,
+        // The request runs under its inline `faults`, else the graph's
+        // bundled plan, and one analysis lints that plan.
+        if req.faults.is_some() {
+            scenario.faults.clone_from(&req.faults);
         }
-        .run(&analysis);
+        let analysis = AnalysisConfig::new().deny_warnings(req.deny_warnings);
+        let report = scenario.analyze(&analysis);
         if req.kind == RequestKind::Analyze {
             return Ok(render_analysis(&report));
         }
@@ -371,12 +361,14 @@ impl Service {
                 Ok(render_estimate("estimate", entry.name, &est))
             }
             RequestKind::EstimateDegraded => {
-                let plan = plan.ok_or_else(|| ServiceError::InvalidRequest {
-                    reason: format!(
-                        "`{}` declares no `faults` and ships no bundled fault plan",
-                        entry.name
-                    ),
-                })?;
+                let Some(plan) = &scenario.faults else {
+                    return Err(ServiceError::InvalidRequest {
+                        reason: format!(
+                            "`{}` declares no `faults` and ships no bundled fault plan",
+                            entry.name
+                        ),
+                    });
+                };
                 let est = scenario
                     .estimator()
                     .request()
@@ -418,9 +410,7 @@ impl Service {
                 }
                 Ok(out)
             }
-            RequestKind::Simulate => {
-                self.evaluate_simulate(req, entry.name, &scenario, plan, analysis)
-            }
+            RequestKind::Simulate => self.evaluate_simulate(req, entry.name, &scenario, analysis),
             RequestKind::Analyze
             | RequestKind::FleetSimulate
             | RequestKind::Health
@@ -460,12 +450,15 @@ impl Service {
         }
     }
 
-    /// Runs the registry rack through the fleet runtime. The response
-    /// is a pure function of `(nics, duration_ms, max_events,
-    /// deadline_ms)`; the accepted `shards` field is ignored.
+    /// Runs the registry rack through the fleet runtime, gated by the
+    /// fleet analyzer under the request's analysis policy. The
+    /// response is a pure function of `(nics, duration_ms, max_events,
+    /// deadline_ms, deny_warnings)`; the accepted `shards` field is
+    /// ignored.
     fn evaluate_fleet(&self, req: &Request) -> Result<String, ServiceError> {
         let report = FleetBuilder::new(rack::topology(req.nics as usize))
             .config(self.sim_config(req))
+            .analysis(AnalysisConfig::new().deny_warnings(req.deny_warnings))
             .build()?
             .run()?;
         let mut out = String::with_capacity(256);
@@ -496,32 +489,20 @@ impl Service {
         Ok(out)
     }
 
-    /// Replicates `scenario` under `plan` (compiled once and shared
-    /// by every seed) and the request's analysis policy.
+    /// Replicates `scenario` under its fault plan (compiled once and
+    /// shared by every seed) and the request's analysis policy.
     fn evaluate_simulate(
         &self,
         req: &Request,
         graph: &str,
         scenario: &Scenario,
-        plan: Option<&FaultPlan>,
         analysis: AnalysisConfig,
     ) -> Result<String, ServiceError> {
         let config = self.sim_config(req);
-        let compiled = plan
-            .map(|p| CompiledFaultPlan::compile(p, &scenario.graph))
-            .transpose()?;
+        let compiled = scenario.compile()?;
         let report = Replication::new(req.seeds)
             .threads(self.config.threads)
-            .run(|| {
-                let sim =
-                    Simulation::builder(&scenario.graph, &scenario.hardware, &scenario.traffic)
-                        .config(config)
-                        .analysis(analysis.clone());
-                match &compiled {
-                    Some(c) => sim.with_compiled_faults(c),
-                    None => sim,
-                }
-            })?;
+            .run(|| compiled.builder().config(config).analysis(analysis.clone()))?;
         let mut out = String::with_capacity(256);
         push_kind(&mut out, "simulate", graph);
         use core::fmt::Write as _;

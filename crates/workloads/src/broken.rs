@@ -7,7 +7,7 @@
 //! `lognic-lint` CLI ships them as its `broken` fixture set, and the
 //! golden-rendering tests pin their human and JSON output.
 
-use lognic_model::analyze::{AnalysisConfig, AnalysisReport, Analyzer, Code};
+use lognic_model::analyze::Code;
 use lognic_model::fault::FaultPlan;
 use lognic_model::graph::ExecutionGraph;
 use lognic_model::params::{EdgeParams, HardwareModel, IpParams, TrafficProfile};
@@ -18,26 +18,11 @@ use crate::scenario::Scenario;
 /// One curated misconfiguration and the codes it must trip.
 #[derive(Debug, Clone)]
 pub struct BrokenCase {
-    /// The scenario, named after its defect.
+    /// The scenario, named after its defect. Its fault plan carries
+    /// the defect when that lives in the chaos schedule.
     pub scenario: Scenario,
-    /// A fault plan accompanying the scenario, when the defect lives
-    /// in the chaos schedule.
-    pub plan: Option<FaultPlan>,
     /// The diagnostic codes the analyzer must report for this case.
     pub expect: &'static [Code],
-}
-
-impl BrokenCase {
-    /// Runs the analyzer over the case under `config`.
-    pub fn analyze(&self, config: &AnalysisConfig) -> AnalysisReport {
-        let mut analyzer = Analyzer::new(&self.scenario.graph)
-            .with_hardware(&self.scenario.hardware)
-            .with_traffic(&self.scenario.traffic);
-        if let Some(plan) = &self.plan {
-            analyzer = analyzer.with_fault_plan(plan);
-        }
-        analyzer.run(config)
-    }
 }
 
 fn hw() -> HardwareModel {
@@ -67,7 +52,6 @@ pub fn leaky_pipeline() -> BrokenCase {
     );
     BrokenCase {
         scenario: Scenario::new("leaky-pipeline", b.build().unwrap(), hw(), traffic(10.0)),
-        plan: None,
         expect: &[
             Code::TrafficCreated,
             Code::StarvedNode,
@@ -92,7 +76,6 @@ pub fn saturated_nvmeof() -> BrokenCase {
     scenario.name = "saturated-nvmeof".to_owned();
     BrokenCase {
         scenario,
-        plan: None,
         expect: &[Code::SaturatedPartition],
     }
 }
@@ -128,7 +111,6 @@ pub fn deadlocked_tenants() -> BrokenCase {
             hw(),
             traffic(20.0),
         ),
-        plan: None,
         expect: &[Code::CreditCycle, Code::QueueBelowParallelism],
     }
 }
@@ -150,7 +132,6 @@ pub fn degenerate_units() -> BrokenCase {
             HardwareModel::new(Bandwidth::gbps(400.0), Bandwidth::ZERO),
             TrafficProfile::fixed(Bandwidth::ZERO, Bytes::new(1500)),
         ),
-        plan: None,
         expect: &[
             Code::DegenerateMedium,
             Code::ZeroIngressRate,
@@ -185,7 +166,6 @@ pub fn oversubscribed_consolidation() -> BrokenCase {
             hw(),
             traffic(100.0),
         ),
-        plan: None,
         expect: &[Code::OversubscribedPartition, Code::ConsolidationOverload],
     }
 }
@@ -211,8 +191,10 @@ pub fn dead_chaos() -> BrokenCase {
         .drop_packets("datapath", 0.2, Seconds::millis(3.0), Seconds::millis(6.0))
         .with_retry(RetryPolicy::new(0, Seconds::micros(10.0)));
     BrokenCase {
-        scenario: Scenario::new("dead-chaos", b.build().unwrap(), hw(), traffic(10.0)),
-        plan: Some(plan),
+        scenario: Scenario {
+            faults: Some(plan),
+            ..Scenario::new("dead-chaos", b.build().unwrap(), hw(), traffic(10.0))
+        },
         expect: &[
             Code::DeadFaultWindow,
             Code::FaultUnknownNode,
@@ -237,12 +219,13 @@ pub fn all_broken() -> Vec<BrokenCase> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lognic_model::analyze::AnalysisConfig;
     use std::collections::BTreeSet;
 
     #[test]
     fn every_case_trips_exactly_its_expected_codes() {
         for case in all_broken() {
-            let report = case.analyze(&AnalysisConfig::default());
+            let report = case.scenario.analyze(&AnalysisConfig::default());
             let got: BTreeSet<&str> = report
                 .diagnostics()
                 .iter()
@@ -264,7 +247,7 @@ mod tests {
     fn corpus_covers_all_six_pass_families() {
         let mut families = BTreeSet::new();
         for case in all_broken() {
-            let report = case.analyze(&AnalysisConfig::default());
+            let report = case.scenario.analyze(&AnalysisConfig::default());
             for d in report.diagnostics() {
                 families.insert(&d.code.as_str()[..3]);
             }
@@ -279,7 +262,7 @@ mod tests {
         let strict = AnalysisConfig::default().deny_warnings(true);
         for case in all_broken() {
             assert!(
-                case.analyze(&strict).is_rejected(),
+                case.scenario.analyze(&strict).is_rejected(),
                 "case `{}` not rejected under --deny warnings",
                 case.scenario.name
             );

@@ -14,67 +14,21 @@ use lognic_devices::liquidio::Accelerator;
 use lognic_model::error::LogNicResult;
 use lognic_model::fault::{FaultPlan, RetryPolicy};
 use lognic_model::units::{Bandwidth, Bytes, Seconds};
-use lognic_sim::faults::CompiledFaultPlan;
-use lognic_sim::metrics::SimReport;
-use lognic_sim::sim::{SimConfig, Simulation};
-use lognic_sim::trace::{NoopObserver, SimObserver};
-
-/// A workload plus the fault plan scheduled against it.
-#[derive(Debug, Clone)]
-pub struct ChaosScenario {
-    /// The healthy workload description.
-    pub scenario: Scenario,
-    /// The faults injected into the simulation (and fed to the
-    /// model's availability-adjusted estimate).
-    pub plan: FaultPlan,
-}
-
-impl ChaosScenario {
-    /// Runs the simulator with the fault plan installed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates plan-validation and watchdog errors.
-    pub fn simulate(&self, config: SimConfig) -> LogNicResult<SimReport> {
-        self.simulate_with(config, &mut NoopObserver)
-    }
-
-    /// Runs the simulator with the fault plan installed and a trace
-    /// observer attached — the entry point `trace_dump` uses to export
-    /// Perfetto-openable brownout timelines.
-    ///
-    /// # Errors
-    ///
-    /// Propagates plan-validation and watchdog errors.
-    pub fn simulate_with<O: SimObserver>(
-        &self,
-        config: SimConfig,
-        observer: &mut O,
-    ) -> LogNicResult<SimReport> {
-        let faults = CompiledFaultPlan::compile(&self.plan, &self.scenario.graph)?;
-        Simulation::builder(
-            &self.scenario.graph,
-            &self.scenario.hardware,
-            &self.scenario.traffic,
-        )
-        .config(config)
-        .with_compiled_faults(&faults)
-        .run_with(observer)
-    }
-}
+use lognic_sim::sim::SimConfig;
 
 /// The accelerator-brownout chaos scenario.
 ///
 /// The MD5 inline-acceleration pipeline offered `rate` of 1500 B
 /// packets; at `at` the accelerator goes dark for `outage`, then
 /// serves at 30 % rate for `brownout` while it cools. NIC cores
-/// retry refused packets up to 6 times with 50 µs base backoff.
+/// retry refused packets up to 6 times with 50 µs base backoff. The
+/// returned scenario carries that fault plan.
 pub fn accelerator_brownout(
     rate: Bandwidth,
     at: Seconds,
     outage: Seconds,
     brownout: Seconds,
-) -> ChaosScenario {
+) -> Scenario {
     let scenario = inline_accel::inline(Accelerator::Md5, 8, Bytes::new(1500), rate);
     let dark_until = Seconds::new(at.as_secs() + outage.as_secs());
     let dim_until = Seconds::new(dark_until.as_secs() + brownout.as_secs());
@@ -87,7 +41,10 @@ pub fn accelerator_brownout(
     if brownout.as_secs() > 0.0 {
         plan = plan.degrade_rate("accelerator", 0.3, dark_until, dim_until);
     }
-    ChaosScenario { scenario, plan }
+    Scenario {
+        faults: Some(plan),
+        ..scenario
+    }
 }
 
 /// One point of the chaos sweep: outage duty cycle and the measured
@@ -122,7 +79,7 @@ pub fn duty_cycle_sweep(
         let outage = Seconds::new(horizon * duty);
         let start = Seconds::new(config.warmup.as_secs());
         let chaos = accelerator_brownout(rate, start, outage, Seconds::ZERO);
-        let report = chaos.simulate(config)?;
+        let report = chaos.try_simulate(config)?;
         out.push(ChaosPoint {
             duty_cycle: duty,
             p99: report.latency.p99,
@@ -153,8 +110,8 @@ mod tests {
             Seconds::millis(1.0),
             Seconds::millis(2.0),
         );
-        let a = chaos.simulate(cfg()).unwrap();
-        let b = chaos.simulate(cfg()).unwrap();
+        let a = chaos.simulate(cfg());
+        let b = chaos.simulate(cfg());
         assert_eq!(a, b, "same seed, same bits");
         assert!(a.retries > 0, "the outage must trigger retries");
         assert_eq!(a.injected, a.completed + a.dropped, "conservation");
@@ -168,16 +125,14 @@ mod tests {
             Seconds::millis(0.5),
             Seconds::millis(1.0),
         )
-        .simulate(cfg())
-        .unwrap();
+        .simulate(cfg());
         let deep = accelerator_brownout(
             Bandwidth::gbps(8.0),
             Seconds::millis(4.0),
             Seconds::millis(4.0),
             Seconds::millis(8.0),
         )
-        .simulate(cfg())
-        .unwrap();
+        .simulate(cfg());
         assert!(
             deep.loss_rate() >= shallow.loss_rate(),
             "deep {} vs shallow {}",

@@ -245,7 +245,7 @@ pub fn http2_mux(rate: Bandwidth) -> Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lognic_model::analyze::{AnalysisConfig, Analyzer};
+    use lognic_model::analyze::AnalysisConfig;
     use lognic_sim::sim::SimConfig;
 
     fn all_corpus(rate: Bandwidth) -> Vec<Scenario> {
@@ -276,10 +276,7 @@ mod tests {
     fn corpus_scenarios_are_analyzer_clean_when_derated() {
         for s in all_corpus(Bandwidth::gbps(1.0)) {
             let s = derate(s);
-            let report = Analyzer::new(&s.graph)
-                .with_hardware(&s.hardware)
-                .with_traffic(&s.traffic)
-                .run(&AnalysisConfig::default().deny_warnings(true));
+            let report = s.analyze(&AnalysisConfig::default().deny_warnings(true));
             assert!(report.is_clean(), "{}: {:?}", s.name, report.diagnostics());
         }
     }

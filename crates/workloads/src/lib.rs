@@ -55,7 +55,7 @@ pub use scenario::{Comparison, Scenario};
 pub mod prelude {
     pub use lognic_sim::prelude::*;
 
-    pub use crate::chaos::{accelerator_brownout, duty_cycle_sweep, ChaosPoint, ChaosScenario};
+    pub use crate::chaos::{accelerator_brownout, duty_cycle_sweep, ChaosPoint};
     pub use crate::corpus::gen::{differential_check, fuzz_config, ScenarioSpec};
     pub use crate::doorbell::{doorbell_burst, BurstPlan};
     pub use crate::rack;

@@ -12,6 +12,10 @@
 //! Deliberately *not* a [`crate::registry`] entry: the registry's
 //! consumers (trace_dump, the lint clean set, the corpus round-trip
 //! tests) all operate on single-NIC scenarios.
+//!
+//! Rack NICs run fault-free: a topology NIC has no fault-plan slot, so
+//! a registry scenario's bundled plan (the `chaos` brownout) stays
+//! behind when the scenario joins the rack.
 
 use crate::registry;
 use lognic_model::topology::Topology;
@@ -120,19 +124,21 @@ mod tests {
     }
 
     /// The ring forwards a tenth of each NIC's egress, far below every
-    /// NIC's saturation bound: no rack draws a fleet warning.
+    /// NIC's saturation bound: no rack the service accepts (1–64 NICs)
+    /// draws a warning, so a `deny_warnings` rack request is served.
     #[test]
     fn racks_are_free_of_fleet_warnings() {
-        for n in [16, 32] {
-            let report = topology(n).analyze(&AnalysisConfig::default());
-            let fleet: Vec<String> = report
-                .diagnostics()
-                .iter()
-                .filter(|d| d.code.as_str().starts_with("L07"))
-                .map(|d| d.message.clone())
-                .collect();
-            assert!(fleet.is_empty(), "rack-{n}: {fleet:?}");
+        let strict = AnalysisConfig::default().deny_warnings(true);
+        for n in 1..=64 {
+            let report = topology(n).analyze(&strict);
+            assert!(report.is_clean(), "rack-{n}: {:?}", report.diagnostics());
         }
+        // An 11-NIC rack runs every registry workload once, so its
+        // build runs every per-NIC analysis.
+        smoke_fleet(registry::ALL.len())
+            .analysis(strict)
+            .build()
+            .expect("every registry NIC is warning-free");
     }
 
     #[test]

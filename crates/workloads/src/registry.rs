@@ -31,92 +31,24 @@ pub struct RegistryEntry {
     /// One-line provenance: which paper section or protocol family
     /// the scenario reproduces.
     pub provenance: &'static str,
-    build: fn() -> (Scenario, Option<FaultPlan>),
+    build: fn() -> Scenario,
 }
 
 impl RegistryEntry {
-    /// Builds the scenario and its fault plan (if the workload ships
-    /// with one).
+    /// Builds the scenario with a copy of its fault plan beside it.
+    /// The plan is [`Scenario::faults`]; prefer
+    /// [`RegistryEntry::scenario`].
     pub fn build(&self) -> (Scenario, Option<FaultPlan>) {
+        let scenario = self.scenario();
+        let plan = scenario.faults.clone();
+        (scenario, plan)
+    }
+
+    /// Builds the scenario, carrying its fault plan if the workload
+    /// ships one.
+    pub fn scenario(&self) -> Scenario {
         (self.build)()
     }
-
-    /// Builds just the scenario.
-    pub fn scenario(&self) -> Scenario {
-        self.build().0
-    }
-}
-
-fn chaos_entry() -> (Scenario, Option<FaultPlan>) {
-    // The exact trace_dump default: outage + brownout inside a 12 ms
-    // horizon. Changing these arguments changes the perf-smoke trace
-    // artifact, so they are pinned here rather than at the call site.
-    let chaos = accelerator_brownout(
-        Bandwidth::gbps(8.0),
-        Seconds::millis(4.0),
-        Seconds::millis(2.0),
-        Seconds::millis(3.0),
-    );
-    (chaos.scenario, Some(chaos.plan))
-}
-
-fn microservices_entry() -> (Scenario, Option<FaultPlan>) {
-    (
-        microservices::scenario(App::NfvFin, AllocationScheme::RoundRobin, 2.0e6),
-        None,
-    )
-}
-
-fn nvmeof_entry() -> (Scenario, Option<FaultPlan>) {
-    (
-        nvmeof::nvmeof(IoPattern::RandRead4k, Bandwidth::gbps(5.0)),
-        None,
-    )
-}
-
-fn switch_kv_entry() -> (Scenario, Option<FaultPlan>) {
-    (switch_kv::netcache(0.8, Bandwidth::gbps(1.0)), None)
-}
-
-fn compression_entry() -> (Scenario, Option<FaultPlan>) {
-    (
-        compression::compress(0.5, 8, Bytes::new(4096), Bandwidth::gbps(1.0)),
-        None,
-    )
-}
-
-fn nf_placement_entry() -> (Scenario, Option<FaultPlan>) {
-    (
-        nf_placement::scenario(
-            Placement::arm_only(),
-            Bytes::new(1024),
-            Bandwidth::gbps(1.0),
-        ),
-        None,
-    )
-}
-
-fn panic_entry() -> (Scenario, Option<FaultPlan>) {
-    (
-        panic_scenarios::pipelined_chain(64, &[1500], Bandwidth::gbps(1.0)),
-        None,
-    )
-}
-
-fn tls_entry() -> (Scenario, Option<FaultPlan>) {
-    (corpus::tls_handshake(Bandwidth::gbps(4.0)), None)
-}
-
-fn dns_kv_entry() -> (Scenario, Option<FaultPlan>) {
-    (corpus::dns_kv(Bandwidth::gbps(4.0)), None)
-}
-
-fn storage_rpc_entry() -> (Scenario, Option<FaultPlan>) {
-    (corpus::storage_rpc(Bandwidth::gbps(6.0)), None)
-}
-
-fn http2_mux_entry() -> (Scenario, Option<FaultPlan>) {
-    (corpus::http2_mux(Bandwidth::gbps(6.0)), None)
 }
 
 /// Every registered workload, in display order: the paper's case
@@ -125,59 +57,76 @@ pub const ALL: &[RegistryEntry] = &[
     RegistryEntry {
         name: "chaos",
         provenance: "§4.2 inline-accel pipeline under an accelerator brownout with retry/backoff",
-        build: chaos_entry,
+        // The exact trace_dump default: outage + brownout inside a
+        // 12 ms horizon. Changing these arguments changes the
+        // perf-smoke trace artifact, so they are pinned here rather
+        // than at the call site.
+        build: || {
+            accelerator_brownout(
+                Bandwidth::gbps(8.0),
+                Seconds::millis(4.0),
+                Seconds::millis(2.0),
+                Seconds::millis(3.0),
+            )
+        },
     },
     RegistryEntry {
         name: "microservices",
         provenance: "§4.4 E3 NFV-FIN microservice chain, round-robin core allocation",
-        build: microservices_entry,
+        build: || microservices::scenario(App::NfvFin, AllocationScheme::RoundRobin, 2.0e6),
     },
     RegistryEntry {
         name: "nvmeof",
         provenance: "§4.3 Stingray NVMe-oF target, random 4 KiB reads",
-        build: nvmeof_entry,
+        build: || nvmeof::nvmeof(IoPattern::RandRead4k, Bandwidth::gbps(5.0)),
     },
     RegistryEntry {
         name: "switch-kv",
         provenance: "§5.3 NetCache-style in-network KV cache on an RMT switch (80% hit rate)",
-        build: switch_kv_entry,
+        build: || switch_kv::netcache(0.8, Bandwidth::gbps(1.0)),
     },
     RegistryEntry {
         name: "compression",
         provenance: "§4.2 LiquidIO-II inline ZIP offload, 2:1 ratio on 4 KiB blocks",
-        build: compression_entry,
+        build: || compression::compress(0.5, 8, Bytes::new(4096), Bandwidth::gbps(1.0)),
     },
     RegistryEntry {
         name: "nf-placement",
         provenance: "§4.5 BlueField-2 NF chain, ARM-only placement",
-        build: nf_placement_entry,
+        build: || {
+            nf_placement::scenario(
+                Placement::arm_only(),
+                Bytes::new(1024),
+                Bandwidth::gbps(1.0),
+            )
+        },
     },
     RegistryEntry {
         name: "panic-chain",
         provenance: "§4.6 PANIC pipelined accelerator chain, 64 B offload units",
-        build: panic_entry,
+        build: || panic_scenarios::pipelined_chain(64, &[1500], Bandwidth::gbps(1.0)),
     },
     RegistryEntry {
         name: "tls-handshake",
         provenance: "protocol corpus: TLS 1.3 handshake records through inline asymmetric crypto",
-        build: tls_entry,
+        build: || corpus::tls_handshake(Bandwidth::gbps(4.0)),
     },
     RegistryEntry {
         name: "dns-kv",
         provenance: "protocol corpus: DNS/KV request-response (NetCache/λ-NIC small-packet shape)",
-        build: dns_kv_entry,
+        build: || corpus::dns_kv(Bandwidth::gbps(4.0)),
     },
     RegistryEntry {
         name: "storage-rpc",
         provenance:
             "protocol corpus: NVMe/SMB storage RPC with 4 KiB blocks over a dedicated DMA fabric",
-        build: storage_rpc_entry,
+        build: || corpus::storage_rpc(Bandwidth::gbps(6.0)),
     },
     RegistryEntry {
         name: "http2-mux",
         provenance:
             "protocol corpus: HTTP/2 multiplexed streams, control/data frame mixture over fan-out",
-        build: http2_mux_entry,
+        build: || corpus::http2_mux(Bandwidth::gbps(6.0)),
     },
 ];
 
@@ -201,7 +150,7 @@ mod tests {
         for entry in ALL {
             assert!(!seen.contains(&entry.name), "duplicate {}", entry.name);
             seen.push(entry.name);
-            let (scenario, _plan) = entry.build();
+            let scenario = entry.scenario();
             assert!(
                 !scenario.name.is_empty(),
                 "{}: scenario has no name",
@@ -269,10 +218,38 @@ mod tests {
         assert!(rescaled > 0, "some registry graph must rescale requests");
     }
 
+    /// `Scenario::analyze` is the analyzer over the graph, hardware,
+    /// traffic and bundled plan, and `build()`'s plan is a copy of the
+    /// scenario's.
+    #[test]
+    fn scenario_analysis_lints_the_bundled_plan() {
+        use lognic_model::analyze::{AnalysisConfig, Analyzer};
+        for entry in ALL {
+            let scenario = entry.scenario();
+            let (built, plan) = entry.build();
+            assert_eq!(plan, scenario.faults, "{}", entry.name);
+            assert_eq!(built.faults, scenario.faults, "{}", entry.name);
+            for config in [
+                AnalysisConfig::new(),
+                AnalysisConfig::new().deny_warnings(true),
+            ] {
+                let analyzer = Analyzer::new(&scenario.graph)
+                    .with_hardware(&scenario.hardware)
+                    .with_traffic(&scenario.traffic);
+                let by_hand = match &plan {
+                    Some(p) => analyzer.with_fault_plan(p),
+                    None => analyzer,
+                }
+                .run(&config);
+                assert_eq!(scenario.analyze(&config), by_hand, "{}", entry.name);
+            }
+        }
+    }
+
     #[test]
     fn chaos_entry_carries_the_trace_dump_default_plan() {
-        let (scenario, plan) = find("chaos").expect("registered").build();
-        assert!(plan.is_some(), "chaos must ship its fault plan");
+        let scenario = find("chaos").expect("registered").scenario();
+        assert!(scenario.faults.is_some(), "chaos must ship its fault plan");
         assert_eq!(scenario.traffic.ingress_bandwidth(), Bandwidth::gbps(8.0));
     }
 }

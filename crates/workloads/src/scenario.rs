@@ -1,14 +1,22 @@
-//! A scenario bundles the three model inputs so that one description
-//! drives both the analytical estimate and the simulation, and pairs
-//! the two results for validation.
+//! A scenario bundles the model inputs so that one description drives
+//! the static analysis, the analytical estimate and the simulation,
+//! and pairs the results for validation.
+//!
+//! A workload may ship a fault plan ([`Scenario::faults`]). It stays
+//! declarative here: [`Scenario::analyze`] lints it, a degraded
+//! estimate reads it (`estimator().request().with_faults(..)`), and
+//! [`Scenario::compile`] compiles it once for the simulator.
 
+use lognic_model::analyze::{AnalysisConfig, AnalysisReport, Analyzer};
 use lognic_model::error::LogNicResult;
 use lognic_model::estimate::{Estimate, Estimator};
+use lognic_model::fault::FaultPlan;
 use lognic_model::graph::ExecutionGraph;
 use lognic_model::params::{HardwareModel, TrafficProfile};
 use lognic_model::units::{Bandwidth, Seconds};
+use lognic_sim::faults::CompiledFaultPlan;
 use lognic_sim::metrics::SimReport;
-use lognic_sim::sim::{SimConfig, Simulation};
+use lognic_sim::sim::{SimConfig, Simulation, SimulationBuilder};
 
 /// One evaluable workload configuration.
 #[derive(Debug, Clone)]
@@ -21,10 +29,34 @@ pub struct Scenario {
     pub hardware: HardwareModel,
     /// The offered traffic.
     pub traffic: TrafficProfile,
+    /// The faults the workload runs under, if it ships any
+    /// (uncompiled).
+    pub faults: Option<FaultPlan>,
+}
+
+/// A scenario whose fault plan is compiled for the simulator, ready to
+/// hand out any number of builders that share the compiled tables.
+#[derive(Debug)]
+pub struct CompiledScenario<'a> {
+    scenario: &'a Scenario,
+    faults: Option<CompiledFaultPlan>,
+}
+
+impl CompiledScenario<'_> {
+    /// A simulation builder over the scenario, with its compiled fault
+    /// plan installed.
+    pub fn builder(&self) -> SimulationBuilder<'_> {
+        let s = self.scenario;
+        let builder = Simulation::builder(&s.graph, &s.hardware, &s.traffic);
+        match &self.faults {
+            Some(faults) => builder.with_compiled_faults(faults),
+            None => builder,
+        }
+    }
 }
 
 impl Scenario {
-    /// Creates a scenario.
+    /// Creates a fault-free scenario.
     pub fn new(
         name: &str,
         graph: ExecutionGraph,
@@ -36,6 +68,7 @@ impl Scenario {
             graph,
             hardware,
             traffic,
+            faults: None,
         }
     }
 
@@ -51,13 +84,46 @@ impl Scenario {
         Estimator::new(&self.graph, &self.hardware, &self.traffic)
     }
 
-    /// Runs the analytical model.
+    /// Runs the static analyzer over the graph, hardware, traffic and
+    /// fault plan under `config`.
+    pub fn analyze(&self, config: &AnalysisConfig) -> AnalysisReport {
+        let analyzer = Analyzer::new(&self.graph)
+            .with_hardware(&self.hardware)
+            .with_traffic(&self.traffic);
+        match &self.faults {
+            Some(plan) => analyzer.with_fault_plan(plan),
+            None => analyzer,
+        }
+        .run(config)
+    }
+
+    /// Runs the analytical model, fault-free whatever the plan.
     ///
     /// # Errors
     ///
     /// Propagates model-evaluation errors.
     pub fn estimate(&self) -> LogNicResult<Estimate> {
         self.estimator().request().evaluate()
+    }
+
+    /// Compiles the fault plan once; every builder the result hands
+    /// out shares it, so replicated runs compile once for all seeds.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`CompiledFaultPlan::compile`] errors: a window on a
+    /// node the graph lacks, an empty window, an out-of-range fault
+    /// parameter.
+    pub fn compile(&self) -> LogNicResult<CompiledScenario<'_>> {
+        let faults = self
+            .faults
+            .as_ref()
+            .map(|plan| CompiledFaultPlan::compile(plan, &self.graph))
+            .transpose()?;
+        Ok(CompiledScenario {
+            scenario: self,
+            faults,
+        })
     }
 
     /// Runs the simulator with the given configuration.
@@ -72,21 +138,20 @@ impl Scenario {
             .expect("workload scenarios are valid by construction")
     }
 
-    /// Runs the simulator with the given configuration, propagating
-    /// configuration errors instead of panicking.
+    /// Runs the simulator under the fault plan with the given
+    /// configuration, propagating errors instead of panicking.
     ///
     /// # Errors
     ///
     /// Returns the underlying [`lognic_model::error::LogNicError`]
-    /// when the scenario or configuration is rejected, or when the
-    /// run trips the event watchdog.
+    /// when the fault plan, the scenario or the configuration is
+    /// rejected, or when the run trips the event watchdog.
     pub fn try_simulate(&self, config: SimConfig) -> LogNicResult<SimReport> {
-        Simulation::builder(&self.graph, &self.hardware, &self.traffic)
-            .config(config)
-            .run()
+        self.compile()?.builder().config(config).run()
     }
 
-    /// Runs both the model and the simulator and pairs the results.
+    /// Runs both the model (fault-free) and the simulator (under the
+    /// fault plan) and pairs the results.
     ///
     /// # Errors
     ///
@@ -145,6 +210,7 @@ pub fn relative_error(predicted: f64, measured: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lognic_model::error::LogNicError;
     use lognic_model::params::IpParams;
     use lognic_model::units::Bytes;
 
@@ -189,6 +255,46 @@ mod tests {
         assert_eq!(s2.traffic.ingress_bandwidth(), Bandwidth::gbps(1.0));
         assert_eq!(s2.name, s.name);
         assert_eq!(s2.graph, s.graph);
+    }
+
+    /// A plan naming a node the graph lacks stays declarative: the
+    /// analyzer warns (L0601), and only the simulation entry, which
+    /// compiles it, refuses it.
+    #[test]
+    fn unknown_node_plan_is_a_warning_to_analyze_and_an_error_to_simulate() {
+        let s = Scenario {
+            faults: Some(FaultPlan::new().outage("ghost", Seconds::ZERO, Seconds::millis(1.0))),
+            ..scenario()
+        };
+        let report = s.analyze(&AnalysisConfig::new());
+        assert!(!report.is_rejected(), "{:?}", report.diagnostics());
+        assert!(
+            report.warnings().iter().any(|d| d.code.as_str() == "L0601"),
+            "{:?}",
+            report.diagnostics()
+        );
+        let err = s.compile().expect_err("compiling validates the plan");
+        assert!(
+            matches!(&err, LogNicError::UnknownNode { node, .. } if node == "ghost"),
+            "{err}"
+        );
+        assert!(s.try_simulate(SimConfig::default()).is_err());
+    }
+
+    #[test]
+    fn a_bundled_plan_reaches_the_simulation() {
+        let plain = scenario();
+        let faulted = Scenario {
+            faults: Some(FaultPlan::new().outage("ip", Seconds::millis(2.0), Seconds::millis(6.0))),
+            ..plain.clone()
+        };
+        let cfg = SimConfig {
+            duration: Seconds::millis(8.0),
+            warmup: Seconds::ZERO,
+            ..SimConfig::default()
+        };
+        assert_eq!(plain.simulate(cfg).dropped, 0);
+        assert!(faulted.simulate(cfg).dropped > 0, "the outage must drop");
     }
 
     #[test]

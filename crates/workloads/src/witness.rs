@@ -22,7 +22,7 @@
 //! finding in its fixture sets and refuses to pass findings that
 //! cannot produce a witness.
 
-use lognic_model::analyze::{AnalysisConfig, Analyzer, Code, WitnessExpectation};
+use lognic_model::analyze::{AnalysisConfig, Code, WitnessExpectation};
 use lognic_model::error::{LogNicError, LogNicResult};
 use lognic_model::fault::{FaultPlan, RetryPolicy};
 use lognic_model::graph::ExecutionGraph;
@@ -30,11 +30,10 @@ use lognic_model::json;
 use lognic_model::params::{EdgeParams, HardwareModel, IpParams, TrafficProfile};
 use lognic_model::topology::Topology;
 use lognic_model::units::{Bandwidth, Bytes, Seconds};
-use lognic_sim::faults::CompiledFaultPlan;
 use lognic_sim::fleet::FleetBuilder;
 use lognic_sim::metrics::SimReport;
 use lognic_sim::sanitize::SanitizerReport;
-use lognic_sim::sim::{SimConfig, Simulation};
+use lognic_sim::sim::SimConfig;
 use lognic_testkit::fuzz::{Fuzz, FuzzOutcome};
 use lognic_testkit::Gen;
 
@@ -272,10 +271,11 @@ fn consolidated(name: &str, p: &WitnessParams, gamma: f64, rate_gbps: f64) -> Sc
 
 /// Builds the parameterized scenario family for a code.
 ///
-/// The returned pair is what both the static half (the analyzer must
-/// report `code` for it) and the dynamic half (a sanitized run must
-/// exhibit the code's [`WitnessExpectation`]) are evaluated against.
-pub fn witness_scenario(code: Code, p: &WitnessParams) -> (Scenario, Option<FaultPlan>) {
+/// The returned scenario, fault plan included, is what both the static
+/// half (the analyzer must report `code` for it) and the dynamic half
+/// (a sanitized run must exhibit the code's [`WitnessExpectation`])
+/// are evaluated against.
+pub fn witness_scenario(code: Code, p: &WitnessParams) -> Scenario {
     let f = f64::from(p.intensity) / 100.0;
     match code {
         Code::TrafficCreated => {
@@ -286,13 +286,12 @@ pub fn witness_scenario(code: Code, p: &WitnessParams) -> (Scenario, Option<Faul
             b.edge(ing, amp, edge(0.5));
             // Outgoing δ = 0.5·f > incoming 0.5: declared amplification f.
             b.edge(amp, eg, edge((0.5 * f).min(1.0)));
-            let s = Scenario::new(
+            Scenario::new(
                 "witness-l0101",
                 b.build().expect("witness graph is valid"),
                 hw(),
                 traffic(PEAK_GBPS * 0.5),
-            );
-            (s, None)
+            )
         }
         Code::TrafficLost => {
             let mut b = ExecutionGraph::builder("witness-l0102");
@@ -302,18 +301,17 @@ pub fn witness_scenario(code: Code, p: &WitnessParams) -> (Scenario, Option<Faul
             b.edge(ing, relay, edge(1.0));
             // Outgoing δ = f < 1: declared survival f.
             b.edge(relay, eg, edge(f));
-            let s = Scenario::new(
+            Scenario::new(
                 "witness-l0102",
                 b.build().expect("witness graph is valid"),
                 hw(),
                 traffic(PEAK_GBPS * 0.5),
-            );
-            (s, None)
+            )
         }
-        Code::StarvedNode => (starved_graph("witness-l0103", p, 0.0), None),
-        Code::MediumOnEmptyEdge => (starved_graph("witness-l0104", p, 0.5), None),
-        Code::SaturatedPartition => (chain("witness-l0201", p, PEAK_GBPS * f), None),
-        Code::NearSaturation => (chain("witness-l0202", p, PEAK_GBPS * f), None),
+        Code::StarvedNode => starved_graph("witness-l0103", p, 0.0),
+        Code::MediumOnEmptyEdge => starved_graph("witness-l0104", p, 0.5),
+        Code::SaturatedPartition => chain("witness-l0201", p, PEAK_GBPS * f),
+        Code::NearSaturation => chain("witness-l0202", p, PEAK_GBPS * f),
         Code::CreditCycle => {
             // Two tenants traverse the shared crypto/zip engines in
             // opposite orders, overloaded past the virtual capacity.
@@ -336,15 +334,14 @@ pub fn witness_scenario(code: Code, p: &WitnessParams) -> (Scenario, Option<Faul
             b.edge(ing, z2, edge(0.5));
             b.edge(z2, c2, edge(0.5));
             b.edge(c2, eg, edge(0.5));
-            let s = Scenario::new(
+            Scenario::new(
                 "witness-l0301",
                 b.build().expect("witness graph is valid"),
                 hw(),
                 traffic(8.0 * f),
-            );
-            (s, None)
+            )
         }
-        Code::QueueBelowParallelism => (chain("witness-l0302", p, PEAK_GBPS * f), None),
+        Code::QueueBelowParallelism => chain("witness-l0302", p, PEAK_GBPS * f),
         Code::DegenerateMedium => {
             let mut b = ExecutionGraph::builder("witness-l0401");
             let ing = b.ingress("in");
@@ -353,28 +350,27 @@ pub fn witness_scenario(code: Code, p: &WitnessParams) -> (Scenario, Option<Faul
             b.edge(ing, core, edge(1.0));
             // Every departure crosses the zero-bandwidth memory.
             b.edge(core, eg, edge(1.0).with_memory_fraction(1.0));
-            let s = Scenario::new(
+            Scenario::new(
                 "witness-l0401",
                 b.build().expect("witness graph is valid"),
                 HardwareModel::new(Bandwidth::gbps(400.0), Bandwidth::ZERO),
                 traffic(PEAK_GBPS * 0.5),
-            );
-            (s, None)
+            )
         }
         Code::ZeroIngressRate => {
             let mut s = chain("witness-l0402", p, 1.0);
             s.traffic = TrafficProfile::fixed(Bandwidth::ZERO, Bytes::new(1500));
-            (s, None)
+            s
         }
         Code::ZeroPacketSize => {
             let mut s = chain("witness-l0403", p, 1.0);
             s.traffic = TrafficProfile::fixed(Bandwidth::gbps(5.0), Bytes::new(0));
-            (s, None)
+            s
         }
         Code::ZeroGranularity => {
             let mut s = chain("witness-l0404", p, PEAK_GBPS * 0.5);
             s.traffic = s.traffic.with_granularity(Bytes::new(0));
-            (s, None)
+            s
         }
         Code::EdgeWithoutMedium => {
             // δ = 1 everywhere with no α/β and no dedicated link: the
@@ -385,63 +381,59 @@ pub fn witness_scenario(code: Code, p: &WitnessParams) -> (Scenario, Option<Faul
             let eg = b.egress("out");
             b.edge(ing, core, edge(1.0).with_interface_fraction(0.0));
             b.edge(core, eg, edge(1.0).with_interface_fraction(0.0));
-            let s = Scenario::new(
+            Scenario::new(
                 "witness-l0405",
                 b.build().expect("witness graph is valid"),
                 hw(),
                 traffic(PEAK_GBPS * 0.5),
-            );
-            (s, None)
+            )
         }
         Code::OversubscribedPartition => {
             // Each tenant gets γ = f/2, so Σγ = f > 1; overload both so
             // the oversubscribed capacity is actually delivered.
             let gamma = (f / 2.0).min(1.0);
-            (
-                consolidated("witness-l0501", p, gamma, PEAK_GBPS * 3.0),
-                None,
-            )
+            consolidated("witness-l0501", p, gamma, PEAK_GBPS * 3.0)
         }
         Code::ConsolidationOverload => {
             // Σγ = 1 (no L0501): only the joint demand f > 1 overloads.
-            (consolidated("witness-l0502", p, 0.5, PEAK_GBPS * f), None)
+            consolidated("witness-l0502", p, 0.5, PEAK_GBPS * f)
         }
-        Code::FaultUnknownNode => {
-            let s = chain("witness-l0601", p, PEAK_GBPS * 0.5);
-            let plan = FaultPlan::new().outage("ghost", Seconds::ZERO, Seconds::millis(1.0));
-            (s, Some(plan))
-        }
-        Code::FaultOverlappingWindows => {
-            let s = chain("witness-l0602", p, PEAK_GBPS * 0.5);
-            let plan = FaultPlan::new()
-                .outage("core", Seconds::micros(200.0), Seconds::micros(800.0))
-                .outage("core", Seconds::micros(500.0), Seconds::micros(1200.0));
-            (s, Some(plan))
-        }
-        Code::FaultZeroRetryBudget => {
-            let s = chain("witness-l0603", p, PEAK_GBPS * 0.5);
-            let plan = FaultPlan::new()
-                .drop_packets("core", 0.5, Seconds::micros(200.0), Seconds::millis(1.5))
-                .with_retry(RetryPolicy::new(0, Seconds::micros(50.0)));
-            (s, Some(plan))
-        }
-        Code::DeadFaultWindow => {
-            let s = starved_graph("witness-l0604", p, 0.0);
-            let plan = FaultPlan::new().outage("standby", Seconds::ZERO, Seconds::millis(1.0));
-            (s, Some(plan))
-        }
+        Code::FaultUnknownNode => Scenario {
+            faults: Some(FaultPlan::new().outage("ghost", Seconds::ZERO, Seconds::millis(1.0))),
+            ..chain("witness-l0601", p, PEAK_GBPS * 0.5)
+        },
+        Code::FaultOverlappingWindows => Scenario {
+            faults: Some(
+                FaultPlan::new()
+                    .outage("core", Seconds::micros(200.0), Seconds::micros(800.0))
+                    .outage("core", Seconds::micros(500.0), Seconds::micros(1200.0)),
+            ),
+            ..chain("witness-l0602", p, PEAK_GBPS * 0.5)
+        },
+        Code::FaultZeroRetryBudget => Scenario {
+            faults: Some(
+                FaultPlan::new()
+                    .drop_packets("core", 0.5, Seconds::micros(200.0), Seconds::millis(1.5))
+                    .with_retry(RetryPolicy::new(0, Seconds::micros(50.0))),
+            ),
+            ..chain("witness-l0603", p, PEAK_GBPS * 0.5)
+        },
+        Code::DeadFaultWindow => Scenario {
+            faults: Some(FaultPlan::new().outage("standby", Seconds::ZERO, Seconds::millis(1.0))),
+            ..starved_graph("witness-l0604", p, 0.0)
+        },
         // The fleet codes are topology-level: the returned scenario is
         // the *per-NIC* workload, and [`fleet_topology`] wires two
         // copies of it into the canonical defective pair the static
         // and dynamic halves are evaluated against.
-        Code::FleetZeroLatencyLink => (chain("witness-l0701", p, PEAK_GBPS * 0.5), None),
-        Code::FleetConsolidationOverload => (chain("witness-l0702", p, PEAK_GBPS * f / 2.0), None),
-        Code::FleetUplinkSaturated => (chain("witness-l0703", p, PEAK_GBPS * f / 2.0), None),
+        Code::FleetZeroLatencyLink => chain("witness-l0701", p, PEAK_GBPS * 0.5),
+        Code::FleetConsolidationOverload => chain("witness-l0702", p, PEAK_GBPS * f / 2.0),
+        Code::FleetUplinkSaturated => chain("witness-l0703", p, PEAK_GBPS * f / 2.0),
         // `Code` is non-exhaustive: a code without a dedicated family
         // gets a plain healthy chain, which never trips it — the
         // synthesizer then reports "no witness found" instead of
         // panicking.
-        _ => (chain("witness-unmapped", p, PEAK_GBPS * 0.5), None),
+        _ => chain("witness-unmapped", p, PEAK_GBPS * 0.5),
     }
 }
 
@@ -486,8 +478,9 @@ fn fleet_topology(code: Code, s: &Scenario) -> Topology {
     topo
 }
 
-/// Whether the analyzer (default config) reports `code` for the pair.
-fn static_trips(code: Code, scenario: &Scenario, plan: Option<&FaultPlan>) -> bool {
+/// Whether the analyzer (default config) reports `code` for the
+/// scenario.
+fn static_trips(code: Code, scenario: &Scenario) -> bool {
     if is_fleet_code(code) {
         return fleet_topology(code, scenario)
             .analyze(&AnalysisConfig::new())
@@ -495,14 +488,8 @@ fn static_trips(code: Code, scenario: &Scenario, plan: Option<&FaultPlan>) -> bo
             .iter()
             .any(|d| d.code == code);
     }
-    let mut analyzer = Analyzer::new(&scenario.graph)
-        .with_hardware(&scenario.hardware)
-        .with_traffic(&scenario.traffic);
-    if let Some(plan) = plan {
-        analyzer = analyzer.with_fault_plan(plan);
-    }
-    analyzer
-        .run(&AnalysisConfig::new())
+    scenario
+        .analyze(&AnalysisConfig::new())
         .diagnostics()
         .iter()
         .any(|d| d.code == code)
@@ -524,20 +511,14 @@ fn confirm_config() -> SimConfig {
 
 /// Runs the scenario under a fully sanitized simulation with the
 /// analysis gate disabled (the scenarios are broken on purpose).
-fn confirm_run(
-    scenario: &Scenario,
-    plan: Option<&FaultPlan>,
-) -> LogNicResult<(SimReport, SanitizerReport)> {
-    let faults = plan
-        .map(|p| CompiledFaultPlan::compile(p, &scenario.graph))
-        .transpose()?;
-    let mut b = Simulation::builder(&scenario.graph, &scenario.hardware, &scenario.traffic)
+fn confirm_run(scenario: &Scenario) -> LogNicResult<(SimReport, SanitizerReport)> {
+    scenario
+        .compile()?
+        .builder()
         .analysis(AnalysisConfig::permissive())
-        .config(confirm_config());
-    if let Some(faults) = &faults {
-        b = b.with_compiled_faults(faults);
-    }
-    b.build()?.run_sanitized()
+        .config(confirm_config())
+        .build()?
+        .run_sanitized()
 }
 
 /// A run result folded for witness evaluation: refusals and watchdog
@@ -548,8 +529,8 @@ enum Confirmed {
     Watchdog(String),
 }
 
-fn run_or_classify(scenario: &Scenario, plan: Option<&FaultPlan>) -> Result<Confirmed, String> {
-    match confirm_run(scenario, plan) {
+fn run_or_classify(scenario: &Scenario) -> Result<Confirmed, String> {
+    match confirm_run(scenario) {
         Ok((report, _audit)) => Ok(Confirmed::Ran(Box::new(report))),
         Err(LogNicError::SanitizerViolation {
             invariant, detail, ..
@@ -570,11 +551,11 @@ fn run_or_classify(scenario: &Scenario, plan: Option<&FaultPlan>) -> Result<Conf
 /// exhibited signature; `Err(why)` means this family member does not
 /// exhibit it (the harness skips and tries another).
 pub fn exhibits(code: Code, p: &WitnessParams) -> Result<String, String> {
-    let (scenario, plan) = witness_scenario(code, p);
+    let scenario = witness_scenario(code, p);
     let f = f64::from(p.intensity) / 100.0;
     match code {
         Code::TrafficCreated => {
-            let r = ran(&scenario, plan.as_ref())?;
+            let r = ran(&scenario)?;
             let amp = node(&r, "amp")?;
             if r.injected > 0 && amp.arrivals > 0 && r.completed <= amp.arrivals {
                 Ok(format!(
@@ -589,7 +570,7 @@ pub fn exhibits(code: Code, p: &WitnessParams) -> Result<String, String> {
             }
         }
         Code::TrafficLost => {
-            let r = ran(&scenario, plan.as_ref())?;
+            let r = ran(&scenario)?;
             let relay = node(&r, "relay")?;
             if relay.arrivals < 50 {
                 return Err("too few arrivals to measure survival".into());
@@ -607,7 +588,7 @@ pub fn exhibits(code: Code, p: &WitnessParams) -> Result<String, String> {
             }
         }
         Code::StarvedNode | Code::MediumOnEmptyEdge => {
-            let r = ran(&scenario, plan.as_ref())?;
+            let r = ran(&scenario)?;
             let stray = node(&r, "standby")?;
             if stray.arrivals == 0 && r.completed > 0 {
                 Ok(format!(
@@ -619,7 +600,7 @@ pub fn exhibits(code: Code, p: &WitnessParams) -> Result<String, String> {
             }
         }
         Code::SaturatedPartition => {
-            let r = ran(&scenario, plan.as_ref())?;
+            let r = ran(&scenario)?;
             if r.dropped > 0 && r.throughput.as_bps() < r.offered.as_bps() * 0.95 {
                 Ok(format!(
                     "offered {:.1} Gbps, delivered {:.1} Gbps, {} drops",
@@ -637,7 +618,7 @@ pub fn exhibits(code: Code, p: &WitnessParams) -> Result<String, String> {
             }
         }
         Code::NearSaturation => {
-            let r = ran(&scenario, plan.as_ref())?;
+            let r = ran(&scenario)?;
             let core = node(&r, "core")?;
             if core.utilization >= 0.6 && core.max_queue >= 2 {
                 Ok(format!(
@@ -652,7 +633,7 @@ pub fn exhibits(code: Code, p: &WitnessParams) -> Result<String, String> {
             }
         }
         Code::CreditCycle => {
-            let r = ran(&scenario, plan.as_ref())?;
+            let r = ran(&scenario)?;
             // Starvation half of the deadlock: both shared engine
             // groups exhaust their credits (refuse work at full
             // queues), at least one twin sits with capacity to spare,
@@ -685,7 +666,7 @@ pub fn exhibits(code: Code, p: &WitnessParams) -> Result<String, String> {
             // capacity at or below the parallelism degree leaves zero
             // waiting room: the node refuses work without its queue
             // ever holding a single packet.
-            let r = ran(&scenario, plan.as_ref())?;
+            let r = ran(&scenario)?;
             let core = node(&r, "core")?;
             if core.drops > 0 && core.max_queue == 0 && core.utilization < 1.0 {
                 Ok(format!(
@@ -702,7 +683,7 @@ pub fn exhibits(code: Code, p: &WitnessParams) -> Result<String, String> {
                 ))
             }
         }
-        Code::DegenerateMedium => match run_or_classify(&scenario, plan.as_ref())? {
+        Code::DegenerateMedium => match run_or_classify(&scenario)? {
             Confirmed::Ran(r) => {
                 if r.injected > 0 && r.completed == 0 {
                     Ok(format!(
@@ -715,7 +696,7 @@ pub fn exhibits(code: Code, p: &WitnessParams) -> Result<String, String> {
             }
             Confirmed::Refused(why) | Confirmed::Watchdog(why) => Ok(why),
         },
-        Code::ZeroIngressRate => match run_or_classify(&scenario, plan.as_ref())? {
+        Code::ZeroIngressRate => match run_or_classify(&scenario)? {
             Confirmed::Ran(r) => {
                 if r.injected == 0 {
                     Ok("zero packets injected over the whole horizon".into())
@@ -726,7 +707,7 @@ pub fn exhibits(code: Code, p: &WitnessParams) -> Result<String, String> {
             Confirmed::Refused(why) => Ok(why),
             Confirmed::Watchdog(why) => Err(why),
         },
-        Code::ZeroPacketSize => match run_or_classify(&scenario, plan.as_ref())? {
+        Code::ZeroPacketSize => match run_or_classify(&scenario)? {
             Confirmed::Ran(r) => {
                 if r.completed > 0 && r.throughput.as_bps() == 0.0 {
                     Ok(format!(
@@ -745,7 +726,7 @@ pub fn exhibits(code: Code, p: &WitnessParams) -> Result<String, String> {
         },
         Code::ZeroGranularity => {
             let model_latency = scenario.estimate().map(|est| est.latency.mean());
-            let r = ran(&scenario, plan.as_ref())?;
+            let r = ran(&scenario)?;
             if r.latency.mean.as_secs() <= 0.0 {
                 return Err("simulated latency not positive".into());
             }
@@ -774,7 +755,7 @@ pub fn exhibits(code: Code, p: &WitnessParams) -> Result<String, String> {
             }
         }
         Code::EdgeWithoutMedium => {
-            let r = ran(&scenario, plan.as_ref())?;
+            let r = ran(&scenario)?;
             let moved: f64 = r.media.iter().map(|m| m.transferred.as_f64()).sum();
             if r.completed > 0 && moved == 0.0 {
                 Ok(format!(
@@ -786,7 +767,7 @@ pub fn exhibits(code: Code, p: &WitnessParams) -> Result<String, String> {
             }
         }
         Code::OversubscribedPartition => {
-            let r = ran(&scenario, plan.as_ref())?;
+            let r = ran(&scenario)?;
             if r.throughput.as_gbps() > PEAK_GBPS * 1.05 {
                 Ok(format!(
                     "consolidated group delivered {:.1} Gbps through a {:.0} Gbps physical engine (sum gamma = {:.2})",
@@ -802,7 +783,7 @@ pub fn exhibits(code: Code, p: &WitnessParams) -> Result<String, String> {
             }
         }
         Code::ConsolidationOverload => {
-            let r = ran(&scenario, plan.as_ref())?;
+            let r = ran(&scenario)?;
             if r.dropped > 0 && r.throughput.as_bps() < r.offered.as_bps() * 0.95 {
                 Ok(format!(
                     "joint demand {:.1} Gbps vs {:.0} Gbps engine: {} drops, delivered {:.1} Gbps",
@@ -820,7 +801,7 @@ pub fn exhibits(code: Code, p: &WitnessParams) -> Result<String, String> {
                 ))
             }
         }
-        Code::FaultUnknownNode => match confirm_run(&scenario, plan.as_ref()) {
+        Code::FaultUnknownNode => match confirm_run(&scenario) {
             Err(LogNicError::UnknownNode { .. } | LogNicError::UnknownNodes { .. }) => {
                 Ok("runtime refuses the plan: unknown fault target".into())
             }
@@ -828,11 +809,17 @@ pub fn exhibits(code: Code, p: &WitnessParams) -> Result<String, String> {
             Ok(_) => Err("runtime accepted a plan targeting a missing node".into()),
         },
         Code::FaultOverlappingWindows => {
-            let r_overlap = ran(&scenario, plan.as_ref())?;
+            let r_overlap = ran(&scenario)?;
             let hull =
                 FaultPlan::new().outage("core", Seconds::micros(200.0), Seconds::micros(1200.0));
-            let r_hull = ran(&scenario, Some(&hull))?;
-            let r_none = ran(&scenario, None)?;
+            let r_hull = ran(&Scenario {
+                faults: Some(hull),
+                ..scenario.clone()
+            })?;
+            let r_none = ran(&Scenario {
+                faults: None,
+                ..scenario
+            })?;
             let (o, h, n) = (
                 format!("{r_overlap:?}"),
                 format!("{r_hull:?}"),
@@ -847,7 +834,7 @@ pub fn exhibits(code: Code, p: &WitnessParams) -> Result<String, String> {
             }
         }
         Code::FaultZeroRetryBudget => {
-            let r = ran(&scenario, plan.as_ref())?;
+            let r = ran(&scenario)?;
             if r.dropped > 0 && r.retries == 0 {
                 Ok(format!(
                     "{} packets lost to the fault windows with 0 retry attempts",
@@ -858,8 +845,11 @@ pub fn exhibits(code: Code, p: &WitnessParams) -> Result<String, String> {
             }
         }
         Code::DeadFaultWindow => {
-            let r_fault = ran(&scenario, plan.as_ref())?;
-            let r_none = ran(&scenario, None)?;
+            let r_fault = ran(&scenario)?;
+            let r_none = ran(&Scenario {
+                faults: None,
+                ..scenario
+            })?;
             if format!("{r_fault:?}") == format!("{r_none:?}") && r_fault.completed > 0 {
                 Ok(format!(
                     "faulted run byte-identical to the fault-free run across {} completions",
@@ -943,8 +933,8 @@ fn run_fleet(topo: Topology) -> Result<lognic_sim::fleet::FleetReport, String> {
 
 /// Like [`run_or_classify`] but treats anything except a completed
 /// run as non-exhibiting (for codes where the run must finish).
-fn ran(scenario: &Scenario, plan: Option<&FaultPlan>) -> Result<SimReport, String> {
-    match run_or_classify(scenario, plan)? {
+fn ran(scenario: &Scenario) -> Result<SimReport, String> {
+    match run_or_classify(scenario)? {
         Confirmed::Ran(r) => Ok(*r),
         Confirmed::Refused(why) | Confirmed::Watchdog(why) => Err(why),
     }
@@ -976,8 +966,8 @@ pub fn synthesize(code: Code, seed: u64) -> Result<ConfirmedWitness, String> {
             |g| gen_params(code, g),
             |p| shrink_params(code, p),
             |p| {
-                let (scenario, plan) = witness_scenario(code, p);
-                if !static_trips(code, &scenario, plan.as_ref()) {
+                let scenario = witness_scenario(code, p);
+                if !static_trips(code, &scenario) {
                     return FuzzOutcome::Skip("analyzer does not report the code".into());
                 }
                 match exhibits(code, p) {
@@ -1029,13 +1019,13 @@ mod tests {
                 parallelism: d.parallelism.0,
             };
             normalize(*code, &mut p);
-            let (s, plan) = witness_scenario(*code, &p);
+            let s = witness_scenario(*code, &p);
             println!(
                 "{code} {p:?}: static={} exhibits={:?}",
-                static_trips(*code, &s, plan.as_ref()),
+                static_trips(*code, &s),
                 exhibits(*code, &p)
             );
-            if let Ok(r) = ran(&s, plan.as_ref()) {
+            if let Ok(r) = ran(&s) {
                 for n in &r.nodes {
                     println!(
                         "  node {} arrivals {} served {} drops {} util {:.3} maxq {} occ {:.2}",
@@ -1070,8 +1060,8 @@ mod tests {
             assert!(!w.detail.is_empty(), "{code}");
             assert_within_domain(*code, &w.params);
             // The minimal witness must itself still trip and exhibit.
-            let (scenario, plan) = witness_scenario(*code, &w.params);
-            assert!(static_trips(*code, &scenario, plan.as_ref()), "{code}");
+            let scenario = witness_scenario(*code, &w.params);
+            assert!(static_trips(*code, &scenario), "{code}");
             assert!(exhibits(*code, &w.params).is_ok(), "{code}");
         }
     }

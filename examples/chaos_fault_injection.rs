@@ -25,8 +25,8 @@ fn main() -> LogNicResult<()> {
         Seconds::millis(1.0),
         Seconds::millis(2.0),
     );
-    let report = chaos.simulate(cfg)?;
-    let again = chaos.simulate(cfg)?;
+    let report = chaos.try_simulate(cfg)?;
+    let again = chaos.try_simulate(cfg)?;
 
     println!("=== accelerator brownout (outage 1 ms + throttle 2 ms) ===");
     println!("offered          = {}", report.offered);
@@ -36,15 +36,14 @@ fn main() -> LogNicResult<()> {
     println!("p99 latency      = {}", report.latency.p99);
     println!("deterministic    = {}", report == again);
 
-    // The model's availability-adjusted view of the same plan.
-    let est = Estimator::new(
-        &chaos.scenario.graph,
-        &chaos.scenario.hardware,
-        &chaos.scenario.traffic,
-    )
-    .request()
-    .with_faults(&chaos.plan, cfg.duration)
-    .evaluate()?;
+    // The model's availability-adjusted view of the same plan, which
+    // the scenario carries.
+    let plan = chaos.faults.as_ref().expect("the brownout ships its plan");
+    let est = chaos
+        .estimator()
+        .request()
+        .with_faults(plan, cfg.duration)
+        .evaluate()?;
     let degraded = est.degraded.expect("fault plan produces a degraded view");
     println!("model availability    = {:.4}", degraded.availability);
     println!("model retry inflation = {:.4}", degraded.retry_inflation);

@@ -99,7 +99,6 @@ fn cmd_estimate(name: &str, s: &Scenario, out: &mut impl Write) -> Result<(), St
 fn cmd_simulate(
     name: &str,
     s: &Scenario,
-    plan: Option<FaultPlan>,
     options: &Options,
     out: &mut impl Write,
 ) -> Result<(), Stop> {
@@ -109,15 +108,7 @@ fn cmd_simulate(
         warmup: Seconds::millis(options.ms * 0.2),
         ..SimConfig::default()
     };
-    let windows = plan.as_ref().map(|p| p.windows().len());
-    let faults = plan
-        .map(|p| CompiledFaultPlan::compile(&p, &s.graph))
-        .transpose()?;
-    let mut builder = Simulation::builder(&s.graph, &s.hardware, &s.traffic).config(cfg);
-    if let Some(faults) = &faults {
-        builder = builder.with_compiled_faults(faults);
-    }
-    let r = builder.run()?;
+    let r = s.try_simulate(cfg)?;
     writeln!(out, "scenario  : {name}")?;
     writeln!(out, "offered   : {}", r.offered)?;
     writeln!(out, "throughput: {}", r.throughput)?;
@@ -137,11 +128,13 @@ fn cmd_simulate(
             r.latency.mean, r.latency.p50, r.latency.p99, r.latency.max
         )?;
     }
-    if let Some(windows) = windows {
+    if let Some(plan) = &s.faults {
         writeln!(
             out,
-            "faults    : {windows} windows, {} retries, {} timed out",
-            r.retries, r.timed_out
+            "faults    : {} windows, {} retries, {} timed out",
+            plan.windows().len(),
+            r.retries,
+            r.timed_out
         )?;
     }
     writeln!(out)?;
@@ -236,13 +229,13 @@ fn cmd_workload(cmd: &str, flags: &mut Flags, out: &mut impl Write) -> Result<()
         .ok_or_else(|| Stop::Usage(format!("{cmd} needs a workload")))?;
     let entry = cli::workload(&name)?;
     let options = read_options(flags)?;
-    let (mut scenario, plan) = entry.build();
+    let mut scenario = entry.scenario();
     if let Some(rate) = options.rate {
         scenario = scenario.at_rate(rate);
     }
     match cmd {
         "estimate" => cmd_estimate(entry.name, &scenario, out),
-        "simulate" => cmd_simulate(entry.name, &scenario, plan, &options, out),
+        "simulate" => cmd_simulate(entry.name, &scenario, &options, out),
         _ => Ok(write!(out, "{}", scenario.graph.to_dot())?),
     }
 }

@@ -55,7 +55,7 @@ fn assert_golden(name: &str, rendered: &str) {
 fn human_rendering_matches_golden() {
     let mut out = String::new();
     for case in all_broken() {
-        let report = case.analyze(&AnalysisConfig::default());
+        let report = case.scenario.analyze(&AnalysisConfig::default());
         writeln!(out, "==== {} ====", case.scenario.name).unwrap();
         writeln!(out, "{}\n", report.render_human(false)).unwrap();
     }
@@ -67,7 +67,7 @@ fn human_rendering_matches_golden() {
 fn json_rendering_matches_golden() {
     let mut out = String::new();
     for case in all_broken() {
-        let report = case.analyze(&AnalysisConfig::default());
+        let report = case.scenario.analyze(&AnalysisConfig::default());
         let json = report.render_json();
         if !json.is_empty() {
             writeln!(out, "{json}").unwrap();
@@ -84,7 +84,7 @@ fn corpus_reports_six_distinct_pass_codes() {
     let strict = AnalysisConfig::default().deny_warnings(true);
     let mut codes = std::collections::BTreeSet::new();
     for case in all_broken() {
-        let report = case.analyze(&strict);
+        let report = case.scenario.analyze(&strict);
         assert!(report.is_rejected(), "{} must gate", case.scenario.name);
         codes.extend(report.diagnostics().iter().map(|d| d.code.as_str()));
     }

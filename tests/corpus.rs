@@ -64,7 +64,7 @@ fn assert_golden(name: &str, rendered: &str) {
 /// The same small brownout fixture the trace goldens use: the §4.2
 /// inline pipeline with an outage and a degraded window inside a
 /// 600 µs horizon.
-fn small_brownout() -> lognic::workloads::chaos::ChaosScenario {
+fn small_brownout() -> Scenario {
     accelerator_brownout(
         Bandwidth::gbps(4.0),
         Seconds::micros(150.0),
@@ -92,7 +92,11 @@ fn captured_chaos_trace() -> (PacketTrace, SimReport) {
         TimeSeriesSampler::new(Seconds::micros(25.0)),
     );
     let report = chaos
-        .simulate_with(small_config(7), &mut obs)
+        .compile()
+        .expect("valid plan")
+        .builder()
+        .config(small_config(7))
+        .run_with(&mut obs)
         .expect("chaos capture run");
     let trace = obs.0.into_trace().expect("engine arrivals always validate");
     (trace, report)
@@ -101,12 +105,11 @@ fn captured_chaos_trace() -> (PacketTrace, SimReport) {
 /// Replays a captured trace through the chaos scenario (same graph,
 /// hardware, fault plan and seed) and returns the report.
 fn replay(trace: &PacketTrace) -> SimReport {
-    let chaos = small_brownout();
-    let s = &chaos.scenario;
-    let faults = CompiledFaultPlan::compile(&chaos.plan, &s.graph).expect("valid plan");
-    Simulation::builder(&s.graph, &s.hardware, &s.traffic)
+    small_brownout()
+        .compile()
+        .expect("valid plan")
+        .builder()
         .config(small_config(7))
-        .with_compiled_faults(&faults)
         .with_trace(trace.clone())
         .run()
         .expect("replayed trace simulates")
@@ -322,7 +325,7 @@ fn captured_trace_feeds_the_empirical_size_mixture() {
     );
     // And the chaos graph estimates under it.
     let chaos = small_brownout();
-    let est = Estimator::new(&chaos.scenario.graph, &chaos.scenario.hardware, &profile)
+    let est = Estimator::new(&chaos.graph, &chaos.hardware, &profile)
         .request()
         .evaluate()
         .expect("empirical profile estimates");
@@ -336,8 +339,7 @@ fn captured_trace_feeds_the_empirical_size_mixture() {
 #[test]
 fn empty_trace_is_valid_and_simulates_silently() {
     let empty = PacketTrace::new(Vec::new()).expect("empty traces are valid");
-    let chaos = small_brownout();
-    let s = &chaos.scenario;
+    let s = small_brownout();
     let report = Simulation::builder(&s.graph, &s.hardware, &s.traffic)
         .config(small_config(7))
         .with_trace(empty)
@@ -356,8 +358,7 @@ fn single_record_trace_replays_one_packet() {
         0,
     )])
     .expect("single record is valid");
-    let chaos = small_brownout();
-    let s = &chaos.scenario;
+    let s = small_brownout();
     let report = Simulation::builder(&s.graph, &s.hardware, &s.traffic)
         .config(small_config(7))
         .with_trace(one)
@@ -463,12 +464,17 @@ fn protocol_corpus_is_registered() {
             !entry.provenance.is_empty(),
             "{name}: registry entries need provenance for the README table"
         );
-        let (scenario, plan) = entry.build();
-        assert!(plan.is_none(), "{name}: corpus entries ship without faults");
+        let scenario = entry.scenario();
+        assert!(
+            scenario.faults.is_none(),
+            "{name}: corpus entries ship without faults"
+        );
         assert!(scenario.estimate().is_ok(), "{name} must estimate");
     }
     // The trace_dump default stays exactly the chaos brownout.
-    let (chaos, plan) = registry::find("chaos").expect("chaos registered").build();
+    let chaos = registry::find("chaos")
+        .expect("chaos registered")
+        .scenario();
     assert_eq!(chaos.traffic.ingress_bandwidth(), Bandwidth::gbps(8.0));
-    assert!(plan.is_some());
+    assert!(chaos.faults.is_some());
 }

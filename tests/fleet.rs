@@ -164,3 +164,36 @@ fn zero_latency_traffic_link_is_rejected_at_build() {
         other => panic!("expected an analysis rejection, got {other}"),
     }
 }
+
+/// `deny_warnings` reaches the fleet gate. Both NICs are offered
+/// 8 Gb/s on 10 Gb/s devices and `a` forwards all of its egress to
+/// `b`, so `b` is asked 16 Gb/s: an `L0702` warning, which builds
+/// under the default policy and is refused under the strict one.
+#[test]
+fn deny_warnings_refuses_a_fleet_consolidation_overload() {
+    let overload = || {
+        let ip = IpParams::new(Bandwidth::gbps(10.0)).with_queue_capacity(64);
+        let g = ExecutionGraph::chain("fwd", &[("ip", ip)]).expect("chain builds");
+        let hw = HardwareModel::default();
+        let t = TrafficProfile::fixed(Bandwidth::gbps(8.0), Bytes::new(1500));
+        let mut topo = Topology::new("overload");
+        let a = topo.add_nic("a", g.clone(), hw, t.clone());
+        let b = topo.add_nic("b", g, hw, t);
+        topo.link(a, b, Bandwidth::gbps(100.0), Seconds::micros(2.0), 1.0);
+        topo
+    };
+    FleetBuilder::new(overload())
+        .build()
+        .expect("a warning alone does not refuse the build");
+    let err = FleetBuilder::new(overload())
+        .analysis(AnalysisConfig::new().deny_warnings(true))
+        .build()
+        .expect_err("deny_warnings refuses the overload");
+    match err {
+        LogNicError::AnalysisRejected { diagnostics } => assert!(
+            diagnostics.iter().any(|d| d.code.as_str() == "L0702"),
+            "expected L0702 in {diagnostics:?}"
+        ),
+        other => panic!("expected an analysis rejection, got {other}"),
+    }
+}

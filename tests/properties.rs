@@ -542,7 +542,7 @@ mod latency_oracle {
     /// plan, else a rate dip, a credit loss and a drop window with
     /// retries on its first computing vertex.
     fn plan_for(entry: &registry::RegistryEntry, graph: &ExecutionGraph) -> FaultPlan {
-        if let Some(plan) = entry.build().1 {
+        if let Some(plan) = entry.scenario().faults {
             return plan;
         }
         let node = graph

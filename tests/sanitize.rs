@@ -410,16 +410,14 @@ fn chaos_anchor_is_sanitizer_clean_and_identical_across_paths() {
 #[test]
 fn registry_workloads_are_sanitizer_clean() {
     for entry in lognic_workloads::registry::ALL {
-        let (scenario, plan) = entry.build();
-        let faults = compile(&plan, &scenario.graph);
-        let mut b = Simulation::builder(&scenario.graph, &scenario.hardware, &scenario.traffic)
+        let scenario = entry.scenario();
+        let (report, audit) = scenario
+            .compile()
+            .unwrap_or_else(|e| panic!("workload `{}` has an invalid plan: {e}", entry.name))
+            .builder()
             .seed(7)
             .duration(Seconds::millis(5.0))
-            .warmup(Seconds::millis(1.0));
-        if let Some(c) = &faults {
-            b = b.with_compiled_faults(c);
-        }
-        let (report, audit) = b
+            .warmup(Seconds::millis(1.0))
             .build()
             .unwrap_or_else(|e| panic!("workload `{}` failed to build: {e}", entry.name))
             .run_sanitized()

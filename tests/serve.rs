@@ -402,7 +402,7 @@ fn ten_k_mixed_corpus_is_answered_completely_and_deterministically() {
 fn partial_replication_failure_surfaces_through_serve() {
     // Probe the per-seed event counts of exactly the run the service
     // performs for {seeds:4, duration_ms:2} on switch-kv.
-    let (scenario, _) = registry::find("switch-kv").expect("registered").build();
+    let scenario = registry::find("switch-kv").expect("registered").scenario();
     let duration = Seconds::millis(2.0);
     let base = SimConfig {
         duration,
@@ -525,6 +525,25 @@ fn fault_windows_past_the_clock_are_answered() {
         );
         assert_eq!(service.stats().isolated_panics, 0);
     }
+}
+
+/// A fault number past the plain range is printed in `{:e}` form in
+/// the refusal, so `"factor":1e300` is answered with `1e300`, not its
+/// 301-digit expansion.
+#[test]
+fn extreme_fault_numbers_print_compactly_in_errors() {
+    let mut service = det_service(1);
+    let out = service.handle_line(
+        r#"{"id":1,"kind":"estimate_degraded","graph":"nvmeof","faults":[{"node":"ssd","kind":"degrade","factor":1e300}]}"#,
+    );
+    let doc = lognic::service::json::parse(&out).unwrap_or_else(|e| panic!("{e}: {out}"));
+    let message = doc
+        .get("error")
+        .and_then(|e| e.get("message"))
+        .and_then(lognic::service::Json::as_str)
+        .unwrap_or_else(|| panic!("no error message: {out}"));
+    assert!(message.contains("1e300"), "{message}");
+    assert!(message.len() < 200, "{} bytes: {message}", message.len());
 }
 
 /// A refused request whose logical cost passes the picosecond clock

@@ -58,7 +58,7 @@ fn assert_golden(name: &str, rendered: &str) {
 /// committed fixture, busy enough to exercise every record kind
 /// (inject, enqueue, service, complete, deliver, drop, retry, fault
 /// windows).
-fn small_brownout() -> lognic::workloads::chaos::ChaosScenario {
+fn small_brownout() -> Scenario {
     accelerator_brownout(
         Bandwidth::gbps(4.0),
         Seconds::micros(150.0),
@@ -76,15 +76,26 @@ fn small_config(seed: u64) -> SimConfig {
     }
 }
 
+/// The small brownout at `seed`, under its fault plan, traced by `obs`.
+fn traced_run<O: SimObserver>(seed: u64, obs: &mut O) -> SimReport {
+    small_brownout()
+        .compile()
+        .expect("valid plan")
+        .builder()
+        .config(small_config(seed))
+        .run_with(obs)
+        .expect("traced run")
+}
+
 /// Passivity: the fully-instrumented run (ring + sampler + Chrome
 /// exporter stacked through the tuple observer) reports exactly what
 /// the untraced run reports, with faults live.
 #[test]
 fn traced_reports_are_byte_identical_to_untraced() {
-    let chaos = small_brownout();
     for seed in [7, 42, 1234] {
-        let config = small_config(seed);
-        let plain = chaos.simulate(config).expect("untraced run");
+        let plain = small_brownout()
+            .try_simulate(small_config(seed))
+            .expect("untraced run");
 
         let mut obs = (
             RingLog::with_capacity(1 << 15),
@@ -93,7 +104,7 @@ fn traced_reports_are_byte_identical_to_untraced() {
                 ChromeTrace::new(),
             ),
         );
-        let traced = chaos.simulate_with(config, &mut obs).expect("traced run");
+        let traced = traced_run(seed, &mut obs);
 
         assert_eq!(plain, traced, "seed {seed}: observer perturbed the run");
         assert_eq!(
@@ -141,12 +152,9 @@ fn traced_reports_match_untraced_without_faults() {
 /// repeated runs of the same seed.
 #[test]
 fn ring_traces_are_identical_across_reruns() {
-    let chaos = small_brownout();
     let capture = || {
         let mut ring = RingLog::with_capacity(1 << 15);
-        chaos
-            .simulate_with(small_config(7), &mut ring)
-            .expect("traced run");
+        traced_run(7, &mut ring);
         ring
     };
     let first = capture();
@@ -164,11 +172,8 @@ fn ring_traces_are_identical_across_reruns() {
 /// what it overwrote.
 #[test]
 fn ring_log_is_bounded_and_keeps_the_newest_events() {
-    let chaos = small_brownout();
     let mut ring = RingLog::with_capacity(64);
-    chaos
-        .simulate_with(small_config(7), &mut ring)
-        .expect("traced run");
+    traced_run(7, &mut ring);
     assert_eq!(ring.capacity(), 64);
     assert!(ring.written() > 64, "run too small to overflow the ring");
     assert_eq!(ring.dropped(), ring.written() - 64);
@@ -183,15 +188,8 @@ fn ring_log_is_bounded_and_keeps_the_newest_events() {
 /// stays within [0, 1].
 #[test]
 fn timeline_samples_on_the_grid_and_within_bounds() {
-    let chaos = small_brownout();
-    let s = &chaos.scenario;
     let mut sampler = TimeSeriesSampler::new(Seconds::micros(25.0));
-    let faults = CompiledFaultPlan::compile(&chaos.plan, &s.graph).expect("valid plan");
-    let report = Simulation::builder(&s.graph, &s.hardware, &s.traffic)
-        .config(small_config(7))
-        .with_compiled_faults(&faults)
-        .run_with(&mut sampler)
-        .expect("timeline run");
+    let report = traced_run(7, &mut sampler);
     let timeline = sampler.into_timeline();
     assert!(report.events > 0);
     let names = timeline.node_names();
@@ -225,11 +223,8 @@ fn timeline_samples_on_the_grid_and_within_bounds() {
 /// shows up here first.
 #[test]
 fn chrome_trace_matches_golden() {
-    let chaos = small_brownout();
     let mut trace = ChromeTrace::new();
-    chaos
-        .simulate_with(small_config(7), &mut trace)
-        .expect("traced run");
+    traced_run(7, &mut trace);
     assert_eq!(trace.truncated(), 0, "fixture must not truncate");
     assert_golden("brownout.chrome.json", &trace.into_json());
 }
@@ -237,10 +232,7 @@ fn chrome_trace_matches_golden() {
 /// The time-series CSV of the same run, pinned byte-for-byte.
 #[test]
 fn timeline_csv_matches_golden() {
-    let chaos = small_brownout();
     let mut sampler = TimeSeriesSampler::new(Seconds::micros(25.0));
-    chaos
-        .simulate_with(small_config(7), &mut sampler)
-        .expect("traced run");
+    traced_run(7, &mut sampler);
     assert_golden("brownout.timeline.csv", &sampler.into_timeline().to_csv());
 }
