@@ -10,11 +10,14 @@
 //! times the calendar queue against a plain `BinaryHeap` on the
 //! classic hold model, where the scheduler is the whole workload; the
 //! `fleet_rack16` row, the 16-NIC registry rack through the fleet
-//! loop (see DESIGN §5l); and three analytical-model rows,
+//! loop (see DESIGN §5l); three analytical-model rows,
 //! `model_sweep` (one pass over the figures' model points),
 //! `model_registry` (one evaluation of every registry workload, four of
 //! them packet-size mixtures) and `mmcn_c64_n256` (the M/M/c/N queueing
-//! kernel the model evaluates per node).
+//! kernel the model evaluates per node); and `service_new`, the
+//! service's start-up (`Service::new`, which builds the registry),
+//! timed like the model rows with allocations per construction as its
+//! counter.
 //!
 //! Each row carries two kinds of numbers, and `--check` gates them
 //! differently:
@@ -25,7 +28,7 @@
 //!   behaviour, and is committed deliberately by regenerating the file.
 //!   `allocs_per_event` follows the standard library's allocation
 //!   pattern as well as this workspace's code, so a rustc upgrade can
-//!   move it (the model rows allocate per evaluation) with no code
+//!   move it (the model and service rows allocate per pass) with no code
 //!   change; regenerate the ledger with the new toolchain then.
 //! * **Wall time** is the median of the fastest eighth of
 //!   [`SAMPLES`] timed samples, taken in rounds of one sample per row.
@@ -81,6 +84,7 @@ use lognic_model::json::{self, Json};
 use lognic_model::queueing::MmcN;
 use lognic_model::units::{Bandwidth, Bytes, Seconds};
 use lognic_optimizer::suggest;
+use lognic_service::{ServeConfig, Service};
 use lognic_sim::calendar::CalendarQueue;
 use lognic_sim::prelude::*;
 use lognic_workloads::cli::{self, Flags, Stop};
@@ -127,6 +131,8 @@ const CALENDAR: &str = "calendar";
 const HEAP: &str = "reference_heap";
 /// The key of the analytical-model rows.
 const MODEL: &str = "model";
+/// The key of the service start-up row.
+const SERVICE: &str = "service";
 
 /// Timed samples per row.
 const SAMPLES: usize = 32;
@@ -145,7 +151,7 @@ struct Row {
     name: String,
     engine: String,
     /// Work units per timed sample: simulated events, hold-model
-    /// operations, or model evaluations.
+    /// operations, model evaluations or service constructions.
     events: u64,
     /// Steady-state allocations per work unit.
     allocs_per_event: f64,
@@ -538,9 +544,22 @@ fn mmcn_pass() -> u64 {
     19
 }
 
-/// A model row: `repeats` passes per timed sample, so one sample spans
-/// milliseconds. Allocations are counted over one untimed pass.
-fn model_bench(name: &str, repeats: u64, mut pass: impl FnMut() -> u64 + 'static) -> Bench {
+/// One `Service::new` over the default configuration, dropped at once.
+/// Returns the services built.
+fn service_new_pass() -> u64 {
+    drop(black_box(Service::new(ServeConfig::default())));
+    1
+}
+
+/// A pass row (the model rows and `service_new`): `repeats` passes per
+/// timed sample, so one sample spans milliseconds. Allocations are
+/// counted over one untimed pass.
+fn pass_bench(
+    name: &str,
+    engine: &str,
+    repeats: u64,
+    mut pass: impl FnMut() -> u64 + 'static,
+) -> Bench {
     let (points, allocs) = allocs_in(&mut pass);
     let sample = move || {
         secs_in(|| {
@@ -552,7 +571,7 @@ fn model_bench(name: &str, repeats: u64, mut pass: impl FnMut() -> u64 + 'static
     Bench {
         row: Row {
             allocs_per_event: allocs as f64 / points as f64,
-            ..Row::new(name, MODEL, points * repeats)
+            ..Row::new(name, engine, points * repeats)
         },
         sample: Box::new(sample),
     }
@@ -742,9 +761,12 @@ fn baseline(flags: &mut Flags, out: &mut impl Write) -> Result<(), Stop> {
     let mut benches: Vec<Bench> = workloads().into_iter().map(sim_bench).collect();
     benches.extend([CALENDAR, HEAP].map(hold_bench));
     benches.push(fleet_bench());
-    benches.push(model_bench("model_sweep", 4, model_sweep_pass));
-    benches.push(model_bench("model_registry", 8, model_registry_pass()));
-    benches.push(model_bench("mmcn_c64_n256", 64, mmcn_pass));
+    benches.extend([
+        pass_bench("model_sweep", MODEL, 4, model_sweep_pass),
+        pass_bench("model_registry", MODEL, 8, model_registry_pass()),
+        pass_bench("mmcn_c64_n256", MODEL, 64, mmcn_pass),
+        pass_bench("service_new", SERVICE, 64, service_new_pass),
+    ]);
     let rows = measure(benches);
     for r in &rows {
         writeln!(

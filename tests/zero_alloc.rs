@@ -4,11 +4,13 @@
 //! latency recorder) claims the hot loop performs **no heap
 //! allocation per event** once warm: packets come from the arena's
 //! free list, events live inline in wheel buckets, and latency samples
-//! stream into fixed histogram buckets. This test proves it with a
+//! stream into a histogram whose bucket table grows only to the largest
+//! latency seen, which a run reaches early. This test proves it with a
 //! counting `#[global_allocator]` — integration tests are separate
 //! binaries, so the allocator override is confined to this file. The
-//! count is per thread: the test harness runs this file's tests in
-//! parallel, and each must see only its own allocations.
+//! counts (calls and bytes) are per thread: the test harness runs this
+//! file's tests in parallel, and each must see only its own
+//! allocations.
 //!
 //! Methodology: run the same scenario at two durations and compare the
 //! *deltas* — extra events vs extra allocations. One-time costs (graph
@@ -16,30 +18,39 @@
 //! assembly) are identical in both runs and cancel; what remains is
 //! the steady-state per-event cost. The bound is a small epsilon
 //! rather than literal zero so a rare amortized growth (a wheel bucket
-//! first touched late in the long run) cannot flake the suite. The
+//! first touched late in the long run, or a latency past the end of the
+//! histogram's table) cannot flake the suite. The
 //! check runs on fixed-size traffic and on a three-class size mixture,
 //! whose packets miss and refill the engine's per-class size tables.
+//!
+//! Two start-up costs are pinned in bytes: a new latency recorder
+//! allocates nothing, and a new `Service` (the registry's scenarios)
+//! stays under 64 KiB.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use lognic::prelude::*;
+use lognic::service::{ServeConfig, Service};
 
 struct CountingAlloc;
 
 thread_local! {
-    // `const`-initialized: reading it never allocates, so the
-    // allocator may touch it from inside `alloc`.
+    // `const`-initialized: reading them never allocates, so the
+    // allocator may touch them from inside `alloc`.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count_alloc() {
+/// Counts one allocation call and the size of the block it returns.
+fn count_alloc(bytes: usize) {
     ALLOCS.with(|n| n.set(n.get() + 1));
+    BYTES.with(|n| n.set(n.get() + bytes as u64));
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_alloc();
+        count_alloc(layout.size());
         unsafe { System.alloc(layout) }
     }
 
@@ -48,7 +59,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_alloc();
+        count_alloc(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -58,6 +69,13 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocs_now() -> u64 {
     ALLOCS.with(Cell::get)
+}
+
+/// Runs `f` and returns its result and the bytes it allocated.
+fn bytes_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let b0 = BYTES.with(Cell::get);
+    let out = f();
+    (out, BYTES.with(Cell::get) - b0)
 }
 
 /// The steady pipeline under `sizes` at 30 Gb/s.
@@ -208,5 +226,22 @@ fn arena_reuses_freed_packet_slots() {
     assert!(
         diff < a1 / 10 + 16,
         "repeat runs should allocate alike: {a1} vs {a2}"
+    );
+}
+
+#[test]
+fn a_new_latency_recorder_allocates_nothing() {
+    let (_, bytes) = bytes_in(LatencyRecorder::new);
+    assert_eq!(bytes, 0, "the bucket table must start empty");
+}
+
+#[test]
+fn a_new_service_allocates_under_64_kib() {
+    // The registry's scenarios, and no zero-filled histogram: the
+    // stats recorder grows with the requests it records.
+    let (_, bytes) = bytes_in(|| Service::new(ServeConfig::default()));
+    assert!(
+        bytes < 64 * 1024,
+        "Service::new allocated {bytes} B, the budget is 65,536 B"
     );
 }
